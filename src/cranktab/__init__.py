@@ -3,15 +3,12 @@ partitions, built from their generating functions and cross-checked against
 brute-force enumeration, plus machine verification of the associated
 q-series identities and inequalities.
 
-All arithmetic is exact (Python ints throughout).  The hot inner loops run
-on a compiled Cython extension when available and on a pure-Python fallback
-otherwise; ``cranktab.kernels.backend()`` reports which one is active.
+All arithmetic is exact (Python ints throughout).
 """
 
 from cranktab.bivariate import (
     BivariateSeries,
     LaurentPoly,
-    column,
     crank_gf,
     kcrank_gf,
     m2_crank_gf,
@@ -28,7 +25,6 @@ from cranktab.brute import (
     rank,
     second_residual_contributions,
 )
-from cranktab.kernels import backend as kernel_backend
 from cranktab.series import (
     OrderMismatch,
     Series,
@@ -66,7 +62,6 @@ __all__ = [
     "check_table_consistency",
     "check_unimodal_step",
     "colored_partitions",
-    "column",
     "crank",
     "crank_contributions",
     "crank_gf",
@@ -76,7 +71,6 @@ __all__ = [
     "first_residual_contributions",
     "kcrank",
     "kcrank_gf",
-    "kernel_backend",
     "m2_crank_gf",
     "monotone_diff_row",
     "overline_crank_gf",

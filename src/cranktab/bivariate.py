@@ -1,23 +1,28 @@
 """Two-variable crank generating functions, truncated in the q direction.
 
-The coefficient of ``q**n`` is a Laurent polynomial in ``z`` stored as a
-centered integer vector over exponents ``-B..B`` (``B`` = truncation order,
-which keeps the convolutions index-only).  Four generating functions are
-built here:
+The coefficient of ``z**m q**n`` is the weighted count of objects of size n
+with crank m.  Every generating function here is built one column (fixed
+power of z) at a time from the Lambert-type closed form of the crank
+(Garvan, Trans. AMS 305, 1988; Andrews-Garvan, Bull. AMS 18, 1988)::
 
-* ``crank_gf``          -- Andrews-Garvan crank of ordinary partitions,
-  ``(q;q)_inf / ((zq;q)_inf (q/z;q)_inf)``;
-* ``overline_crank_gf`` -- first residual crank of overpartitions,
-  the crank GF times ``(-q;q)_inf``;
-* ``m2_crank_gf``       -- second residual crank of overpartitions,
-  the crank GF with ``q -> q**2`` times ``(-q;q)_inf / (q;q**2)_inf``;
-* ``kcrank_gf``         -- k-crank of k-colored partitions,
-  the crank GF times ``(q;q)_inf**(1-k)``.
+    sum_n M(m, n) q**n = S_m(q) / (q;q)_inf,
+    S_m(q) = sum_{j>=1} (-1)**(j-1) q**(j(j-1)/2 + j|m|) (1 - q**j).
 
-Each geometric factor ``1/(1 - z**(+-1) q**k)`` is folded in for k = 1..N in
-increasing k, so construction is deterministic.  The row for ``q**1`` comes
-out as ``z - 1 + 1/z``: the crank GF itself encodes the conventional signed
-counts at n = 1 and no special-casing is needed downstream.
+``S_m`` has about sqrt(2N) terms below ``q**N``, so a column is a handful of
+shifted copies of a base series: O(N sqrt(N)) per column and O(N**2 log N)
+for the whole GF, with no bivariate fold.  Column m of each statistic is
+``base * S_m(q**d)``:
+
+    statistic  builder            base                    d
+    crank      crank_gf           1/(q;q)_inf             1
+    ocrank     overline_crank_gf  (-q;q)_inf / (q;q)_inf  1
+    m2crank    m2_crank_gf        (-q;q)_inf / (q;q)_inf  2
+    kcrank     kcrank_gf          1/(q;q)_inf**k          1
+
+Each builder's docstring gives the product form it equals.  The row for
+``q**1`` comes out as ``z - 1 + 1/z`` from the j = 1, 2 terms: the crank GF
+itself encodes the conventional signed counts at n = 1 and no special-casing
+is needed downstream.
 
 Builders are memoized; the returned objects are shared and must be treated
 as immutable.
@@ -27,14 +32,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from cranktab import kernels
-from cranktab.series import (
-    Series,
-    distinct_series,
-    euler_product,
-    partition_series,
-    qpoch_inf,
-)
+from cranktab.series import Series, overpartition_series, partition_series
 
 
 class LaurentPoly:
@@ -73,17 +71,22 @@ class LaurentPoly:
 
 
 class BivariateSeries:
-    """Series in q whose coefficients are Laurent polynomials in z."""
+    """Series in q whose coefficients are Laurent polynomials in z.
 
-    __slots__ = ("order", "bound", "rows")
+    Stored by column: ``columns[bound + m]`` lists the coefficients of
+    ``z**m q**n`` for n = 0..order.  The builders below put one list at both
+    ``m`` and ``-m``.
+    """
 
-    def __init__(self, order: int, bound: int, rows):
+    __slots__ = ("order", "bound", "_columns")
+
+    def __init__(self, order: int, columns):
         self.order = order
-        self.bound = bound
-        self.rows = rows
+        self.bound = len(columns) // 2
+        self._columns = columns
 
     def row(self, n: int) -> LaurentPoly:
-        return LaurentPoly(self.bound, self.rows[n])
+        return LaurentPoly(self.bound, [col[n] for col in self._columns])
 
     def coeff(self, n: int, m: int) -> int:
         """Coefficient of ``z**m q**n``; zero whenever ``|m|`` exceeds the bound."""
@@ -91,71 +94,65 @@ class BivariateSeries:
             raise IndexError(f"exponent {n} outside truncation order {self.order}")
         if abs(m) > self.bound:
             return 0
-        return self.rows[n][self.bound + m]
+        return self._columns[self.bound + m][n]
 
     def column(self, m: int) -> Series:
-        """Fixed-z-power slice: the series ``n -> [z**m] rows[n]``."""
+        """Fixed-z-power slice: the series ``n -> [z**m q**n]``."""
         if abs(m) > self.bound:
             return Series.zero(self.order)
-        i = self.bound + m
-        return Series(self.order, [r[i] for r in self.rows])
+        return Series(self.order, self._columns[self.bound + m])
 
     def row_sum_series(self) -> Series:
         """Specialization z = 1: the series of row sums."""
-        return Series(self.order, [sum(r) for r in self.rows])
+        return Series(self.order, [sum(cells) for cells in zip(*self._columns)])
 
 
-def column(g: BivariateSeries, m: int) -> Series:
-    return g.column(m)
+def _column(base: list, m: int, d: int) -> list:
+    """Coefficients of ``base * S_m(q**d)``, truncated to the length of ``base``."""
+    size = len(base)
+    out = [0] * size
+    j = 1
+    while True:
+        e = d * (j * (j - 1) // 2 + j * m)
+        if e >= size:
+            return out
+        sign = 1 if j % 2 else -1
+        for shift, c in ((e, sign), (e + d * j, -sign)):
+            out[shift:] = [x + c * y for x, y in zip(out[shift:], base)]
+        j += 1
 
 
-def _seed_rows(order: int, seed: Series):
-    """Rows of a z-free series, centered at z**0, with bound = order."""
-    width = 2 * order + 1
-    rows = [[0] * width for _ in range(order + 1)]
-    for n in range(order + 1):
-        rows[n][order] = seed.coeffs[n]
-    return rows
+def _from_columns(order: int, base_of, d: int) -> BivariateSeries:
+    """The GF whose column m is ``base_of(order) * S_|m|(q**d)``."""
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    base = base_of(order).coeffs
+    half = [_column(base, m, d) for m in range(order + 1)]
+    return BivariateSeries(order, half[:0:-1] + half)
 
 
 @lru_cache(maxsize=None)
 def crank_gf(order: int) -> BivariateSeries:
     """Crank generating function ``(q;q)_inf / ((zq;q)_inf (q/z;q)_inf)``."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    rows = _seed_rows(order, euler_product(order))
-    for k in range(1, order + 1):
-        kernels.geom_fold(rows, k, +1, order)
-        kernels.geom_fold(rows, k, -1, order)
-    return BivariateSeries(order, order, rows)
+    return _from_columns(order, partition_series, 1)
 
 
 @lru_cache(maxsize=None)
 def overline_crank_gf(order: int) -> BivariateSeries:
     """First-residual-crank GF: the crank GF times ``(-q;q)_inf``."""
-    base = crank_gf(order)
-    rows = kernels.zfree_mul(base.rows, distinct_series(order).coeffs, order)
-    return BivariateSeries(order, order, rows)
+    return _from_columns(order, overpartition_series, 1)
 
 
 @lru_cache(maxsize=None)
 def m2_crank_gf(order: int) -> BivariateSeries:
     """Second-residual-crank GF.
 
-    Substitutes ``q -> q**2`` into the crank GF (index doubling; odd rows are
-    identically zero) and multiplies by ``(-q;q)_inf / (q;q**2)_inf``.
+    The crank GF with ``q -> q**2`` (odd rows vanish) times
+    ``(-q;q)_inf / (q;q**2)_inf``.  Since ``(q**2;q**2)_inf (q;q**2)_inf``
+    is ``(q;q)_inf``, its columns are ``S_m(q**2)`` times the overpartition
+    series.
     """
-    half = crank_gf(order // 2)
-    width = 2 * order + 1
-    rows = [[0] * width for _ in range(order + 1)]
-    for j in range(order // 2 + 1):
-        src = half.rows[j]
-        tgt = rows[2 * j]
-        for m in range(-j, j + 1):
-            tgt[order + m] = src[half.bound + m]
-    multiplier = distinct_series(order) * qpoch_inf(1, 2, order, invert=True)
-    rows = kernels.zfree_mul(rows, multiplier.coeffs, order)
-    return BivariateSeries(order, order, rows)
+    return _from_columns(order, overpartition_series, 2)
 
 
 @lru_cache(maxsize=None)
@@ -163,20 +160,15 @@ def kcrank_gf(k: int, order: int) -> BivariateSeries:
     """k-crank GF for k-colored partitions: crank GF times ``(q;q)_inf**(1-k)``."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    base = crank_gf(order)
-    multiplier = partition_series(order).pow(k - 1)
-    rows = kernels.zfree_mul(base.rows, multiplier.coeffs, order)
-    return BivariateSeries(order, order, rows)
+    return _from_columns(order, lambda n: partition_series(n).pow(k), 1)
 
 
 def check_gf_invariants(g: BivariateSeries) -> None:
     """Raise if a crank-type GF violates z <-> 1/z symmetry or |m| <= n support."""
-    b = g.bound
-    for n in range(g.order + 1):
-        row = g.rows[n]
-        for m in range(1, b + 1):
-            if row[b + m] != row[b - m]:
+    for m in range(g.bound + 1):
+        pos, neg = g.column(m), g.column(-m)
+        for n in range(g.order + 1):
+            if pos[n] != neg[n]:
                 raise ValueError(f"symmetry violated at n={n}, m={m}")
-        for m in range(n + 1, b + 1):
-            if row[b + m] or row[b - m]:
+            if n < m and pos[n]:
                 raise ValueError(f"support violated at n={n}, m={m}")

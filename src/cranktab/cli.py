@@ -10,40 +10,19 @@ Subcommands:
 Exit status: 0 when everything passed, 1 when any check failed, 2 on usage
 or configuration errors.  Outputs are deterministic for identical
 configurations, except for the measured ``runtime_ms`` fields in reports.
-The ``CRANKTAB_THREADS`` environment variable hints how many checks may be
-evaluated concurrently.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
-from dataclasses import dataclass
 
 import click
 
 from cranktab import brute, identities, tables, verify
 
-
-@dataclass
-class RunConfig:
-    statistic: str | None = None
-    n_max: int | None = None
-    order: int | None = None
-    k_list: tuple | None = None
-    fmt: str = "csv"
-    output: str | None = None
-    checks: tuple = ()
-    threads: int = 1
-
-
-def _threads_hint() -> int:
-    raw = os.environ.get("CRANKTAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+# --n-max and --order: a negative size is a usage error (exit 2)
+SIZE = click.IntRange(min=0)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -74,6 +53,14 @@ def _parse_k_list(raw: str | None):
     return ks
 
 
+def _check_oracle_ceiling(stat: str, n_max: int) -> None:
+    ceiling = brute.ORACLE_CEILINGS.get(stat)
+    if ceiling is not None and n_max > ceiling:
+        raise click.UsageError(
+            f"--n-max {n_max} exceeds the enumeration ceiling {ceiling} for {stat}"
+        )
+
+
 @click.group()
 def main():
     """Exact crank-statistic tables and q-series verification."""
@@ -83,8 +70,8 @@ def main():
 @click.option("--stat", required=True,
               type=click.Choice(tables.ALL_STATISTICS), help="Statistic to tabulate.")
 @click.option("--k", type=int, default=None, help="Number of colors (kcrank only).")
-@click.option("--n-max", type=int, default=50, show_default=True)
-@click.option("--order", type=int, default=None,
+@click.option("--n-max", type=SIZE, default=50, show_default=True)
+@click.option("--order", type=SIZE, default=None,
               help="Truncation order of the generating function (default: n-max).")
 @click.option("--provenance", type=click.Choice(["gf", "oracle"]), default=None,
               help="Table backend (default: gf, oracle for rank).")
@@ -100,6 +87,8 @@ def table(stat, k, n_max, order, provenance, fmt, output):
         raise click.UsageError("--stat kcrank requires --k")
     if order is not None and n_max > order:
         raise click.UsageError(f"--n-max {n_max} exceeds --order {order}")
+    if provenance == "oracle":
+        _check_oracle_ceiling(stat, n_max)
     try:
         t = tables.build_table(stat, n_max, provenance, k=k, order=order)
     except ValueError as exc:
@@ -110,8 +99,8 @@ def table(stat, k, n_max, order, provenance, fmt, output):
 @main.command("verify")
 @click.option("--check", "checks", multiple=True, required=True,
               help="Check id, or 'all'; may be repeated or comma-separated.")
-@click.option("--n-max", type=int, default=None, help="Scan ceiling for sweeps.")
-@click.option("--order", type=int, default=None, help="Truncation order for identities.")
+@click.option("--n-max", type=SIZE, default=None, help="Scan ceiling for sweeps.")
+@click.option("--order", type=SIZE, default=None, help="Truncation order for identities.")
 @click.option("--k", "k_raw", type=str, default=None,
               help="Comma-separated k values for the k-crank checks.")
 @click.option("--output", "-o", type=click.Path(), default=None)
@@ -120,8 +109,7 @@ def verify_cmd(checks, n_max, order, k_raw, output):
     ids = [c for chunk in checks for c in chunk.split(",") if c]
     try:
         reports = verify.run_checks(
-            ids, n_max=n_max, order=order, k_list=_parse_k_list(k_raw),
-            threads=_threads_hint(),
+            ids, n_max=n_max, order=order, k_list=_parse_k_list(k_raw)
         )
     except KeyError as exc:
         raise click.UsageError(
@@ -132,7 +120,7 @@ def verify_cmd(checks, n_max, order, k_raw, output):
 
 @main.command()
 @click.option("--id", "entry_id", required=True, help="Identity catalog entry id.")
-@click.option("--order", type=int, default=verify.DEFAULT_IDENTITY_ORDER,
+@click.option("--order", type=SIZE, default=verify.DEFAULT_IDENTITY_ORDER,
               show_default=True)
 @click.option("--output", "-o", type=click.Path(), default=None)
 def identity(entry_id, order, output):
@@ -148,7 +136,7 @@ def identity(entry_id, order, output):
 @main.command()
 @click.option("--stat", required=True, type=click.Choice(tables.ALL_STATISTICS))
 @click.option("--k", type=int, default=None)
-@click.option("--n-max", type=int, default=25, show_default=True)
+@click.option("--n-max", type=SIZE, default=25, show_default=True)
 @click.option("--output", "-o", type=click.Path(), default=None)
 def crosscheck(stat, k, n_max, output):
     """Compare the GF-built table against the enumeration oracle."""
@@ -156,11 +144,7 @@ def crosscheck(stat, k, n_max, output):
         raise click.UsageError("rank has no generating-function backend to cross-check")
     if stat == "kcrank" and k is None:
         raise click.UsageError("--stat kcrank requires --k")
-    ceiling = brute.ORACLE_CEILINGS.get(stat)
-    if ceiling is not None and n_max > ceiling:
-        raise click.UsageError(
-            f"--n-max {n_max} exceeds the enumeration ceiling {ceiling} for {stat}"
-        )
+    _check_oracle_ceiling(stat, n_max)
     gf = tables.build_table(stat, n_max, "gf", k=k)
     oracle = tables.build_table(stat, n_max, "oracle", k=k)
     _emit_reports([verify.check_table_consistency(gf, oracle)], output)

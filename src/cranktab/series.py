@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from cranktab import kernels
-
 
 class OrderMismatch(ValueError):
     """Two series of different truncation orders were combined."""
@@ -115,7 +113,18 @@ class Series:
 
     def __mul__(self, other: "Series") -> "Series":
         self._check_order(other)
-        return Series(self.order, kernels.cauchy_mul(self.coeffs, other.coeffs))
+        a, b = self.coeffs, other.coeffs
+        n = len(a)
+        out = [0] * n
+        for i, ai in enumerate(a):
+            if not ai:
+                continue
+            seg = b[: n - i]
+            if ai == 1:
+                out[i:] = [x + y for x, y in zip(out[i:], seg)]
+            else:
+                out[i:] = [x + ai * y for x, y in zip(out[i:], seg)]
+        return Series(self.order, out)
 
     def pow(self, exponent: int) -> "Series":
         if exponent < 0:

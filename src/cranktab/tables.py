@@ -3,9 +3,10 @@
 A :class:`CrankTable` holds the weighted counts T[n][m] for one statistic,
 built either from a generating function (``provenance="gf"``) or from the
 enumeration oracle (``provenance="oracle"``).  All supported statistics have
-symmetric rows (m <-> -m), so only m >= 0 is stored; the builders verify the
-symmetry and the |m| <= n support while compressing and refuse to construct a
-table that violates either.
+symmetric rows (m <-> -m), so only m >= 0 is stored.  Both builders verify
+the |m| <= n support while compressing, and the oracle builder also verifies
+the symmetry (GF columns are symmetric by construction); neither constructs
+a table that violates them.
 
 Exports: CSV with header ``n,m,count`` in (n asc, m asc) order with the full
 -n..n range expanded, and JSON ``{statistic, n_max, rows: [{n, counts}]}``
@@ -106,18 +107,17 @@ def _compress_full_rows(full_rows, statistic) -> list:
 
 
 def _compress_gf(g: bivariate.BivariateSeries, n_max: int, statistic: str) -> list:
-    half = []
-    b = g.bound
-    for n in range(n_max + 1):
-        row = g.rows[n]
-        for m in range(1, n + 1):
-            if row[b + m] != row[b - m]:
-                raise ValueError(f"{statistic}: asymmetric GF row at n={n}, m={m}")
-        for m in range(n + 1, b + 1):
-            if row[b + m] or row[b - m]:
+    """Half rows n = 0..n_max of a GF, read off its m >= 0 columns.
+
+    The column form is symmetric by construction; the support is checked:
+    column m must vanish below ``q**m``.
+    """
+    cols = [g.column(m).coeffs for m in range(g.bound + 1)]
+    for m, col in enumerate(cols):
+        for n in range(min(m, n_max + 1)):
+            if col[n]:
                 raise ValueError(f"{statistic}: GF support violated at n={n}, m={m}")
-        half.append(row[b : b + n + 1])
-    return half
+    return [[cols[m][n] for m in range(n + 1)] for n in range(n_max + 1)]
 
 
 @lru_cache(maxsize=None)

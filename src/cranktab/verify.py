@@ -18,7 +18,6 @@ reports the n = 1 comparison informationally.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from cranktab import brute, identities, tables
@@ -66,7 +65,13 @@ class CheckReport:
         return obj
 
 
-def _timed(check_id, params, expected_keys, found, informational):
+def _get(cfg, key, default):
+    """``cfg[key]``, or ``default`` when the key is missing or None (0 is kept)."""
+    value = cfg.get(key)
+    return default if value is None else value
+
+
+def _report(check_id, params, expected_keys, found, informational):
     found_keys = {(e.get("k"), e["m"], e["n"]) for e in found}
     passed = found_keys == set(expected_keys)
     return CheckReport(check_id, params, passed, found, informational)
@@ -127,7 +132,7 @@ def check_unimodal_step(
         for m, n in expected
         if n_range[0] <= n <= min(n_range[1], table.n_max)
     }
-    report = _timed(check_id, params or {}, exp, found, [])
+    report = _report(check_id, params or {}, exp, found, [])
     report.runtime_ms = (time.perf_counter() - t0) * 1000
     return report
 
@@ -144,7 +149,7 @@ def check_monotone_n(
         for m, n in expected
         if n_range[0] <= n <= min(n_range[1], table.n_max)
     }
-    report = _timed(check_id, params or {}, exp, found, [])
+    report = _report(check_id, params or {}, exp, found, [])
     report.runtime_ms = (time.perf_counter() - t0) * 1000
     return report
 
@@ -162,7 +167,7 @@ def check_rank_inequalities(n_max=DEFAULT_ORACLE_N_MAX):
 
     t0 = time.perf_counter()
     found = _scan_step(table, 0, n_max, lambda n: range(2, n + 1), stride=2)
-    r = _timed("thm-1.1a", {"n_max": n_max, "relation": "step-by-2"}, set(), found, [])
+    r = _report("thm-1.1a", {"n_max": n_max, "relation": "step-by-2"}, set(), found, [])
     r.runtime_ms = (time.perf_counter() - t0) * 1000
     reports.append(r)
 
@@ -176,7 +181,7 @@ def check_rank_inequalities(n_max=DEFAULT_ORACLE_N_MAX):
             table, 12, n_max, lambda n: range(0, n + 1), skip=lambda m, n: n != m + 2
         )
     ]
-    r = _timed("thm-1.1b", {"n_max": n_max, "relation": "monotone"}, set(), found, info)
+    r = _report("thm-1.1b", {"n_max": n_max, "relation": "monotone"}, set(), found, info)
     r.runtime_ms = (time.perf_counter() - t0) * 1000
     reports.append(r)
     return reports
@@ -224,12 +229,12 @@ def check_table_consistency(gf_table, oracle_table):
 def _run_thm_11(cfg):
     # rank has no GF backend; cap at the enumeration ceiling so that a large
     # --n-max meant for the GF sweeps cannot trigger an infeasible enumeration
-    n_max = min(cfg.get("n_max") or DEFAULT_ORACLE_N_MAX, brute.ORACLE_CEILINGS["rank"])
+    n_max = min(_get(cfg, "n_max", DEFAULT_ORACLE_N_MAX), brute.ORACLE_CEILINGS["rank"])
     return check_rank_inequalities(n_max)
 
 
 def _run_thm_12(cfg):
-    n_max = cfg.get("n_max") or DEFAULT_SWEEP_N_MAX
+    n_max = _get(cfg, "n_max", DEFAULT_SWEEP_N_MAX)
     table = tables.build_table("crank", n_max, "gf")
     report = check_unimodal_step(
         table,
@@ -243,7 +248,7 @@ def _run_thm_12(cfg):
 
 
 def _run_thm_13(cfg):
-    n_max = cfg.get("n_max") or DEFAULT_SWEEP_N_MAX
+    n_max = _get(cfg, "n_max", DEFAULT_SWEEP_N_MAX)
     table = tables.build_table("crank", n_max, "gf")
     report = check_monotone_n(
         table,
@@ -259,7 +264,7 @@ def _run_thm_13(cfg):
 
 
 def _run_thm_14(cfg):
-    n_max = cfg.get("n_max") or DEFAULT_SWEEP_N_MAX
+    n_max = _get(cfg, "n_max", DEFAULT_SWEEP_N_MAX)
     table = tables.build_table("ocrank", n_max, "gf")
     return [
         check_unimodal_step(
@@ -274,7 +279,7 @@ def _run_thm_14(cfg):
 
 
 def _run_thm_15(cfg):
-    n_max = cfg.get("n_max") or DEFAULT_SWEEP_N_MAX
+    n_max = _get(cfg, "n_max", DEFAULT_SWEEP_N_MAX)
     table = tables.build_table("m2crank", n_max, "gf")
     return [
         check_unimodal_step(
@@ -288,7 +293,7 @@ def _run_thm_15(cfg):
 
 
 def _run_thm_17(cfg):
-    n_max = cfg.get("n_max") or DEFAULT_SWEEP_N_MAX
+    n_max = _get(cfg, "n_max", DEFAULT_SWEEP_N_MAX)
     reports = []
     for suffix, stat in (("a", "ocrank"), ("b", "m2crank")):
         table = tables.build_table(stat, n_max, "gf")
@@ -305,8 +310,8 @@ def _run_thm_17(cfg):
 
 
 def _run_conj_18(cfg):
-    n_max = cfg.get("n_max") or DEFAULT_KCRANK_N_MAX
-    k_list = cfg.get("k_list") or DEFAULT_K_LIST
+    n_max = _get(cfg, "n_max", DEFAULT_KCRANK_N_MAX)
+    k_list = _get(cfg, "k_list", DEFAULT_K_LIST)
     reports = []
     for k in k_list:
         table = tables.build_table("kcrank", n_max, "gf", k=k)
@@ -339,13 +344,11 @@ def available_checks():
     return sorted(THEOREM_CHECKS) + sorted(identities.CATALOG)
 
 
-def run_checks(check_ids, n_max=None, order=None, k_list=None, threads=None):
+def run_checks(check_ids, n_max=None, order=None, k_list=None):
     """Run the selected checks; returns reports sorted by check id.
 
     ``check_ids`` may contain theorem-sweep ids, identity-catalog ids, or
-    ``"all"``.  ``threads`` > 1 evaluates independent checks concurrently
-    (checks are pure functions over immutable tables); the merged report
-    order is deterministic either way.
+    ``"all"``.  A ``None`` setting selects the check's default.
     """
     ids = []
     for cid in check_ids:
@@ -356,19 +359,16 @@ def run_checks(check_ids, n_max=None, order=None, k_list=None, threads=None):
         else:
             raise KeyError(f"unknown check id {cid!r}")
         ids.extend(c for c in expansion if c not in ids)
-    cfg = {"n_max": n_max, "order": order, "k_list": tuple(k_list) if k_list else None}
+    cfg = {"n_max": n_max, "k_list": None if k_list is None else tuple(k_list)}
+    if order is None:
+        order = DEFAULT_IDENTITY_ORDER
 
-    def run_one(cid):
+    reports = []
+    for cid in ids:
         if cid in THEOREM_CHECKS:
-            return THEOREM_CHECKS[cid](cfg)
-        return [check_identity(cid, order or DEFAULT_IDENTITY_ORDER)]
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(run_one, ids))
-    else:
-        chunks = [run_one(cid) for cid in ids]
-    reports = [r for chunk in chunks for r in chunk]
+            reports.extend(THEOREM_CHECKS[cid](cfg))
+        else:
+            reports.append(check_identity(cid, order))
     reports.sort(key=lambda r: r.check_id)
     return reports
 

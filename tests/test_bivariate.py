@@ -1,11 +1,13 @@
 """Tests for the two-variable generating functions."""
 
+from functools import lru_cache
+
 import pytest
 
 from cranktab.bivariate import (
+    BivariateSeries,
     LaurentPoly,
     check_gf_invariants,
-    column,
     crank_gf,
     kcrank_gf,
     m2_crank_gf,
@@ -14,8 +16,11 @@ from cranktab.bivariate import (
 from cranktab.brute import oracle_rows
 from cranktab.series import (
     Series,
+    distinct_series,
+    euler_product,
     overpartition_series,
     partition_series,
+    qpoch_inf,
 )
 
 
@@ -41,7 +46,7 @@ def test_overline_crank_gf_rows():
     assert g.row(1).as_dict() == {-1: 1, 1: 1}
     assert g.coeff(4, 0) == 2
     assert g.coeff(4, 1) == 2
-    assert sum(g.rows[4]) == 14
+    assert g.row_sum_series()[4] == 14
 
 
 def test_m2_crank_gf_rows():
@@ -79,17 +84,17 @@ def test_specialization_row_sums():
 
 def test_column_extraction():
     g = crank_gf(10)
-    assert column(g, 0)[1] == -1
+    assert g.column(0)[1] == -1
     for m in range(0, 11):
-        assert column(g, m) == column(g, -m)
-    assert column(g, 99) == Series.zero(10)
+        assert g.column(m) == g.column(-m)
+    assert g.column(99) == Series.zero(10)
     with pytest.raises(IndexError):
         g.coeff(11, 0)
 
 
 def test_overline_diff_head():
     g = overline_crank_gf(10)
-    head = (column(g, 0) - column(g, 1)).coeffs[:6]
+    head = (g.column(0) - g.column(1)).coeffs[:6]
     assert head == [1, -1, -1, 1, 0, 1]
 
 
@@ -105,3 +110,91 @@ def test_gf_matches_oracle_tables():
         rows = oracle_rows(stat, 18, k=k)
         for n in range(19):
             assert g.row(n).as_dict() == rows[n], (stat, n)
+
+
+# -- product-form reference ---------------------------------------------------
+#
+# The builders use the column closed form.  The reference below expands the
+# product form directly: seed rows centered at z**0, multiplied by
+# 1/(1 - z**(+-1) q**j) for j = 1..N, then by the z-free multiplier of each
+# statistic.  It is O(N**3) and meant for small orders only.
+
+
+@lru_cache(maxsize=None)
+def _crank_fold(order):
+    """Columns m = -order..order of ``(q;q)_inf / ((zq;q)_inf (q/z;q)_inf)``."""
+    width = 2 * order + 1
+    rows = [[0] * width for _ in range(order + 1)]
+    for n, c in enumerate(euler_product(order).coeffs):
+        rows[n][order] = c
+    for j in range(1, order + 1):
+        for step in (1, -1):
+            # r[n][m] += r[n-j][m-step], walking n upward to accumulate powers
+            for n in range(j, order + 1):
+                src, tgt = rows[n - j], rows[n]
+                for i in range(max(step, 0), width + min(step, 0)):
+                    tgt[i] += src[i - step]
+    return tuple(Series(order, col) for col in zip(*rows))
+
+
+def _reference(stat, order, k=None):
+    if stat == "m2crank":
+        # crank GF at q**2 (order and bound order // 2), padded to `order`
+        half = order // 2
+        pad = [Series.zero(order)] * (order - half)
+        cols = pad + [
+            Series(order, [0 if i % 2 else c[i // 2] for i in range(order + 1)])
+            for c in _crank_fold(half)
+        ] + pad
+        multiplier = distinct_series(order) * qpoch_inf(1, 2, order, invert=True)
+    else:
+        cols = _crank_fold(order)
+        if stat == "crank":
+            multiplier = Series.constant(order)
+        elif stat == "ocrank":
+            multiplier = distinct_series(order)
+        else:
+            multiplier = partition_series(order).pow(k - 1)
+    return BivariateSeries(order, [(c * multiplier).coeffs for c in cols])
+
+
+def _builder(stat, order, k=None):
+    if stat == "crank":
+        return crank_gf(order)
+    if stat == "ocrank":
+        return overline_crank_gf(order)
+    if stat == "m2crank":
+        return m2_crank_gf(order)
+    return kcrank_gf(k, order)
+
+
+PARITY_CASES = [("crank", None), ("ocrank", None), ("m2crank", None)] + [
+    ("kcrank", k) for k in range(2, 7)
+]
+
+
+@pytest.mark.parametrize("stat,k", PARITY_CASES)
+def test_column_form_matches_product_form(stat, k):
+    for order in range(41):
+        g, ref = _builder(stat, order, k), _reference(stat, order, k)
+        assert (g.order, g.bound) == (ref.order, ref.bound) == (order, order)
+        for m in range(-order, order + 1):
+            assert g.column(m) == ref.column(m), (stat, k, order, m)
+
+
+def test_product_form_reference_is_sound():
+    assert _reference("crank", 6).row(1).as_dict() == {-1: 1, 0: -1, 1: 1}
+    for stat, k in PARITY_CASES:
+        check_gf_invariants(_reference(stat, 40, k))
+    for stat, k in [("crank", None), ("ocrank", None), ("m2crank", None),
+                    ("kcrank", 2), ("kcrank", 4)]:
+        ref = _reference(stat, 18, k)
+        assert [ref.row(n).as_dict() for n in range(19)] == oracle_rows(stat, 18, k=k)
+
+
+def test_invariant_check_detects_violations():
+    check_gf_invariants(BivariateSeries(1, [[0, 1], [1, -1], [0, 1]]))
+    with pytest.raises(ValueError, match="symmetry"):
+        check_gf_invariants(BivariateSeries(1, [[0, 1], [1, -1], [0, 2]]))
+    with pytest.raises(ValueError, match="support"):
+        check_gf_invariants(BivariateSeries(1, [[1, 1], [1, -1], [1, 1]]))

@@ -76,6 +76,19 @@ def test_table_usage_errors(runner):
         ).exit_code
         == 2
     )
+    for flag in ("--n-max", "--order"):
+        result = runner.invoke(main, ["table", "--stat", "crank", flag, "-1"])
+        assert result.exit_code == 2 and "-1 is not in the range" in result.output
+
+
+def test_table_oracle_respects_enumeration_ceilings(runner):
+    for args in (
+        ["--stat", "ocrank", "--provenance", "oracle", "--n-max", "60"],
+        ["--stat", "rank", "--n-max", "200"],
+    ):
+        result = runner.invoke(main, ["table", *args])
+        assert result.exit_code == 2
+        assert "exceeds the enumeration ceiling" in result.output
 
 
 def test_verify_single_check(runner):
@@ -121,6 +134,21 @@ def test_verify_all_aggregated(runner):
     assert "thm-1.4" in ids and "euler" in ids and "conj-1.8[k=2]" in ids
 
 
+def test_verify_explicit_zero_sizes_are_honoured(runner):
+    result = runner.invoke(
+        main, ["verify", "--check", "thm-1.4,euler", "--n-max", "0", "--order", "0"]
+    )
+    assert result.exit_code == 0, result.output
+    params = {c["check_id"]: c["params"] for c in json.loads(result.output)["checks"]}
+    assert params == {"euler": {"order": 0}, "thm-1.4": {"n_max": 0}}
+
+
+def test_verify_negative_n_max_is_usage_error(runner):
+    result = runner.invoke(main, ["verify", "--check", "thm-1.4", "--n-max", "-5"])
+    assert result.exit_code == 2
+    assert "Error: Invalid value for '--n-max'" in result.output
+
+
 def test_verify_unknown_check_is_usage_error(runner):
     result = runner.invoke(main, ["verify", "--check", "thm-9.9"])
     assert result.exit_code == 2
@@ -141,6 +169,12 @@ def test_identity_command(runner):
 
     result = runner.invoke(main, ["identity", "--id", "nope"])
     assert result.exit_code == 2
+
+
+def test_identity_negative_order_is_usage_error(runner):
+    result = runner.invoke(main, ["identity", "--id", "euler", "--order", "-3"])
+    assert result.exit_code == 2
+    assert "Error: Invalid value for '--order'" in result.output
 
 
 def test_failing_check_exits_one(runner, monkeypatch):
@@ -182,12 +216,7 @@ def test_crosscheck_usage_errors(runner):
         runner.invoke(main, ["crosscheck", "--stat", "ocrank", "--n-max", "99"]).exit_code
         == 2
     )
-
-
-def test_threads_hint_parsing(monkeypatch):
-    from cranktab import cli
-
-    monkeypatch.setenv("CRANKTAB_THREADS", "4")
-    assert cli._threads_hint() == 4
-    monkeypatch.setenv("CRANKTAB_THREADS", "junk")
-    assert cli._threads_hint() == 1
+    assert (
+        runner.invoke(main, ["crosscheck", "--stat", "crank", "--n-max", "-1"]).exit_code
+        == 2
+    )

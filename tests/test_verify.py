@@ -115,13 +115,6 @@ def test_run_checks_interface():
         run_checks(["nope"])
 
 
-def test_run_checks_threaded_matches_sequential():
-    seq = run_checks(["thm-1.4", "thm-1.5", "euler"], n_max=40, order=50)
-    par = run_checks(["thm-1.4", "thm-1.5", "euler"], n_max=40, order=50, threads=3)
-    strip = lambda rs: [(r.check_id, r.passed, r.exceptions) for r in rs]
-    assert strip(seq) == strip(par)
-
-
 def test_reports_deterministic_modulo_runtime():
     a = run_checks(["thm-1.4"], n_max=50)
     b = run_checks(["thm-1.4"], n_max=50)

@@ -39,10 +39,7 @@ from cranktab.tables import CrankTable, build_table, diff_column, monotone_diff_
 from cranktab.verify import (
     CheckReport,
     check_identity,
-    check_monotone_n,
-    check_rank_inequalities,
     check_table_consistency,
-    check_unimodal_step,
     run_checks,
 )
 
@@ -57,10 +54,7 @@ __all__ = [
     "Series",
     "build_table",
     "check_identity",
-    "check_monotone_n",
-    "check_rank_inequalities",
     "check_table_consistency",
-    "check_unimodal_step",
     "colored_partitions",
     "crank",
     "crank_contributions",

@@ -145,8 +145,11 @@ def crosscheck(stat, k, n_max, output):
     if stat == "kcrank" and k is None:
         raise click.UsageError("--stat kcrank requires --k")
     _check_oracle_ceiling(stat, n_max)
-    gf = tables.build_table(stat, n_max, "gf", k=k)
-    oracle = tables.build_table(stat, n_max, "oracle", k=k)
+    try:
+        gf = tables.build_table(stat, n_max, "gf", k=k)
+        oracle = tables.build_table(stat, n_max, "oracle", k=k)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     _emit_reports([verify.check_table_consistency(gf, oracle)], output)
 
 

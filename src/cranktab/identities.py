@@ -493,8 +493,12 @@ CORE_ENTRIES = [
 ]
 
 
-def run_clause(clause: Clause, order: int) -> list:
-    """Evaluate one clause; returns the exception list (empty = clause holds)."""
+def run_clause(clause: Clause, order: int) -> tuple[list, int]:
+    """Evaluate one clause.
+
+    Returns the exception list (empty = clause holds) and the number of
+    coefficients compared.
+    """
     lhs = clause.build_lhs(order)
     mode = clause.mode[0]
     exceptions = []
@@ -505,6 +509,7 @@ def run_clause(clause: Clause, order: int) -> list:
                 exceptions.append(
                     {"clause": clause.label, "n": n, "lhs": a, "rhs": b}
                 )
+        checked = min(len(lhs.coeffs), len(rhs.coeffs))
     elif mode == "nonneg_from":
         n0 = clause.mode[1]
         for n in range(n0, lhs.order + 1):
@@ -512,6 +517,7 @@ def run_clause(clause: Clause, order: int) -> list:
                 exceptions.append(
                     {"clause": clause.label, "n": n, "lhs": lhs.coeffs[n], "rhs": 0}
                 )
+        checked = max(0, lhs.order + 1 - n0)
     elif mode == "nonneg_except":
         allowed = {n for n in clause.mode[1] if n <= lhs.order}
         found = {n for n, c in enumerate(lhs.coeffs) if c < 0}
@@ -519,14 +525,21 @@ def run_clause(clause: Clause, order: int) -> list:
             exceptions.append(
                 {"clause": clause.label, "n": n, "lhs": lhs.coeffs[n], "rhs": 0}
             )
+        checked = len(lhs.coeffs)
     else:
         raise ValueError(f"unknown clause mode {clause.mode!r}")
-    return exceptions
+    return exceptions, checked
 
 
-def run_entry(entry: IdentityEntry, order: int) -> list:
-    """Evaluate all clauses of one catalog entry at the given order."""
-    exceptions = []
+def run_entry(entry: IdentityEntry, order: int) -> tuple[list, int]:
+    """Evaluate all clauses of one catalog entry at the given order.
+
+    Returns the exceptions of all clauses and the total number of
+    coefficients compared.
+    """
+    exceptions, checked = [], 0
     for clause in entry.clauses(order):
-        exceptions.extend(run_clause(clause, order))
-    return exceptions
+        found, count = run_clause(clause, order)
+        exceptions.extend(found)
+        checked += count
+    return exceptions, checked

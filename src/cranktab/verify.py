@@ -1,11 +1,28 @@
 """Inequality sweeps and identity checks with structured pass/fail reports.
 
-Every check declares the exception set it expects (taken from the statement
-being verified, intersected with the scanned range); its verdict is "pass"
-exactly when the violations found equal that set.  Statements that hold only
-from a threshold on are scanned from the threshold, and the sweep reports
-sub-threshold violations informationally, so known small-n irregularities
-are documented rather than silently skipped.
+Every theorem sweep is data: one :class:`Sweep` entry of :data:`SWEEPS`, run
+by the one routine :func:`run_sweep`.  A sweep reads the count table
+``count(m, n)`` of its ``statistic`` (the enumeration oracle for the rank,
+the generating function otherwise) and checks one relation, set by
+``stride``:
+
+* 1 or 2 -- step in m: count(m - stride, n) >= count(m, n);
+* 0      -- monotone in n: count(m, n) >= count(m, n - 1), from n = 1 on.
+
+Row n compares the m in ``range(m_lo, n + 1 - m_cut)``.  Rows from
+``scan_from`` on are counted: the verdict is "pass" exactly when the
+violations found there equal ``expected``, the statement's exception set of
+(k, m, n) triples (k is None except for the k-crank), intersected with the
+scanned rows and the k of the run.  Statements that hold only from a
+threshold on thus declare it as ``scan_from``; the violations in the rows
+below it are reported in ``informational``, so known small-n irregularities
+are documented rather than silently skipped.  ``exclude_diagonal`` d, when
+set, leaves the cells n = m + d of the counted rows out of the verdict; their
+violations follow in ``informational`` with a ``note``.  ``params`` names the
+report parameters in print order, each taken from the sweep or the run
+(``n_max``, ``k``, ``statistic``, ``scan_from``, ``relation``).  Every sweep
+report gives ``cells_checked``, the number of cells compared in its counted
+rows; every identity report gives ``coeffs_checked``.
 
 Note on the monotonicity sweeps (`thm-1.7*`): the counts of the first
 residual crank satisfy count(m, n) >= count(m, n-1) for all comparisons
@@ -22,11 +39,11 @@ from dataclasses import dataclass, field
 
 from cranktab import brute, identities, tables
 
-DEFAULT_SWEEP_N_MAX = 300
-DEFAULT_ORACLE_N_MAX = 40
-DEFAULT_KCRANK_N_MAX = 200
+DEFAULT_N_MAX = {"crank": 300, "ocrank": 300, "m2crank": 300, "kcrank": 200, "rank": 40}
 DEFAULT_IDENTITY_ORDER = 200
 DEFAULT_K_LIST = (2, 3, 4, 5, 6)
+
+RELATIONS = {0: "monotone", 1: "step", 2: "step-by-2"}  # by Sweep.stride
 
 
 @dataclass
@@ -37,6 +54,8 @@ class CheckReport:
     exceptions: list
     informational: list = field(default_factory=list)
     runtime_ms: float = 0.0
+    cells_checked: int | None = None
+    coeffs_checked: int | None = None
 
     @property
     def verdict(self) -> str:
@@ -62,142 +81,85 @@ class CheckReport:
         }
         if self.informational:
             obj["informational"] = fmt(self.informational)
+        for key in ("cells_checked", "coeffs_checked"):
+            if getattr(self, key) is not None:
+                obj[key] = getattr(self, key)
         return obj
 
 
-def _get(cfg, key, default):
-    """``cfg[key]``, or ``default`` when the key is missing or None (0 is kept)."""
-    value = cfg.get(key)
-    return default if value is None else value
+@dataclass(frozen=True)
+class Sweep:
+    """One inequality sweep over a count table; see the module docstring."""
+
+    check_id: str
+    statistic: str
+    stride: int  # 1 or 2: step in m; 0: monotone in n
+    m_lo: int = 0
+    m_cut: int = 0
+    scan_from: int = 0
+    expected: frozenset = frozenset()  # (k, m, n) triples
+    exclude_diagonal: int | None = None
+    params: tuple = ("n_max",)
 
 
-def _report(check_id, params, expected_keys, found, informational):
-    found_keys = {(e.get("k"), e["m"], e["n"]) for e in found}
-    passed = found_keys == set(expected_keys)
-    return CheckReport(check_id, params, passed, found, informational)
-
-
-def _scan_step(table, n_lo, n_hi, m_range, stride=1, skip=None):
-    """Violations of count(m-stride, n) >= count(m, n).
-
-    ``m_range(n)`` yields the m values scanned in row n (each compared
-    against m - stride); ``skip(m, n)`` excludes individual cells.
-    """
-    found = []
-    for n in range(n_lo, min(n_hi, table.n_max) + 1):
-        for m in m_range(n):
-            if skip and skip(m, n):
+def run_sweep(sweep: Sweep, n_max: int, k: int | None = None) -> CheckReport:
+    """Scan rows 0..n_max of the sweep's table (the k-colored one for kcrank)."""
+    provenance = "oracle" if sweep.statistic == "rank" else "gf"
+    table = tables.build_table(sweep.statistic, n_max, provenance, k=k)
+    t0 = time.perf_counter()
+    stride, diagonal = sweep.stride, sweep.exclude_diagonal
+    dn = 0 if stride else 1  # a monotone sweep compares row n with row n - 1
+    found, informational, cells = [], [], 0
+    for n in range(dn, n_max + 1):
+        counted = n >= sweep.scan_from
+        skip_m = n - diagonal if counted and diagonal is not None else None
+        row = range(sweep.m_lo, n + 1 - sweep.m_cut)
+        if counted:
+            cells += len(row) - (skip_m is not None and skip_m in row)
+        for m in row:
+            lhs, rhs = table.count(m - stride, n), table.count(m, n - dn)
+            if lhs >= rhs:
                 continue
-            lhs = table.count(m - stride, n)
-            rhs = table.count(m, n)
-            if lhs < rhs:
-                entry = {"m": m, "n": n, "lhs": lhs, "rhs": rhs}
-                if table.k is not None:
-                    entry["k"] = table.k
-                found.append(entry)
-    return found
-
-
-def _scan_monotone(table, n_lo, n_hi, m_range, skip=None):
-    """Violations of count(m, n) >= count(m, n-1)."""
-    found = []
-    for n in range(max(n_lo, 1), min(n_hi, table.n_max) + 1):
-        for m in m_range(n):
-            if skip and skip(m, n):
-                continue
-            lhs = table.count(m, n)
-            rhs = table.count(m, n - 1)
-            if lhs < rhs:
-                entry = {"m": m, "n": n, "lhs": lhs, "rhs": rhs}
-                if table.k is not None:
-                    entry["k"] = table.k
-                found.append(entry)
-    return found
-
-
-def check_unimodal_step(
-    table, n_range, m_range, expected=(), check_id="unimodal-step", params=None
-):
-    """Scan count(m-1, n) >= count(m, n) over the given ranges.
-
-    ``m_range`` is either an (lo, hi) pair or a callable n -> iterable of m.
-    ``expected`` lists the (m, n) pairs that are allowed (and required) to
-    violate the inequality, e.g. the known exceptions of a statement.
-    """
-    t0 = time.perf_counter()
-    m_of_n = m_range if callable(m_range) else (lambda n: range(m_range[0], m_range[1] + 1))
-    found = _scan_step(table, n_range[0], n_range[1], m_of_n)
-    exp = {
-        (table.k, m, n)
-        for m, n in expected
-        if n_range[0] <= n <= min(n_range[1], table.n_max)
+            entry = {"m": m, "n": n, "lhs": lhs, "rhs": rhs}
+            if k is not None:
+                entry["k"] = k
+            if m == skip_m:
+                informational.append(dict(entry, note=f"excluded diagonal n=m+{diagonal}"))
+            else:
+                (found if counted else informational).append(entry)
+    expected = {
+        (kk, m, n) for kk, m, n in sweep.expected if kk == k and sweep.scan_from <= n <= n_max
     }
-    report = _report(check_id, params or {}, exp, found, [])
-    report.runtime_ms = (time.perf_counter() - t0) * 1000
-    return report
-
-
-def check_monotone_n(
-    table, n_range, m_range, expected=(), check_id="monotone-n", params=None
-):
-    """Scan count(m, n) >= count(m, n-1) over the given ranges."""
-    t0 = time.perf_counter()
-    m_of_n = m_range if callable(m_range) else (lambda n: range(m_range[0], m_range[1] + 1))
-    found = _scan_monotone(table, n_range[0], n_range[1], m_of_n)
-    exp = {
-        (table.k, m, n)
-        for m, n in expected
-        if n_range[0] <= n <= min(n_range[1], table.n_max)
+    values = {
+        "statistic": sweep.statistic,
+        "k": k,
+        "n_max": n_max,
+        "scan_from": sweep.scan_from,
+        "relation": RELATIONS[stride],
     }
-    report = _report(check_id, params or {}, exp, found, [])
-    report.runtime_ms = (time.perf_counter() - t0) * 1000
-    return report
-
-
-def check_rank_inequalities(n_max=DEFAULT_ORACLE_N_MAX):
-    """Rank-count inequalities, from the enumeration oracle.
-
-    (a) N(m, n) >= N(m+2, n) for all m, n >= 0;
-    (b) N(m, n) >= N(m, n-1) for n >= 12 except on the diagonal n = m + 2.
-    Violations on the excluded diagonal and below the threshold are reported
-    informationally.
-    """
-    table = tables.build_table("rank", n_max, "oracle")
-    reports = []
-
-    t0 = time.perf_counter()
-    found = _scan_step(table, 0, n_max, lambda n: range(2, n + 1), stride=2)
-    r = _report("thm-1.1a", {"n_max": n_max, "relation": "step-by-2"}, set(), found, [])
-    r.runtime_ms = (time.perf_counter() - t0) * 1000
-    reports.append(r)
-
-    t0 = time.perf_counter()
-    skip = lambda m, n: n == m + 2
-    found = _scan_monotone(table, 12, n_max, lambda n: range(0, n + 1), skip=skip)
-    info = _scan_monotone(table, 1, min(11, n_max), lambda n: range(0, n + 1))
-    info += [
-        dict(e, note="excluded diagonal n=m+2")
-        for e in _scan_monotone(
-            table, 12, n_max, lambda n: range(0, n + 1), skip=lambda m, n: n != m + 2
-        )
-    ]
-    r = _report("thm-1.1b", {"n_max": n_max, "relation": "monotone"}, set(), found, info)
-    r.runtime_ms = (time.perf_counter() - t0) * 1000
-    reports.append(r)
-    return reports
+    return CheckReport(
+        sweep.check_id if k is None else f"{sweep.check_id}[k={k}]",
+        {name: values[name] for name in sweep.params},
+        passed={(e.get("k"), e["m"], e["n"]) for e in found} == expected,
+        exceptions=found,
+        informational=informational,
+        runtime_ms=(time.perf_counter() - t0) * 1000,
+        cells_checked=cells,
+    )
 
 
 def check_identity(entry_id, order=DEFAULT_IDENTITY_ORDER):
     """Run one identity-catalog entry at the given truncation order."""
     entry = identities.CATALOG[entry_id]
     t0 = time.perf_counter()
-    exceptions = identities.run_entry(entry, order)
+    exceptions, checked = identities.run_entry(entry, order)
     return CheckReport(
         entry_id,
         {"order": order},
         passed=not exceptions,
         exceptions=exceptions,
         runtime_ms=(time.perf_counter() - t0) * 1000,
+        coeffs_checked=checked,
     )
 
 
@@ -220,128 +182,47 @@ def check_table_consistency(gf_table, oracle_table):
         passed=not found,
         exceptions=found,
         runtime_ms=(time.perf_counter() - t0) * 1000,
+        cells_checked=(n_max + 1) * (n_max + 2) // 2,
     )
 
 
 # -- registered checks ---------------------------------------------------------
 
-
-def _run_thm_11(cfg):
-    # rank has no GF backend; cap at the enumeration ceiling so that a large
-    # --n-max meant for the GF sweeps cannot trigger an infeasible enumeration
-    n_max = min(_get(cfg, "n_max", DEFAULT_ORACLE_N_MAX), brute.ORACLE_CEILINGS["rank"])
-    return check_rank_inequalities(n_max)
-
-
-def _run_thm_12(cfg):
-    n_max = _get(cfg, "n_max", DEFAULT_SWEEP_N_MAX)
-    table = tables.build_table("crank", n_max, "gf")
-    report = check_unimodal_step(
-        table,
-        (44, n_max),
-        lambda n: range(1, n),
-        check_id="thm-1.2",
-        params={"n_max": n_max, "scan_from": 44},
-    )
-    report.informational = _scan_step(table, 0, min(43, n_max), lambda n: range(1, n))
-    return [report]
-
-
-def _run_thm_13(cfg):
-    n_max = _get(cfg, "n_max", DEFAULT_SWEEP_N_MAX)
-    table = tables.build_table("crank", n_max, "gf")
-    report = check_monotone_n(
-        table,
-        (14, n_max),
-        lambda n: range(0, n - 1),
-        check_id="thm-1.3",
-        params={"n_max": n_max, "scan_from": 14},
-    )
-    report.informational = _scan_monotone(
-        table, 1, min(13, n_max), lambda n: range(0, n - 1)
-    )
-    return [report]
-
-
-def _run_thm_14(cfg):
-    n_max = _get(cfg, "n_max", DEFAULT_SWEEP_N_MAX)
-    table = tables.build_table("ocrank", n_max, "gf")
-    return [
-        check_unimodal_step(
-            table,
-            (0, n_max),
-            lambda n: range(1, n + 1),
-            expected=((1, 1), (1, 2)),
-            check_id="thm-1.4",
-            params={"n_max": n_max},
-        )
-    ]
-
-
-def _run_thm_15(cfg):
-    n_max = _get(cfg, "n_max", DEFAULT_SWEEP_N_MAX)
-    table = tables.build_table("m2crank", n_max, "gf")
-    return [
-        check_unimodal_step(
-            table,
-            (0, n_max),
-            lambda n: range(1, n + 1),
-            check_id="thm-1.5",
-            params={"n_max": n_max},
-        )
-    ]
-
-
-def _run_thm_17(cfg):
-    n_max = _get(cfg, "n_max", DEFAULT_SWEEP_N_MAX)
-    reports = []
-    for suffix, stat in (("a", "ocrank"), ("b", "m2crank")):
-        table = tables.build_table(stat, n_max, "gf")
-        report = check_monotone_n(
-            table,
-            (2, n_max),
-            lambda n: range(0, n + 1),
-            check_id=f"thm-1.7{suffix}",
-            params={"statistic": stat, "n_max": n_max, "scan_from": 2},
-        )
-        report.informational = _scan_monotone(table, 1, 1, lambda n: range(0, n + 1))
-        reports.append(report)
-    return reports
-
-
-def _run_conj_18(cfg):
-    n_max = _get(cfg, "n_max", DEFAULT_KCRANK_N_MAX)
-    k_list = _get(cfg, "k_list", DEFAULT_K_LIST)
-    reports = []
-    for k in k_list:
-        table = tables.build_table("kcrank", n_max, "gf", k=k)
-        expected = ((1, 1),) if k == 2 else ()
-        reports.append(
-            check_unimodal_step(
-                table,
-                (0, n_max),
-                lambda n: range(1, n + 1),
-                expected=expected,
-                check_id=f"conj-1.8[k={k}]",
-                params={"k": k, "n_max": n_max},
-            )
-        )
-    return reports
-
-
-THEOREM_CHECKS = {
-    "thm-1.1": _run_thm_11,
-    "thm-1.2": _run_thm_12,
-    "thm-1.3": _run_thm_13,
-    "thm-1.4": _run_thm_14,
-    "thm-1.5": _run_thm_15,
-    "thm-1.7": _run_thm_17,
-    "conj-1.8": _run_conj_18,
+# Check id -> its sweeps.  A kcrank sweep runs once per k of the k list.
+SWEEPS = {
+    "thm-1.1": (
+        Sweep("thm-1.1a", "rank", stride=2, m_lo=2, params=("n_max", "relation")),
+        Sweep("thm-1.1b", "rank", stride=0, scan_from=12, exclude_diagonal=2,
+              params=("n_max", "relation")),
+    ),
+    "thm-1.2": (
+        Sweep("thm-1.2", "crank", stride=1, m_lo=1, m_cut=1, scan_from=44,
+              params=("n_max", "scan_from")),
+    ),
+    "thm-1.3": (
+        Sweep("thm-1.3", "crank", stride=0, m_cut=2, scan_from=14,
+              params=("n_max", "scan_from")),
+    ),
+    "thm-1.4": (
+        Sweep("thm-1.4", "ocrank", stride=1, m_lo=1,
+              expected=frozenset({(None, 1, 1), (None, 1, 2)})),
+    ),
+    "thm-1.5": (Sweep("thm-1.5", "m2crank", stride=1, m_lo=1),),
+    "thm-1.7": (
+        Sweep("thm-1.7a", "ocrank", stride=0, scan_from=2,
+              params=("statistic", "n_max", "scan_from")),
+        Sweep("thm-1.7b", "m2crank", stride=0, scan_from=2,
+              params=("statistic", "n_max", "scan_from")),
+    ),
+    "conj-1.8": (
+        Sweep("conj-1.8", "kcrank", stride=1, m_lo=1, expected=frozenset({(2, 1, 1)}),
+              params=("k", "n_max")),
+    ),
 }
 
 
 def available_checks():
-    return sorted(THEOREM_CHECKS) + sorted(identities.CATALOG)
+    return sorted(SWEEPS) + sorted(identities.CATALOG)
 
 
 def run_checks(check_ids, n_max=None, order=None, k_list=None):
@@ -354,21 +235,29 @@ def run_checks(check_ids, n_max=None, order=None, k_list=None):
     for cid in check_ids:
         if cid == "all":
             expansion = available_checks()
-        elif cid in THEOREM_CHECKS or cid in identities.CATALOG:
+        elif cid in SWEEPS or cid in identities.CATALOG:
             expansion = [cid]
         else:
             raise KeyError(f"unknown check id {cid!r}")
         ids.extend(c for c in expansion if c not in ids)
-    cfg = {"n_max": n_max, "k_list": None if k_list is None else tuple(k_list)}
-    if order is None:
-        order = DEFAULT_IDENTITY_ORDER
 
     reports = []
     for cid in ids:
-        if cid in THEOREM_CHECKS:
-            reports.extend(THEOREM_CHECKS[cid](cfg))
-        else:
-            reports.append(check_identity(cid, order))
+        if cid in identities.CATALOG:
+            reports.append(check_identity(cid, DEFAULT_IDENTITY_ORDER if order is None else order))
+            continue
+        for sweep in SWEEPS[cid]:
+            size = DEFAULT_N_MAX[sweep.statistic] if n_max is None else n_max
+            if sweep.statistic == "rank":
+                # rank has no GF backend; cap at the enumeration ceiling so that a
+                # large n_max meant for the GF sweeps cannot trigger an infeasible
+                # enumeration
+                size = min(size, brute.ORACLE_CEILINGS["rank"])
+            if sweep.statistic == "kcrank":
+                ks = DEFAULT_K_LIST if k_list is None else k_list
+            else:
+                ks = (None,)
+            reports.extend(run_sweep(sweep, size, k) for k in ks)
     reports.sort(key=lambda r: r.check_id)
     return reports
 

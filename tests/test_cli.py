@@ -4,8 +4,10 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cranktab import identities, verify
+from cranktab import identities, tables, verify
 from cranktab.cli import main
 from cranktab.identities import IdentityEntry
 from cranktab.series import Series
@@ -99,6 +101,7 @@ def test_verify_single_check(runner):
     (check,) = obj["checks"]
     assert check["verdict"] == "pass"
     assert [[e["m"], e["n"]] for e in check["exceptions"]] == [[1, 1], [1, 2]]
+    assert check["cells_checked"] == 40 * 41 // 2
 
 
 def test_verify_check_list_and_output_file(runner, tmp_path):
@@ -216,7 +219,45 @@ def test_crosscheck_usage_errors(runner):
         runner.invoke(main, ["crosscheck", "--stat", "ocrank", "--n-max", "99"]).exit_code
         == 2
     )
-    assert (
-        runner.invoke(main, ["crosscheck", "--stat", "crank", "--n-max", "-1"]).exit_code
-        == 2
+    for args in (["--stat", "crank", "--n-max", "-1"], ["--stat", "kcrank", "--k", "1"]):
+        result = runner.invoke(main, ["crosscheck", *args])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+
+
+def _opt(flag, values):
+    """An optional ``[flag, value]`` pair: absent, or one of ``values``."""
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+SIZES = st.integers(-1, 12)
+STATS = st.sampled_from(tables.ALL_STATISTICS + ("bogus",))
+KS = _opt("--k", st.integers(-1, 7))
+CHECK_IDS = st.sampled_from(verify.available_checks() + ["all", "thm-9.9"])
+
+ARGV = st.one_of(
+    st.tuples(st.just(["table", "--stat"]), STATS.map(lambda s: [s]), KS,
+              SIZES.map(lambda n: ["--n-max", str(n)]), _opt("--order", SIZES),
+              _opt("--provenance", st.sampled_from(["gf", "oracle"])),
+              _opt("--format", st.sampled_from(["csv", "json"]))),
+    st.tuples(st.just(["verify", "--check"]), CHECK_IDS.map(lambda c: [c]), KS,
+              SIZES.map(lambda n: ["--n-max", str(n)]),
+              SIZES.map(lambda n: ["--order", str(n)])),
+    st.tuples(st.just(["identity", "--id"]),
+              st.sampled_from(sorted(identities.CATALOG) + ["nope"]).map(lambda c: [c]),
+              SIZES.map(lambda n: ["--order", str(n)])),
+    st.tuples(st.just(["crosscheck", "--stat"]), STATS.map(lambda s: [s]), KS,
+              SIZES.map(lambda n: ["--n-max", str(n)])),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@settings(max_examples=200, deadline=2000)
+@given(ARGV)
+@example(["crosscheck", "--stat", "kcrank", "--k", "1", "--n-max", "5"])
+def test_any_argv_exits_cleanly(argv):
+    # every outcome is an exit status (0 pass, 1 fail, 2 usage), never a traceback
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        argv, result.exception,
     )

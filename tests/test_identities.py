@@ -12,8 +12,9 @@ ORDER = 120
 
 @pytest.mark.parametrize("entry_id", sorted(CATALOG))
 def test_catalog_entry_passes(entry_id):
-    exceptions = run_entry(CATALOG[entry_id], ORDER)
+    exceptions, checked = run_entry(CATALOG[entry_id], ORDER)
     assert exceptions == [], exceptions[:5]
+    assert checked > 0
 
 
 def test_core_entries_are_registered():
@@ -78,6 +79,14 @@ def test_check_identity_report_shape():
     assert report.check_id == "euler"
     assert report.params == {"order": 64}
     assert report.runtime_ms >= 0
+    assert report.coeffs_checked == 65  # one exact clause, q^0..q^64
+    assert report.to_json_obj()["coeffs_checked"] == 65
+
+
+def test_identity_without_clauses_checks_no_coefficients():
+    # crank-diff-tails has no clause at order 5: it passes having compared nothing
+    report = verify.check_identity("crank-diff-tails", order=5)
+    assert report.passed and report.coeffs_checked == 0
 
 
 def test_identity_failure_is_detected():
@@ -94,5 +103,6 @@ def test_identity_failure_is_detected():
             )
         ],
     )
-    exceptions = run_entry(bad, 10)
+    exceptions, checked = run_entry(bad, 10)
     assert exceptions and exceptions[0]["n"] == 1
+    assert checked == 11

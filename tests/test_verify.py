@@ -1,16 +1,14 @@
 """Tests for the verification sweeps and report machinery."""
 
+import dataclasses
+
 import pytest
 
 from cranktab import verify
 from cranktab.tables import CrankTable, build_table
-from cranktab.verify import (
-    check_monotone_n,
-    check_rank_inequalities,
-    check_table_consistency,
-    check_unimodal_step,
-    run_checks,
-)
+from cranktab.verify import SWEEPS, check_table_consistency, run_checks, run_sweep
+
+THM_14 = SWEEPS["thm-1.4"][0]
 
 
 def _keys(entries):
@@ -18,39 +16,31 @@ def _keys(entries):
 
 
 def test_thm_14_exceptions_at_small_scale():
-    table = build_table("ocrank", 60, "gf")
-    report = check_unimodal_step(
-        table, (0, 60), lambda n: range(1, n + 1), expected=((1, 1), (1, 2))
-    )
+    report = run_sweep(THM_14, 60)
     assert report.passed
     assert _keys(report.exceptions) == [(1, 1), (1, 2)]
     assert report.exceptions[0]["lhs"] == 0 and report.exceptions[0]["rhs"] == 1
 
 
 def test_thm_14_fails_without_declared_exceptions():
-    table = build_table("ocrank", 60, "gf")
-    report = check_unimodal_step(table, (0, 60), lambda n: range(1, n + 1))
+    report = run_sweep(dataclasses.replace(THM_14, expected=frozenset()), 60)
     assert not report.passed
 
 
 def test_expected_set_is_range_filtered():
-    table = build_table("ocrank", 1, "gf")
-    report = check_unimodal_step(
-        table, (0, 1), lambda n: range(1, n + 1), expected=((1, 1), (1, 2))
-    )
+    report = run_sweep(THM_14, 1)
     assert report.passed  # (1,2) lies outside the scanned range
     assert _keys(report.exceptions) == [(1, 1)]
 
 
 def test_thm_15_no_exceptions():
-    table = build_table("m2crank", 60, "gf")
-    report = check_unimodal_step(table, (0, 60), lambda n: range(1, n + 1))
+    (sweep,) = SWEEPS["thm-1.5"]
+    report = run_sweep(sweep, 60)
     assert report.passed and report.exceptions == []
 
 
 def test_thm_17_monotone_with_informational_edge():
-    reports = verify._run_thm_17({"n_max": 60})
-    by_id = {r.check_id: r for r in reports}
+    by_id = {r.check_id: r for r in run_checks(["thm-1.7"], n_max=60)}
     assert by_id["thm-1.7a"].passed
     assert by_id["thm-1.7b"].passed
     # the single comparison against n=0 fails at m=0 for the first residual
@@ -60,22 +50,23 @@ def test_thm_17_monotone_with_informational_edge():
 
 
 def test_jz_sweeps_at_reduced_scale():
-    reports = verify._run_thm_12({"n_max": 80}) + verify._run_thm_13({"n_max": 80})
-    for r in reports:
+    for r in run_checks(["thm-1.2", "thm-1.3"], n_max=80):
         assert r.passed, r.exceptions[:3]
         assert r.informational  # sub-threshold violations exist and are reported
 
 
 def test_rank_inequalities():
-    reports = check_rank_inequalities(20)
+    reports = run_checks(["thm-1.1"], n_max=20)
     assert all(r.passed for r in reports)
     monotone = next(r for r in reports if r.check_id == "thm-1.1b")
     # the excluded diagonal n = m + 2 really does violate monotonicity
-    assert any(e.get("note") for e in monotone.informational)
+    noted = [e for e in monotone.informational if e.get("note")]
+    assert noted and all(e["n"] == e["m"] + 2 for e in noted)
+    assert all(e["note"] == "excluded diagonal n=m+2" for e in noted)
 
 
 def test_conj_18_exception_set():
-    reports = verify._run_conj_18({"n_max": 40, "k_list": (2, 3)})
+    reports = run_checks(["conj-1.8"], n_max=40, k_list=(2, 3))
     by_id = {r.check_id: r for r in reports}
     assert by_id["conj-1.8[k=2]"].passed
     assert [(e["k"], e["m"], e["n"]) for e in by_id["conj-1.8[k=2]"].exceptions] == [
@@ -86,9 +77,194 @@ def test_conj_18_exception_set():
 
 
 def test_monotone_check_directly():
-    table = build_table("crank", 40, "gf")
-    report = check_monotone_n(table, (14, 40), lambda n: range(0, n - 1))
-    assert report.passed
+    (sweep,) = SWEEPS["thm-1.3"]
+    report = run_sweep(sweep, 40)
+    assert report.passed and report.exceptions == []
+
+
+# Reports of every sweep at three scan ceilings, recorded from the per-theorem
+# runners that the Sweep registry replaced: (check_id, params, verdict,
+# exception keys, informational keys), keys being (k, m, n) in report order.
+SWEEP_PINS = {
+    ("thm-1.1", 0): [
+        ("thm-1.1a", {"n_max": 0, "relation": "step-by-2"}, "pass", [], []),
+        ("thm-1.1b", {"n_max": 0, "relation": "monotone"}, "pass", [], []),
+    ],
+    ("thm-1.2", 0): [
+        ("thm-1.2", {"n_max": 0, "scan_from": 44}, "pass", [], []),
+    ],
+    ("thm-1.3", 0): [
+        ("thm-1.3", {"n_max": 0, "scan_from": 14}, "pass", [], []),
+    ],
+    ("thm-1.4", 0): [
+        ("thm-1.4", {"n_max": 0}, "pass", [], []),
+    ],
+    ("thm-1.5", 0): [
+        ("thm-1.5", {"n_max": 0}, "pass", [], []),
+    ],
+    ("thm-1.7", 0): [
+        ("thm-1.7a", {"statistic": "ocrank", "n_max": 0, "scan_from": 2}, "pass",
+         [],
+         [],
+        ),
+        ("thm-1.7b", {"statistic": "m2crank", "n_max": 0, "scan_from": 2}, "pass",
+         [],
+         [],
+        ),
+    ],
+    ("conj-1.8", 0): [
+        ("conj-1.8[k=2]", {"k": 2, "n_max": 0}, "pass", [], []),
+        ("conj-1.8[k=3]", {"k": 3, "n_max": 0}, "pass", [], []),
+        ("conj-1.8[k=4]", {"k": 4, "n_max": 0}, "pass", [], []),
+        ("conj-1.8[k=5]", {"k": 5, "n_max": 0}, "pass", [], []),
+        ("conj-1.8[k=6]", {"k": 6, "n_max": 0}, "pass", [], []),
+    ],
+    ("thm-1.1", 13): [
+        ("thm-1.1a", {"n_max": 13, "relation": "step-by-2"}, "pass", [], []),
+        ("thm-1.1b", {"n_max": 13, "relation": "monotone"}, "pass",
+         [],
+         [(None, 0, 2), (None, 1, 3), (None, 2, 4), (None, 3, 5), (None, 4, 6),
+          (None, 1, 7), (None, 5, 7), (None, 0, 8), (None, 6, 8), (None, 7, 9),
+          (None, 8, 10), (None, 3, 11), (None, 9, 11), (None, 10, 12), (None, 11, 13)],
+        ),
+    ],
+    ("thm-1.2", 13): [
+        ("thm-1.2", {"n_max": 13, "scan_from": 44}, "pass",
+         [],
+         [(None, 2, 4), (None, 3, 5), (None, 1, 7), (None, 4, 8), (None, 1, 9),
+          (None, 3, 9), (None, 5, 9), (None, 2, 10), (None, 4, 10), (None, 1, 11),
+          (None, 2, 12), (None, 6, 12), (None, 1, 13), (None, 5, 13), (None, 7, 13)],
+        ),
+    ],
+    ("thm-1.3", 13): [
+        ("thm-1.3", {"n_max": 13, "scan_from": 14}, "pass",
+         [],
+         [(None, 2, 5), (None, 4, 9), (None, 3, 10), (None, 6, 13)],
+        ),
+    ],
+    ("thm-1.4", 13): [
+        ("thm-1.4", {"n_max": 13}, "pass", [(None, 1, 1), (None, 1, 2)], []),
+    ],
+    ("thm-1.5", 13): [
+        ("thm-1.5", {"n_max": 13}, "pass", [], []),
+    ],
+    ("thm-1.7", 13): [
+        ("thm-1.7a", {"statistic": "ocrank", "n_max": 13, "scan_from": 2}, "pass",
+         [],
+         [(None, 0, 1)],
+        ),
+        ("thm-1.7b", {"statistic": "m2crank", "n_max": 13, "scan_from": 2}, "pass",
+         [],
+         [],
+        ),
+    ],
+    ("conj-1.8", 13): [
+        ("conj-1.8[k=2]", {"k": 2, "n_max": 13}, "pass", [(2, 1, 1)], []),
+        ("conj-1.8[k=3]", {"k": 3, "n_max": 13}, "pass", [], []),
+        ("conj-1.8[k=4]", {"k": 4, "n_max": 13}, "pass", [], []),
+        ("conj-1.8[k=5]", {"k": 5, "n_max": 13}, "pass", [], []),
+        ("conj-1.8[k=6]", {"k": 6, "n_max": 13}, "pass", [], []),
+    ],
+    ("thm-1.1", 60): [
+        ("thm-1.1a", {"n_max": 60, "relation": "step-by-2"}, "pass", [], []),
+        ("thm-1.1b", {"n_max": 60, "relation": "monotone"}, "pass",
+         [],
+         [(None, 0, 2), (None, 1, 3), (None, 2, 4), (None, 3, 5), (None, 4, 6),
+          (None, 1, 7), (None, 5, 7), (None, 0, 8), (None, 6, 8), (None, 7, 9),
+          (None, 8, 10), (None, 3, 11), (None, 9, 11), (None, 10, 12), (None, 11, 13),
+          (None, 12, 14), (None, 13, 15), (None, 14, 16), (None, 15, 17),
+          (None, 16, 18), (None, 17, 19), (None, 18, 20), (None, 19, 21),
+          (None, 20, 22), (None, 21, 23), (None, 22, 24), (None, 23, 25),
+          (None, 24, 26), (None, 25, 27), (None, 26, 28), (None, 27, 29),
+          (None, 28, 30), (None, 29, 31), (None, 30, 32), (None, 31, 33),
+          (None, 32, 34), (None, 33, 35), (None, 34, 36), (None, 35, 37),
+          (None, 36, 38), (None, 37, 39), (None, 38, 40), (None, 39, 41),
+          (None, 40, 42), (None, 41, 43), (None, 42, 44), (None, 43, 45),
+          (None, 44, 46), (None, 45, 47), (None, 46, 48), (None, 47, 49),
+          (None, 48, 50), (None, 49, 51), (None, 50, 52), (None, 51, 53),
+          (None, 52, 54), (None, 53, 55), (None, 54, 56), (None, 55, 57),
+          (None, 56, 58), (None, 57, 59), (None, 58, 60)],
+        ),
+    ],
+    ("thm-1.2", 60): [
+        ("thm-1.2", {"n_max": 60, "scan_from": 44}, "pass",
+         [],
+         [(None, 2, 4), (None, 3, 5), (None, 1, 7), (None, 4, 8), (None, 1, 9),
+          (None, 3, 9), (None, 5, 9), (None, 2, 10), (None, 4, 10), (None, 1, 11),
+          (None, 2, 12), (None, 6, 12), (None, 1, 13), (None, 5, 13), (None, 7, 13),
+          (None, 2, 14), (None, 1, 15), (None, 3, 15), (None, 2, 16), (None, 4, 16),
+          (None, 1, 17), (None, 3, 17), (None, 2, 18), (None, 1, 19), (None, 2, 20),
+          (None, 1, 21), (None, 3, 21), (None, 2, 22), (None, 1, 23), (None, 2, 24),
+          (None, 1, 25), (None, 2, 26), (None, 1, 27), (None, 1, 29), (None, 1, 31),
+          (None, 1, 33), (None, 1, 35), (None, 1, 37), (None, 1, 39), (None, 1, 41),
+          (None, 1, 43)],
+        ),
+    ],
+    ("thm-1.3", 60): [
+        ("thm-1.3", {"n_max": 60, "scan_from": 14}, "pass",
+         [],
+         [(None, 2, 5), (None, 4, 9), (None, 3, 10), (None, 6, 13)],
+        ),
+    ],
+    ("thm-1.4", 60): [
+        ("thm-1.4", {"n_max": 60}, "pass", [(None, 1, 1), (None, 1, 2)], []),
+    ],
+    ("thm-1.5", 60): [
+        ("thm-1.5", {"n_max": 60}, "pass", [], []),
+    ],
+    ("thm-1.7", 60): [
+        ("thm-1.7a", {"statistic": "ocrank", "n_max": 60, "scan_from": 2}, "pass",
+         [],
+         [(None, 0, 1)],
+        ),
+        ("thm-1.7b", {"statistic": "m2crank", "n_max": 60, "scan_from": 2}, "pass",
+         [],
+         [],
+        ),
+    ],
+    ("conj-1.8", 60): [
+        ("conj-1.8[k=2]", {"k": 2, "n_max": 60}, "pass", [(2, 1, 1)], []),
+        ("conj-1.8[k=3]", {"k": 3, "n_max": 60}, "pass", [], []),
+        ("conj-1.8[k=4]", {"k": 4, "n_max": 60}, "pass", [], []),
+        ("conj-1.8[k=5]", {"k": 5, "n_max": 60}, "pass", [], []),
+        ("conj-1.8[k=6]", {"k": 6, "n_max": 60}, "pass", [], []),
+    ],
+}
+
+
+@pytest.mark.parametrize("n_max", [0, 13, 60])
+def test_sweep_reports_are_pinned(n_max):
+    assert {cid for cid, n in SWEEP_PINS if n == n_max} == set(SWEEPS)
+    for cid in SWEEPS:
+        got = [
+            (
+                r.check_id,
+                r.params,
+                r.verdict,
+                [(e.get("k"), e["m"], e["n"]) for e in r.exceptions],
+                [(e.get("k"), e["m"], e["n"]) for e in r.informational],
+            )
+            for r in run_checks([cid], n_max=n_max)
+        ]
+        assert got == SWEEP_PINS[cid, n_max], cid
+
+
+def test_rank_sweeps_are_capped_at_the_oracle_ceiling():
+    reports = run_checks(["thm-1.1"], n_max=100)
+    assert [r.params["n_max"] for r in reports] == [60, 60]
+
+
+def test_sweeps_count_the_cells_they_check():
+    # thm-1.2 starts at n = 44: below it nothing is counted, only reported
+    (report,) = run_checks(["thm-1.2"], n_max=10)
+    assert report.passed and report.cells_checked == 0 and report.informational
+    # thm-1.4 compares m = 1..n in rows 0..3: 0 + 1 + 2 + 3 cells
+    assert run_sweep(THM_14, 3).cells_checked == 6
+    # thm-1.1b counts rows 12 and 13 (13 + 14 cells) less the diagonal n = m + 2
+    by_id = {r.check_id: r for r in run_checks(["thm-1.1"], n_max=13)}
+    assert by_id["thm-1.1b"].cells_checked == 25
+    # thm-1.7 compares rows from n = 2 on; the n = 1 comparison is informational
+    assert run_sweep(SWEEPS["thm-1.7"][0], 2).cells_checked == 3
 
 
 def test_table_consistency_pass_and_fail():
@@ -135,11 +311,13 @@ def test_report_json_serialization():
         [{"m": 1, "n": 2, "lhs": 10**30, "rhs": 0}],
         informational=[{"m": 0, "n": 1, "lhs": -1, "rhs": 0}],
         runtime_ms=1.234,
+        cells_checked=7,
     )
     obj = report.to_json_obj()
     assert obj["verdict"] == "fail"
     assert obj["exceptions"][0]["lhs"] == str(10**30)
     assert obj["informational"][0]["lhs"] == "-1"
+    assert obj["cells_checked"] == 7 and "coeffs_checked" not in obj
 
 
 def test_available_checks_lists_everything():

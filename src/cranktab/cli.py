@@ -53,6 +53,13 @@ def _parse_k_list(raw: str | None):
     return ks
 
 
+def _check_k(stat: str, k: int | None) -> None:
+    if stat == "kcrank" and k is None:
+        raise click.UsageError("--stat kcrank requires --k")
+    if stat != "kcrank" and k is not None:
+        raise click.UsageError(f"--k applies only to --stat kcrank, not {stat}")
+
+
 def _check_oracle_ceiling(stat: str, n_max: int) -> None:
     ceiling = brute.ORACLE_CEILINGS.get(stat)
     if ceiling is not None and n_max > ceiling:
@@ -83,8 +90,7 @@ def table(stat, k, n_max, order, provenance, fmt, output):
     """Export the weighted count table of one statistic."""
     if provenance is None:
         provenance = "oracle" if stat == "rank" else "gf"
-    if stat == "kcrank" and k is None:
-        raise click.UsageError("--stat kcrank requires --k")
+    _check_k(stat, k)
     if order is not None and n_max > order:
         raise click.UsageError(f"--n-max {n_max} exceeds --order {order}")
     if provenance == "oracle":
@@ -142,8 +148,7 @@ def crosscheck(stat, k, n_max, output):
     """Compare the GF-built table against the enumeration oracle."""
     if stat == "rank":
         raise click.UsageError("rank has no generating-function backend to cross-check")
-    if stat == "kcrank" and k is None:
-        raise click.UsageError("--stat kcrank requires --k")
+    _check_k(stat, k)
     _check_oracle_ceiling(stat, n_max)
     try:
         gf = tables.build_table(stat, n_max, "gf", k=k)

@@ -13,7 +13,12 @@ requested order and is judged in one of three modes:
 
 Closed forms with sums over an unbounded index j instantiate j until the
 smallest q-exponent of the summand exceeds the truncation order, so both
-sides are exact modulo q^(order+1).
+sides are exact modulo q^(order+1).  Such a sum is evaluated with a running
+prefix: the q-Pochhammer product that the summands share is kept as one
+coefficient list and grown (or divided) by one factor per step of j, and
+each summand's sparse monomial or trinomial factor is applied as a few
+shifted adds of that prefix into a single accumulator.  Every step costs
+O(N), so a right-hand side at order N costs O(N^2).
 
 The displayed coefficient heads and the explicit polynomials below are
 frozen constants; the whole point of the exact-equality clauses is that the
@@ -22,6 +27,7 @@ series machinery must reproduce them term for term.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -29,9 +35,10 @@ from cranktab import tables
 from cranktab.bivariate import crank_gf, kcrank_gf, m2_crank_gf, overline_crank_gf
 from cranktab.series import (
     Series,
+    _div_factor,
+    _mul_factor,
     distinct_series,
     partition_series,
-    qpoch_fin,
     qpoch_inf,
 )
 
@@ -96,54 +103,61 @@ def _ocrank_diff(order: int, m: int) -> Series:
 # -- right-hand sides of the structural closed forms -------------------------
 
 
+def _add_shifted(acc: list, src: list, shift: int) -> None:
+    # acc += q^shift * src, truncated at len(acc)
+    acc[shift:] = [a + b for a, b in zip(acc[shift:], src)]
+
+
 def _one_minus_q_squared_distinct_rhs(order: int) -> Series:
     """Closed form for (1-q)^2 (-q;q)_inf.
 
     1 - q + q^3 - q^4 + q^5 + q^9 + q^12
       + sum_{j>=6} q^(2j-1) (-q^3;q)_(j-6) (q^(j-3) + q^(j-2) + q^(2j-5)).
     """
-    rhs = _poly(order, {0: 1, 1: -1, 3: 1, 4: -1, 5: 1, 9: 1, 12: 1})
+    acc = _poly(order, {0: 1, 1: -1, 3: 1, 4: -1, 5: 1, 9: 1, 12: 1}).coeffs
+    prefix = [1] + [0] * order  # (-q^3;q)_(j-6)
     j = 6
     while 3 * j - 4 <= order:
-        summand = qpoch_fin(3, 1, j - 6, order, sign=-1) * _poly(
-            order, {j - 3: 1, j - 2: 1, 2 * j - 5: 1}
-        )
-        rhs = rhs + summand.times_monomial(1, 2 * j - 1)
+        for shift in (3 * j - 4, 3 * j - 3, 4 * j - 6):
+            _add_shifted(acc, prefix, shift)
+        _mul_factor(prefix, j - 3, -1)
         j += 1
-    return rhs
-
-
-def _div_odd_poch(s: Series, start: int, terms: int) -> Series:
-    """Divide by (q^start; q^2)_terms, factor by factor."""
-    for t in range(terms):
-        s = s.div_one_minus(start + 2 * t)
-    return s
+    return Series(order, acc)
 
 
 def _quintic_distinct_rhs(order: int) -> Series:
     """Closed form for (1-q)(1-q^5)(-1+q^2+q^3+q^4-q^5)(-q;q)_inf.
 
+    -1 + q^2 + q^4 + q^11 + q^10/(1-q^3) + q^17/((1-q^3)(1-q^7))
+      + q^16/((1-q^3)(q^7;q^2)_2) + q^13 (1+q^7)/(1-q^9)
+      + sum_{j>=11 odd} q^(j+4) / ((1-q^3)(q^7;q^2)_((j-11)/2) (1-q^(j-2))(1-q^j))
+      + sum_{j>=11 odd} q^(2j+3) / ((1-q^3)(q^7;q^2)_((j-5)/2)).
+
     All structural terms have nonnegative coefficients except the leading -1.
+    Both sums read the prefix 1/((1-q^3)(q^7;q^2)_t): the first at
+    t = (j-11)/2, the second at t = (j-5)/2.
     """
-    rhs = _poly(order, {0: -1, 2: 1, 4: 1, 11: 1})
-    rhs = rhs + _poly(order, {10: 1}).div_one_minus(3)
-    rhs = rhs + _poly(order, {17: 1}).div_one_minus(3).div_one_minus(7)
-    rhs = rhs + _poly(order, {16: 1}).div_one_minus(3).div_one_minus(7).div_one_minus(9)
-    rhs = rhs + _poly(order, {13: 1, 20: 1}).div_one_minus(9)  # q^13 (1+q^7) / (1-q^9)
-    j = 11
-    while j + 4 <= order:
-        term = _poly(order, {j + 4: 1}).div_one_minus(3)
-        term = _div_odd_poch(term, 7, (j - 11) // 2)
-        term = term.div_one_minus(j - 2).div_one_minus(j)
-        rhs = rhs + term
-        j += 2
-    j = 11
-    while 2 * j + 3 <= order:
-        term = _poly(order, {2 * j + 3: 1}).div_one_minus(3)
-        term = _div_odd_poch(term, 7, (j - 5) // 2)
-        rhs = rhs + term
-        j += 2
-    return rhs
+    acc = (
+        _poly(order, {0: -1, 2: 1, 4: 1, 11: 1})
+        + _poly(order, {10: 1}).div_one_minus(3)
+        + _poly(order, {17: 1}).div_one_minus(3).div_one_minus(7)
+        + _poly(order, {16: 1}).div_one_minus(3).div_one_minus(7).div_one_minus(9)
+        + _poly(order, {13: 1, 20: 1}).div_one_minus(9)
+    ).coeffs
+    prefix = [1] + [0] * order  # 1/((1-q^3)(q^7;q^2)_t)
+    _div_factor(prefix, 3, 1)
+    t = 0
+    while 2 * t + 15 <= order:
+        j = 2 * t + 11  # first sum
+        term = prefix[: order - (j + 4) + 1]
+        _div_factor(term, j - 2, 1)
+        _div_factor(term, j, 1)
+        _add_shifted(acc, term, j + 4)
+        if t >= 3:  # second sum, j = 2t + 5
+            _add_shifted(acc, prefix, 4 * t + 13)
+        _div_factor(prefix, 2 * t + 7, 1)
+        t += 1
+    return Series(order, acc)
 
 
 def _distinct_odd_rhs(order: int) -> Series:
@@ -152,15 +166,15 @@ def _distinct_odd_rhs(order: int) -> Series:
     1 + q + q^3 + sum_{j>=5 odd} q^j (-q;q^2)_((j-5)/2)
                                (q^(j-4) + q^(j-2) + q^(2j-6)).
     """
-    rhs = _poly(order, {0: 1, 1: 1, 3: 1})
+    acc = _poly(order, {0: 1, 1: 1, 3: 1}).coeffs
+    prefix = [1] + [0] * order  # (-q;q^2)_((j-5)/2)
     j = 5
     while 2 * j - 4 <= order:
-        summand = qpoch_fin(1, 2, (j - 5) // 2, order, sign=-1) * _poly(
-            order, {j - 4: 1, j - 2: 1, 2 * j - 6: 1}
-        )
-        rhs = rhs + summand.times_monomial(1, j)
+        for shift in (2 * j - 4, 2 * j - 2, 3 * j - 6):
+            _add_shifted(acc, prefix, shift)
+        _mul_factor(prefix, j - 4, -1)
         j += 2
-    return rhs
+    return Series(order, acc)
 
 
 # -- entry clause builders ----------------------------------------------------
@@ -345,9 +359,13 @@ def _kcrank_reduction_clauses(order):
         g = kcrank_gf(k, N)
         return g.column(m - 1) - g.column(m)
 
+    @functools.cache
+    def mult(N, k):
+        # shared by the ten clauses of one k
+        return qpoch_inf(2, 2, N, invert=True) * partition_series(N).pow(k - 2)
+
     def rhs(N, k, m):
-        mult = qpoch_inf(2, 2, N, invert=True) * partition_series(N).pow(k - 2)
-        return _ocrank_diff(N, m) * mult
+        return _ocrank_diff(N, m) * mult(N, k)
 
     return [
         Clause(
@@ -385,9 +403,13 @@ def _m2_from_ocrank_clauses(order):
         g = m2_crank_gf(N)
         return g.column(m - 1) - g.column(m)
 
+    @functools.cache
+    def mult(N):
+        # shared by all ten clauses
+        return qpoch_inf(1, 2, N, sign=-1) * qpoch_inf(1, 2, N, invert=True)
+
     def rhs(N, m):
-        mult = qpoch_inf(1, 2, N, sign=-1) * qpoch_inf(1, 2, N, invert=True)
-        return _ocrank_diff(N, m).stretched(2) * mult
+        return _ocrank_diff(N, m).stretched(2) * mult(N)
 
     return [
         Clause(

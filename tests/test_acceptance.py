@@ -117,11 +117,16 @@ def test_criterion_09_identity_catalog():
     for entry_id in CORE_ENTRIES:
         report = check_identity(entry_id, order=200)
         assert report.passed, (entry_id, report.exceptions[:5])
-    report = check_identity("andrews-merca", order=1000)
-    assert report.passed, report.exceptions[:5]
+    for entry_id in ("andrews-merca", "lemma-3.2", "lemma-3.3", "sc-identity"):
+        report = check_identity(entry_id, order=1000)
+        assert report.passed, (entry_id, report.exceptions[:5])
     elapsed = time.perf_counter() - t0
     assert elapsed <= 60
-    _report(9, "all 12 catalog entries pass at N=200 (partition inequality at N=1000)", elapsed)
+    _report(
+        9,
+        "all 12 catalog entries pass at N=200 (partition inequality and closed forms at N=1000)",
+        elapsed,
+    )
 
 
 def test_criterion_10_point_values():

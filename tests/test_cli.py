@@ -81,6 +81,9 @@ def test_table_usage_errors(runner):
     for flag in ("--n-max", "--order"):
         result = runner.invoke(main, ["table", "--stat", "crank", flag, "-1"])
         assert result.exit_code == 2 and "-1 is not in the range" in result.output
+    result = runner.invoke(main, ["table", "--stat", "crank", "--k", "3", "--n-max", "1"])
+    assert result.exit_code == 2
+    assert "--k applies only to --stat kcrank" in result.output
 
 
 def test_table_oracle_respects_enumeration_ceilings(runner):
@@ -219,7 +222,11 @@ def test_crosscheck_usage_errors(runner):
         runner.invoke(main, ["crosscheck", "--stat", "ocrank", "--n-max", "99"]).exit_code
         == 2
     )
-    for args in (["--stat", "crank", "--n-max", "-1"], ["--stat", "kcrank", "--k", "1"]):
+    for args in (
+        ["--stat", "crank", "--n-max", "-1"],
+        ["--stat", "kcrank", "--k", "1"],
+        ["--stat", "crank", "--k", "9"],
+    ):
         result = runner.invoke(main, ["crosscheck", *args])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)

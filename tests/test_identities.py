@@ -4,7 +4,7 @@ import pytest
 
 from cranktab import identities, verify
 from cranktab.identities import CATALOG, CORE_ENTRIES, run_entry
-from cranktab.series import Series, distinct_series, partition_series
+from cranktab.series import Series, distinct_series, partition_series, qpoch_fin
 from cranktab.tables import build_table, diff_column
 
 ORDER = 120
@@ -106,3 +106,96 @@ def test_identity_failure_is_detected():
     exceptions, checked = run_entry(bad, 10)
     assert exceptions and exceptions[0]["n"] == 1
     assert checked == 11
+
+
+# -- per-j reference for the closed-form right-hand sides ----------------------
+
+# The builders carry each sum's q-Pochhammer prefix from one j to the next.
+# The references below rebuild every summand from scratch with qpoch_fin,
+# div_one_minus and dense products, O(N^3) in all; the running-prefix
+# builders must return the identical Series.
+
+
+def _poly(order, terms):
+    return Series.from_terms(order, terms)
+
+
+def _one_minus_q_squared_distinct_rhs(order: int) -> Series:
+    """Closed form for (1-q)^2 (-q;q)_inf.
+
+    1 - q + q^3 - q^4 + q^5 + q^9 + q^12
+      + sum_{j>=6} q^(2j-1) (-q^3;q)_(j-6) (q^(j-3) + q^(j-2) + q^(2j-5)).
+    """
+    rhs = _poly(order, {0: 1, 1: -1, 3: 1, 4: -1, 5: 1, 9: 1, 12: 1})
+    j = 6
+    while 3 * j - 4 <= order:
+        summand = qpoch_fin(3, 1, j - 6, order, sign=-1) * _poly(
+            order, {j - 3: 1, j - 2: 1, 2 * j - 5: 1}
+        )
+        rhs = rhs + summand.times_monomial(1, 2 * j - 1)
+        j += 1
+    return rhs
+
+
+def _div_odd_poch(s: Series, start: int, terms: int) -> Series:
+    """Divide by (q^start; q^2)_terms, factor by factor."""
+    for t in range(terms):
+        s = s.div_one_minus(start + 2 * t)
+    return s
+
+
+def _quintic_distinct_rhs(order: int) -> Series:
+    """Closed form for (1-q)(1-q^5)(-1+q^2+q^3+q^4-q^5)(-q;q)_inf.
+
+    All structural terms have nonnegative coefficients except the leading -1.
+    """
+    rhs = _poly(order, {0: -1, 2: 1, 4: 1, 11: 1})
+    rhs = rhs + _poly(order, {10: 1}).div_one_minus(3)
+    rhs = rhs + _poly(order, {17: 1}).div_one_minus(3).div_one_minus(7)
+    rhs = rhs + _poly(order, {16: 1}).div_one_minus(3).div_one_minus(7).div_one_minus(9)
+    rhs = rhs + _poly(order, {13: 1, 20: 1}).div_one_minus(9)  # q^13 (1+q^7) / (1-q^9)
+    j = 11
+    while j + 4 <= order:
+        term = _poly(order, {j + 4: 1}).div_one_minus(3)
+        term = _div_odd_poch(term, 7, (j - 11) // 2)
+        term = term.div_one_minus(j - 2).div_one_minus(j)
+        rhs = rhs + term
+        j += 2
+    j = 11
+    while 2 * j + 3 <= order:
+        term = _poly(order, {2 * j + 3: 1}).div_one_minus(3)
+        term = _div_odd_poch(term, 7, (j - 5) // 2)
+        rhs = rhs + term
+        j += 2
+    return rhs
+
+
+def _distinct_odd_rhs(order: int) -> Series:
+    """Closed form for (1-q^4)(-q;q^2)_inf.
+
+    1 + q + q^3 + sum_{j>=5 odd} q^j (-q;q^2)_((j-5)/2)
+                               (q^(j-4) + q^(j-2) + q^(2j-6)).
+    """
+    rhs = _poly(order, {0: 1, 1: 1, 3: 1})
+    j = 5
+    while 2 * j - 4 <= order:
+        summand = qpoch_fin(1, 2, (j - 5) // 2, order, sign=-1) * _poly(
+            order, {j - 4: 1, j - 2: 1, 2 * j - 6: 1}
+        )
+        rhs = rhs + summand.times_monomial(1, j)
+        j += 2
+    return rhs
+
+
+@pytest.mark.parametrize(
+    "builder, reference",
+    [
+        (identities._one_minus_q_squared_distinct_rhs, _one_minus_q_squared_distinct_rhs),
+        (identities._quintic_distinct_rhs, _quintic_distinct_rhs),
+        (identities._distinct_odd_rhs, _distinct_odd_rhs),
+    ],
+    ids=["lemma-3.2", "lemma-3.3", "sc-identity"],
+)
+def test_closed_form_rhs_matches_per_j_reference(builder, reference):
+    for order in [*range(151), 500]:
+        assert builder(order) == reference(order), order

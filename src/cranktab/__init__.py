@@ -13,6 +13,7 @@ from cranktab.bivariate import (
     kcrank_gf,
     m2_crank_gf,
     overline_crank_gf,
+    rank_gf,
 )
 from cranktab.brute import (
     colored_partitions,
@@ -75,6 +76,7 @@ __all__ = [
     "qpoch_fin",
     "qpoch_inf",
     "rank",
+    "rank_gf",
     "run_checks",
     "second_residual_contributions",
 ]

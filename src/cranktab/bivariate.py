@@ -1,28 +1,31 @@
-"""Two-variable crank generating functions, truncated in the q direction.
+"""Two-variable crank and rank generating functions, truncated in q.
 
 The coefficient of ``z**m q**n`` is the weighted count of objects of size n
-with crank m.  Every generating function here is built one column (fixed
-power of z) at a time from the Lambert-type closed form of the crank
-(Garvan, Trans. AMS 305, 1988; Andrews-Garvan, Bull. AMS 18, 1988)::
+with crank (or rank) m.  Every generating function here is built one column
+(fixed power of z) at a time from a Lambert-type closed form, the crank's
+(Garvan, Trans. AMS 305, 1988; Andrews-Garvan, Bull. AMS 18, 1988) with a = 1
+or the rank's (Atkin-Swinnerton-Dyer, Proc. LMS 4, 1954) with a = 3::
 
     sum_n M(m, n) q**n = S_m(q) / (q;q)_inf,
-    S_m(q) = sum_{j>=1} (-1)**(j-1) q**(j(j-1)/2 + j|m|) (1 - q**j).
+    S_m(q) = sum_{j>=1} (-1)**(j-1) q**((a j**2 - j)/2 + j|m|) (1 - q**j).
 
-``S_m`` has about sqrt(2N) terms below ``q**N``, so a column is a handful of
-shifted copies of a base series: O(N sqrt(N)) per column and O(N**2 log N)
-for the whole GF, with no bivariate fold.  Column m of each statistic is
-``base * S_m(q**d)``:
+``S_m`` has at most about sqrt(2N) terms below ``q**N``, so a column is a
+handful of shifted copies of a base series: O(N sqrt(N)) per column and
+O(N**2 log N) for the whole GF, with no bivariate fold.  Column m of each
+statistic is ``base * S_m(q**d)``:
 
-    statistic  builder            base                    d
-    crank      crank_gf           1/(q;q)_inf             1
-    ocrank     overline_crank_gf  (-q;q)_inf / (q;q)_inf  1
-    m2crank    m2_crank_gf        (-q;q)_inf / (q;q)_inf  2
-    kcrank     kcrank_gf          1/(q;q)_inf**k          1
+    statistic  builder            base                    d  a
+    crank      crank_gf           1/(q;q)_inf             1  1
+    ocrank     overline_crank_gf  (-q;q)_inf / (q;q)_inf  1  1
+    m2crank    m2_crank_gf        (-q;q)_inf / (q;q)_inf  2  1
+    kcrank     kcrank_gf          1/(q;q)_inf**k          1  1
+    rank       rank_gf            1/(q;q)_inf             1  3  plus 1 at z**0 q**0
 
 Each builder's docstring gives the product form it equals.  The row for
 ``q**1`` comes out as ``z - 1 + 1/z`` from the j = 1, 2 terms: the crank GF
 itself encodes the conventional signed counts at n = 1 and no special-casing
-is needed downstream.
+is needed downstream.  The rank's columns sum to ``1/(q;q)_inf - 1``: they
+miss the empty partition, which ``rank_gf`` adds at ``z**0 q**0``.
 
 Builders are memoized; the returned objects are shared and must be treated
 as immutable.
@@ -107,13 +110,13 @@ class BivariateSeries:
         return Series(self.order, [sum(cells) for cells in zip(*self._columns)])
 
 
-def _column(base: list, m: int, d: int) -> list:
+def _column(base: list, m: int, d: int, a: int) -> list:
     """Coefficients of ``base * S_m(q**d)``, truncated to the length of ``base``."""
     size = len(base)
     out = [0] * size
     j = 1
     while True:
-        e = d * (j * (j - 1) // 2 + j * m)
+        e = d * ((a * j * j - j) // 2 + j * m)
         if e >= size:
             return out
         sign = 1 if j % 2 else -1
@@ -122,12 +125,12 @@ def _column(base: list, m: int, d: int) -> list:
         j += 1
 
 
-def _from_columns(order: int, base_of, d: int) -> BivariateSeries:
+def _from_columns(order: int, base_of, d: int, a: int = 1) -> BivariateSeries:
     """The GF whose column m is ``base_of(order) * S_|m|(q**d)``."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     base = base_of(order).coeffs
-    half = [_column(base, m, d) for m in range(order + 1)]
+    half = [_column(base, m, d, a) for m in range(order + 1)]
     return BivariateSeries(order, half[:0:-1] + half)
 
 
@@ -161,6 +164,14 @@ def kcrank_gf(k: int, order: int) -> BivariateSeries:
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     return _from_columns(order, lambda n: partition_series(n).pow(k), 1)
+
+
+@lru_cache(maxsize=None)
+def rank_gf(order: int) -> BivariateSeries:
+    """Dyson-rank GF ``sum_n q**(n*n) / ((zq;q)_n (q/z;q)_n)``."""
+    g = _from_columns(order, partition_series, 1, a=3)
+    g._columns[g.bound][0] += 1  # the empty partition, of rank 0
+    return g
 
 
 def check_gf_invariants(g: BivariateSeries) -> None:

@@ -50,7 +50,7 @@ def _parse_k_list(raw: str | None):
         raise click.UsageError(f"bad k list {raw!r}; expected comma-separated integers")
     if any(k < 2 for k in ks):
         raise click.UsageError("every k must be >= 2")
-    return ks
+    return tuple(dict.fromkeys(ks))  # a repeated k runs once, in first-seen order
 
 
 def _check_k(stat: str, k: int | None) -> None:
@@ -75,25 +75,25 @@ def main():
 
 @main.command()
 @click.option("--stat", required=True,
-              type=click.Choice(tables.ALL_STATISTICS), help="Statistic to tabulate.")
+              type=click.Choice(tables.STATISTICS), help="Statistic to tabulate.")
 @click.option("--k", type=int, default=None, help="Number of colors (kcrank only).")
 @click.option("--n-max", type=SIZE, default=50, show_default=True)
 @click.option("--order", type=SIZE, default=None,
               help="Truncation order of the generating function (default: n-max).")
-@click.option("--provenance", type=click.Choice(["gf", "oracle"]), default=None,
-              help="Table backend (default: gf, oracle for rank).")
+@click.option("--provenance", type=click.Choice(["gf", "oracle"]), default="gf",
+              help="Table backend (default: gf).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
 @click.option("--output", "-o", type=click.Path(), default=None,
               help="Output file (default: stdout).")
 def table(stat, k, n_max, order, provenance, fmt, output):
     """Export the weighted count table of one statistic."""
-    if provenance is None:
-        provenance = "oracle" if stat == "rank" else "gf"
     _check_k(stat, k)
     if order is not None and n_max > order:
         raise click.UsageError(f"--n-max {n_max} exceeds --order {order}")
     if provenance == "oracle":
+        if order is not None:
+            raise click.UsageError("--order applies only to --provenance gf")
         _check_oracle_ceiling(stat, n_max)
     try:
         t = tables.build_table(stat, n_max, provenance, k=k, order=order)
@@ -140,14 +140,12 @@ def identity(entry_id, order, output):
 
 
 @main.command()
-@click.option("--stat", required=True, type=click.Choice(tables.ALL_STATISTICS))
+@click.option("--stat", required=True, type=click.Choice(tables.STATISTICS))
 @click.option("--k", type=int, default=None)
 @click.option("--n-max", type=SIZE, default=25, show_default=True)
 @click.option("--output", "-o", type=click.Path(), default=None)
 def crosscheck(stat, k, n_max, output):
     """Compare the GF-built table against the enumeration oracle."""
-    if stat == "rank":
-        raise click.UsageError("rank has no generating-function backend to cross-check")
     _check_k(stat, k)
     _check_oracle_ceiling(stat, n_max)
     try:

@@ -1,12 +1,12 @@
 """Crank-statistic tables with symmetry-compressed storage and export.
 
 A :class:`CrankTable` holds the weighted counts T[n][m] for one statistic,
-built either from a generating function (``provenance="gf"``) or from the
-enumeration oracle (``provenance="oracle"``).  All supported statistics have
-symmetric rows (m <-> -m), so only m >= 0 is stored.  Both builders verify
-the |m| <= n support while compressing, and the oracle builder also verifies
-the symmetry (GF columns are symmetric by construction); neither constructs
-a table that violates them.
+built either from its generating function (``provenance="gf"``) or from the
+enumeration oracle (``provenance="oracle"``).  Every statistic has symmetric
+rows (m <-> -m), so only m >= 0 is stored.  Both builders verify the |m| <= n
+support while compressing, and the oracle builder also verifies the symmetry
+(GF columns are symmetric by construction); neither constructs a table that
+violates them.
 
 Exports: CSV with header ``n,m,count`` in (n asc, m asc) order with the full
 -n..n range expanded, and JSON ``{statistic, n_max, rows: [{n, counts}]}``
@@ -23,8 +23,14 @@ from functools import lru_cache
 from cranktab import bivariate, brute
 from cranktab.series import Series
 
-GF_STATISTICS = ("crank", "ocrank", "m2crank", "kcrank")
-ALL_STATISTICS = GF_STATISTICS + ("rank",)
+GF_BUILDERS = {  # statistic -> its GF at a truncation order; k is for kcrank only
+    "crank": lambda order, k: bivariate.crank_gf(order),
+    "ocrank": lambda order, k: bivariate.overline_crank_gf(order),
+    "m2crank": lambda order, k: bivariate.m2_crank_gf(order),
+    "kcrank": lambda order, k: bivariate.kcrank_gf(k, order),
+    "rank": lambda order, k: bivariate.rank_gf(order),
+}
+STATISTICS = tuple(GF_BUILDERS)
 
 
 class CrankTable:
@@ -123,17 +129,7 @@ def _compress_gf(g: bivariate.BivariateSeries, n_max: int, statistic: str) -> li
 @lru_cache(maxsize=None)
 def _build_table_cached(statistic, n_max, provenance, k, order) -> CrankTable:
     if provenance == "gf":
-        if statistic == "crank":
-            g = bivariate.crank_gf(order)
-        elif statistic == "ocrank":
-            g = bivariate.overline_crank_gf(order)
-        elif statistic == "m2crank":
-            g = bivariate.m2_crank_gf(order)
-        elif statistic == "kcrank":
-            g = bivariate.kcrank_gf(k, order)
-        else:
-            raise ValueError(f"statistic {statistic!r} has no generating function backend")
-        half = _compress_gf(g, n_max, statistic)
+        half = _compress_gf(GF_BUILDERS[statistic](order, k), n_max, statistic)
     elif provenance == "oracle":
         rows = brute.oracle_rows(statistic, n_max, k=k)
         half = _compress_full_rows(rows, statistic)
@@ -149,7 +145,7 @@ def build_table(statistic, n_max, provenance="gf", k=None, order=None) -> CrankT
     and defaults to ``n_max``; it must not be smaller.  Tables are cached and
     shared; treat them as immutable.
     """
-    if statistic not in ALL_STATISTICS:
+    if statistic not in GF_BUILDERS:
         raise ValueError(f"unknown statistic {statistic!r}")
     if statistic == "kcrank":
         if k is None or k < 2:

@@ -2,9 +2,8 @@
 
 Every theorem sweep is data: one :class:`Sweep` entry of :data:`SWEEPS`, run
 by the one routine :func:`run_sweep`.  A sweep reads the count table
-``count(m, n)`` of its ``statistic`` (the enumeration oracle for the rank,
-the generating function otherwise) and checks one relation, set by
-``stride``:
+``count(m, n)`` that the generating function of its ``statistic`` gives and
+checks one relation, set by ``stride``:
 
 * 1 or 2 -- step in m: count(m - stride, n) >= count(m, n);
 * 0      -- monotone in n: count(m, n) >= count(m, n - 1), from n = 1 on.
@@ -37,7 +36,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from cranktab import brute, identities, tables
+from cranktab import identities, tables
 
 DEFAULT_N_MAX = {"crank": 300, "ocrank": 300, "m2crank": 300, "kcrank": 200, "rank": 40}
 DEFAULT_IDENTITY_ORDER = 200
@@ -104,8 +103,7 @@ class Sweep:
 
 def run_sweep(sweep: Sweep, n_max: int, k: int | None = None) -> CheckReport:
     """Scan rows 0..n_max of the sweep's table (the k-colored one for kcrank)."""
-    provenance = "oracle" if sweep.statistic == "rank" else "gf"
-    table = tables.build_table(sweep.statistic, n_max, provenance, k=k)
+    table = tables.build_table(sweep.statistic, n_max, k=k)
     t0 = time.perf_counter()
     stride, diagonal = sweep.stride, sweep.exclude_diagonal
     dn = 0 if stride else 1  # a monotone sweep compares row n with row n - 1
@@ -248,11 +246,6 @@ def run_checks(check_ids, n_max=None, order=None, k_list=None):
             continue
         for sweep in SWEEPS[cid]:
             size = DEFAULT_N_MAX[sweep.statistic] if n_max is None else n_max
-            if sweep.statistic == "rank":
-                # rank has no GF backend; cap at the enumeration ceiling so that a
-                # large n_max meant for the GF sweeps cannot trigger an infeasible
-                # enumeration
-                size = min(size, brute.ORACLE_CEILINGS["rank"])
             if sweep.statistic == "kcrank":
                 ks = DEFAULT_K_LIST if k_list is None else k_list
             else:

@@ -35,6 +35,7 @@ def test_criterion_01_gf_oracle_equivalence():
         ("kcrank", 25, 2),
         ("kcrank", 25, 3),
         ("kcrank", 25, 4),
+        ("rank", 40, None),
     ]
     for stat, n_max, k in cases:
         gf = build_table(stat, n_max, "gf", k=k)

@@ -12,6 +12,7 @@ from cranktab.bivariate import (
     kcrank_gf,
     m2_crank_gf,
     overline_crank_gf,
+    rank_gf,
 )
 from cranktab.brute import oracle_rows
 from cranktab.series import (
@@ -68,13 +69,16 @@ def test_kcrank_gf_rows():
 
 
 def test_symmetry_and_support_invariants():
-    for g in (crank_gf(30), overline_crank_gf(30), m2_crank_gf(30), kcrank_gf(3, 30)):
+    for g in (crank_gf(30), overline_crank_gf(30), m2_crank_gf(30), kcrank_gf(3, 30),
+              rank_gf(300)):
         check_gf_invariants(g)
 
 
 def test_specialization_row_sums():
     order = 25
     assert crank_gf(order).row_sum_series() == partition_series(order)
+    # the rank's column form misses the empty partition; rank_gf adds it at n = 0
+    assert rank_gf(300).row_sum_series() == partition_series(300)
     over = overpartition_series(order)
     assert overline_crank_gf(order).row_sum_series() == over
     assert m2_crank_gf(order).row_sum_series() == over
@@ -105,6 +109,7 @@ def test_gf_matches_oracle_tables():
         ("m2crank", m2_crank_gf(18), None),
         ("kcrank", kcrank_gf(2, 18), 2),
         ("kcrank", kcrank_gf(4, 18), 4),
+        ("rank", rank_gf(18), None),
     ]
     for stat, g, k in cases:
         rows = oracle_rows(stat, 18, k=k)

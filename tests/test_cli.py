@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cranktab import identities, tables, verify
-from cranktab.cli import main
+from cranktab.cli import _parse_k_list, main
 from cranktab.identities import IdentityEntry
 from cranktab.series import Series
 
@@ -57,21 +57,24 @@ def test_table_output_is_byte_identical(runner, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_table_rank_defaults_to_oracle(runner):
-    result = runner.invoke(main, ["table", "--stat", "rank", "--n-max", "4"])
+def test_table_rank_defaults_to_gf(runner):
+    result = runner.invoke(main, ["table", "--stat", "rank", "--n-max", "12"])
     assert result.exit_code == 0
     assert "4,3,1" in result.output
+    oracle = runner.invoke(
+        main, ["table", "--stat", "rank", "--n-max", "12", "--provenance", "oracle"]
+    )
+    assert oracle.exit_code == 0
+    assert result.output == oracle.output
+    # above the enumeration ceiling of 60
+    result = runner.invoke(main, ["table", "--stat", "rank", "--n-max", "200"])
+    assert result.exit_code == 0
+    assert result.output.splitlines()[1:3] == ["0,0,1", "1,-1,0"]
 
 
 def test_table_usage_errors(runner):
     assert runner.invoke(main, ["table", "--stat", "kcrank", "--n-max", "4"]).exit_code == 2
     assert runner.invoke(main, ["table", "--stat", "bogus"]).exit_code == 2
-    assert (
-        runner.invoke(
-            main, ["table", "--stat", "rank", "--n-max", "4", "--provenance", "gf"]
-        ).exit_code
-        == 2
-    )
     assert (
         runner.invoke(
             main, ["table", "--stat", "crank", "--n-max", "9", "--order", "4"]
@@ -84,12 +87,18 @@ def test_table_usage_errors(runner):
     result = runner.invoke(main, ["table", "--stat", "crank", "--k", "3", "--n-max", "1"])
     assert result.exit_code == 2
     assert "--k applies only to --stat kcrank" in result.output
+    result = runner.invoke(
+        main,
+        ["table", "--stat", "crank", "--provenance", "oracle", "--n-max", "3", "--order", "10"],
+    )
+    assert result.exit_code == 2
+    assert "--order applies only to --provenance gf" in result.output
 
 
 def test_table_oracle_respects_enumeration_ceilings(runner):
     for args in (
         ["--stat", "ocrank", "--provenance", "oracle", "--n-max", "60"],
-        ["--stat", "rank", "--n-max", "200"],
+        ["--stat", "rank", "--provenance", "oracle", "--n-max", "200"],
     ):
         result = runner.invoke(main, ["table", *args])
         assert result.exit_code == 2
@@ -119,15 +128,18 @@ def test_verify_check_list_and_output_file(runner, tmp_path):
 
 
 def test_verify_conj_with_k_list(runner):
-    result = runner.invoke(
-        main, ["verify", "--check", "conj-1.8", "--k", "2,3", "--n-max", "30"]
-    )
-    assert result.exit_code == 0
-    obj = json.loads(result.output)
-    assert [c["check_id"] for c in obj["checks"]] == [
-        "conj-1.8[k=2]",
-        "conj-1.8[k=3]",
-    ]
+    # a repeated k runs once
+    for ks in ("2,3", "3,2,3,2"):
+        result = runner.invoke(
+            main, ["verify", "--check", "conj-1.8", "--k", ks, "--n-max", "30"]
+        )
+        assert result.exit_code == 0
+        obj = json.loads(result.output)
+        assert [c["check_id"] for c in obj["checks"]] == [
+            "conj-1.8[k=2]",
+            "conj-1.8[k=3]",
+        ]
+    assert _parse_k_list("3,2,3,2") == (3, 2)  # first-seen order
 
 
 def test_verify_all_aggregated(runner):
@@ -209,6 +221,7 @@ def test_crosscheck_command(runner):
         ["crosscheck", "--stat", "m2crank", "--n-max", "12"],
         ["crosscheck", "--stat", "crank", "--n-max", "15"],
         ["crosscheck", "--stat", "kcrank", "--k", "2", "--n-max", "10"],
+        ["crosscheck", "--stat", "rank", "--n-max", "30"],
     ):
         result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
@@ -216,7 +229,6 @@ def test_crosscheck_command(runner):
 
 
 def test_crosscheck_usage_errors(runner):
-    assert runner.invoke(main, ["crosscheck", "--stat", "rank"]).exit_code == 2
     assert runner.invoke(main, ["crosscheck", "--stat", "kcrank"]).exit_code == 2
     assert (
         runner.invoke(main, ["crosscheck", "--stat", "ocrank", "--n-max", "99"]).exit_code
@@ -238,7 +250,7 @@ def _opt(flag, values):
 
 
 SIZES = st.integers(-1, 12)
-STATS = st.sampled_from(tables.ALL_STATISTICS + ("bogus",))
+STATS = st.sampled_from(tables.STATISTICS + ("bogus",))
 KS = _opt("--k", st.integers(-1, 7))
 CHECK_IDS = st.sampled_from(verify.available_checks() + ["all", "thm-9.9"])
 

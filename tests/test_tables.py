@@ -28,9 +28,11 @@ def test_build_m2_n0():
     assert t.row_dict(0) == {0: 1}
 
 
-def test_rank_gf_pairing_rejected():
-    with pytest.raises(ValueError):
-        build_table("rank", 5, "gf")
+def test_rank_gf_table_equals_oracle():
+    gf, oracle = build_table("rank", 12, "gf"), build_table("rank", 12, "oracle")
+    for n in range(13):
+        assert gf.row_dict(n) == oracle.row_dict(n), n
+    assert gf.count(0, 0) == 1  # the empty partition
 
 
 def test_invalid_inputs():

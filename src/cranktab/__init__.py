@@ -8,7 +8,6 @@ All arithmetic is exact (Python ints throughout).
 
 from cranktab.bivariate import (
     BivariateSeries,
-    LaurentPoly,
     crank_gf,
     kcrank_gf,
     m2_crank_gf,
@@ -50,7 +49,6 @@ __all__ = [
     "BivariateSeries",
     "CheckReport",
     "CrankTable",
-    "LaurentPoly",
     "OrderMismatch",
     "Series",
     "build_table",

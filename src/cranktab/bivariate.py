@@ -38,41 +38,6 @@ from functools import lru_cache
 from cranktab.series import Series, overpartition_series, partition_series
 
 
-class LaurentPoly:
-    """Laurent polynomial in z on the symmetric exponent range -bound..bound."""
-
-    __slots__ = ("bound", "coeffs")
-
-    def __init__(self, bound: int, coeffs):
-        if bound < 0:
-            raise ValueError(f"bound must be >= 0, got {bound}")
-        coeffs = list(coeffs)
-        if len(coeffs) != 2 * bound + 1:
-            raise ValueError(
-                f"expected {2 * bound + 1} coefficients for bound {bound}, got {len(coeffs)}"
-            )
-        self.bound = bound
-        self.coeffs = coeffs
-
-    def __getitem__(self, m: int) -> int:
-        if abs(m) > self.bound:
-            return 0
-        return self.coeffs[self.bound + m]
-
-    def as_dict(self) -> dict:
-        return {m - self.bound: c for m, c in enumerate(self.coeffs) if c}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.as_dict() == other.as_dict()
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self.as_dict()})"
-
-
 class BivariateSeries:
     """Series in q whose coefficients are Laurent polynomials in z.
 
@@ -88,8 +53,9 @@ class BivariateSeries:
         self.bound = len(columns) // 2
         self._columns = columns
 
-    def row(self, n: int) -> LaurentPoly:
-        return LaurentPoly(self.bound, [col[n] for col in self._columns])
+    def row(self, n: int) -> dict:
+        """The nonzero coefficients ``{m: [z**m q**n]}`` of one power of q."""
+        return {m - self.bound: col[n] for m, col in enumerate(self._columns) if col[n]}
 
     def coeff(self, n: int, m: int) -> int:
         """Coefficient of ``z**m q**n``; zero whenever ``|m|`` exceeds the bound."""
@@ -104,6 +70,10 @@ class BivariateSeries:
         if abs(m) > self.bound:
             return Series.zero(self.order)
         return Series(self.order, self._columns[self.bound + m])
+
+    def nonneg_columns(self) -> list:
+        """The coefficient lists of columns m = 0..bound: shared, not copied."""
+        return self._columns[self.bound:]
 
     def row_sum_series(self) -> Series:
         """Specialization z = 1: the series of row sums."""

@@ -8,12 +8,14 @@ Subcommands:
 * ``crosscheck`` -- compare a GF-built table against the enumeration oracle.
 
 Exit status: 0 when everything passed, 1 when any check failed, 2 on usage
-or configuration errors.  Outputs are deterministic for identical
-configurations, except for the measured ``runtime_ms`` fields in reports.
+or configuration errors and on an ``--output`` file that cannot be written.
+Outputs are deterministic for identical configurations, except for the
+measured ``runtime_ms`` fields in reports.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 
@@ -25,17 +27,26 @@ from cranktab import brute, identities, tables, verify
 SIZE = click.IntRange(min=0)
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+class _CannotWrite(click.ClickException):
+    exit_code = 2  # one "Error: ..." line, no usage text
+
+
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The stream to write to: the file at ``path``, or stdout when it is None."""
+    if path is None:
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise _CannotWrite(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _emit_reports(reports, output) -> None:
-    text = json.dumps(verify.reports_to_json_obj(reports), indent=2) + "\n"
-    _emit(text, output)
+    with _output(output) as fh:
+        fh.write(json.dumps(verify.reports_to_json_obj(reports), indent=2) + "\n")
     code = verify.exit_code(reports)
     if code:
         raise SystemExit(code)
@@ -99,7 +110,8 @@ def table(stat, k, n_max, order, provenance, fmt, output):
         t = tables.build_table(stat, n_max, provenance, k=k, order=order)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    _emit(t.render(fmt), output)
+    with _output(output) as fh:
+        t.write(fh, fmt)
 
 
 @main.command("verify")

@@ -1,22 +1,23 @@
-"""Crank-statistic tables with symmetry-compressed storage and export.
+"""Crank-statistic tables stored as the m >= 0 columns of their counts.
 
 A :class:`CrankTable` holds the weighted counts T[n][m] for one statistic,
 built either from its generating function (``provenance="gf"``) or from the
 enumeration oracle (``provenance="oracle"``).  Every statistic has symmetric
-rows (m <-> -m), so only m >= 0 is stored.  Both builders verify the |m| <= n
-support while compressing, and the oracle builder also verifies the symmetry
-(GF columns are symmetric by construction); neither constructs a table that
-violates them.
+rows (m <-> -m), so only the columns m >= 0 are stored.  A GF-built table
+holds the GF's own column lists, not a copy; its |m| <= n support is checked
+when the table is built, one slice per column (the column form is symmetric
+by construction).  An oracle-built table transposes the enumerated rows into
+columns and checks both the support and the symmetry on the way.  Neither
+builder constructs a table that violates them.
 
-Exports: CSV with header ``n,m,count`` in (n asc, m asc) order with the full
--n..n range expanded, and JSON ``{statistic, n_max, rows: [{n, counts}]}``
-with counts serialized as decimal strings so consumers never face integer
-overflow.
+Exports (:meth:`CrankTable.write`) stream row by row: CSV with header
+``n,m,count`` in (n asc, m asc) order with the full -n..n range expanded, and
+JSON ``{statistic, n_max, rows: [{n, counts}]}`` with counts serialized as
+decimal strings so consumers never face integer overflow.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from functools import lru_cache
 
@@ -34,16 +35,20 @@ STATISTICS = tuple(GF_BUILDERS)
 
 
 class CrankTable:
-    """Weighted counts of one crank-type statistic for n = 0..n_max."""
+    """Weighted counts of one crank-type statistic for n = 0..n_max.
 
-    __slots__ = ("statistic", "k", "n_max", "provenance", "_half")
+    ``columns[m][n]`` is T[n][m] for 0 <= m <= n_max; it is 0 for n < m, and a
+    column may run past n_max when the GF was built to a higher order.
+    """
 
-    def __init__(self, statistic, n_max, provenance, half_rows, k=None):
+    __slots__ = ("statistic", "k", "n_max", "provenance", "columns")
+
+    def __init__(self, statistic, n_max, provenance, columns, k=None):
         self.statistic = statistic
         self.k = k
         self.n_max = n_max
         self.provenance = provenance
-        self._half = half_rows  # _half[n][m] for 0 <= m <= n
+        self.columns = columns
 
     @property
     def label(self) -> str:
@@ -54,52 +59,46 @@ class CrankTable:
         if not 0 <= n <= self.n_max:
             raise IndexError(f"n={n} outside table range 0..{self.n_max}")
         m = abs(m)
-        return self._half[n][m] if m <= n else 0
+        return self.columns[m][n] if m <= n else 0
 
-    def row_dict(self, n: int) -> dict:
-        """Nonzero entries of row n over the full -n..n range."""
-        out = {}
-        for m in range(-n, n + 1):
-            c = self.count(m, n)
-            if c:
-                out[m] = c
-        return out
+    def column(self, m: int) -> list:
+        """The counts T[n][m] for n = 0..n_max (all 0 when |m| > n_max)."""
+        m = abs(m)
+        if m > self.n_max:
+            return [0] * (self.n_max + 1)
+        return self.columns[m][: self.n_max + 1]
 
-    def row_sum(self, n: int) -> int:
-        half = self._half[n]
-        return half[0] + 2 * sum(half[1:])
+    def write(self, fh, fmt: str) -> None:
+        """Export to the text stream ``fh`` ("csv" or "json"), one row at a time.
 
-    # -- export -------------------------------------------------------------
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("n,m,count\n")
-        for n in range(self.n_max + 1):
-            for m in range(-n, n + 1):
-                buf.write(f"{n},{m},{self.count(m, n)}\n")
-        return buf.getvalue()
-
-    def to_json_obj(self) -> dict:
-        rows = []
-        for n in range(self.n_max + 1):
-            counts = {str(m): str(self.count(m, n)) for m in range(-n, n + 1)}
-            rows.append({"n": n, "counts": counts})
-        return {"statistic": self.label, "n_max": self.n_max, "rows": rows}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2) + "\n"
-
-    def render(self, fmt: str) -> str:
+        The JSON bytes are those of ``json.dumps(obj, indent=2) + "\\n"`` for
+        ``obj = {"statistic", "n_max", "rows": [{"n", "counts": {m: count}}]}``
+        with m and count as decimal strings.
+        """
         if fmt == "csv":
-            return self.to_csv()
+            fh.write("n,m,count\n")
+        elif fmt == "json":
+            fh.write(f'{{\n  "statistic": {json.dumps(self.label)},\n'
+                     f'  "n_max": {self.n_max},\n  "rows": [\n')
+        else:
+            raise ValueError(f"unknown format {fmt!r}")
+        cols = self.columns
+        for n in range(self.n_max + 1):
+            half = [cols[m][n] for m in range(n + 1)]
+            cells = zip(range(-n, n + 1), half[:0:-1] + half)
+            if fmt == "csv":
+                fh.write("".join(f"{n},{m},{c}\n" for m, c in cells))
+            else:
+                sep = ",\n" if n else ""
+                counts = ",\n".join(f'        "{m}": "{c}"' for m, c in cells)
+                fh.write(f'{sep}    {{\n      "n": {n},\n      "counts": {{\n{counts}\n'
+                         f'      }}\n    }}')
         if fmt == "json":
-            return self.to_json()
-        raise ValueError(f"unknown format {fmt!r}")
+            fh.write("\n  ]\n}\n")
 
 
 def _compress_full_rows(full_rows, statistic) -> list:
-    """Symmetry-compress rows given as {m: count} dicts, verifying invariants."""
-    half = []
+    """Columns m = 0..n_max of rows given as {m: count} dicts, verifying invariants."""
     for n, row in enumerate(full_rows):
         for m, c in row.items():
             if c and abs(m) > n:
@@ -108,34 +107,22 @@ def _compress_full_rows(full_rows, statistic) -> list:
                 )
             if row.get(-m, 0) != c:
                 raise ValueError(f"{statistic}: asymmetric row at n={n}, m={m}")
-        half.append([row.get(m, 0) for m in range(n + 1)])
-    return half
-
-
-def _compress_gf(g: bivariate.BivariateSeries, n_max: int, statistic: str) -> list:
-    """Half rows n = 0..n_max of a GF, read off its m >= 0 columns.
-
-    The column form is symmetric by construction; the support is checked:
-    column m must vanish below ``q**m``.
-    """
-    cols = [g.column(m).coeffs for m in range(g.bound + 1)]
-    for m, col in enumerate(cols):
-        for n in range(min(m, n_max + 1)):
-            if col[n]:
-                raise ValueError(f"{statistic}: GF support violated at n={n}, m={m}")
-    return [[cols[m][n] for m in range(n + 1)] for n in range(n_max + 1)]
+    return [[row.get(m, 0) for row in full_rows] for m in range(len(full_rows))]
 
 
 @lru_cache(maxsize=None)
 def _build_table_cached(statistic, n_max, provenance, k, order) -> CrankTable:
     if provenance == "gf":
-        half = _compress_gf(GF_BUILDERS[statistic](order, k), n_max, statistic)
+        cols = GF_BUILDERS[statistic](order, k).nonneg_columns()
+        for m, col in enumerate(cols):
+            if any(col[:m]):  # column m must vanish below q**m
+                raise ValueError(f"{statistic}: GF support violated in column m={m}")
+        cols = cols[: n_max + 1]
     elif provenance == "oracle":
-        rows = brute.oracle_rows(statistic, n_max, k=k)
-        half = _compress_full_rows(rows, statistic)
+        cols = _compress_full_rows(brute.oracle_rows(statistic, n_max, k=k), statistic)
     else:
         raise ValueError(f"unknown provenance {provenance!r}")
-    return CrankTable(statistic, n_max, provenance, half, k=k)
+    return CrankTable(statistic, n_max, provenance, cols, k=k)
 
 
 def build_table(statistic, n_max, provenance="gf", k=None, order=None) -> CrankTable:
@@ -163,10 +150,7 @@ def diff_column(table: CrankTable, m: int) -> Series:
     """The series ``n -> T[m-1][n] - T[m][n]`` for fixed m >= 1."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    return Series(
-        table.n_max,
-        [table.count(m - 1, n) - table.count(m, n) for n in range(table.n_max + 1)],
-    )
+    return Series(table.n_max, [a - b for a, b in zip(table.column(m - 1), table.column(m))])
 
 
 def monotone_diff_row(table: CrankTable, m: int) -> Series:
@@ -174,7 +158,5 @@ def monotone_diff_row(table: CrankTable, m: int) -> Series:
 
     Starts at n = 1; the n = 0 coefficient is 0.
     """
-    c = [0] * (table.n_max + 1)
-    for n in range(1, table.n_max + 1):
-        c[n] = table.count(m, n) - table.count(m, n - 1)
-    return Series(table.n_max, c)
+    col = table.column(m)
+    return Series(table.n_max, [0] + [b - a for a, b in zip(col, col[1:])])

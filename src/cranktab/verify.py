@@ -33,8 +33,10 @@ reports the n = 1 comparison informationally.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
+from itertools import compress, count
 
 from cranktab import identities, tables
 
@@ -43,6 +45,7 @@ DEFAULT_IDENTITY_ORDER = 200
 DEFAULT_K_LIST = (2, 3, 4, 5, 6)
 
 RELATIONS = {0: "monotone", 1: "step", 2: "step-by-2"}  # by Sweep.stride
+_BY_CELL = operator.itemgetter("n", "m")  # the order of report entries
 
 
 @dataclass
@@ -102,29 +105,35 @@ class Sweep:
 
 
 def run_sweep(sweep: Sweep, n_max: int, k: int | None = None) -> CheckReport:
-    """Scan rows 0..n_max of the sweep's table (the k-colored one for kcrank)."""
+    """Scan rows 0..n_max of the sweep's table (the k-colored one for kcrank).
+
+    Column m is compared with column m - stride (or with itself one row down)
+    as whole slices; only the violating cells are visited one by one.
+    """
     table = tables.build_table(sweep.statistic, n_max, k=k)
     t0 = time.perf_counter()
     stride, diagonal = sweep.stride, sweep.exclude_diagonal
     dn = 0 if stride else 1  # a monotone sweep compares row n with row n - 1
     found, informational, cells = [], [], 0
-    for n in range(dn, n_max + 1):
-        counted = n >= sweep.scan_from
-        skip_m = n - diagonal if counted and diagonal is not None else None
-        row = range(sweep.m_lo, n + 1 - sweep.m_cut)
-        if counted:
-            cells += len(row) - (skip_m is not None and skip_m in row)
-        for m in row:
-            lhs, rhs = table.count(m - stride, n), table.count(m, n - dn)
-            if lhs >= rhs:
-                continue
-            entry = {"m": m, "n": n, "lhs": lhs, "rhs": rhs}
+    for m in range(sweep.m_lo, n_max + 1 - sweep.m_cut):
+        lo = max(m + sweep.m_cut, dn)  # first row whose window holds m
+        first_counted = max(lo, sweep.scan_from)
+        cells += max(0, n_max + 1 - first_counted)
+        if diagonal is not None and first_counted <= m + diagonal <= n_max:
+            cells -= 1
+        lhs_col, rhs_col = table.column(m - stride), table.column(m)
+        for n in compress(count(lo), map(operator.lt, lhs_col[lo:], rhs_col[lo - dn :])):
+            entry = {"m": m, "n": n, "lhs": lhs_col[n], "rhs": rhs_col[n - dn]}
             if k is not None:
                 entry["k"] = k
-            if m == skip_m:
+            if n < sweep.scan_from:
+                informational.append(entry)
+            elif diagonal is not None and n == m + diagonal:
                 informational.append(dict(entry, note=f"excluded diagonal n=m+{diagonal}"))
             else:
-                (found if counted else informational).append(entry)
+                found.append(entry)
+    found.sort(key=_BY_CELL)
+    informational.sort(key=_BY_CELL)
     expected = {
         (kk, m, n) for kk, m, n in sweep.expected if kk == k and sweep.scan_from <= n <= n_max
     }
@@ -168,12 +177,13 @@ def check_table_consistency(gf_table, oracle_table):
     t0 = time.perf_counter()
     n_max = min(gf_table.n_max, oracle_table.n_max)
     found = []
-    for n in range(n_max + 1):
-        for m in range(0, n + 1):
-            a = gf_table.count(m, n)
-            b = oracle_table.count(m, n)
-            if a != b:
-                found.append({"m": m, "n": n, "lhs": a, "rhs": b})
+    for m in range(n_max + 1):
+        a, b = gf_table.column(m), oracle_table.column(m)
+        found.extend(
+            {"m": m, "n": n, "lhs": a[n], "rhs": b[n]}
+            for n in compress(count(m), map(operator.ne, a[m : n_max + 1], b[m : n_max + 1]))
+        )
+    found.sort(key=_BY_CELL)
     return CheckReport(
         f"crosscheck-{gf_table.label}",
         {"n_max": n_max},

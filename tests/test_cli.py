@@ -18,6 +18,16 @@ def runner():
     return CliRunner()
 
 
+def _assert_cannot_write(runner, argv, tmp_path):
+    """``-o`` on a missing directory or on a directory: exit 2, one line."""
+    for path in (tmp_path / "missing" / "out.txt", tmp_path):
+        result = runner.invoke(main, [*argv, "-o", str(path)])
+        assert result.exit_code == 2, (argv, path)
+        assert isinstance(result.exception, SystemExit)
+        (line,) = result.output.splitlines()
+        assert line.startswith(f"Error: cannot write {path}: ")
+
+
 def test_table_crank_csv(runner):
     result = runner.invoke(main, ["table", "--stat", "crank", "--n-max", "1"])
     assert result.exit_code == 0
@@ -72,7 +82,7 @@ def test_table_rank_defaults_to_gf(runner):
     assert result.output.splitlines()[1:3] == ["0,0,1", "1,-1,0"]
 
 
-def test_table_usage_errors(runner):
+def test_table_usage_errors(runner, tmp_path):
     assert runner.invoke(main, ["table", "--stat", "kcrank", "--n-max", "4"]).exit_code == 2
     assert runner.invoke(main, ["table", "--stat", "bogus"]).exit_code == 2
     assert (
@@ -93,6 +103,7 @@ def test_table_usage_errors(runner):
     )
     assert result.exit_code == 2
     assert "--order applies only to --provenance gf" in result.output
+    _assert_cannot_write(runner, ["table", "--stat", "crank", "--n-max", "1"], tmp_path)
 
 
 def test_table_oracle_respects_enumeration_ceilings(runner):
@@ -167,9 +178,10 @@ def test_verify_negative_n_max_is_usage_error(runner):
     assert "Error: Invalid value for '--n-max'" in result.output
 
 
-def test_verify_unknown_check_is_usage_error(runner):
+def test_verify_unknown_check_is_usage_error(runner, tmp_path):
     result = runner.invoke(main, ["verify", "--check", "thm-9.9"])
     assert result.exit_code == 2
+    _assert_cannot_write(runner, ["verify", "--check", "euler", "--order", "5"], tmp_path)
 
 
 def test_verify_bad_k_list(runner):
@@ -189,10 +201,11 @@ def test_identity_command(runner):
     assert result.exit_code == 2
 
 
-def test_identity_negative_order_is_usage_error(runner):
+def test_identity_negative_order_is_usage_error(runner, tmp_path):
     result = runner.invoke(main, ["identity", "--id", "euler", "--order", "-3"])
     assert result.exit_code == 2
     assert "Error: Invalid value for '--order'" in result.output
+    _assert_cannot_write(runner, ["identity", "--id", "euler", "--order", "5"], tmp_path)
 
 
 def test_failing_check_exits_one(runner, monkeypatch):
@@ -228,7 +241,7 @@ def test_crosscheck_command(runner):
         assert json.loads(result.output)["all_passed"] is True
 
 
-def test_crosscheck_usage_errors(runner):
+def test_crosscheck_usage_errors(runner, tmp_path):
     assert runner.invoke(main, ["crosscheck", "--stat", "kcrank"]).exit_code == 2
     assert (
         runner.invoke(main, ["crosscheck", "--stat", "ocrank", "--n-max", "99"]).exit_code
@@ -242,6 +255,7 @@ def test_crosscheck_usage_errors(runner):
         result = runner.invoke(main, ["crosscheck", *args])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
+    _assert_cannot_write(runner, ["crosscheck", "--stat", "crank", "--n-max", "3"], tmp_path)
 
 
 def _opt(flag, values):

@@ -1,18 +1,69 @@
 """Tests for table construction, difference views and export formats."""
 
+import io
 import json
 
 import pytest
 
 from cranktab import tables
+from cranktab.bivariate import BivariateSeries, crank_gf
 from cranktab.identities import CRANK_DIFF_M1_HEAD, CRANK_DIFF_M2_HEAD
 from cranktab.series import overpartition_series, partition_series
-from cranktab.tables import CrankTable, build_table, diff_column, monotone_diff_row
+from cranktab.tables import build_table, diff_column, monotone_diff_row
+
+
+def _row(t, n):
+    """Nonzero entries of row n over the full -n..n range."""
+    return {m: t.count(m, n) for m in range(-n, n + 1) if t.count(m, n)}
+
+
+def _written(t, fmt):
+    buf = io.StringIO()
+    t.write(buf, fmt)
+    return buf.getvalue()
+
+
+# -- reference exporters --------------------------------------------------------
+#
+# The per-cell CSV loop and the whole-object JSON that the streamed
+# CrankTable.write replaced.  Every export must equal them byte for byte.
+
+
+def _reference_csv(t):
+    lines = ["n,m,count\n"]
+    for n in range(t.n_max + 1):
+        for m in range(-n, n + 1):
+            lines.append(f"{n},{m},{t.count(m, n)}\n")
+    return "".join(lines)
+
+
+def _reference_json(t):
+    rows = []
+    for n in range(t.n_max + 1):
+        counts = {str(m): str(t.count(m, n)) for m in range(-n, n + 1)}
+        rows.append({"n": n, "counts": counts})
+    obj = {"statistic": t.label, "n_max": t.n_max, "rows": rows}
+    return json.dumps(obj, indent=2) + "\n"
+
+
+# every statistic (kcrank at k = 3), both provenances, a GF order above n_max
+EXPORT_CASES = [
+    (stat, n_max, provenance, None)
+    for stat in tables.STATISTICS
+    for n_max in (0, 1, 12)
+    for provenance in ("gf", "oracle")
+] + [("crank", 12, "gf", 20), ("kcrank", 12, "gf", 15)]
+
+
+def _export_tables():
+    for stat, n_max, provenance, order in EXPORT_CASES:
+        k = 3 if stat == "kcrank" else None
+        yield build_table(stat, n_max, provenance, k=k, order=order)
 
 
 def test_build_crank_n1():
     t = build_table("crank", 1, "gf")
-    assert t.row_dict(1) == {-1: 1, 0: -1, 1: 1}
+    assert _row(t, 1) == {-1: 1, 0: -1, 1: 1}
     assert t.count(0, 1) == -1
     assert t.count(5, 1) == 0
 
@@ -25,13 +76,13 @@ def test_build_ocrank_point_values():
 
 def test_build_m2_n0():
     t = build_table("m2crank", 0, "gf")
-    assert t.row_dict(0) == {0: 1}
+    assert _row(t, 0) == {0: 1}
 
 
 def test_rank_gf_table_equals_oracle():
     gf, oracle = build_table("rank", 12, "gf"), build_table("rank", 12, "oracle")
     for n in range(13):
-        assert gf.row_dict(n) == oracle.row_dict(n), n
+        assert _row(gf, n) == _row(oracle, n), n
     assert gf.count(0, 0) == 1  # the empty partition
 
 
@@ -54,10 +105,11 @@ def test_gf_equals_oracle_within_small_range():
 
 
 def test_row_sums_match_counting_series():
-    t = build_table("crank", 20, "gf")
-    assert [t.row_sum(n) for n in range(21)] == partition_series(20).coeffs
-    t = build_table("ocrank", 20, "gf")
-    assert [t.row_sum(n) for n in range(21)] == overpartition_series(20).coeffs
+    def row_sums(t):
+        return [sum(_row(t, n).values()) for n in range(t.n_max + 1)]
+
+    assert row_sums(build_table("crank", 20, "gf")) == partition_series(20).coeffs
+    assert row_sums(build_table("ocrank", 20, "gf")) == overpartition_series(20).coeffs
 
 
 def test_diff_column_heads():
@@ -90,45 +142,63 @@ def test_monotone_diff_row():
 def test_rank_oracle_table_symmetric():
     t = build_table("rank", 12, "oracle")
     for n in range(13):
-        row = t.row_dict(n)
+        row = _row(t, n)
         assert row == {-m: c for m, c in row.items()}
     assert t.count(0, 0) == 1  # empty partition assigned rank 0
 
 
 def test_csv_export():
     t = build_table("crank", 1, "gf")
-    lines = t.to_csv().splitlines()
+    lines = _written(t, "csv").splitlines()
     assert lines == ["n,m,count", "0,0,1", "1,-1,1", "1,0,-1", "1,1,1"]
 
 
 def test_csv_is_deterministic():
     t = build_table("ocrank", 12, "gf")
-    assert t.to_csv() == build_table("ocrank", 12, "gf").to_csv()
+    assert _written(t, "csv") == _written(build_table("ocrank", 12, "gf"), "csv")
+    for t in _export_tables():
+        assert _written(t, "csv") == _reference_csv(t), (t.label, t.n_max, t.provenance)
 
 
 def test_json_export_decimal_strings():
     t = build_table("kcrank", 2, "gf", k=3)
-    obj = json.loads(t.to_json())
+    obj = json.loads(_written(t, "json"))
     assert obj["statistic"] == "kcrank(3)"
     assert obj["n_max"] == 2
     assert obj["rows"][1]["counts"] == {"-1": "1", "0": "1", "1": "1"}
     assert all(isinstance(v, str) for row in obj["rows"] for v in row["counts"].values())
+    for t in _export_tables():
+        assert _written(t, "json") == _reference_json(t), (t.label, t.n_max, t.provenance)
 
 
-def test_symmetry_violation_detected():
+def test_symmetry_violation_detected(monkeypatch):
+    # rows become the columns m >= 0
+    assert tables._compress_full_rows([{0: 1}, {-1: 1, 0: -1, 1: 1}], "crank") == [
+        [1, -1],
+        [0, 1],
+    ]
     with pytest.raises(ValueError):
         tables._compress_full_rows([{0: 1}, {-1: 1, 0: 0, 1: 2}], "bogus")
     with pytest.raises(ValueError):
         tables._compress_full_rows([{0: 1}, {-2: 1, 2: 1}], "bogus")
+    # a GF table checks the support of every column when it is built
+    bad = BivariateSeries(1, [[1, 1], [1, -1], [1, 1]])
+    monkeypatch.setitem(tables.GF_BUILDERS, "bogus", lambda order, k: bad)
+    with pytest.raises(ValueError, match="support violated in column m=1"):
+        tables._build_table_cached("bogus", 1, "gf", None, 1)
 
 
 def test_tables_are_cached_and_shared():
     a = build_table("crank", 9, "gf")
     b = build_table("crank", 9, "gf")
     assert a is b
+    # a GF table holds the GF's own m >= 0 column lists, not copies
+    assert all(x is y for x, y in zip(a.columns, crank_gf(9).nonneg_columns(), strict=True))
 
 
 def test_render_rejects_unknown_format():
     t = build_table("crank", 1, "gf")
+    buf = io.StringIO()
     with pytest.raises(ValueError):
-        t.render("xml")
+        t.write(buf, "xml")
+    assert buf.getvalue() == ""

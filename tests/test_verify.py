@@ -269,17 +269,64 @@ def test_sweeps_count_the_cells_they_check():
     assert run_sweep(SWEEPS["thm-1.7"][0], 2).cells_checked == 3
 
 
+# -- per-cell reference --------------------------------------------------------
+#
+# The row-by-row scan that the column-slice scan of run_sweep replaced: one
+# count() call per compared cell, violations collected in (n, m) order.
+
+
+def _per_cell_sweep(sweep, n_max, k=None):
+    table = build_table(sweep.statistic, n_max, k=k)
+    stride, diagonal = sweep.stride, sweep.exclude_diagonal
+    dn = 0 if stride else 1
+    found, informational, cells = [], [], 0
+    for n in range(dn, n_max + 1):
+        counted = n >= sweep.scan_from
+        skip_m = n - diagonal if counted and diagonal is not None else None
+        row = range(sweep.m_lo, n + 1 - sweep.m_cut)
+        if counted:
+            cells += len(row) - (skip_m is not None and skip_m in row)
+        for m in row:
+            lhs, rhs = table.count(m - stride, n), table.count(m, n - dn)
+            if lhs >= rhs:
+                continue
+            entry = {"m": m, "n": n, "lhs": lhs, "rhs": rhs}
+            if k is not None:
+                entry["k"] = k
+            if m == skip_m:
+                informational.append(dict(entry, note=f"excluded diagonal n=m+{diagonal}"))
+            else:
+                (found if counted else informational).append(entry)
+    expected = {
+        (kk, m, n) for kk, m, n in sweep.expected if kk == k and sweep.scan_from <= n <= n_max
+    }
+    passed = {(e.get("k"), e["m"], e["n"]) for e in found} == expected
+    return passed, found, informational, cells
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 13, 14, 45, 150])
+def test_column_scan_matches_per_cell_reference(n_max):
+    for sweeps in SWEEPS.values():
+        for sweep in sweeps:
+            for k in (2, 3, 7) if sweep.statistic == "kcrank" else (None,):
+                r = run_sweep(sweep, n_max, k)
+                got = (r.passed, r.exceptions, r.informational, r.cells_checked)
+                assert got == _per_cell_sweep(sweep, n_max, k), (sweep.check_id, k)
+
+
 def test_table_consistency_pass_and_fail():
     gf = build_table("crank", 10, "gf")
     oracle = build_table("crank", 10, "oracle")
     assert check_table_consistency(gf, oracle).passed
 
-    broken_half = [list(r) for r in oracle._half]
-    broken_half[5][0] += 1
-    broken = CrankTable("crank", 10, "oracle", broken_half)
+    broken_cols = [list(c) for c in oracle.columns]
+    broken_cols[0][6] += 1
+    broken_cols[3][5] += 1
+    broken = CrankTable("crank", 10, "oracle", broken_cols)
     report = check_table_consistency(gf, broken)
     assert not report.passed
     assert report.exceptions[0]["n"] == 5
+    assert _keys(report.exceptions) == [(3, 5), (0, 6)]  # by row, not by column
 
     with pytest.raises(ValueError):
         check_table_consistency(gf, build_table("ocrank", 10, "gf"))

@@ -9,10 +9,7 @@ or the rank's (Atkin-Swinnerton-Dyer, Proc. LMS 4, 1954) with a = 3::
     sum_n M(m, n) q**n = S_m(q) / (q;q)_inf,
     S_m(q) = sum_{j>=1} (-1)**(j-1) q**((a j**2 - j)/2 + j|m|) (1 - q**j).
 
-``S_m`` has at most about sqrt(2N) terms below ``q**N``, so a column is a
-handful of shifted copies of a base series: O(N sqrt(N)) per column and
-O(N**2 log N) for the whole GF, with no bivariate fold.  Column m of each
-statistic is ``base * S_m(q**d)``:
+Column m of each statistic is ``base * S_m(q**d)``:
 
     statistic  builder            base                    d  a
     crank      crank_gf           1/(q;q)_inf             1  1
@@ -20,6 +17,18 @@ statistic is ``base * S_m(q**d)``:
     m2crank    m2_crank_gf        (-q;q)_inf / (q;q)_inf  2  1
     kcrank     kcrank_gf          1/(q;q)_inf**k          1  1
     rank       rank_gf            1/(q;q)_inf             1  3  plus 1 at z**0 q**0
+
+No column sums its terms one by one.  With
+``R_m(q) = sum_{j>=1} (-1)**(j-1) q**((a j**2 - j)/2 + j m)`` the column factor
+is ``S_m = R_m - R_(m+1)``, and shifting j by one gives
+``R_m = q**(m + c) (1 - R_(m+s))`` with (c, s) = (0, 1) for a = 1 and (1, 3)
+for a = 3.  So the cumulative column ``B_m = base * R_m(q**d)`` is one
+shifted subtraction from ``B_(m+s)``, and column m is ``B_m - B_(m+1)``:
+O(N) per column and O(N**2) for the whole GF, one operation per stored cell.
+Each base is the reciprocal of a sparse series with O(sqrt(N)) terms (see
+:mod:`cranktab.series`): ``1/(q;q)_inf`` and ``1/(q;q)_inf**k`` of Euler's
+pentagonal series, the overpartition base of Gauss's ``phi(-q)``; a base
+costs O(k N sqrt(N)).
 
 Each builder's docstring gives the product form it equals.  The row for
 ``q**1`` comes out as ``z - 1 + 1/z`` from the j = 1, 2 terms: the crank GF
@@ -33,9 +42,15 @@ as immutable.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
+from operator import sub
 
-from cranktab.series import Series, overpartition_series, partition_series
+from cranktab.series import (
+    Series,
+    overpartition_series_theta,
+    partition_series_pentagonal,
+)
 
 
 class BivariateSeries:
@@ -80,40 +95,38 @@ class BivariateSeries:
         return Series(self.order, [sum(cells) for cells in zip(*self._columns)])
 
 
-def _column(base: list, m: int, d: int, a: int) -> list:
-    """Coefficients of ``base * S_m(q**d)``, truncated to the length of ``base``."""
-    size = len(base)
-    out = [0] * size
-    j = 1
-    while True:
-        e = d * ((a * j * j - j) // 2 + j * m)
-        if e >= size:
-            return out
-        sign = 1 if j % 2 else -1
-        for shift, c in ((e, sign), (e + d * j, -sign)):
-            out[shift:] = [x + c * y for x, y in zip(out[shift:], base)]
-        j += 1
-
-
 def _from_columns(order: int, base_of, d: int, a: int = 1) -> BivariateSeries:
-    """The GF whose column m is ``base_of(order) * S_|m|(q**d)``."""
+    """The GF whose column m is ``base_of(order) * S_|m|(q**d)``.
+
+    ``B_m = base * R_m(q**d)`` obeys ``B_m = q**(d*(m + c)) * (base - B_(m+s))``
+    with ``s = a`` and ``c = (a - 1) / 2``, and column m is ``B_m - B_(m+1)``.
+    Filling m from the top down keeps only the s latest B lists.
+    """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
+    size = order + 1
     base = base_of(order).coeffs
-    half = [_column(base, m, d, a) for m in range(order + 1)]
+    zero = [0] * size
+    window = deque([zero] * a, maxlen=a)  # B_(m+1), ..., B_(m+s)
+    half = [None] * size
+    for m in range(order, -1, -1):
+        e = d * (m + (a - 1) // 2)
+        b = [0] * e + list(map(sub, base[: size - e], window[-1])) if e < size else zero
+        half[m] = list(map(sub, b, window[0]))
+        window.appendleft(b)
     return BivariateSeries(order, half[:0:-1] + half)
 
 
 @lru_cache(maxsize=None)
 def crank_gf(order: int) -> BivariateSeries:
     """Crank generating function ``(q;q)_inf / ((zq;q)_inf (q/z;q)_inf)``."""
-    return _from_columns(order, partition_series, 1)
+    return _from_columns(order, partition_series_pentagonal, 1)
 
 
 @lru_cache(maxsize=None)
 def overline_crank_gf(order: int) -> BivariateSeries:
     """First-residual-crank GF: the crank GF times ``(-q;q)_inf``."""
-    return _from_columns(order, overpartition_series, 1)
+    return _from_columns(order, overpartition_series_theta, 1)
 
 
 @lru_cache(maxsize=None)
@@ -125,7 +138,7 @@ def m2_crank_gf(order: int) -> BivariateSeries:
     is ``(q;q)_inf``, its columns are ``S_m(q**2)`` times the overpartition
     series.
     """
-    return _from_columns(order, overpartition_series, 2)
+    return _from_columns(order, overpartition_series_theta, 2)
 
 
 @lru_cache(maxsize=None)
@@ -133,13 +146,13 @@ def kcrank_gf(k: int, order: int) -> BivariateSeries:
     """k-crank GF for k-colored partitions: crank GF times ``(q;q)_inf**(1-k)``."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    return _from_columns(order, lambda n: partition_series(n).pow(k), 1)
+    return _from_columns(order, lambda n: partition_series_pentagonal(n, k), 1)
 
 
 @lru_cache(maxsize=None)
 def rank_gf(order: int) -> BivariateSeries:
     """Dyson-rank GF ``sum_n q**(n*n) / ((zq;q)_n (q/z;q)_n)``."""
-    g = _from_columns(order, partition_series, 1, a=3)
+    g = _from_columns(order, partition_series_pentagonal, 1, a=3)
     g._columns[g.bound][0] += 1  # the empty partition, of rank 0
     return g
 

@@ -9,6 +9,8 @@ Subcommands:
 
 Exit status: 0 when everything passed, 1 when any check failed, 2 on usage
 or configuration errors and on an ``--output`` file that cannot be written.
+Usage is checked first, then the output file is opened, and only then is
+anything built or checked, so a bad ``-o`` path fails at once.
 Outputs are deterministic for identical configurations, except for the
 measured ``runtime_ms`` fields in reports.
 """
@@ -44,8 +46,10 @@ def _output(path: str | None):
         raise _CannotWrite(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _emit_reports(reports, output) -> None:
+def _emit_reports(make_reports, output) -> None:
+    """Open ``output``, then run ``make_reports()`` and write its reports there."""
     with _output(output) as fh:
+        reports = make_reports()
         fh.write(json.dumps(verify.reports_to_json_obj(reports), indent=2) + "\n")
     code = verify.exit_code(reports)
     if code:
@@ -67,6 +71,8 @@ def _parse_k_list(raw: str | None):
 def _check_k(stat: str, k: int | None) -> None:
     if stat == "kcrank" and k is None:
         raise click.UsageError("--stat kcrank requires --k")
+    if stat == "kcrank" and k < 2:
+        raise click.UsageError("--k must be >= 2")
     if stat != "kcrank" and k is not None:
         raise click.UsageError(f"--k applies only to --stat kcrank, not {stat}")
 
@@ -106,12 +112,8 @@ def table(stat, k, n_max, order, provenance, fmt, output):
         if order is not None:
             raise click.UsageError("--order applies only to --provenance gf")
         _check_oracle_ceiling(stat, n_max)
-    try:
-        t = tables.build_table(stat, n_max, provenance, k=k, order=order)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
     with _output(output) as fh:
-        t.write(fh, fmt)
+        tables.build_table(stat, n_max, provenance, k=k, order=order).write(fh, fmt)
 
 
 @main.command("verify")
@@ -126,14 +128,15 @@ def verify_cmd(checks, n_max, order, k_raw, output):
     """Run verification sweeps; exit 0 iff every check passes."""
     ids = [c for chunk in checks for c in chunk.split(",") if c]
     try:
-        reports = verify.run_checks(
-            ids, n_max=n_max, order=order, k_list=_parse_k_list(k_raw)
-        )
+        ids = verify.expand_checks(ids)
     except KeyError as exc:
         raise click.UsageError(
             f"{exc.args[0]}; available: {', '.join(verify.available_checks())}"
         )
-    _emit_reports(reports, output)
+    k_list = _parse_k_list(k_raw)
+    _emit_reports(
+        lambda: verify.run_checks(ids, n_max=n_max, order=order, k_list=k_list), output
+    )
 
 
 @main.command()
@@ -147,8 +150,7 @@ def identity(entry_id, order, output):
         raise click.UsageError(
             f"unknown identity {entry_id!r}; available: {', '.join(sorted(identities.CATALOG))}"
         )
-    report = verify.check_identity(entry_id, order)
-    _emit_reports([report], output)
+    _emit_reports(lambda: [verify.check_identity(entry_id, order)], output)
 
 
 @main.command()
@@ -160,12 +162,13 @@ def crosscheck(stat, k, n_max, output):
     """Compare the GF-built table against the enumeration oracle."""
     _check_k(stat, k)
     _check_oracle_ceiling(stat, n_max)
-    try:
+
+    def reports():
         gf = tables.build_table(stat, n_max, "gf", k=k)
         oracle = tables.build_table(stat, n_max, "oracle", k=k)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    _emit_reports([verify.check_table_consistency(gf, oracle)], output)
+        return [verify.check_table_consistency(gf, oracle)]
+
+    _emit_reports(reports, output)
 
 
 if __name__ == "__main__":

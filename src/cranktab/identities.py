@@ -326,8 +326,13 @@ def _ocrank_monotone_factored_clauses(order):
     def lhs(N, m):
         return _poly(N, {0: 1, 1: -1}) * overline_crank_gf(N).column(m)
 
+    @functools.cache
+    def mult(N):
+        # shared by all 21 clauses
+        return qpoch_inf(3, 2, N, invert=True)
+
     def rhs(N, m):
-        return crank_gf(N).column(m) * qpoch_inf(3, 2, N, invert=True)
+        return crank_gf(N).column(m) * mult(N)
 
     return [
         Clause(

@@ -9,10 +9,22 @@ return fresh objects and never mutate their inputs.
 Combining series of different orders is an error rather than a silent
 truncation; mixed orders in this codebase almost always indicate a bug in a
 caller, and quietly dropping coefficients would hide it.
+
+Two paths build the named series.  The generic one multiplies or divides
+factor by factor (:func:`qpoch_inf`, :func:`partition_series`,
+:func:`overpartition_series`, :meth:`Series.pow`): O(N**2) per product and
+independent of any identity, so the tests and the identity catalog compare
+against it.  The fast one, which the generating-function bases use, is
+:func:`sparse_reciprocal`: division by a series with constant term 1 and
+O(sqrt(N)) terms, O(N**1.5) per division.  ``1/(q;q)_inf**k`` is k divisions
+by Euler's pentagonal series (:func:`partition_series_pentagonal`), and the
+overpartition series is one division by Gauss's theta series
+``phi(-q) = (q;q)_inf / (-q;q)_inf`` (:func:`overpartition_series_theta`).
 """
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Iterable, Mapping
 
 
@@ -296,19 +308,46 @@ def euler_product_pentagonal(order: int) -> Series:
     return Series(order, c)
 
 
-def partition_series_pentagonal(order: int) -> Series:
-    """``1/(q; q)_inf`` via the pentagonal recurrence for p(n).
+def sparse_reciprocal(order: int, terms: Mapping[int, int], power: int = 1) -> Series:
+    """``1 / D(q)**power`` for the sparse series ``D = 1 + sum_e terms[e] q**e``.
 
-    Optional fast path; must agree with :func:`partition_series` exactly.
+    Each division by ``D`` solves ``D * c = previous`` for c from the bottom
+    up, in place: ``c[n] -= sum_e terms[e] * c[n - e]``.  It costs one
+    multiply-add per term of ``D`` per coefficient, O(t*N) for t terms below
+    ``q**N``, so a reciprocal with O(sqrt(N)) terms costs O(power * N**1.5).
     """
-    p = [0] * (order + 1)
-    p[0] = 1
-    pents = list(pentagonal_numbers(order))
-    for n in range(1, order + 1):
-        total = 0
-        for g, sign in pents:
-            if g > n:
-                break
-            total -= sign * p[n - g]
-        p[n] = total
-    return Series(order, p)
+    if power < 0:
+        raise ValueError("negative powers are not supported")
+    if any(e < 1 for e in terms):
+        raise ValueError("terms must have exponents >= 1 (the constant term is 1)")
+    pairs = sorted((e, v) for e, v in terms.items() if v and e <= order)
+    c = [0] * (order + 1)
+    c[0] = 1
+    for _ in range(power):
+        for n in range(1, order + 1):
+            total = c[n]
+            for e, v in pairs:
+                if e > n:
+                    break
+                total -= v * c[n - e]
+            c[n] = total
+    return Series(order, c)
+
+
+def partition_series_pentagonal(order: int, power: int = 1) -> Series:
+    """``1/(q; q)_inf**power`` as the reciprocal of Euler's pentagonal series.
+
+    The fast path for the GF bases; must agree with :func:`partition_series`
+    (raised to ``power`` by :meth:`Series.pow`) exactly.
+    """
+    return sparse_reciprocal(order, dict(pentagonal_numbers(order)), power)
+
+
+def overpartition_series_theta(order: int) -> Series:
+    """``(-q; q)_inf / (q; q)_inf`` as the reciprocal of a theta series.
+
+    Gauss: ``(q; q)_inf / (-q; q)_inf = phi(-q) = 1 + 2 sum_{j>=1} (-1)**j q**(j*j)``.
+    The fast path for the GF bases; must agree with
+    :func:`overpartition_series` exactly.
+    """
+    return sparse_reciprocal(order, {j * j: 2 * (-1) ** j for j in range(1, isqrt(order) + 1)})

@@ -233,11 +233,11 @@ def available_checks():
     return sorted(SWEEPS) + sorted(identities.CATALOG)
 
 
-def run_checks(check_ids, n_max=None, order=None, k_list=None):
-    """Run the selected checks; returns reports sorted by check id.
+def expand_checks(check_ids) -> list:
+    """The checks that ``check_ids`` select, each once, in first-seen order.
 
     ``check_ids`` may contain theorem-sweep ids, identity-catalog ids, or
-    ``"all"``.  A ``None`` setting selects the check's default.
+    ``"all"``; an unknown id raises ``KeyError``.
     """
     ids = []
     for cid in check_ids:
@@ -248,9 +248,17 @@ def run_checks(check_ids, n_max=None, order=None, k_list=None):
         else:
             raise KeyError(f"unknown check id {cid!r}")
         ids.extend(c for c in expansion if c not in ids)
+    return ids
 
+
+def run_checks(check_ids, n_max=None, order=None, k_list=None):
+    """Run the checks that ``check_ids`` select; returns reports sorted by check id.
+
+    See :func:`expand_checks` for the ids.  A ``None`` setting selects the
+    check's default.
+    """
     reports = []
-    for cid in ids:
+    for cid in expand_checks(check_ids):
         if cid in identities.CATALOG:
             reports.append(check_identity(cid, DEFAULT_IDENTITY_ORDER if order is None else order))
             continue

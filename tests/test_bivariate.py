@@ -156,6 +156,8 @@ def _reference(stat, order, k=None):
 def _builder(stat, order, k=None):
     if stat == "crank":
         return crank_gf(order)
+    if stat == "rank":
+        return rank_gf(order)
     if stat == "ocrank":
         return overline_crank_gf(order)
     if stat == "m2crank":
@@ -175,6 +177,55 @@ def test_column_form_matches_product_form(stat, k):
         assert (g.order, g.bound) == (ref.order, ref.bound) == (order, order)
         for m in range(-order, order + 1):
             assert g.column(m) == ref.column(m), (stat, k, order, m)
+
+
+# -- Lambert-sum reference ------------------------------------------------------
+#
+# The builders fill the columns from the cumulative-column recurrence.  The
+# reference below adds the shifted copies of the base series that S_m(q**d)
+# stands for, one pair per term j, over bases built by the generic products.
+
+
+def _column(base, m, d, a):
+    """Coefficients of ``base * S_m(q**d)``, truncated to the length of ``base``."""
+    size = len(base)
+    out = [0] * size
+    j = 1
+    while True:
+        e = d * ((a * j * j - j) // 2 + j * m)
+        if e >= size:
+            return out
+        sign = 1 if j % 2 else -1
+        for shift, c in ((e, sign), (e + d * j, -sign)):
+            out[shift:] = [x + c * y for x, y in zip(out[shift:], base)]
+        j += 1
+
+
+def _lambert_columns(stat, order, k=None):
+    """Columns m = 0..order of one statistic's GF, each summed term by term."""
+    base = {
+        "crank": partition_series,
+        "rank": partition_series,
+        "ocrank": overpartition_series,
+        "m2crank": overpartition_series,
+        "kcrank": lambda n: partition_series(n).pow(k),
+    }[stat](order).coeffs
+    d = 2 if stat == "m2crank" else 1
+    a = 3 if stat == "rank" else 1
+    half = [_column(base, m, d, a) for m in range(order + 1)]
+    if stat == "rank":
+        half[0][0] += 1  # the empty partition
+    return half
+
+
+@pytest.mark.parametrize("stat,k", PARITY_CASES + [("rank", None)])
+def test_cumulative_columns_match_lambert_sum(stat, k):
+    for order in [*range(41), 300]:
+        g, ref = _builder(stat, order, k), _lambert_columns(stat, order, k)
+        assert (g.order, g.bound) == (order, order)
+        assert g.nonneg_columns() == ref, (stat, k, order)
+        for m in range(1, order + 1):
+            assert g.column(-m) == g.column(m)
 
 
 def test_product_form_reference_is_sound():

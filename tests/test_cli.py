@@ -106,6 +106,37 @@ def test_table_usage_errors(runner, tmp_path):
     _assert_cannot_write(runner, ["table", "--stat", "crank", "--n-max", "1"], tmp_path)
 
 
+def test_unwritable_output_fails_before_any_work(runner, tmp_path, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output was opened")
+
+    monkeypatch.setattr(tables, "build_table", no_work)
+    for name in ("run_checks", "check_identity"):
+        monkeypatch.setattr(verify, name, no_work)
+    for argv in (
+        ["table", "--stat", "crank", "--n-max", "1500"],
+        ["table", "--stat", "rank", "--provenance", "oracle", "--n-max", "5"],
+        ["verify", "--check", "all"],
+        ["identity", "--id", "euler"],
+        ["crosscheck", "--stat", "crank", "--n-max", "5"],
+    ):
+        _assert_cannot_write(runner, argv, tmp_path)
+
+
+def test_usage_errors_leave_output_untouched(runner, tmp_path):
+    out = tmp_path / "out.txt"
+    for argv in (
+        ["table", "--stat", "kcrank", "--k", "1"],
+        ["table", "--stat", "crank", "--n-max", "9", "--order", "4"],
+        ["verify", "--check", "euler,thm-9.9"],
+        ["verify", "--check", "conj-1.8", "--k", "1"],
+        ["crosscheck", "--stat", "ocrank", "--n-max", "99"],
+    ):
+        result = runner.invoke(main, [*argv, "-o", str(out)])
+        assert result.exit_code == 2, argv
+        assert not out.exists(), argv
+
+
 def test_table_oracle_respects_enumeration_ceilings(runner):
     for args in (
         ["--stat", "ocrank", "--provenance", "oracle", "--n-max", "60"],

@@ -12,10 +12,12 @@ from cranktab.series import (
     euler_product,
     euler_product_pentagonal,
     overpartition_series,
+    overpartition_series_theta,
     partition_series,
     partition_series_pentagonal,
     qpoch_fin,
     qpoch_inf,
+    sparse_reciprocal,
 )
 
 
@@ -102,9 +104,27 @@ def test_partition_series_matches_enumeration():
 
 
 def test_pentagonal_fast_paths_agree_with_generic_products():
-    for order in (0, 1, 17, 200):
+    # the GF bases against the factor-by-factor products and Series.pow
+    for order in [*range(61), 200, 500]:
         assert euler_product_pentagonal(order) == euler_product(order)
-        assert partition_series_pentagonal(order) == partition_series(order)
+        p = partition_series(order)
+        assert partition_series_pentagonal(order) == p, order
+        assert overpartition_series_theta(order) == overpartition_series(order), order
+        for k in range(2, 7):
+            assert partition_series_pentagonal(order, k) == p.pow(k), (order, k)
+
+
+def test_sparse_reciprocal():
+    assert sparse_reciprocal(5, {1: -1}).coeffs == [1] * 6
+    assert sparse_reciprocal(5, {1: -1}, 2).coeffs == [1, 2, 3, 4, 5, 6]
+    assert sparse_reciprocal(4, {2: 3}, 0) == Series.constant(4)
+    assert sparse_reciprocal(0, {1: 5}, 3) == Series.constant(0)
+    d = Series.from_terms(30, {0: 1, 3: 2, 7: -5, 40: 1})
+    assert sparse_reciprocal(30, {3: 2, 7: -5, 40: 1}, 2) * d * d == Series.constant(30)
+    with pytest.raises(ValueError):
+        sparse_reciprocal(5, {0: 1})
+    with pytest.raises(ValueError):
+        sparse_reciprocal(5, {1: -1}, -1)
 
 
 def test_euler_identity():

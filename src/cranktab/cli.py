@@ -127,12 +127,13 @@ def table(stat, k, n_max, order, provenance, fmt, output):
 def verify_cmd(checks, n_max, order, k_raw, output):
     """Run verification sweeps; exit 0 iff every check passes."""
     ids = [c for chunk in checks for c in chunk.split(",") if c]
+    available = f"available: {', '.join(verify.available_checks())}"
+    if not ids:
+        raise click.UsageError(f"no check id given; {available}")
     try:
         ids = verify.expand_checks(ids)
     except KeyError as exc:
-        raise click.UsageError(
-            f"{exc.args[0]}; available: {', '.join(verify.available_checks())}"
-        )
+        raise click.UsageError(f"{exc.args[0]}; {available}")
     k_list = _parse_k_list(k_raw)
     _emit_reports(
         lambda: verify.run_checks(ids, n_max=n_max, order=order, k_list=k_list), output

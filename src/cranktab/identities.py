@@ -192,7 +192,9 @@ def _euler_clauses(order):
 
 
 def _lemma_32_clauses(order):
+    @functools.cache
     def lhs(N):
+        # shared by the closed-form and sign-pattern clauses
         return _poly(N, {0: 1, 1: -1}).pow(2) * distinct_series(N)
 
     return [
@@ -202,7 +204,9 @@ def _lemma_32_clauses(order):
 
 
 def _lemma_33_clauses(order):
+    @functools.cache
     def lhs(N):
+        # shared by the closed-form and sign-pattern clauses
         return (
             _poly(N, {0: 1, 1: -1})
             * _poly(N, {0: 1, 5: -1})
@@ -291,7 +295,9 @@ def _ocrank_nonneg_clauses(order):
 
 
 def _sc_identity_clauses(order):
+    @functools.cache
     def lhs(N):
+        # shared by the closed-form and sign-pattern clauses
         return _poly(N, {0: 1, 4: -1}) * qpoch_inf(1, 2, N, sign=-1)
 
     return [

@@ -215,6 +215,17 @@ def test_verify_unknown_check_is_usage_error(runner, tmp_path):
     _assert_cannot_write(runner, ["verify", "--check", "euler", "--order", "5"], tmp_path)
 
 
+def test_verify_empty_check_list_is_usage_error(runner):
+    # an empty list would otherwise pass with nothing checked
+    for raw in ("", ",", ",,"):
+        result = runner.invoke(main, ["verify", "--check", raw])
+        assert result.exit_code == 2, raw
+        (error,) = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert error.startswith("Error: no check id given; available: ")
+    result = runner.invoke(main, ["verify", "--check", "", "--check", "euler", "--order", "5"])
+    assert result.exit_code == 0
+
+
 def test_verify_bad_k_list(runner):
     result = runner.invoke(main, ["verify", "--check", "conj-1.8", "--k", "2,x"])
     assert result.exit_code == 2

@@ -37,6 +37,26 @@ def test_lemma_33_leading_coefficient():
     assert all(c >= 0 for c in lhs.coeffs[1:])
 
 
+@pytest.mark.parametrize(
+    "entry_id, factor",
+    [("lemma-3.2", "distinct_series"), ("lemma-3.3", "distinct_series"),
+     ("sc-identity", "qpoch_inf")],
+)
+def test_closed_form_left_side_is_built_once(entry_id, factor, monkeypatch):
+    # the closed-form and sign-pattern clauses share one left side per run
+    calls = []
+    real = getattr(identities, factor)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(identities, factor, counted)
+    exceptions, _ = run_entry(CATALOG[entry_id], 60)
+    assert exceptions == []
+    assert len(calls) == 1
+
+
 def test_andrews_merca_value_at_5():
     p = partition_series(10).coeffs
     assert p[5] - p[4] - p[3] + p[0] == 0  # 7 - 5 - 3 + 1

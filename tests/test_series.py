@@ -1,11 +1,14 @@
 """Tests for exact truncated series arithmetic and the q-Pochhammer builders."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cranktab.brute import partitions
 from cranktab.series import (
+    _SPARSE_CUTOFF,
     OrderMismatch,
     Series,
     distinct_series,
@@ -195,3 +198,85 @@ def test_mul_associative(order, data):
     b = Series(order, data.draw(coeff_list))
     c = Series(order, data.draw(coeff_list))
     assert (a * b) * c == a * (b * c)
+
+
+def _schoolbook(a, b):
+    """Reference product: the shift-and-add Cauchy product over every term of a."""
+    n = len(a)
+    out = [0] * n
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        seg = b[: n - i]
+        if ai == 1:
+            out[i:] = [x + y for x, y in zip(out[i:], seg)]
+        else:
+            out[i:] = [x + ai * y for x, y in zip(out[i:], seg)]
+    return out
+
+
+def _assert_mul_matches(a, b):
+    order = len(a) - 1
+    expected = _schoolbook(a, b)
+    assert (Series(order, a) * Series(order, b)).coeffs == expected
+    assert (Series(order, b) * Series(order, a)).coeffs == expected
+
+
+def _mixed(rng, n, low, high):
+    # signed coefficients with magnitudes spread over [10**low, 10**high]
+    return [rng.choice((-1, 1)) * 10 ** rng.randint(low, high) + rng.randint(-3, 3)
+            for _ in range(n)]
+
+
+def test_mul_matches_schoolbook_reference():
+    rng = random.Random(8)
+    # order 0 and the zero series
+    _assert_mul_matches([-7], [5])
+    for n in (1, 2, 40, 201):
+        _assert_mul_matches([0] * n, _mixed(rng, n, 0, 30))
+        _assert_mul_matches([0] * n, [0] * n)
+    # all-negative operands
+    for n in (30, 61, 201):
+        _assert_mul_matches([-rng.randint(1, 10**20) for _ in range(n)],
+                            [-rng.randint(1, 10**5) for _ in range(n)])
+    # coefficients at and just past the edge of a bit length, with one sign
+    # and with alternating signs; n = 2**L - 1 makes the last Cauchy sum as
+    # large as the slot bound allows
+    for n in (31, 63):
+        for ka in range(1, 17):
+            for kb in range(ka, ka + 8):  # ka + kb + L takes every residue mod 8
+                for va, vb in ((2**ka - 1, 2**kb - 1), (2**ka, 2**kb)):
+                    _assert_mul_matches([va] * n, [vb] * n)
+                    _assert_mul_matches([va] * n, [-vb] * n)
+                    _assert_mul_matches([(-1) ** i * va for i in range(n)], [vb] * n)
+    # mixed magnitudes from 1 to 10**120
+    for n in (30, 101, 201):
+        _assert_mul_matches(_mixed(rng, n, 0, 120), _mixed(rng, n, 0, 120))
+    # the sparser operand with exactly the cutoff number of nonzeros, and one more
+    n = 90
+    dense = _mixed(rng, n, 0, 40)
+    for nonzeros in (_SPARSE_CUTOFF, _SPARSE_CUTOFF + 1):
+        sparse = [0] * n
+        for e in rng.sample(range(n), nonzeros):
+            sparse[e] = rng.choice((-1, 1)) * rng.randint(1, 10**12)
+        _assert_mul_matches(sparse, dense)
+        _assert_mul_matches(sparse, sparse)
+    # every order 1..60, then 200 and 1000
+    for order in [*range(1, 61), 200, 1000]:
+        n = order + 1
+        _assert_mul_matches(_mixed(rng, n, 0, 25), _mixed(rng, n, 0, 3))
+    top = partition_series(1000).coeffs
+    _assert_mul_matches(top, [-x for x in top])
+
+
+signed_coeffs = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-(2**130), max_value=2**130),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=80), st.data())
+def test_mul_matches_schoolbook_on_random_signed_lists(order, data):
+    coeff_list = st.lists(signed_coeffs, min_size=order + 1, max_size=order + 1)
+    _assert_mul_matches(data.draw(coeff_list), data.draw(coeff_list))

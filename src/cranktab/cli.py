@@ -57,7 +57,7 @@ def _emit_reports(make_reports, output) -> None:
 
 
 def _parse_k_list(raw: str | None):
-    if not raw:
+    if raw is None:
         return None
     try:
         ks = tuple(int(part) for part in raw.split(","))

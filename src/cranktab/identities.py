@@ -1,15 +1,31 @@
 """Catalog of q-series identities and sign claims, machine-checked exactly.
 
-Each catalog entry carries one or more clauses.  A clause builds its left
-side (and, for equalities, its right side) as exact truncated series at the
-requested order and is judged in one of three modes:
+``CATALOG`` is one table with one row per entry: an id, a one-line summary,
+and ``clauses(N)``, which returns the entry's clauses at truncation order N.
+A clause carries zero-argument builders bound to N; ``run_clause`` calls
+them, so nothing is built until the clause runs.  A clause is of one of two
+kinds:
 
-* ``("exact",)``              -- coefficientwise equality;
-* ``("nonneg_from", n0)``     -- coefficients of the left side are >= 0 for
-                                 all n >= n0;
-* ``("nonneg_except", S)``    -- scanning all n, the set of indices with a
-                                 negative coefficient must equal S exactly
-                                 (restricted to the truncation order).
+* **exact** -- it has a right side ``rhs``, and both sides must agree
+  coefficient for coefficient;
+* **sign**  -- it has no ``rhs``, and the indices n >= ``nonneg_from`` at
+  which the left side is negative must be exactly ``negative_at``
+  (restricted to the truncation order).
+
+Most rows are built from three shapes:
+
+* ``_closed_form(lhs, rhs, **signs)`` -- the left side equals a closed form
+  and has a sign pattern; it is built once per run and shared;
+* ``_head(N, label, series, head, tail)`` -- a series starts with a frozen
+  head and, given a tail label, is nonnegative after it;
+* ``_factored(rows, mult)`` -- each left side equals its factor times one
+  multiplier, which is built once per run.
+
+The other rows list their ``Clause(...)`` literals directly.  To add an
+entry, append one ``IdentityEntry`` row to ``CATALOG``, pick a shape or
+write the clauses, and bind every loop variable in its builders
+(``lambda m=m: ...``): a late-bound variable makes every clause read its
+last value.
 
 Closed forms with sums over an unbounded index j instantiate j until the
 smallest q-exponent of the summand exceeds the truncation order, so both
@@ -29,10 +45,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 from cranktab import tables
-from cranktab.bivariate import crank_gf, kcrank_gf, m2_crank_gf, overline_crank_gf
+from cranktab.bivariate import crank_gf, overline_crank_gf
 from cranktab.series import (
     Series,
     _div_factor,
@@ -73,10 +89,17 @@ H2_TERMS = {7: 1, 15: 1, 17: 2, 19: 3, 21: 4, 23: 5, 25: 7}
 
 @dataclass(frozen=True)
 class Clause:
+    """One check; ``lhs`` and ``rhs`` build its sides at the run's order.
+
+    With an ``rhs`` the clause is exact; without one it is a sign clause
+    (see the module docstring).
+    """
+
     label: str
-    build_lhs: Callable[[int], Series]
-    build_rhs: Optional[Callable[[int], Series]]
-    mode: Tuple
+    lhs: Callable[[], Series]
+    rhs: Optional[Callable[[], Series]] = None
+    nonneg_from: int = 0
+    negative_at: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -90,14 +113,9 @@ def _poly(order: int, terms: dict) -> Series:
     return Series.from_terms(order, terms)
 
 
-def _crank_diff(order: int, m: int) -> Series:
-    t = tables.build_table("crank", order, "gf")
-    return tables.diff_column(t, m)
-
-
-def _ocrank_diff(order: int, m: int) -> Series:
-    t = tables.build_table("ocrank", order, "gf")
-    return tables.diff_column(t, m)
+def _diff(statistic: str, order: int, m: int, k: Optional[int] = None) -> Series:
+    """The difference column ``n -> T[m-1][n] - T[m][n]`` of one statistic."""
+    return tables.diff_column(tables.build_table(statistic, order, "gf", k=k), m)
 
 
 # -- right-hand sides of the structural closed forms -------------------------
@@ -177,261 +195,45 @@ def _distinct_odd_rhs(order: int) -> Series:
     return Series(order, acc)
 
 
-# -- entry clause builders ----------------------------------------------------
+# -- clause shapes ------------------------------------------------------------
 
 
-def _euler_clauses(order):
-    return [
-        Clause(
-            "euler",
-            lambda N: distinct_series(N),
-            lambda N: qpoch_inf(1, 2, N, invert=True),
-            ("exact",),
-        )
-    ]
+def _closed_form(lhs, rhs, **signs) -> list:
+    """``lhs`` equals the closed form ``rhs`` and has the sign pattern ``signs``.
+
+    The left side is built once per run and shared by both clauses.
+    """
+    lhs = functools.cache(lhs)
+    return [Clause("closed-form", lhs, rhs), Clause("sign-pattern", lhs, **signs)]
 
 
-def _lemma_32_clauses(order):
-    @functools.cache
-    def lhs(N):
-        # shared by the closed-form and sign-pattern clauses
-        return _poly(N, {0: 1, 1: -1}).pow(2) * distinct_series(N)
+def _head(N: int, label: str, series, head: list, tail: Optional[str] = None) -> list:
+    """``series`` equals ``head`` on q^0..q^h, h = min(N, len(head) - 1).
 
-    return [
-        Clause("closed-form", lhs, _one_minus_q_squared_distinct_rhs, ("exact",)),
-        Clause("sign-pattern", lhs, None, ("nonneg_except", frozenset({1, 4}))),
-    ]
-
-
-def _lemma_33_clauses(order):
-    @functools.cache
-    def lhs(N):
-        # shared by the closed-form and sign-pattern clauses
-        return (
-            _poly(N, {0: 1, 1: -1})
-            * _poly(N, {0: 1, 5: -1})
-            * _poly(N, {0: -1, 2: 1, 3: 1, 4: 1, 5: -1})
-            * distinct_series(N)
-        )
-
-    return [
-        Clause("closed-form", lhs, _quintic_distinct_rhs, ("exact",)),
-        Clause("sign-pattern", lhs, None, ("nonneg_from", 1)),
-    ]
-
-
-def _crank_head_clauses(order):
-    h1 = min(order, len(CRANK_DIFF_M1_HEAD) - 1)
-    h2 = min(order, len(CRANK_DIFF_M2_HEAD) - 1)
-    return [
-        Clause(
-            "m=1",
-            lambda N, h=h1: _crank_diff(N, 1).truncated(h),
-            lambda N, h=h1: Series(h, CRANK_DIFF_M1_HEAD[: h + 1]),
-            ("exact",),
-        ),
-        Clause(
-            "m=2",
-            lambda N, h=h2: _crank_diff(N, 2).truncated(h),
-            lambda N, h=h2: Series(h, CRANK_DIFF_M2_HEAD[: h + 1]),
-            ("exact",),
-        ),
-    ]
-
-
-def _crank_decomp_clauses(order):
-    def resid_m1(N):
-        head = (
-            _poly(N, {0: 1, 1: -1}).pow(2)
-            + _poly(N, {0: 1, 1: -1})
-            * _poly(N, {0: 1, 5: -1})
-            * _poly(N, {0: -1, 2: 1, 3: 1, 4: 1, 5: -1}).times_monomial(1, 2)
-            + _poly(N, {0: 1, 1: -1}) * _poly(N, F1_TERMS)
-            + _poly(N, H1_TERMS)
-        )
-        return _crank_diff(N, 1) - head
-
-    def resid_m2(N):
-        head = (
-            _poly(N, {1: 1, 2: -1}) * _poly(N, {0: 1, 3: -1})
-            + _poly(N, {0: 1, 1: -1}) * _poly(N, F2_TERMS)
-            + _poly(N, H2_TERMS)
-        )
-        return _crank_diff(N, 2) - head
-
-    return [
-        Clause("m=1", resid_m1, None, ("nonneg_from", 44)),
-        Clause("m=2", resid_m2, None, ("nonneg_from", 27)),
-    ]
-
-
-def _crank_tail_clauses(order):
-    clauses = []
-    for m in range(8, min(60, order - 1) + 1):
-        clauses.append(
-            Clause(
-                f"m={m} head",
-                lambda N, m=m: _crank_diff(N, m).truncated(m),
-                lambda N, m=m: _poly(m, {m - 1: 1, m: -1}),
-                ("exact",),
-            )
-        )
-        clauses.append(
-            Clause(
-                f"m={m} tail",
-                lambda N, m=m: _crank_diff(N, m),
-                None,
-                ("nonneg_from", m + 1),
-            )
-        )
+    With a ``tail`` label it must also be nonnegative from h + 1 on.  The tail
+    reads the series itself: subtracting a head of degree <= h changes no
+    coefficient above h.
+    """
+    h = min(N, len(head) - 1)
+    clauses = [Clause(label, lambda: series().truncated(h), lambda: Series(h, head[: h + 1]))]
+    if tail is not None:
+        clauses.append(Clause(tail, series, nonneg_from=h + 1))
     return clauses
 
 
-def _ocrank_nonneg_clauses(order):
+def _factored(rows, mult) -> list:
+    """Exact clauses ``lhs = factor * mult``, one per ``(label, lhs, factor)`` row.
+
+    ``mult`` is built once per run and shared by all the clauses.
+    """
+    mult = functools.cache(mult)
     return [
-        Clause(f"m={m}", lambda N, m=m: _ocrank_diff(N, m), None, ("nonneg_from", 0))
-        for m in range(2, 21)
+        Clause(label, lhs, lambda factor=factor: factor() * mult())
+        for label, lhs, factor in rows
     ]
 
 
-def _sc_identity_clauses(order):
-    @functools.cache
-    def lhs(N):
-        # shared by the closed-form and sign-pattern clauses
-        return _poly(N, {0: 1, 4: -1}) * qpoch_inf(1, 2, N, sign=-1)
-
-    return [
-        Clause("closed-form", lhs, _distinct_odd_rhs, ("exact",)),
-        Clause("sign-pattern", lhs, None, ("nonneg_from", 0)),
-    ]
-
-
-def _m2_head_clauses(order):
-    head = {0: 1, 2: -1, 4: -1, 6: 1}
-    h = min(order, 7)
-    return [
-        Clause(
-            "prefix",
-            lambda N, h=h: _ocrank_diff(N, 1).stretched(2).truncated(h),
-            lambda N, h=h: _poly(h, head),
-            ("exact",),
-        ),
-        Clause(
-            "tail",
-            lambda N: _ocrank_diff(N, 1).stretched(2) - _poly(N, head),
-            None,
-            ("nonneg_from", 8),
-        ),
-    ]
-
-
-def _ocrank_monotone_factored_clauses(order):
-    # Successive-n difference series of the first residual crank at fixed m,
-    # written with the n = 0 term equal to the count at n = 0 (that is,
-    # (1-q) * sum_n count(m,n) q^n), which is what the factorization equals.
-    def lhs(N, m):
-        return _poly(N, {0: 1, 1: -1}) * overline_crank_gf(N).column(m)
-
-    @functools.cache
-    def mult(N):
-        # shared by all 21 clauses
-        return qpoch_inf(3, 2, N, invert=True)
-
-    def rhs(N, m):
-        return crank_gf(N).column(m) * mult(N)
-
-    return [
-        Clause(
-            f"m={m}",
-            lambda N, m=m: lhs(N, m),
-            lambda N, m=m: rhs(N, m),
-            ("exact",),
-        )
-        for m in range(0, 21)
-    ]
-
-
-def _andrews_merca_clauses(order):
-    def negated_diff(N):
-        # -(p(n) - p(n-1) - p(n-2) + p(n-5)) must be >= 0 for n >= 1
-        return -(_poly(N, {0: 1, 1: -1, 2: -1, 5: 1}) * partition_series(N))
-
-    def odd_stream(N):
-        return _poly(N, {1: -1, 3: 1, 5: 1}) * qpoch_inf(2, 2, N, invert=True)
-
-    return [
-        Clause("partition-inequality", negated_diff, None, ("nonneg_from", 1)),
-        Clause("odd-stream", odd_stream, None, ("nonneg_except", frozenset({1}))),
-    ]
-
-
-def _kcrank_reduction_clauses(order):
-    def lhs(N, k, m):
-        g = kcrank_gf(k, N)
-        return g.column(m - 1) - g.column(m)
-
-    @functools.cache
-    def mult(N, k):
-        # shared by the ten clauses of one k
-        return qpoch_inf(2, 2, N, invert=True) * partition_series(N).pow(k - 2)
-
-    def rhs(N, k, m):
-        return _ocrank_diff(N, m) * mult(N, k)
-
-    return [
-        Clause(
-            f"k={k},m={m}",
-            lambda N, k=k, m=m: lhs(N, k, m),
-            lambda N, k=k, m=m: rhs(N, k, m),
-            ("exact",),
-        )
-        for k in (2, 3, 4)
-        for m in range(1, 11)
-    ]
-
-
-def _ocrank_head_clauses(order):
-    head = {0: 1, 1: -1, 2: -1, 3: 1, 5: 1}
-    h = min(order, 5)
-    return [
-        Clause(
-            "prefix",
-            lambda N, h=h: _ocrank_diff(N, 1).truncated(h),
-            lambda N, h=h: _poly(h, head),
-            ("exact",),
-        ),
-        Clause(
-            "tail",
-            lambda N: _ocrank_diff(N, 1) - _poly(N, head),
-            None,
-            ("nonneg_from", 6),
-        ),
-    ]
-
-
-def _m2_from_ocrank_clauses(order):
-    def lhs(N, m):
-        g = m2_crank_gf(N)
-        return g.column(m - 1) - g.column(m)
-
-    @functools.cache
-    def mult(N):
-        # shared by all ten clauses
-        return qpoch_inf(1, 2, N, sign=-1) * qpoch_inf(1, 2, N, invert=True)
-
-    def rhs(N, m):
-        return _ocrank_diff(N, m).stretched(2) * mult(N)
-
-    return [
-        Clause(
-            f"m={m}",
-            lambda N, m=m: lhs(N, m),
-            lambda N, m=m: rhs(N, m),
-            ("exact",),
-        )
-        for m in range(1, 11)
-    ]
-
+# -- the catalog --------------------------------------------------------------
 
 CATALOG = {
     e.entry_id: e
@@ -439,72 +241,187 @@ CATALOG = {
         IdentityEntry(
             "euler",
             "Euler identity: (-q;q)_inf = 1/(q;q^2)_inf",
-            _euler_clauses,
+            lambda N: [
+                Clause(
+                    "euler",
+                    lambda: distinct_series(N),
+                    lambda: qpoch_inf(1, 2, N, invert=True),
+                )
+            ],
         ),
         IdentityEntry(
             "lemma-3.2",
             "(1-q)^2 (-q;q)_inf closed form; negative only at n = 1 and 4",
-            _lemma_32_clauses,
+            lambda N: _closed_form(
+                lambda: _poly(N, {0: 1, 1: -1}).pow(2) * distinct_series(N),
+                lambda: _one_minus_q_squared_distinct_rhs(N),
+                negative_at=frozenset({1, 4}),
+            ),
         ),
         IdentityEntry(
             "lemma-3.3",
             "(1-q)(1-q^5)(-1+q^2+q^3+q^4-q^5)(-q;q)_inf closed form; nonnegative from n = 1",
-            _lemma_33_clauses,
+            lambda N: _closed_form(
+                lambda: _poly(N, {0: 1, 1: -1})
+                * _poly(N, {0: 1, 5: -1})
+                * _poly(N, {0: -1, 2: 1, 3: 1, 4: 1, 5: -1})
+                * distinct_series(N),
+                lambda: _quintic_distinct_rhs(N),
+                nonneg_from=1,
+            ),
         ),
         IdentityEntry(
             "crank-diff-heads",
             "crank difference columns m = 1, 2 match their displayed heads",
-            _crank_head_clauses,
+            lambda N: _head(N, "m=1", lambda: _diff("crank", N, 1), CRANK_DIFF_M1_HEAD)
+            + _head(N, "m=2", lambda: _diff("crank", N, 2), CRANK_DIFF_M2_HEAD),
         ),
         IdentityEntry(
             "crank-diff-decomp",
             "crank difference columns minus explicit heads are nonnegative tails",
-            _crank_decomp_clauses,
+            lambda N: [
+                Clause(
+                    "m=1",
+                    lambda: _diff("crank", N, 1)
+                    - (
+                        _poly(N, {0: 1, 1: -1}).pow(2)
+                        + _poly(N, {0: 1, 1: -1})
+                        * _poly(N, {0: 1, 5: -1})
+                        * _poly(N, {0: -1, 2: 1, 3: 1, 4: 1, 5: -1}).times_monomial(1, 2)
+                        + _poly(N, {0: 1, 1: -1}) * _poly(N, F1_TERMS)
+                        + _poly(N, H1_TERMS)
+                    ),
+                    nonneg_from=44,
+                ),
+                Clause(
+                    "m=2",
+                    lambda: _diff("crank", N, 2)
+                    - (
+                        _poly(N, {1: 1, 2: -1}) * _poly(N, {0: 1, 3: -1})
+                        + _poly(N, {0: 1, 1: -1}) * _poly(N, F2_TERMS)
+                        + _poly(N, H2_TERMS)
+                    ),
+                    nonneg_from=27,
+                ),
+            ],
         ),
         IdentityEntry(
             "crank-diff-tails",
             "crank difference columns for m = 8..60: q^(m-1) - q^m then nonnegative",
-            _crank_tail_clauses,
+            lambda N: [
+                clause
+                for m in range(8, min(60, N - 1) + 1)
+                for clause in _head(
+                    N,
+                    f"m={m} head",
+                    lambda m=m: _diff("crank", N, m),
+                    [0] * (m - 1) + [1, -1],
+                    f"m={m} tail",
+                )
+            ],
         ),
         IdentityEntry(
             "ocrank-diff-nonneg",
             "first-residual-crank difference columns are nonnegative for m >= 2",
-            _ocrank_nonneg_clauses,
+            lambda N: [
+                Clause(f"m={m}", lambda m=m: _diff("ocrank", N, m)) for m in range(2, 21)
+            ],
         ),
         IdentityEntry(
             "sc-identity",
             "(1-q^4)(-q;q^2)_inf closed form; nonnegative coefficients",
-            _sc_identity_clauses,
+            lambda N: _closed_form(
+                lambda: _poly(N, {0: 1, 4: -1}) * qpoch_inf(1, 2, N, sign=-1),
+                lambda: _distinct_odd_rhs(N),
+            ),
         ),
         IdentityEntry(
             "m2-head",
             "q -> q^2 image of the m = 1 overline difference: 1-q^2-q^4+q^6 then nonnegative",
-            _m2_head_clauses,
+            lambda N: _head(
+                N,
+                "prefix",
+                lambda: _diff("ocrank", N, 1).stretched(2),
+                [1, 0, -1, 0, -1, 0, 1, 0],
+                "tail",
+            ),
         ),
         IdentityEntry(
             "ocrank-monotone-factored",
             "overline monotonicity series equals crank column over (q^3;q^2)_inf",
-            _ocrank_monotone_factored_clauses,
+            # Successive-n difference series of the first residual crank at
+            # fixed m, written with the n = 0 term equal to the count at n = 0
+            # (that is, (1-q) * sum_n count(m,n) q^n), which is what the
+            # factorization equals.
+            lambda N: _factored(
+                [
+                    (
+                        f"m={m}",
+                        lambda m=m: _poly(N, {0: 1, 1: -1}) * overline_crank_gf(N).column(m),
+                        lambda m=m: crank_gf(N).column(m),
+                    )
+                    for m in range(0, 21)
+                ],
+                lambda: qpoch_inf(3, 2, N, invert=True),
+            ),
         ),
         IdentityEntry(
             "andrews-merca",
             "Andrews-Merca inequality p(n) <= p(n-1)+p(n-2)-p(n-5); derived odd stream",
-            _andrews_merca_clauses,
+            lambda N: [
+                # -(p(n) - p(n-1) - p(n-2) + p(n-5)) must be >= 0 for n >= 1
+                Clause(
+                    "partition-inequality",
+                    lambda: -(_poly(N, {0: 1, 1: -1, 2: -1, 5: 1}) * partition_series(N)),
+                    nonneg_from=1,
+                ),
+                Clause(
+                    "odd-stream",
+                    lambda: _poly(N, {1: -1, 3: 1, 5: 1}) * qpoch_inf(2, 2, N, invert=True),
+                    negative_at=frozenset({1}),
+                ),
+            ],
         ),
         IdentityEntry(
             "kcrank-reduction",
             "k-crank difference columns factor through the overline differences",
-            _kcrank_reduction_clauses,
+            lambda N: [
+                clause
+                for k in (2, 3, 4)
+                for clause in _factored(
+                    [
+                        (
+                            f"k={k},m={m}",
+                            lambda k=k, m=m: _diff("kcrank", N, m, k),
+                            lambda m=m: _diff("ocrank", N, m),
+                        )
+                        for m in range(1, 11)
+                    ],
+                    lambda k=k: qpoch_inf(2, 2, N, invert=True) * partition_series(N).pow(k - 2),
+                )
+            ],
         ),
         IdentityEntry(
             "ocrank-head",
             "m = 1 overline difference column: 1-q-q^2+q^3+q^5 then nonnegative",
-            _ocrank_head_clauses,
+            lambda N: _head(
+                N, "prefix", lambda: _diff("ocrank", N, 1), [1, -1, -1, 1, 0, 1], "tail"
+            ),
         ),
         IdentityEntry(
             "m2-from-ocrank",
             "second-residual differences equal (-q;q^2)/(q;q^2) times stretched overline differences",
-            _m2_from_ocrank_clauses,
+            lambda N: _factored(
+                [
+                    (
+                        f"m={m}",
+                        lambda m=m: _diff("m2crank", N, m),
+                        lambda m=m: _diff("ocrank", N, m).stretched(2),
+                    )
+                    for m in range(1, 11)
+                ],
+                lambda: qpoch_inf(1, 2, N, sign=-1) * qpoch_inf(1, 2, N, invert=True),
+            ),
         ),
     ]
 }
@@ -526,42 +443,29 @@ CORE_ENTRIES = [
 ]
 
 
-def run_clause(clause: Clause, order: int) -> tuple[list, int]:
+def run_clause(clause: Clause) -> tuple[list, int]:
     """Evaluate one clause.
 
     Returns the exception list (empty = clause holds) and the number of
     coefficients compared.
     """
-    lhs = clause.build_lhs(order)
-    mode = clause.mode[0]
-    exceptions = []
-    if mode == "exact":
-        rhs = clause.build_rhs(order)
-        for n, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
-            if a != b:
-                exceptions.append(
-                    {"clause": clause.label, "n": n, "lhs": a, "rhs": b}
-                )
-        checked = min(len(lhs.coeffs), len(rhs.coeffs))
-    elif mode == "nonneg_from":
-        n0 = clause.mode[1]
-        for n in range(n0, lhs.order + 1):
-            if lhs.coeffs[n] < 0:
-                exceptions.append(
-                    {"clause": clause.label, "n": n, "lhs": lhs.coeffs[n], "rhs": 0}
-                )
-        checked = max(0, lhs.order + 1 - n0)
-    elif mode == "nonneg_except":
-        allowed = {n for n in clause.mode[1] if n <= lhs.order}
-        found = {n for n, c in enumerate(lhs.coeffs) if c < 0}
-        for n in sorted(found.symmetric_difference(allowed)):
-            exceptions.append(
-                {"clause": clause.label, "n": n, "lhs": lhs.coeffs[n], "rhs": 0}
-            )
-        checked = len(lhs.coeffs)
-    else:
-        raise ValueError(f"unknown clause mode {clause.mode!r}")
-    return exceptions, checked
+    lhs = clause.lhs()
+    if clause.rhs is not None:
+        rhs = clause.rhs()
+        exceptions = [
+            {"clause": clause.label, "n": n, "lhs": a, "rhs": b}
+            for n, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs))
+            if a != b
+        ]
+        return exceptions, min(len(lhs.coeffs), len(rhs.coeffs))
+    n0 = clause.nonneg_from
+    found = {n for n in range(n0, lhs.order + 1) if lhs.coeffs[n] < 0}
+    allowed = {n for n in clause.negative_at if n0 <= n <= lhs.order}
+    exceptions = [
+        {"clause": clause.label, "n": n, "lhs": lhs.coeffs[n], "rhs": 0}
+        for n in sorted(found ^ allowed)
+    ]
+    return exceptions, max(0, lhs.order + 1 - n0)
 
 
 def run_entry(entry: IdentityEntry, order: int) -> tuple[list, int]:
@@ -572,7 +476,7 @@ def run_entry(entry: IdentityEntry, order: int) -> tuple[list, int]:
     """
     exceptions, checked = [], 0
     for clause in entry.clauses(order):
-        found, count = run_clause(clause, order)
+        found, count = run_clause(clause)
         exceptions.extend(found)
         checked += count
     return exceptions, checked

@@ -271,23 +271,10 @@ def qpoch_inf(a: int, d: int, order: int, sign: int = 1, invert: bool = False) -
     ``sign=-1`` gives ``(-q; q)_inf``.  Factors are applied in increasing
     exponent order and the product stops once the exponent passes the
     truncation order, after which further factors cannot change anything.
+    With a, d >= 1 that happens within the first ``order + 1`` factors, so
+    this is that finite product.
     """
-    if a < 1:
-        raise ValueError(f"first exponent must be >= 1, got {a}")
-    if d < 1:
-        raise ValueError(f"exponent step must be >= 1, got {d}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    c = [0] * (order + 1)
-    c[0] = 1
-    e = a
-    while e <= order:
-        if invert:
-            _div_factor(c, e, sign)
-        else:
-            _mul_factor(c, e, sign)
-        e += d
-    return Series(order, c)
+    return qpoch_fin(a, d, order + 1, order, sign, invert)
 
 
 def qpoch_fin(

@@ -233,6 +233,15 @@ def test_verify_bad_k_list(runner):
     assert result.exit_code == 2
 
 
+def test_verify_empty_k_list_is_usage_error(runner):
+    # an empty list would otherwise run the default k = 2..6
+    for raw in ("", ",", " "):
+        result = runner.invoke(main, ["verify", "--check", "conj-1.8", "--k", raw, "--n-max", "5"])
+        assert result.exit_code == 2, raw
+        (error,) = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert error == f"Error: bad k list {raw!r}; expected comma-separated integers"
+
+
 def test_identity_command(runner):
     result = runner.invoke(main, ["identity", "--id", "euler", "--order", "100"])
     assert result.exit_code == 0
@@ -254,14 +263,7 @@ def test_failing_check_exits_one(runner, monkeypatch):
     broken = IdentityEntry(
         "broken",
         "always fails",
-        lambda order: [
-            identities.Clause(
-                "c",
-                lambda N: Series.constant(N, -1),
-                None,
-                ("nonneg_from", 0),
-            )
-        ],
+        lambda N: [identities.Clause("c", lambda: Series.constant(N, -1))],
     )
     monkeypatch.setitem(identities.CATALOG, "broken", broken)
     result = runner.invoke(main, ["identity", "--id", "broken", "--order", "5"])

@@ -3,6 +3,7 @@
 import pytest
 
 from cranktab import identities, verify
+from cranktab.bivariate import kcrank_gf, overline_crank_gf
 from cranktab.identities import CATALOG, CORE_ENTRIES, run_entry
 from cranktab.series import Series, distinct_series, partition_series, qpoch_fin
 from cranktab.tables import build_table, diff_column
@@ -31,8 +32,7 @@ def test_lemma_32_exception_values():
 
 
 def test_lemma_33_leading_coefficient():
-    clause = CATALOG["lemma-3.3"].clauses(40)[0]
-    lhs = clause.build_lhs(40)
+    lhs = CATALOG["lemma-3.3"].clauses(40)[0].lhs()
     assert lhs[0] == -1
     assert all(c >= 0 for c in lhs.coeffs[1:])
 
@@ -63,8 +63,7 @@ def test_andrews_merca_value_at_5():
 
 
 def test_andrews_merca_odd_stream_single_exception():
-    clause = CATALOG["andrews-merca"].clauses(80)[1]
-    stream = clause.build_lhs(80)
+    stream = CATALOG["andrews-merca"].clauses(80)[1].lhs()
     assert stream[1] == -1
     assert all(c >= 0 for n, c in enumerate(stream.coeffs) if n != 1)
 
@@ -72,8 +71,8 @@ def test_andrews_merca_odd_stream_single_exception():
 def test_crank_decomp_residuals_vanish_below_thresholds():
     # the explicit heads reproduce the difference columns exactly that far
     clauses = CATALOG["crank-diff-decomp"].clauses(ORDER)
-    resid_m1 = clauses[0].build_lhs(ORDER)
-    resid_m2 = clauses[1].build_lhs(ORDER)
+    resid_m1 = clauses[0].lhs()
+    resid_m2 = clauses[1].lhs()
     assert resid_m1.coeffs[:44] == [0] * 44
     assert resid_m2.coeffs[:27] == [0] * 27
 
@@ -87,10 +86,80 @@ def test_crank_tail_point_values():
         assert all(c == 0 for c in d.coeffs[: m - 1])
 
 
-def test_run_clause_rejects_unknown_mode():
-    clause = identities.Clause("bad", lambda N: Series.zero(N), None, ("bogus",))
-    with pytest.raises(ValueError):
-        identities.run_clause(clause, 5)
+# coeffs_checked of every entry at orders 0, 5, 40 and 200.  What the catalog
+# compares is part of its verdict: a change to these numbers must be made on
+# purpose, never as a side effect of restructuring the clauses.
+PINNED_ORDERS = (0, 5, 40, 200)
+PINNED_COEFFS_CHECKED = {
+    "andrews-merca": (1, 11, 81, 401),
+    "crank-diff-decomp": (0, 0, 14, 331),
+    "crank-diff-heads": (2, 12, 68, 71),
+    "crank-diff-tails": (0, 0, 1312, 10653),
+    "euler": (1, 6, 41, 201),
+    "kcrank-reduction": (30, 180, 1230, 6030),
+    "lemma-3.2": (2, 12, 82, 402),
+    "lemma-3.3": (1, 11, 81, 401),
+    "m2-from-ocrank": (10, 60, 410, 2010),
+    "m2-head": (1, 6, 41, 201),
+    "ocrank-diff-nonneg": (19, 114, 779, 3819),
+    "ocrank-head": (1, 6, 41, 201),
+    "ocrank-monotone-factored": (21, 126, 861, 4221),
+    "sc-identity": (2, 12, 82, 402),
+}
+
+
+@pytest.mark.parametrize("entry_id", sorted(CATALOG))
+def test_coeffs_checked_is_pinned(entry_id):
+    counts = []
+    for order in PINNED_ORDERS:
+        exceptions, checked = run_entry(CATALOG[entry_id], order)
+        assert exceptions == [], (order, exceptions[:5])
+        counts.append(checked)
+    assert tuple(counts) == PINNED_COEFFS_CHECKED[entry_id]
+
+
+def _failing_cells(entry_id, gf, m, n, order):
+    """Add 1 to cell (m, n) of a cached GF, run the entry, restore the cell.
+
+    Returns the sorted (clause, n) pairs that failed.
+    """
+    column = gf.nonneg_columns()[m]
+    column[n] += 1
+    try:
+        exceptions, _ = run_entry(CATALOG[entry_id], order)
+    finally:
+        column[n] -= 1
+    return sorted({(e["clause"], e["n"]) for e in exceptions})
+
+
+@pytest.mark.parametrize("k", [2, 3, 4], ids=lambda k: f"k={k}")
+def test_corrupted_kcrank_cell_fails_only_its_clauses(k):
+    # column 3 enters the differences of m = 3 and m = 4 of this k only
+    failed = _failing_cells("kcrank-reduction", kcrank_gf(k, 40), 3, 20, 40)
+    assert failed == [(f"k={k},m=3", 20), (f"k={k},m=4", 20)]
+
+
+@pytest.mark.parametrize("m", [0, 7, 20], ids=lambda m: f"m={m}")
+def test_corrupted_ocrank_cell_fails_only_its_clause(m):
+    # (1-q) times the overline column moves the error to n = 20 and 21
+    failed = _failing_cells("ocrank-monotone-factored", overline_crank_gf(40), m, 20, 40)
+    assert failed == [(f"m={m}", 20), (f"m={m}", 21)]
+
+
+def test_sign_clause_reports_missing_and_unexpected_negatives():
+    # negatives below nonneg_from are not read; n = 9 is past the order
+    clause = identities.Clause(
+        "s",
+        lambda: Series(5, [-7, -1, 0, 2, -3, 0]),
+        nonneg_from=1,
+        negative_at=frozenset({0, 1, 2, 9}),
+    )
+    exceptions, checked = identities.run_clause(clause)
+    assert exceptions == [
+        {"clause": "s", "n": 2, "lhs": 0, "rhs": 0},
+        {"clause": "s", "n": 4, "lhs": -3, "rhs": 0},
+    ]
+    assert checked == 5
 
 
 def test_check_identity_report_shape():
@@ -114,13 +183,8 @@ def test_identity_failure_is_detected():
     bad = identities.IdentityEntry(
         "bad",
         "wrong on purpose",
-        lambda order: [
-            identities.Clause(
-                "c",
-                lambda N: distinct_series(N),
-                lambda N: Series.constant(N),
-                ("exact",),
-            )
+        lambda N: [
+            identities.Clause("c", lambda: distinct_series(N), lambda: Series.constant(N))
         ],
     )
     exceptions, checked = run_entry(bad, 10)

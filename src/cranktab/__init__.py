@@ -7,7 +7,7 @@ All arithmetic is exact (Python ints throughout).
 """
 
 from cranktab.bivariate import (
-    BivariateSeries,
+    CrankTable,
     crank_gf,
     kcrank_gf,
     m2_crank_gf,
@@ -35,7 +35,7 @@ from cranktab.series import (
     qpoch_fin,
     qpoch_inf,
 )
-from cranktab.tables import CrankTable, build_table, diff_column, monotone_diff_row
+from cranktab.tables import build_table, diff_column, monotone_diff_row
 from cranktab.verify import (
     CheckReport,
     check_identity,
@@ -46,7 +46,6 @@ from cranktab.verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BivariateSeries",
     "CheckReport",
     "CrankTable",
     "OrderMismatch",

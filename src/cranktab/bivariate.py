@@ -36,12 +36,22 @@ itself encodes the conventional signed counts at n = 1 and no special-casing
 is needed downstream.  The rank's columns sum to ``1/(q;q)_inf - 1``: they
 miss the empty partition, which ``rank_gf`` adds at ``z**0 q**0``.
 
-Builders are memoized; the returned objects are shared and must be treated
+Every builder returns a :class:`CrankTable`, the one count-table type of the
+package (:mod:`cranktab.tables` also makes it from the enumeration oracle).
+Every statistic here has rows symmetric in m, so a table stores the columns
+m >= 0 only, and it checks the |m| <= n support when it is made.  Exports
+(:meth:`CrankTable.write`) stream row by row: CSV with header ``n,m,count``
+in (n asc, m asc) order over the full -n..n range, and JSON
+``{statistic, n_max, rows: [{n, counts}]}`` with counts as decimal strings,
+so consumers never face integer overflow.
+
+Builders are memoized; the returned tables are shared and must be treated
 as immutable.
 """
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from functools import lru_cache
 from operator import sub
@@ -53,50 +63,90 @@ from cranktab.series import (
 )
 
 
-class BivariateSeries:
-    """Series in q whose coefficients are Laurent polynomials in z.
+class CrankTable:
+    """Weighted counts M(m, n) of one statistic for n = 0..order.
 
-    Stored by column: ``columns[bound + m]`` lists the coefficients of
-    ``z**m q**n`` for n = 0..order.  The builders below put one list at both
-    ``m`` and ``-m``.
+    ``columns[m][n]`` is M(m, n) = M(-m, n) for 0 <= m <= order: the rows
+    are symmetric in m, so only the columns m >= 0 are stored.  The |m| <= n
+    support (column m vanishes below q**m) is checked here, when the table is
+    made.  ``bound``, the largest stored |m|, equals ``order``.
     """
 
-    __slots__ = ("order", "bound", "_columns")
+    __slots__ = ("label", "order", "provenance", "columns")
 
-    def __init__(self, order: int, columns):
+    def __init__(self, label: str, order: int, provenance: str, columns: list):
+        for m, col in enumerate(columns):
+            if any(col[:m]):
+                raise ValueError(f"{label}: support violated in column m={m}")
+        self.label = label
         self.order = order
-        self.bound = len(columns) // 2
-        self._columns = columns
+        self.provenance = provenance
+        self.columns = columns
+
+    @property
+    def bound(self) -> int:
+        return len(self.columns) - 1
+
+    def _check_row(self, n: int) -> None:
+        if not 0 <= n <= self.order:
+            raise IndexError(f"n={n} outside table range 0..{self.order}")
+
+    def _cells(self, n: int):
+        """The pairs (m, M(m, n)) for m = -n..n."""
+        half = [col[n] for col in self.columns[: n + 1]]
+        return zip(range(-n, n + 1), half[:0:-1] + half)
+
+    def count(self, m: int, n: int) -> int:
+        """M(m, n); zero outside |m| <= n."""
+        self._check_row(n)
+        m = abs(m)
+        return self.columns[m][n] if m <= n else 0
 
     def row(self, n: int) -> dict:
-        """The nonzero coefficients ``{m: [z**m q**n]}`` of one power of q."""
-        return {m - self.bound: col[n] for m, col in enumerate(self._columns) if col[n]}
-
-    def coeff(self, n: int, m: int) -> int:
-        """Coefficient of ``z**m q**n``; zero whenever ``|m|`` exceeds the bound."""
-        if not 0 <= n <= self.order:
-            raise IndexError(f"exponent {n} outside truncation order {self.order}")
-        if abs(m) > self.bound:
-            return 0
-        return self._columns[self.bound + m][n]
+        """The nonzero counts ``{m: M(m, n)}`` of one row, m ascending."""
+        self._check_row(n)
+        return {m: c for m, c in self._cells(n) if c}
 
     def column(self, m: int) -> Series:
-        """Fixed-z-power slice: the series ``n -> [z**m q**n]``."""
-        if abs(m) > self.bound:
+        """The series ``n -> M(m, n)``; zero when |m| exceeds the order."""
+        m = abs(m)
+        if m > self.order:
             return Series.zero(self.order)
-        return Series(self.order, self._columns[self.bound + m])
-
-    def nonneg_columns(self) -> list:
-        """The coefficient lists of columns m = 0..bound: shared, not copied."""
-        return self._columns[self.bound:]
+        return Series(self.order, self.columns[m])
 
     def row_sum_series(self) -> Series:
         """Specialization z = 1: the series of row sums."""
-        return Series(self.order, [sum(cells) for cells in zip(*self._columns)])
+        return Series(self.order, [2 * sum(cells) - cells[0] for cells in zip(*self.columns)])
+
+    def write(self, fh, fmt: str) -> None:
+        """Export to the text stream ``fh`` ("csv" or "json"), one row at a time.
+
+        The JSON bytes are those of ``json.dumps(obj, indent=2) + "\\n"`` for
+        ``obj = {"statistic", "n_max", "rows": [{"n", "counts": {m: count}}]}``
+        with m and count as decimal strings.
+        """
+        if fmt == "csv":
+            fh.write("n,m,count\n")
+        elif fmt == "json":
+            fh.write(f'{{\n  "statistic": {json.dumps(self.label)},\n'
+                     f'  "n_max": {self.order},\n  "rows": [\n')
+        else:
+            raise ValueError(f"unknown format {fmt!r}")
+        for n in range(self.order + 1):
+            cells = self._cells(n)
+            if fmt == "csv":
+                fh.write("".join(f"{n},{m},{c}\n" for m, c in cells))
+            else:
+                sep = ",\n" if n else ""
+                counts = ",\n".join(f'        "{m}": "{c}"' for m, c in cells)
+                fh.write(f'{sep}    {{\n      "n": {n},\n      "counts": {{\n{counts}\n'
+                         f'      }}\n    }}')
+        if fmt == "json":
+            fh.write("\n  ]\n}\n")
 
 
-def _from_columns(order: int, base_of, d: int, a: int = 1) -> BivariateSeries:
-    """The GF whose column m is ``base_of(order) * S_|m|(q**d)``.
+def _columns(order: int, base_of, d: int, a: int = 1) -> list:
+    """Columns m = 0..order of the GF whose column m is ``base_of(order) * S_m(q**d)``.
 
     ``B_m = base * R_m(q**d)`` obeys ``B_m = q**(d*(m + c)) * (base - B_(m+s))``
     with ``s = a`` and ``c = (a - 1) / 2``, and column m is ``B_m - B_(m+1)``.
@@ -114,23 +164,23 @@ def _from_columns(order: int, base_of, d: int, a: int = 1) -> BivariateSeries:
         b = [0] * e + list(map(sub, base[: size - e], window[-1])) if e < size else zero
         half[m] = list(map(sub, b, window[0]))
         window.appendleft(b)
-    return BivariateSeries(order, half[:0:-1] + half)
+    return half
 
 
 @lru_cache(maxsize=None)
-def crank_gf(order: int) -> BivariateSeries:
+def crank_gf(order: int) -> CrankTable:
     """Crank generating function ``(q;q)_inf / ((zq;q)_inf (q/z;q)_inf)``."""
-    return _from_columns(order, partition_series_pentagonal, 1)
+    return CrankTable("crank", order, "gf", _columns(order, partition_series_pentagonal, 1))
 
 
 @lru_cache(maxsize=None)
-def overline_crank_gf(order: int) -> BivariateSeries:
+def overline_crank_gf(order: int) -> CrankTable:
     """First-residual-crank GF: the crank GF times ``(-q;q)_inf``."""
-    return _from_columns(order, overpartition_series_theta, 1)
+    return CrankTable("ocrank", order, "gf", _columns(order, overpartition_series_theta, 1))
 
 
 @lru_cache(maxsize=None)
-def m2_crank_gf(order: int) -> BivariateSeries:
+def m2_crank_gf(order: int) -> CrankTable:
     """Second-residual-crank GF.
 
     The crank GF with ``q -> q**2`` (odd rows vanish) times
@@ -138,31 +188,21 @@ def m2_crank_gf(order: int) -> BivariateSeries:
     is ``(q;q)_inf``, its columns are ``S_m(q**2)`` times the overpartition
     series.
     """
-    return _from_columns(order, overpartition_series_theta, 2)
+    return CrankTable("m2crank", order, "gf", _columns(order, overpartition_series_theta, 2))
 
 
 @lru_cache(maxsize=None)
-def kcrank_gf(k: int, order: int) -> BivariateSeries:
+def kcrank_gf(k: int, order: int) -> CrankTable:
     """k-crank GF for k-colored partitions: crank GF times ``(q;q)_inf**(1-k)``."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    return _from_columns(order, lambda n: partition_series_pentagonal(n, k), 1)
+    cols = _columns(order, lambda n: partition_series_pentagonal(n, k), 1)
+    return CrankTable(f"kcrank({k})", order, "gf", cols)
 
 
 @lru_cache(maxsize=None)
-def rank_gf(order: int) -> BivariateSeries:
+def rank_gf(order: int) -> CrankTable:
     """Dyson-rank GF ``sum_n q**(n*n) / ((zq;q)_n (q/z;q)_n)``."""
-    g = _from_columns(order, partition_series_pentagonal, 1, a=3)
-    g._columns[g.bound][0] += 1  # the empty partition, of rank 0
-    return g
-
-
-def check_gf_invariants(g: BivariateSeries) -> None:
-    """Raise if a crank-type GF violates z <-> 1/z symmetry or |m| <= n support."""
-    for m in range(g.bound + 1):
-        pos, neg = g.column(m), g.column(-m)
-        for n in range(g.order + 1):
-            if pos[n] != neg[n]:
-                raise ValueError(f"symmetry violated at n={n}, m={m}")
-            if n < m and pos[n]:
-                raise ValueError(f"support violated at n={n}, m={m}")
+    cols = _columns(order, partition_series_pentagonal, 1, a=3)
+    cols[0][0] += 1  # the empty partition, of rank 0
+    return CrankTable("rank", order, "gf", cols)

@@ -85,6 +85,19 @@ def _check_oracle_ceiling(stat: str, n_max: int) -> None:
         )
 
 
+def _check_flags_used(ids, flags) -> None:
+    """Reject a ``verify`` flag that none of the checks ``ids`` reads."""
+    readers = {
+        "--n-max": sorted(verify.SWEEPS),
+        "--order": sorted(identities.CATALOG),
+        "--k": sorted(cid for cid, sweeps in verify.SWEEPS.items()
+                      if any(s.statistic == "kcrank" for s in sweeps)),
+    }
+    for flag, value in flags.items():
+        if value is not None and set(ids).isdisjoint(readers[flag]):
+            raise click.UsageError(f"{flag} applies only to {', '.join(readers[flag])}")
+
+
 @click.group()
 def main():
     """Exact crank-statistic tables and q-series verification."""
@@ -95,25 +108,19 @@ def main():
               type=click.Choice(tables.STATISTICS), help="Statistic to tabulate.")
 @click.option("--k", type=int, default=None, help="Number of colors (kcrank only).")
 @click.option("--n-max", type=SIZE, default=50, show_default=True)
-@click.option("--order", type=SIZE, default=None,
-              help="Truncation order of the generating function (default: n-max).")
 @click.option("--provenance", type=click.Choice(["gf", "oracle"]), default="gf",
               help="Table backend (default: gf).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
 @click.option("--output", "-o", type=click.Path(), default=None,
               help="Output file (default: stdout).")
-def table(stat, k, n_max, order, provenance, fmt, output):
+def table(stat, k, n_max, provenance, fmt, output):
     """Export the weighted count table of one statistic."""
     _check_k(stat, k)
-    if order is not None and n_max > order:
-        raise click.UsageError(f"--n-max {n_max} exceeds --order {order}")
     if provenance == "oracle":
-        if order is not None:
-            raise click.UsageError("--order applies only to --provenance gf")
         _check_oracle_ceiling(stat, n_max)
     with _output(output) as fh:
-        tables.build_table(stat, n_max, provenance, k=k, order=order).write(fh, fmt)
+        tables.build_table(stat, n_max, provenance, k=k).write(fh, fmt)
 
 
 @main.command("verify")
@@ -134,6 +141,7 @@ def verify_cmd(checks, n_max, order, k_raw, output):
         ids = verify.expand_checks(ids)
     except KeyError as exc:
         raise click.UsageError(f"{exc.args[0]}; {available}")
+    _check_flags_used(ids, {"--n-max": n_max, "--order": order, "--k": k_raw})
     k_list = _parse_k_list(k_raw)
     _emit_reports(
         lambda: verify.run_checks(ids, n_max=n_max, order=order, k_list=k_list), output

@@ -109,9 +109,6 @@ class Series:
             raise IndexError(f"exponent {n} outside truncation order {self.order}")
         return self.coeffs[n]
 
-    def coeff(self, n: int) -> int:
-        return self[n]
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 

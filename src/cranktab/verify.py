@@ -121,7 +121,7 @@ def run_sweep(sweep: Sweep, n_max: int, k: int | None = None) -> CheckReport:
         cells += max(0, n_max + 1 - first_counted)
         if diagonal is not None and first_counted <= m + diagonal <= n_max:
             cells -= 1
-        lhs_col, rhs_col = table.column(m - stride), table.column(m)
+        lhs_col, rhs_col = table.column(m - stride).coeffs, table.column(m).coeffs
         for n in compress(count(lo), map(operator.lt, lhs_col[lo:], rhs_col[lo - dn :])):
             entry = {"m": m, "n": n, "lhs": lhs_col[n], "rhs": rhs_col[n - dn]}
             if k is not None:
@@ -172,13 +172,13 @@ def check_identity(entry_id, order=DEFAULT_IDENTITY_ORDER):
 
 def check_table_consistency(gf_table, oracle_table):
     """Cell-by-cell equality of a GF-built and an oracle-built table."""
-    if (gf_table.statistic, gf_table.k) != (oracle_table.statistic, oracle_table.k):
+    if gf_table.label != oracle_table.label:
         raise ValueError("tables compare different statistics")
     t0 = time.perf_counter()
-    n_max = min(gf_table.n_max, oracle_table.n_max)
+    n_max = min(gf_table.order, oracle_table.order)
     found = []
     for m in range(n_max + 1):
-        a, b = gf_table.column(m), oracle_table.column(m)
+        a, b = gf_table.columns[m], oracle_table.columns[m]
         found.extend(
             {"m": m, "n": n, "lhs": a[n], "rhs": b[n]}
             for n in compress(count(m), map(operator.ne, a[m : n_max + 1], b[m : n_max + 1]))

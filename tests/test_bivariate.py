@@ -5,8 +5,7 @@ from functools import lru_cache
 import pytest
 
 from cranktab.bivariate import (
-    BivariateSeries,
-    check_gf_invariants,
+    CrankTable,
     crank_gf,
     kcrank_gf,
     m2_crank_gf,
@@ -35,8 +34,8 @@ def test_crank_gf_small_rows():
 def test_overline_crank_gf_rows():
     g = overline_crank_gf(6)
     assert g.row(1) == {-1: 1, 1: 1}
-    assert g.coeff(4, 0) == 2
-    assert g.coeff(4, 1) == 2
+    assert g.count(0, 4) == 2
+    assert g.count(1, 4) == 2
     assert g.row_sum_series()[4] == 14
 
 
@@ -61,7 +60,10 @@ def test_kcrank_gf_rows():
 def test_symmetry_and_support_invariants():
     for g in (crank_gf(30), overline_crank_gf(30), m2_crank_gf(30), kcrank_gf(3, 30),
               rank_gf(300)):
-        check_gf_invariants(g)
+        assert len(g.columns) == g.order + 1
+        for m, col in enumerate(g.columns):
+            assert not any(col[:m]), (g.label, m)  # column m vanishes below q**m
+            assert g.column(-m) == g.column(m)
 
 
 def test_specialization_row_sums():
@@ -83,7 +85,17 @@ def test_column_extraction():
         assert g.column(m) == g.column(-m)
     assert g.column(99) == Series.zero(10)
     with pytest.raises(IndexError):
-        g.coeff(11, 0)
+        g.count(0, 11)
+
+
+def test_rows_outside_the_order_raise():
+    g = crank_gf(10)
+    assert g.row(10) == {m: g.count(m, 10) for m in range(-10, 11) if g.count(m, 10)}
+    for n in (-1, 11):
+        with pytest.raises(IndexError):
+            g.row(n)
+        with pytest.raises(IndexError):
+            g.count(0, n)
 
 
 def test_overline_diff_head():
@@ -112,7 +124,9 @@ def test_gf_matches_oracle_tables():
 # The builders use the column closed form.  The reference below expands the
 # product form directly: seed rows centered at z**0, multiplied by
 # 1/(1 - z**(+-1) q**j) for j = 1..N, then by the z-free multiplier of each
-# statistic.  It is O(N**3) and meant for small orders only.
+# statistic.  It is O(N**3) and meant for small orders only.  A reference is
+# the tuple of its columns m = -order..order, each a Series; it keeps every
+# column twice, so its z <-> 1/z symmetry is a fact to check, not a given.
 
 
 @lru_cache(maxsize=None)
@@ -150,7 +164,24 @@ def _reference(stat, order, k=None):
             multiplier = distinct_series(order)
         else:
             multiplier = partition_series(order).pow(k - 1)
-    return BivariateSeries(order, [(c * multiplier).coeffs for c in cols])
+    return tuple(c * multiplier for c in cols)
+
+
+def _reference_row(ref, n):
+    bound = len(ref) // 2
+    return {m - bound: c[n] for m, c in enumerate(ref) if c[n]}
+
+
+def _check_symmetry_and_support(ref):
+    """Raise if a reference breaks z <-> 1/z symmetry or |m| <= n support."""
+    bound = len(ref) // 2
+    for m in range(bound + 1):
+        pos, neg = ref[bound + m], ref[bound - m]
+        for n in range(pos.order + 1):
+            if pos[n] != neg[n]:
+                raise ValueError(f"symmetry violated at n={n}, m={m}")
+            if n < m and pos[n]:
+                raise ValueError(f"support violated at n={n}, m={m}")
 
 
 def _builder(stat, order, k=None):
@@ -174,9 +205,9 @@ PARITY_CASES = [("crank", None), ("ocrank", None), ("m2crank", None)] + [
 def test_column_form_matches_product_form(stat, k):
     for order in range(41):
         g, ref = _builder(stat, order, k), _reference(stat, order, k)
-        assert (g.order, g.bound) == (ref.order, ref.bound) == (order, order)
+        assert (g.order, g.bound, len(ref)) == (order, order, 2 * order + 1)
         for m in range(-order, order + 1):
-            assert g.column(m) == ref.column(m), (stat, k, order, m)
+            assert g.column(m) == ref[order + m], (stat, k, order, m)
 
 
 # -- Lambert-sum reference ------------------------------------------------------
@@ -223,24 +254,30 @@ def test_cumulative_columns_match_lambert_sum(stat, k):
     for order in [*range(41), 300]:
         g, ref = _builder(stat, order, k), _lambert_columns(stat, order, k)
         assert (g.order, g.bound) == (order, order)
-        assert g.nonneg_columns() == ref, (stat, k, order)
+        assert g.columns == ref, (stat, k, order)
         for m in range(1, order + 1):
             assert g.column(-m) == g.column(m)
 
 
 def test_product_form_reference_is_sound():
-    assert _reference("crank", 6).row(1) == {-1: 1, 0: -1, 1: 1}
+    assert _reference_row(_reference("crank", 6), 1) == {-1: 1, 0: -1, 1: 1}
     for stat, k in PARITY_CASES:
-        check_gf_invariants(_reference(stat, 40, k))
+        _check_symmetry_and_support(_reference(stat, 40, k))
     for stat, k in [("crank", None), ("ocrank", None), ("m2crank", None),
                     ("kcrank", 2), ("kcrank", 4)]:
         ref = _reference(stat, 18, k)
-        assert [ref.row(n) for n in range(19)] == oracle_rows(stat, 18, k=k)
+        assert [_reference_row(ref, n) for n in range(19)] == oracle_rows(stat, 18, k=k)
 
 
 def test_invariant_check_detects_violations():
-    check_gf_invariants(BivariateSeries(1, [[0, 1], [1, -1], [0, 1]]))
+    # a table checks the |m| <= n support of its columns when it is made
+    t = CrankTable("crank", 1, "gf", [[1, -1], [0, 1]])
+    assert t.row(1) == {-1: 1, 0: -1, 1: 1}
+    with pytest.raises(ValueError, match="support violated in column m=1"):
+        CrankTable("bogus", 1, "gf", [[1, -1], [1, 1]])
+    # the reference's own check sees both faults
+    _check_symmetry_and_support(tuple(Series(1, c) for c in ([0, 1], [1, -1], [0, 1])))
     with pytest.raises(ValueError, match="symmetry"):
-        check_gf_invariants(BivariateSeries(1, [[0, 1], [1, -1], [0, 2]]))
+        _check_symmetry_and_support(tuple(Series(1, c) for c in ([0, 1], [1, -1], [0, 2])))
     with pytest.raises(ValueError, match="support"):
-        check_gf_invariants(BivariateSeries(1, [[1, 1], [1, -1], [1, 1]]))
+        _check_symmetry_and_support(tuple(Series(1, c) for c in ([1, 1], [1, -1], [1, 1])))

@@ -123,7 +123,7 @@ def _failing_cells(entry_id, gf, m, n, order):
 
     Returns the sorted (clause, n) pairs that failed.
     """
-    column = gf.nonneg_columns()[m]
+    column = gf.columns[m]
     column[n] += 1
     try:
         exceptions, _ = run_entry(CATALOG[entry_id], order)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from cranktab import tables
-from cranktab.bivariate import BivariateSeries, crank_gf
+from cranktab.bivariate import crank_gf
 from cranktab.identities import CRANK_DIFF_M1_HEAD, CRANK_DIFF_M2_HEAD
 from cranktab.series import overpartition_series, partition_series
 from cranktab.tables import build_table, diff_column, monotone_diff_row
@@ -31,7 +31,7 @@ def _written(t, fmt):
 
 def _reference_csv(t):
     lines = ["n,m,count\n"]
-    for n in range(t.n_max + 1):
+    for n in range(t.order + 1):
         for m in range(-n, n + 1):
             lines.append(f"{n},{m},{t.count(m, n)}\n")
     return "".join(lines)
@@ -39,26 +39,26 @@ def _reference_csv(t):
 
 def _reference_json(t):
     rows = []
-    for n in range(t.n_max + 1):
+    for n in range(t.order + 1):
         counts = {str(m): str(t.count(m, n)) for m in range(-n, n + 1)}
         rows.append({"n": n, "counts": counts})
-    obj = {"statistic": t.label, "n_max": t.n_max, "rows": rows}
+    obj = {"statistic": t.label, "n_max": t.order, "rows": rows}
     return json.dumps(obj, indent=2) + "\n"
 
 
-# every statistic (kcrank at k = 3), both provenances, a GF order above n_max
+# every statistic (kcrank at k = 3), both provenances
 EXPORT_CASES = [
-    (stat, n_max, provenance, None)
+    (stat, n_max, provenance)
     for stat in tables.STATISTICS
     for n_max in (0, 1, 12)
     for provenance in ("gf", "oracle")
-] + [("crank", 12, "gf", 20), ("kcrank", 12, "gf", 15)]
+]
 
 
 def _export_tables():
-    for stat, n_max, provenance, order in EXPORT_CASES:
+    for stat, n_max, provenance in EXPORT_CASES:
         k = 3 if stat == "kcrank" else None
-        yield build_table(stat, n_max, provenance, k=k, order=order)
+        yield build_table(stat, n_max, provenance, k=k)
 
 
 def test_build_crank_n1():
@@ -91,8 +91,6 @@ def test_invalid_inputs():
         build_table("nope", 5)
     with pytest.raises(ValueError):
         build_table("kcrank", 5, "gf")  # missing k
-    with pytest.raises(ValueError):
-        build_table("crank", 10, "gf", order=5)
 
 
 def test_gf_equals_oracle_within_small_range():
@@ -106,7 +104,7 @@ def test_gf_equals_oracle_within_small_range():
 
 def test_row_sums_match_counting_series():
     def row_sums(t):
-        return [sum(_row(t, n).values()) for n in range(t.n_max + 1)]
+        return [sum(_row(t, n).values()) for n in range(t.order + 1)]
 
     assert row_sums(build_table("crank", 20, "gf")) == partition_series(20).coeffs
     assert row_sums(build_table("ocrank", 20, "gf")) == overpartition_series(20).coeffs
@@ -157,7 +155,7 @@ def test_csv_is_deterministic():
     t = build_table("ocrank", 12, "gf")
     assert _written(t, "csv") == _written(build_table("ocrank", 12, "gf"), "csv")
     for t in _export_tables():
-        assert _written(t, "csv") == _reference_csv(t), (t.label, t.n_max, t.provenance)
+        assert _written(t, "csv") == _reference_csv(t), (t.label, t.order, t.provenance)
 
 
 def test_json_export_decimal_strings():
@@ -168,10 +166,10 @@ def test_json_export_decimal_strings():
     assert obj["rows"][1]["counts"] == {"-1": "1", "0": "1", "1": "1"}
     assert all(isinstance(v, str) for row in obj["rows"] for v in row["counts"].values())
     for t in _export_tables():
-        assert _written(t, "json") == _reference_json(t), (t.label, t.n_max, t.provenance)
+        assert _written(t, "json") == _reference_json(t), (t.label, t.order, t.provenance)
 
 
-def test_symmetry_violation_detected(monkeypatch):
+def test_symmetry_violation_detected():
     # rows become the columns m >= 0
     assert tables._compress_full_rows([{0: 1}, {-1: 1, 0: -1, 1: 1}], "crank") == [
         [1, -1],
@@ -181,19 +179,12 @@ def test_symmetry_violation_detected(monkeypatch):
         tables._compress_full_rows([{0: 1}, {-1: 1, 0: 0, 1: 2}], "bogus")
     with pytest.raises(ValueError):
         tables._compress_full_rows([{0: 1}, {-2: 1, 2: 1}], "bogus")
-    # a GF table checks the support of every column when it is built
-    bad = BivariateSeries(1, [[1, 1], [1, -1], [1, 1]])
-    monkeypatch.setitem(tables.GF_BUILDERS, "bogus", lambda order, k: bad)
-    with pytest.raises(ValueError, match="support violated in column m=1"):
-        tables._build_table_cached("bogus", 1, "gf", None, 1)
 
 
 def test_tables_are_cached_and_shared():
-    a = build_table("crank", 9, "gf")
-    b = build_table("crank", 9, "gf")
-    assert a is b
-    # a GF table holds the GF's own m >= 0 column lists, not copies
-    assert all(x is y for x, y in zip(a.columns, crank_gf(9).nonneg_columns(), strict=True))
+    # a GF table is the memoized builder's own object
+    assert build_table("crank", 9) is crank_gf(9)
+    assert build_table("crank", 9, "oracle") is build_table("crank", 9, "oracle")
 
 
 def test_render_rejects_unknown_format():

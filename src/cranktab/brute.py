@@ -23,10 +23,10 @@ crank 0.  Every object's weights sum to +1, so row sums still count objects.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator, Sequence, Tuple
+from collections.abc import Iterator, Sequence
 
-Partition = Tuple[int, ...]
-Overpartition = Tuple[Tuple[int, bool], ...]
+Partition = tuple[int, ...]
+Overpartition = tuple[tuple[int, bool], ...]
 
 ORACLE_CEILINGS = {
     "crank": 60,
@@ -77,7 +77,7 @@ def overpartitions(n: int) -> Iterator[Overpartition]:
             yield tuple(out)
 
 
-def colored_partitions(n: int, k: int) -> Iterator[Tuple[Partition, ...]]:
+def colored_partitions(n: int, k: int) -> Iterator[tuple[Partition, ...]]:
     """All k-tuples of partitions with total size n.
 
     Fine for small n; the k-crank oracle table below counts by part-number
@@ -127,7 +127,7 @@ def kcrank(components: Sequence[Partition]) -> int:
     return len(components[0]) - len(components[1])
 
 
-def crank_contributions(parts: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
+def crank_contributions(parts: Sequence[int]) -> tuple[tuple[int, int], ...]:
     """Weighted crank contributions of a partition, as (m, weight) pairs.
 
     Implements the signed convention at n = 1; see the module docstring.
@@ -149,12 +149,12 @@ def halved_even_subpartition(op: Overpartition) -> Partition:
     return tuple(sorted((v // 2 for v, over in op if not over and v % 2 == 0), reverse=True))
 
 
-def first_residual_contributions(op: Overpartition) -> Tuple[Tuple[int, int], ...]:
+def first_residual_contributions(op: Overpartition) -> tuple[tuple[int, int], ...]:
     """First residual crank weights: crank of the non-overlined subpartition."""
     return crank_contributions(nonoverlined_subpartition(op))
 
 
-def second_residual_contributions(op: Overpartition) -> Tuple[Tuple[int, int], ...]:
+def second_residual_contributions(op: Overpartition) -> tuple[tuple[int, int], ...]:
     """Second residual crank weights: crank of the halved even non-overlined parts."""
     return crank_contributions(halved_even_subpartition(op))
 

@@ -9,28 +9,47 @@ Subcommands:
 
 Exit status: 0 when everything passed, 1 when any check failed, 2 on usage
 or configuration errors and on an ``--output`` file that cannot be written.
+Every exit with status 2 writes exactly one ``Error: ...`` line to stderr
+and nothing to stdout, whether the parser or a check below found the fault.
 Usage is checked first, then the output file is opened, and only then is
 anything built or checked, so a bad ``-o`` path fails at once.
 Outputs are deterministic for identical configurations, except for the
 measured ``runtime_ms`` fields in reports.
+
+The module imports only the standard library's ``argparse`` on top of the
+package, because every invocation is a fresh process and its imports are
+paid on each start.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import json
+import os
 import sys
-
-import click
 
 from cranktab import brute, identities, tables, verify
 
-# --n-max and --order: a negative size is a usage error (exit 2)
-SIZE = click.IntRange(min=0)
+
+class UsageError(Exception):
+    """A bad command line or an unwritable output file: exit 2, one line."""
 
 
-class _CannotWrite(click.ClickException):
-    exit_code = 2  # one "Error: ..." line, no usage text
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _size(raw: str) -> int:
+    """The value of ``--n-max`` or ``--order``: an integer >= 0."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"{raw!r} is not an integer >= 0")
+    return value
 
 
 @contextlib.contextmanager
@@ -43,17 +62,18 @@ def _output(path: str | None):
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
     except OSError as exc:
-        raise _CannotWrite(f"cannot write {path}: {exc.strerror or exc}")
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _emit_reports(make_reports, output) -> None:
-    """Open ``output``, then run ``make_reports()`` and write its reports there."""
+def _emit_reports(make_reports, output) -> int:
+    """Open ``output``, then run ``make_reports()`` and write its reports there.
+
+    Returns the exit status of the reports.
+    """
     with _output(output) as fh:
         reports = make_reports()
         fh.write(json.dumps(verify.reports_to_json_obj(reports), indent=2) + "\n")
-    code = verify.exit_code(reports)
-    if code:
-        raise SystemExit(code)
+    return verify.exit_code(reports)
 
 
 def _parse_k_list(raw: str | None):
@@ -62,27 +82,25 @@ def _parse_k_list(raw: str | None):
     try:
         ks = tuple(int(part) for part in raw.split(","))
     except ValueError:
-        raise click.UsageError(f"bad k list {raw!r}; expected comma-separated integers")
+        raise UsageError(f"bad k list {raw!r}; expected comma-separated integers")
     if any(k < 2 for k in ks):
-        raise click.UsageError("every k must be >= 2")
+        raise UsageError("every k must be >= 2")
     return tuple(dict.fromkeys(ks))  # a repeated k runs once, in first-seen order
 
 
 def _check_k(stat: str, k: int | None) -> None:
     if stat == "kcrank" and k is None:
-        raise click.UsageError("--stat kcrank requires --k")
+        raise UsageError("--stat kcrank requires --k")
     if stat == "kcrank" and k < 2:
-        raise click.UsageError("--k must be >= 2")
+        raise UsageError("--k must be >= 2")
     if stat != "kcrank" and k is not None:
-        raise click.UsageError(f"--k applies only to --stat kcrank, not {stat}")
+        raise UsageError(f"--k applies only to --stat kcrank, not {stat}")
 
 
 def _check_oracle_ceiling(stat: str, n_max: int) -> None:
     ceiling = brute.ORACLE_CEILINGS.get(stat)
     if ceiling is not None and n_max > ceiling:
-        raise click.UsageError(
-            f"--n-max {n_max} exceeds the enumeration ceiling {ceiling} for {stat}"
-        )
+        raise UsageError(f"--n-max {n_max} exceeds the enumeration ceiling {ceiling} for {stat}")
 
 
 def _check_flags_used(ids, flags) -> None:
@@ -95,25 +113,9 @@ def _check_flags_used(ids, flags) -> None:
     }
     for flag, value in flags.items():
         if value is not None and set(ids).isdisjoint(readers[flag]):
-            raise click.UsageError(f"{flag} applies only to {', '.join(readers[flag])}")
+            raise UsageError(f"{flag} applies only to {', '.join(readers[flag])}")
 
 
-@click.group()
-def main():
-    """Exact crank-statistic tables and q-series verification."""
-
-
-@main.command()
-@click.option("--stat", required=True,
-              type=click.Choice(tables.STATISTICS), help="Statistic to tabulate.")
-@click.option("--k", type=int, default=None, help="Number of colors (kcrank only).")
-@click.option("--n-max", type=SIZE, default=50, show_default=True)
-@click.option("--provenance", type=click.Choice(["gf", "oracle"]), default="gf",
-              help="Table backend (default: gf).")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
-@click.option("--output", "-o", type=click.Path(), default=None,
-              help="Output file (default: stdout).")
 def table(stat, k, n_max, provenance, fmt, output):
     """Export the weighted count table of one statistic."""
     _check_k(stat, k)
@@ -121,52 +123,35 @@ def table(stat, k, n_max, provenance, fmt, output):
         _check_oracle_ceiling(stat, n_max)
     with _output(output) as fh:
         tables.build_table(stat, n_max, provenance, k=k).write(fh, fmt)
+    return 0
 
 
-@main.command("verify")
-@click.option("--check", "checks", multiple=True, required=True,
-              help="Check id, or 'all'; may be repeated or comma-separated.")
-@click.option("--n-max", type=SIZE, default=None, help="Scan ceiling for sweeps.")
-@click.option("--order", type=SIZE, default=None, help="Truncation order for identities.")
-@click.option("--k", "k_raw", type=str, default=None,
-              help="Comma-separated k values for the k-crank checks.")
-@click.option("--output", "-o", type=click.Path(), default=None)
 def verify_cmd(checks, n_max, order, k_raw, output):
     """Run verification sweeps; exit 0 iff every check passes."""
     ids = [c for chunk in checks for c in chunk.split(",") if c]
     available = f"available: {', '.join(verify.available_checks())}"
     if not ids:
-        raise click.UsageError(f"no check id given; {available}")
+        raise UsageError(f"no check id given; {available}")
     try:
         ids = verify.expand_checks(ids)
     except KeyError as exc:
-        raise click.UsageError(f"{exc.args[0]}; {available}")
+        raise UsageError(f"{exc.args[0]}; {available}")
     _check_flags_used(ids, {"--n-max": n_max, "--order": order, "--k": k_raw})
     k_list = _parse_k_list(k_raw)
-    _emit_reports(
+    return _emit_reports(
         lambda: verify.run_checks(ids, n_max=n_max, order=order, k_list=k_list), output
     )
 
 
-@main.command()
-@click.option("--id", "entry_id", required=True, help="Identity catalog entry id.")
-@click.option("--order", type=SIZE, default=verify.DEFAULT_IDENTITY_ORDER,
-              show_default=True)
-@click.option("--output", "-o", type=click.Path(), default=None)
 def identity(entry_id, order, output):
     """Check one identity-catalog entry at the given truncation order."""
     if entry_id not in identities.CATALOG:
-        raise click.UsageError(
+        raise UsageError(
             f"unknown identity {entry_id!r}; available: {', '.join(sorted(identities.CATALOG))}"
         )
-    _emit_reports(lambda: [verify.check_identity(entry_id, order)], output)
+    return _emit_reports(lambda: [verify.check_identity(entry_id, order)], output)
 
 
-@main.command()
-@click.option("--stat", required=True, type=click.Choice(tables.STATISTICS))
-@click.option("--k", type=int, default=None)
-@click.option("--n-max", type=SIZE, default=25, show_default=True)
-@click.option("--output", "-o", type=click.Path(), default=None)
 def crosscheck(stat, k, n_max, output):
     """Compare the GF-built table against the enumeration oracle."""
     _check_k(stat, k)
@@ -177,7 +162,72 @@ def crosscheck(stat, k, n_max, output):
         oracle = tables.build_table(stat, n_max, "oracle", k=k)
         return [verify.check_table_consistency(gf, oracle)]
 
-    _emit_reports(reports, output)
+    return _emit_reports(reports, output)
+
+
+def _parser(prog: str) -> _Parser:
+    parser = _Parser(
+        prog=prog,
+        description="Exact crank-statistic tables and q-series verification.",
+        allow_abbrev=False,
+    )
+    sub = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(fn, name):
+        doc = fn.__doc__.splitlines()[0]
+        p = sub.add_parser(name, help=doc, description=doc, allow_abbrev=False)
+        p.set_defaults(command=fn)
+        return p
+
+    p = command(table, "table")
+    p.add_argument("--stat", required=True, choices=tables.STATISTICS,
+                   help="Statistic to tabulate.")
+    p.add_argument("--k", type=int, help="Number of colors (kcrank only).")
+    p.add_argument("--n-max", type=_size, default=50, help="Largest n (default: %(default)s).")
+    p.add_argument("--provenance", choices=("gf", "oracle"), default="gf",
+                   help="Table backend (default: %(default)s).")
+    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv",
+                   help="Output format (default: %(default)s).")
+
+    p = command(verify_cmd, "verify")
+    p.add_argument("--check", dest="checks", action="append", required=True,
+                   help="Check id, or 'all'; may be repeated or comma-separated.")
+    p.add_argument("--n-max", type=_size, help="Scan ceiling for sweeps.")
+    p.add_argument("--order", type=_size, help="Truncation order for identities.")
+    p.add_argument("--k", dest="k_raw", help="Comma-separated k values for the k-crank checks.")
+
+    p = command(identity, "identity")
+    p.add_argument("--id", dest="entry_id", required=True, help="Identity catalog entry id.")
+    p.add_argument("--order", type=_size, default=verify.DEFAULT_IDENTITY_ORDER,
+                   help="Truncation order (default: %(default)s).")
+
+    p = command(crosscheck, "crosscheck")
+    p.add_argument("--stat", required=True, choices=tables.STATISTICS)
+    p.add_argument("--k", type=int)
+    p.add_argument("--n-max", type=_size, default=25, help="Largest n (default: %(default)s).")
+
+    for p in sub.choices.values():
+        p.add_argument("-o", "--output", help="Output file (default: stdout).")
+    return parser
+
+
+def main(args=None, prog_name=None):
+    """Run the command line ``args`` (default: ``sys.argv[1:]``).
+
+    Always ends by raising ``SystemExit`` with the exit status.
+    """
+    try:
+        options = vars(_parser(prog_name or "cranktab").parse_args(args))
+        code = options.pop("command")(**options)
+    except UsageError as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        code = 2
+    except BrokenPipeError:
+        # the reader of stdout went away (``| head``): exit 1 without a
+        # traceback, and point stdout at devnull so the final flush is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

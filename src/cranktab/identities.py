@@ -44,8 +44,7 @@ series machinery must reproduce them term for term.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Optional
+from collections import namedtuple
 
 from cranktab import tables
 from cranktab.bivariate import crank_gf, overline_crank_gf
@@ -87,33 +86,29 @@ F2_TERMS = {9: 1, 11: 1, 13: 1, 15: 1, 17: 1, 19: 1, 21: 1, 23: 1, 25: 1}
 H2_TERMS = {7: 1, 15: 1, 17: 2, 19: 3, 21: 4, 23: 5, 25: 7}
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(namedtuple("Clause", "label lhs rhs nonneg_from negative_at",
+                        defaults=(None, 0, frozenset()))):
     """One check; ``lhs`` and ``rhs`` build its sides at the run's order.
 
-    With an ``rhs`` the clause is exact; without one it is a sign clause
-    (see the module docstring).
+    ``lhs`` and ``rhs`` take no argument and return a :class:`Series`.  With
+    an ``rhs`` the clause is exact; without one it is a sign clause (see the
+    module docstring).
     """
 
-    label: str
-    lhs: Callable[[], Series]
-    rhs: Optional[Callable[[], Series]] = None
-    nonneg_from: int = 0
-    negative_at: frozenset = frozenset()
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IdentityEntry:
-    entry_id: str
-    summary: str
-    clauses: Callable[[int], list]  # order -> [Clause]
+class IdentityEntry(namedtuple("IdentityEntry", "entry_id summary clauses")):
+    """One catalog row; ``clauses(order)`` returns its list of :class:`Clause`."""
+
+    __slots__ = ()
 
 
 def _poly(order: int, terms: dict) -> Series:
     return Series.from_terms(order, terms)
 
 
-def _diff(statistic: str, order: int, m: int, k: Optional[int] = None) -> Series:
+def _diff(statistic: str, order: int, m: int, k: int | None = None) -> Series:
     """The difference column ``n -> T[m-1][n] - T[m][n]`` of one statistic."""
     return tables.diff_column(tables.build_table(statistic, order, "gf", k=k), m)
 
@@ -207,7 +202,7 @@ def _closed_form(lhs, rhs, **signs) -> list:
     return [Clause("closed-form", lhs, rhs), Clause("sign-pattern", lhs, **signs)]
 
 
-def _head(N: int, label: str, series, head: list, tail: Optional[str] = None) -> list:
+def _head(N: int, label: str, series, head: list, tail: str | None = None) -> list:
     """``series`` equals ``head`` on q^0..q^h, h = min(N, len(head) - 1).
 
     With a ``tail`` label it must also be nonnegative from h + 1 on.  The tail

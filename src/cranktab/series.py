@@ -33,8 +33,8 @@ overpartition series is one division by Gauss's theta series
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from math import isqrt
-from typing import Iterable, Mapping
 
 
 class OrderMismatch(ValueError):

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import operator
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import compress, count
 
 from cranktab import identities, tables
@@ -48,16 +48,23 @@ RELATIONS = {0: "monotone", 1: "step", 2: "step-by-2"}  # by Sweep.stride
 _BY_CELL = operator.itemgetter("n", "m")  # the order of report entries
 
 
-@dataclass
 class CheckReport:
-    check_id: str
-    params: dict
-    passed: bool
-    exceptions: list
-    informational: list = field(default_factory=list)
-    runtime_ms: float = 0.0
-    cells_checked: int | None = None
-    coeffs_checked: int | None = None
+    """The verdict of one check, the entries behind it and what it covered."""
+
+    __slots__ = ("check_id", "params", "passed", "exceptions", "informational",
+                 "runtime_ms", "cells_checked", "coeffs_checked")
+
+    def __init__(self, check_id: str, params: dict, passed: bool, exceptions: list,
+                 informational: list | None = None, runtime_ms: float = 0.0,
+                 cells_checked: int | None = None, coeffs_checked: int | None = None):
+        self.check_id = check_id
+        self.params = params
+        self.passed = passed
+        self.exceptions = exceptions
+        self.informational = [] if informational is None else informational
+        self.runtime_ms = runtime_ms
+        self.cells_checked = cells_checked
+        self.coeffs_checked = coeffs_checked
 
     @property
     def verdict(self) -> str:
@@ -89,19 +96,16 @@ class CheckReport:
         return obj
 
 
-@dataclass(frozen=True)
-class Sweep:
-    """One inequality sweep over a count table; see the module docstring."""
+class Sweep(namedtuple("Sweep", "check_id statistic stride m_lo m_cut scan_from expected "
+                                "exclude_diagonal params",
+                       defaults=(0, 0, 0, frozenset(), None, ("n_max",)))):
+    """One inequality sweep over a count table; see the module docstring.
 
-    check_id: str
-    statistic: str
-    stride: int  # 1 or 2: step in m; 0: monotone in n
-    m_lo: int = 0
-    m_cut: int = 0
-    scan_from: int = 0
-    expected: frozenset = frozenset()  # (k, m, n) triples
-    exclude_diagonal: int | None = None
-    params: tuple = ("n_max",)
+    ``stride`` is 1 or 2 for a step in m and 0 for monotone in n;
+    ``expected`` holds (k, m, n) triples.
+    """
+
+    __slots__ = ()
 
 
 def run_sweep(sweep: Sweep, n_max: int, k: int | None = None) -> CheckReport:

@@ -1,7 +1,5 @@
 """Tests for the verification sweeps and report machinery."""
 
-import dataclasses
-
 import pytest
 
 from cranktab import verify
@@ -23,7 +21,7 @@ def test_thm_14_exceptions_at_small_scale():
 
 
 def test_thm_14_fails_without_declared_exceptions():
-    report = run_sweep(dataclasses.replace(THM_14, expected=frozenset()), 60)
+    report = run_sweep(THM_14._replace(expected=frozenset()), 60)
     assert not report.passed
 
 

@@ -45,15 +45,16 @@ in (n asc, m asc) order over the full -n..n range, and JSON
 ``{statistic, n_max, rows: [{n, counts}]}`` with counts as decimal strings,
 so consumers never face integer overflow.
 
-Builders are memoized; the returned tables are shared and must be treated
-as immutable.
+:func:`gf_columns` streams one GF's columns from m = order down to 0; each
+builder collects them into a fresh table, and nothing is memoized, so a
+table lives only as long as its caller keeps it.  ``cranktab verify`` scans
+the stream itself and never holds a whole table (see :mod:`cranktab.verify`).
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from functools import lru_cache
 from operator import sub
 
 from cranktab.series import (
@@ -145,41 +146,69 @@ class CrankTable:
             fh.write("\n  ]\n}\n")
 
 
-def _columns(order: int, base_of, d: int, a: int = 1) -> list:
-    """Columns m = 0..order of the GF whose column m is ``base_of(order) * S_m(q**d)``.
+# statistic -> (d, a) of its column form; see the module docstring
+_FORMS = {"crank": (1, 1), "ocrank": (1, 1), "m2crank": (2, 1), "kcrank": (1, 1),
+          "rank": (1, 3)}
 
-    ``B_m = base * R_m(q**d)`` obeys ``B_m = q**(d*(m + c)) * (base - B_(m+s))``
-    with ``s = a`` and ``c = (a - 1) / 2``, and column m is ``B_m - B_(m+1)``.
-    Filling m from the top down keeps only the s latest B lists.
+
+def gf_columns(statistic: str, order: int, k: int | None = None, base: Series | None = None):
+    """Yield ``(m, column m)`` of the GF of one statistic for m = order down to 0.
+
+    Column m is a list of the counts M(m, n) for n = 0..order.  ``k`` is the
+    number of colors of the k-crank.  ``base`` is the statistic's base series
+    at ``order`` or above, when the caller has it already; by default it is
+    built here.  ``B_m = base * R_m(q**d)`` obeys
+    ``B_m = q**(d*(m + c)) * (base - B_(m+s))`` with ``s = a`` and
+    ``c = (a - 1) / 2``, and column m is ``B_m - B_(m+1)``.  Filling m from
+    the top down keeps only the s latest B lists, so a consumer that keeps
+    few columns runs in O(order) memory.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
+    if statistic not in _FORMS:
+        raise ValueError(f"unknown statistic {statistic!r}")
+    if (statistic == "kcrank") != (k is not None) or (k is not None and k < 2):
+        raise ValueError(f"{statistic}: k={k}; kcrank needs k >= 2, and no other statistic takes k")
+    d, a = _FORMS[statistic]
+    if base is None:
+        if statistic in ("ocrank", "m2crank"):
+            base = overpartition_series_theta(order)
+        else:
+            base = partition_series_pentagonal(order, k or 1)
+    elif base.order < order:
+        raise ValueError(f"base of order {base.order} is too short for order {order}")
     size = order + 1
-    base = base_of(order).coeffs
+    base = base.coeffs[:size]
     zero = [0] * size
     window = deque([zero] * a, maxlen=a)  # B_(m+1), ..., B_(m+s)
-    half = [None] * size
     for m in range(order, -1, -1):
         e = d * (m + (a - 1) // 2)
         b = [0] * e + list(map(sub, base[: size - e], window[-1])) if e < size else zero
-        half[m] = list(map(sub, b, window[0]))
+        column = list(map(sub, b, window[0]))
+        if statistic == "rank" and m == 0:
+            column[0] += 1  # the empty partition, of rank 0
+        yield m, column
         window.appendleft(b)
-    return half
 
 
-@lru_cache(maxsize=None)
+def _table(statistic: str, order: int, k: int | None = None) -> CrankTable:
+    columns = [None] * (order + 1)
+    for m, column in gf_columns(statistic, order, k):
+        columns[m] = column
+    label = statistic if k is None else f"{statistic}({k})"
+    return CrankTable(label, order, "gf", columns)
+
+
 def crank_gf(order: int) -> CrankTable:
     """Crank generating function ``(q;q)_inf / ((zq;q)_inf (q/z;q)_inf)``."""
-    return CrankTable("crank", order, "gf", _columns(order, partition_series_pentagonal, 1))
+    return _table("crank", order)
 
 
-@lru_cache(maxsize=None)
 def overline_crank_gf(order: int) -> CrankTable:
     """First-residual-crank GF: the crank GF times ``(-q;q)_inf``."""
-    return CrankTable("ocrank", order, "gf", _columns(order, overpartition_series_theta, 1))
+    return _table("ocrank", order)
 
 
-@lru_cache(maxsize=None)
 def m2_crank_gf(order: int) -> CrankTable:
     """Second-residual-crank GF.
 
@@ -188,21 +217,14 @@ def m2_crank_gf(order: int) -> CrankTable:
     is ``(q;q)_inf``, its columns are ``S_m(q**2)`` times the overpartition
     series.
     """
-    return CrankTable("m2crank", order, "gf", _columns(order, overpartition_series_theta, 2))
+    return _table("m2crank", order)
 
 
-@lru_cache(maxsize=None)
 def kcrank_gf(k: int, order: int) -> CrankTable:
     """k-crank GF for k-colored partitions: crank GF times ``(q;q)_inf**(1-k)``."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    cols = _columns(order, lambda n: partition_series_pentagonal(n, k), 1)
-    return CrankTable(f"kcrank({k})", order, "gf", cols)
+    return _table("kcrank", order, k)
 
 
-@lru_cache(maxsize=None)
 def rank_gf(order: int) -> CrankTable:
     """Dyson-rank GF ``sum_n q**(n*n) / ((zq;q)_n (q/z;q)_n)``."""
-    cols = _columns(order, partition_series_pentagonal, 1, a=3)
-    cols[0][0] += 1  # the empty partition, of rank 0
-    return CrankTable("rank", order, "gf", cols)
+    return _table("rank", order)

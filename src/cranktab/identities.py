@@ -1,10 +1,14 @@
 """Catalog of q-series identities and sign claims, machine-checked exactly.
 
 ``CATALOG`` is one table with one row per entry: an id, a one-line summary,
-and ``clauses(N)``, which returns the entry's clauses at truncation order N.
-A clause carries zero-argument builders bound to N; ``run_clause`` calls
-them, so nothing is built until the clause runs.  A clause is of one of two
-kinds:
+``clauses(N, run)``, which returns the entry's clauses at truncation order
+N, and ``reads``, the statistics whose GF columns they read.  A clause
+carries zero-argument builders bound to N and ``run``; ``run_clause`` calls
+them, so nothing is built until the clause runs.  ``run`` is the
+:class:`Run` that all entries of one catalog run share: it gives the GF
+columns the entries read (``run.column``, ``run.diff``), low columns only,
+truncated to N, and builds each generic product once (``run.product``).  A
+clause is of one of two kinds:
 
 * **exact** -- it has a right side ``rhs``, and both sides must agree
   coefficient for coefficient;
@@ -23,7 +27,9 @@ Most rows are built from three shapes:
 
 The other rows list their ``Clause(...)`` literals directly.  To add an
 entry, append one ``IdentityEntry`` row to ``CATALOG``, pick a shape or
-write the clauses, and bind every loop variable in its builders
+write the clauses, list in ``reads`` the statistics whose columns they read
+(the column bounds of :data:`COLUMN_BOUNDS` cover the present rows), and
+bind every loop variable in its builders
 (``lambda m=m: ...``): a late-bound variable makes every clause read its
 last value.
 
@@ -46,8 +52,7 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 
-from cranktab import tables
-from cranktab.bivariate import crank_gf, overline_crank_gf
+from cranktab import bivariate
 from cranktab.series import (
     Series,
     _div_factor,
@@ -98,19 +103,87 @@ class Clause(namedtuple("Clause", "label lhs rhs nonneg_from negative_at",
     __slots__ = ()
 
 
-class IdentityEntry(namedtuple("IdentityEntry", "entry_id summary clauses")):
-    """One catalog row; ``clauses(order)`` returns its list of :class:`Clause`."""
+class IdentityEntry(namedtuple("IdentityEntry", "entry_id summary clauses reads",
+                               defaults=((),))):
+    """One catalog row; ``clauses(N, run)`` returns its list of :class:`Clause`.
+
+    ``reads`` names the statistics whose GF columns the clauses read through
+    ``run`` (see :class:`Run`).
+    """
 
     __slots__ = ()
 
 
+# The GF columns the catalog reads, by (statistic, k): m = 0..bound.
+COLUMN_BOUNDS = {
+    ("crank", None): 60,
+    ("ocrank", None): 20,
+    ("m2crank", None): 10,
+    **{("kcrank", k): 10 for k in (2, 3, 4)},
+}
+
+
+class Run:
+    """What the clauses of one catalog run share, at truncation order ``order``.
+
+    ``columns[(statistic, k)][m]`` is column m of the GF of ``statistic``
+    truncated to ``order``, for the statistics in ``reads`` and m up to its
+    :data:`COLUMN_BOUNDS`.  A caller that builds those GFs anyway hands their
+    columns over with :meth:`keep` while they stream past; :meth:`column`
+    builds what nobody handed over by a column pass of its own.  Generic
+    products are built once per run by :meth:`product`.  A run holds no full
+    table, and nothing outlives it.
+    """
+
+    def __init__(self, order: int, reads=()):
+        self.order = order
+        self.keys = [key for key in COLUMN_BOUNDS if key[0] in reads]
+        self.columns = {}
+        self._products = {}
+
+    def keep(self, key, m: int, column: list) -> None:
+        """Store column m of the GF ``key``, given at ``order`` or above, if it is read."""
+        if m <= COLUMN_BOUNDS[key]:
+            self.columns.setdefault(key, {})[m] = column[: self.order + 1]
+
+    def fill(self, key) -> None:
+        """Build the columns of ``key`` that the catalog reads, at the run's order."""
+        statistic, k = key
+        for m, column in bivariate.gf_columns(statistic, self.order, k):
+            self.keep(key, m, column)
+
+    def column(self, statistic: str, m: int, k: int | None = None) -> Series:
+        """Column m of one statistic's GF, truncated to the run's order.
+
+        A column that the run does not store raises: a statistic outside
+        ``reads``, or an m past its bound.
+        """
+        key = (statistic, k)
+        if key not in self.keys:
+            raise KeyError(f"{key} is not among the columns this run reads")
+        bound = COLUMN_BOUNDS[key]
+        if not 0 <= m <= bound:
+            raise IndexError(f"column m={m} of {statistic} is past the stored bound {bound}")
+        if key not in self.columns:
+            self.fill(key)
+        if m > self.order:
+            return Series.zero(self.order)  # column m vanishes below q**m
+        return Series(self.order, self.columns[key][m])
+
+    def diff(self, statistic: str, m: int, k: int | None = None) -> Series:
+        """The difference column ``n -> T[m-1][n] - T[m][n]`` of one statistic."""
+        return self.column(statistic, m - 1, k) - self.column(statistic, m, k)
+
+    def product(self, build, *args, **kwargs) -> Series:
+        """``build(*args, order, **kwargs)``, built once per run."""
+        key = (build, args, tuple(sorted(kwargs.items())))
+        if key not in self._products:
+            self._products[key] = build(*args, self.order, **kwargs)
+        return self._products[key]
+
+
 def _poly(order: int, terms: dict) -> Series:
     return Series.from_terms(order, terms)
-
-
-def _diff(statistic: str, order: int, m: int, k: int | None = None) -> Series:
-    """The difference column ``n -> T[m-1][n] - T[m][n]`` of one statistic."""
-    return tables.diff_column(tables.build_table(statistic, order, "gf", k=k), m)
 
 
 # -- right-hand sides of the structural closed forms -------------------------
@@ -230,25 +303,33 @@ def _factored(rows, mult) -> list:
 
 # -- the catalog --------------------------------------------------------------
 
+
+def _kcrank_multiplier(k: int, r: Run, N: int) -> Series:
+    """``(q;q)_inf**(2-k) / (q^2;q^2)_inf``: the one for k - 1 times ``1/(q;q)_inf``."""
+    if k == 2:
+        return r.product(qpoch_inf, 2, 2, invert=True)
+    return r.product(_kcrank_multiplier, k - 1, r) * r.product(partition_series)
+
+
 CATALOG = {
     e.entry_id: e
     for e in [
         IdentityEntry(
             "euler",
             "Euler identity: (-q;q)_inf = 1/(q;q^2)_inf",
-            lambda N: [
+            lambda N, r: [
                 Clause(
                     "euler",
-                    lambda: distinct_series(N),
-                    lambda: qpoch_inf(1, 2, N, invert=True),
+                    lambda: r.product(distinct_series),
+                    lambda: r.product(qpoch_inf, 1, 2, invert=True),
                 )
             ],
         ),
         IdentityEntry(
             "lemma-3.2",
             "(1-q)^2 (-q;q)_inf closed form; negative only at n = 1 and 4",
-            lambda N: _closed_form(
-                lambda: _poly(N, {0: 1, 1: -1}).pow(2) * distinct_series(N),
+            lambda N, r: _closed_form(
+                lambda: _poly(N, {0: 1, 1: -1}).pow(2) * r.product(distinct_series),
                 lambda: _one_minus_q_squared_distinct_rhs(N),
                 negative_at=frozenset({1, 4}),
             ),
@@ -256,11 +337,11 @@ CATALOG = {
         IdentityEntry(
             "lemma-3.3",
             "(1-q)(1-q^5)(-1+q^2+q^3+q^4-q^5)(-q;q)_inf closed form; nonnegative from n = 1",
-            lambda N: _closed_form(
+            lambda N, r: _closed_form(
                 lambda: _poly(N, {0: 1, 1: -1})
                 * _poly(N, {0: 1, 5: -1})
                 * _poly(N, {0: -1, 2: 1, 3: 1, 4: 1, 5: -1})
-                * distinct_series(N),
+                * r.product(distinct_series),
                 lambda: _quintic_distinct_rhs(N),
                 nonneg_from=1,
             ),
@@ -268,16 +349,17 @@ CATALOG = {
         IdentityEntry(
             "crank-diff-heads",
             "crank difference columns m = 1, 2 match their displayed heads",
-            lambda N: _head(N, "m=1", lambda: _diff("crank", N, 1), CRANK_DIFF_M1_HEAD)
-            + _head(N, "m=2", lambda: _diff("crank", N, 2), CRANK_DIFF_M2_HEAD),
+            lambda N, r: _head(N, "m=1", lambda: r.diff("crank", 1), CRANK_DIFF_M1_HEAD)
+            + _head(N, "m=2", lambda: r.diff("crank", 2), CRANK_DIFF_M2_HEAD),
+            reads=("crank",),
         ),
         IdentityEntry(
             "crank-diff-decomp",
             "crank difference columns minus explicit heads are nonnegative tails",
-            lambda N: [
+            lambda N, r: [
                 Clause(
                     "m=1",
-                    lambda: _diff("crank", N, 1)
+                    lambda: r.diff("crank", 1)
                     - (
                         _poly(N, {0: 1, 1: -1}).pow(2)
                         + _poly(N, {0: 1, 1: -1})
@@ -290,7 +372,7 @@ CATALOG = {
                 ),
                 Clause(
                     "m=2",
-                    lambda: _diff("crank", N, 2)
+                    lambda: r.diff("crank", 2)
                     - (
                         _poly(N, {1: 1, 2: -1}) * _poly(N, {0: 1, 3: -1})
                         + _poly(N, {0: 1, 1: -1}) * _poly(N, F2_TERMS)
@@ -299,124 +381,136 @@ CATALOG = {
                     nonneg_from=27,
                 ),
             ],
+            reads=("crank",),
         ),
         IdentityEntry(
             "crank-diff-tails",
             "crank difference columns for m = 8..60: q^(m-1) - q^m then nonnegative",
-            lambda N: [
+            lambda N, r: [
                 clause
                 for m in range(8, min(60, N - 1) + 1)
                 for clause in _head(
                     N,
                     f"m={m} head",
-                    lambda m=m: _diff("crank", N, m),
+                    lambda m=m: r.diff("crank", m),
                     [0] * (m - 1) + [1, -1],
                     f"m={m} tail",
                 )
             ],
+            reads=("crank",),
         ),
         IdentityEntry(
             "ocrank-diff-nonneg",
             "first-residual-crank difference columns are nonnegative for m >= 2",
-            lambda N: [
-                Clause(f"m={m}", lambda m=m: _diff("ocrank", N, m)) for m in range(2, 21)
+            lambda N, r: [
+                Clause(f"m={m}", lambda m=m: r.diff("ocrank", m)) for m in range(2, 21)
             ],
+            reads=("ocrank",),
         ),
         IdentityEntry(
             "sc-identity",
             "(1-q^4)(-q;q^2)_inf closed form; nonnegative coefficients",
-            lambda N: _closed_form(
-                lambda: _poly(N, {0: 1, 4: -1}) * qpoch_inf(1, 2, N, sign=-1),
+            lambda N, r: _closed_form(
+                lambda: _poly(N, {0: 1, 4: -1}) * r.product(qpoch_inf, 1, 2, sign=-1),
                 lambda: _distinct_odd_rhs(N),
             ),
         ),
         IdentityEntry(
             "m2-head",
             "q -> q^2 image of the m = 1 overline difference: 1-q^2-q^4+q^6 then nonnegative",
-            lambda N: _head(
+            lambda N, r: _head(
                 N,
                 "prefix",
-                lambda: _diff("ocrank", N, 1).stretched(2),
+                lambda: r.diff("ocrank", 1).stretched(2),
                 [1, 0, -1, 0, -1, 0, 1, 0],
                 "tail",
             ),
+            reads=("ocrank",),
         ),
         IdentityEntry(
             "ocrank-monotone-factored",
-            "overline monotonicity series equals crank column over (q^3;q^2)_inf",
+            "(1-q) times overline column m = crank column m over (q^3;q^2)_inf; both sides"
+            " share S_m, so it checks the z-free identity (1-q)(-q;q)_inf = 1/(q^3;q^2)_inf",
             # Successive-n difference series of the first residual crank at
             # fixed m, written with the n = 0 term equal to the count at n = 0
             # (that is, (1-q) * sum_n count(m,n) q^n), which is what the
             # factorization equals.
-            lambda N: _factored(
+            lambda N, r: _factored(
                 [
                     (
                         f"m={m}",
-                        lambda m=m: _poly(N, {0: 1, 1: -1}) * overline_crank_gf(N).column(m),
-                        lambda m=m: crank_gf(N).column(m),
+                        lambda m=m: _poly(N, {0: 1, 1: -1}) * r.column("ocrank", m),
+                        lambda m=m: r.column("crank", m),
                     )
                     for m in range(0, 21)
                 ],
-                lambda: qpoch_inf(3, 2, N, invert=True),
+                lambda: r.product(qpoch_inf, 3, 2, invert=True),
             ),
+            reads=("crank", "ocrank"),
         ),
         IdentityEntry(
             "andrews-merca",
             "Andrews-Merca inequality p(n) <= p(n-1)+p(n-2)-p(n-5); derived odd stream",
-            lambda N: [
+            lambda N, r: [
                 # -(p(n) - p(n-1) - p(n-2) + p(n-5)) must be >= 0 for n >= 1
                 Clause(
                     "partition-inequality",
-                    lambda: -(_poly(N, {0: 1, 1: -1, 2: -1, 5: 1}) * partition_series(N)),
+                    lambda: -(_poly(N, {0: 1, 1: -1, 2: -1, 5: 1}) * r.product(partition_series)),
                     nonneg_from=1,
                 ),
                 Clause(
                     "odd-stream",
-                    lambda: _poly(N, {1: -1, 3: 1, 5: 1}) * qpoch_inf(2, 2, N, invert=True),
+                    lambda: _poly(N, {1: -1, 3: 1, 5: 1}) * r.product(qpoch_inf, 2, 2, invert=True),
                     negative_at=frozenset({1}),
                 ),
             ],
         ),
         IdentityEntry(
             "kcrank-reduction",
-            "k-crank difference columns factor through the overline differences",
-            lambda N: [
+            "k-crank difference columns = overline ones times (q;q)_inf^(2-k)/(q^2;q^2)_inf;"
+            " both share S_m, so it checks a z-free identity between base series",
+            lambda N, r: [
                 clause
                 for k in (2, 3, 4)
                 for clause in _factored(
                     [
                         (
                             f"k={k},m={m}",
-                            lambda k=k, m=m: _diff("kcrank", N, m, k),
-                            lambda m=m: _diff("ocrank", N, m),
+                            lambda k=k, m=m: r.diff("kcrank", m, k),
+                            lambda m=m: r.diff("ocrank", m),
                         )
                         for m in range(1, 11)
                     ],
-                    lambda k=k: qpoch_inf(2, 2, N, invert=True) * partition_series(N).pow(k - 2),
+                    lambda k=k: r.product(_kcrank_multiplier, k, r),
                 )
             ],
+            reads=("kcrank", "ocrank"),
         ),
         IdentityEntry(
             "ocrank-head",
             "m = 1 overline difference column: 1-q-q^2+q^3+q^5 then nonnegative",
-            lambda N: _head(
-                N, "prefix", lambda: _diff("ocrank", N, 1), [1, -1, -1, 1, 0, 1], "tail"
+            lambda N, r: _head(
+                N, "prefix", lambda: r.diff("ocrank", 1), [1, -1, -1, 1, 0, 1], "tail"
             ),
+            reads=("ocrank",),
         ),
         IdentityEntry(
             "m2-from-ocrank",
-            "second-residual differences equal (-q;q^2)/(q;q^2) times stretched overline differences",
-            lambda N: _factored(
+            "second-residual differences = (-q;q^2)/(q;q^2) times stretched overline ones;"
+            " both share S_m(q^2), so it checks a z-free identity between base series",
+            lambda N, r: _factored(
                 [
                     (
                         f"m={m}",
-                        lambda m=m: _diff("m2crank", N, m),
-                        lambda m=m: _diff("ocrank", N, m).stretched(2),
+                        lambda m=m: r.diff("m2crank", m),
+                        lambda m=m: r.diff("ocrank", m).stretched(2),
                     )
                     for m in range(1, 11)
                 ],
-                lambda: qpoch_inf(1, 2, N, sign=-1) * qpoch_inf(1, 2, N, invert=True),
+                lambda: r.product(qpoch_inf, 1, 2, sign=-1)
+                * r.product(qpoch_inf, 1, 2, invert=True),
             ),
+            reads=("m2crank", "ocrank"),
         ),
     ]
 }
@@ -463,14 +557,19 @@ def run_clause(clause: Clause) -> tuple[list, int]:
     return exceptions, max(0, lhs.order + 1 - n0)
 
 
-def run_entry(entry: IdentityEntry, order: int) -> tuple[list, int]:
+def run_entry(entry: IdentityEntry, order: int, run: Run | None = None) -> tuple[list, int]:
     """Evaluate all clauses of one catalog entry at the given order.
 
-    Returns the exceptions of all clauses and the total number of
-    coefficients compared.
+    ``run`` is the catalog run the entry belongs to; by default the entry
+    runs on its own.  Returns the exceptions of all clauses and the total
+    number of coefficients compared.
     """
+    if run is None:
+        run = Run(order, entry.reads)
+    elif run.order != order:
+        raise ValueError(f"the run is at order {run.order}, not {order}")
     exceptions, checked = [], 0
-    for clause in entry.clauses(order):
+    for clause in entry.clauses(order, run):
         found, count = run_clause(clause)
         exceptions.extend(found)
         checked += count

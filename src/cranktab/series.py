@@ -26,7 +26,8 @@ identity, so the tests and the identity catalog compare against it.  The
 fast one, which the generating-function bases use, is
 :func:`sparse_reciprocal`: division by a series with constant term 1 and
 O(sqrt(N)) terms, O(N**1.5) per division.  ``1/(q;q)_inf**k`` is k divisions
-by Euler's pentagonal series (:func:`partition_series_pentagonal`), and the
+by Euler's pentagonal series (:func:`partition_series_pentagonal`; the
+successive powers of :func:`partition_powers_pentagonal` share them), and the
 overpartition series is one division by Gauss's theta series
 ``phi(-q) = (q;q)_inf / (-q;q)_inf`` (:func:`overpartition_series_theta`).
 """
@@ -352,6 +353,23 @@ def euler_product_pentagonal(order: int) -> Series:
     return Series(order, c)
 
 
+def _sparse_pairs(order: int, terms: Mapping[int, int]) -> list:
+    if any(e < 1 for e in terms):
+        raise ValueError("terms must have exponents >= 1 (the constant term is 1)")
+    return sorted((e, v) for e, v in terms.items() if v and e <= order)
+
+
+def _div_sparse(c: list, pairs: list) -> None:
+    # divide by D = 1 + sum v q^e in place: solve D * new = old from the bottom up
+    for n in range(1, len(c)):
+        total = c[n]
+        for e, v in pairs:
+            if e > n:
+                break
+            total -= v * c[n - e]
+        c[n] = total
+
+
 def sparse_reciprocal(order: int, terms: Mapping[int, int], power: int = 1) -> Series:
     """``1 / D(q)**power`` for the sparse series ``D = 1 + sum_e terms[e] q**e``.
 
@@ -362,19 +380,11 @@ def sparse_reciprocal(order: int, terms: Mapping[int, int], power: int = 1) -> S
     """
     if power < 0:
         raise ValueError("negative powers are not supported")
-    if any(e < 1 for e in terms):
-        raise ValueError("terms must have exponents >= 1 (the constant term is 1)")
-    pairs = sorted((e, v) for e, v in terms.items() if v and e <= order)
+    pairs = _sparse_pairs(order, terms)
     c = [0] * (order + 1)
     c[0] = 1
     for _ in range(power):
-        for n in range(1, order + 1):
-            total = c[n]
-            for e, v in pairs:
-                if e > n:
-                    break
-                total -= v * c[n - e]
-            c[n] = total
+        _div_sparse(c, pairs)
     return Series(order, c)
 
 
@@ -385,6 +395,19 @@ def partition_series_pentagonal(order: int, power: int = 1) -> Series:
     (raised to ``power`` by :meth:`Series.pow`) exactly.
     """
     return sparse_reciprocal(order, dict(pentagonal_numbers(order)), power)
+
+
+def partition_powers_pentagonal(order: int):
+    """Yield ``1/(q; q)_inf**k`` for k = 1, 2, 3, ..., without end.
+
+    Each power is the one before it divided once more by Euler's pentagonal
+    series, so the first k powers cost k sparse divisions, not k(k+1)/2.
+    """
+    pairs = _sparse_pairs(order, dict(pentagonal_numbers(order)))
+    c = [1] + [0] * order
+    while True:
+        _div_sparse(c, pairs)
+        yield Series(order, c)  # a copy of c
 
 
 def overpartition_series_theta(order: int) -> Series:

@@ -2,11 +2,13 @@
 
 :func:`build_table` gives the :class:`~cranktab.bivariate.CrankTable` of one
 statistic for n = 0..n_max, built either from its generating function
-(``provenance="gf"``: the memoized builder's own table, whose support is
+(``provenance="gf"``: a fresh table from its builder, whose support is
 checked when it is built) or from the enumeration oracle
 (``provenance="oracle"``: the enumerated rows transposed into the columns
 m >= 0, with their support and their symmetry m <-> -m checked on the way).
-Neither path makes a table that violates them.
+Neither path makes a table that violates them.  ``cranktab table``,
+``crosscheck`` and the tests build whole tables here; ``cranktab verify``
+does not, it scans the GF columns as they stream (:mod:`cranktab.verify`).
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ def _oracle_table(statistic, n_max, k) -> CrankTable:
 def build_table(statistic, n_max, provenance="gf", k=None) -> CrankTable:
     """The table of one statistic for n = 0..n_max; ``k`` is for kcrank only.
 
-    Tables are cached and shared; treat them as immutable.
+    A GF table is built afresh on each call.  An oracle table is cached and
+    shared, because the enumeration is slow; treat it as immutable.
     """
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")

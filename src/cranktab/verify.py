@@ -1,9 +1,8 @@
 """Inequality sweeps and identity checks with structured pass/fail reports.
 
-Every theorem sweep is data: one :class:`Sweep` entry of :data:`SWEEPS`, run
-by the one routine :func:`run_sweep`.  A sweep reads the count table
-``count(m, n)`` that the generating function of its ``statistic`` gives and
-checks one relation, set by ``stride``:
+Every theorem sweep is data: one :class:`Sweep` entry of :data:`SWEEPS`.  A
+sweep reads the counts ``count(m, n)`` that the generating function of its
+``statistic`` gives and checks one relation, set by ``stride``:
 
 * 1 or 2 -- step in m: count(m - stride, n) >= count(m, n);
 * 0      -- monotone in n: count(m, n) >= count(m, n - 1), from n = 1 on.
@@ -23,6 +22,15 @@ report parameters in print order, each taken from the sweep or the run
 report gives ``cells_checked``, the number of cells compared in its counted
 rows; every identity report gives ``coeffs_checked``.
 
+No sweep reads a whole table: each compares column m with column
+m - stride, or with itself one row down.  :func:`run_checks` therefore
+streams each GF's columns once per run, from m = order down to 0
+(:func:`cranktab.bivariate.gf_columns`), and feeds them to every selected
+sweep of that (statistic, k) while it holds the last three only.  The same
+pass hands the identity catalog's :class:`~cranktab.identities.Run` the low
+columns its entries read.  So each GF is built once per run, and a run holds
+O(N) cells per pass plus the catalog's few low columns, not whole tables.
+
 Note on the monotonicity sweeps (`thm-1.7*`): the counts of the first
 residual crank satisfy count(m, n) >= count(m, n-1) for all comparisons
 among n >= 1, but the single comparison against n = 0 fails at m = 0
@@ -35,10 +43,10 @@ from __future__ import annotations
 
 import operator
 import time
-from collections import namedtuple
+from collections import deque, namedtuple
 from itertools import compress, count
 
-from cranktab import identities, tables
+from cranktab import bivariate, identities, series
 
 DEFAULT_N_MAX = {"crank": 300, "ocrank": 300, "m2crank": 300, "kcrank": 200, "rank": 40}
 DEFAULT_IDENTITY_ORDER = 200
@@ -108,62 +116,110 @@ class Sweep(namedtuple("Sweep", "check_id statistic stride m_lo m_cut scan_from 
     __slots__ = ()
 
 
-def run_sweep(sweep: Sweep, n_max: int, k: int | None = None) -> CheckReport:
-    """Scan rows 0..n_max of the sweep's table (the k-colored one for kcrank).
+class _Scan:
+    """One sweep of rows 0..n_max, fed the columns of its statistic's pass."""
 
-    Column m is compared with column m - stride (or with itself one row down)
-    as whole slices; only the violating cells are visited one by one.
-    """
-    table = tables.build_table(sweep.statistic, n_max, k=k)
-    t0 = time.perf_counter()
-    stride, diagonal = sweep.stride, sweep.exclude_diagonal
-    dn = 0 if stride else 1  # a monotone sweep compares row n with row n - 1
-    found, informational, cells = [], [], 0
-    for m in range(sweep.m_lo, n_max + 1 - sweep.m_cut):
+    def __init__(self, sweep: Sweep, n_max: int, k: int | None):
+        if sweep.m_lo < sweep.stride:
+            raise ValueError(f"{sweep.check_id}: m_lo must be >= stride")
+        self.sweep, self.n_max, self.k = sweep, n_max, k
+        self.ms = range(sweep.m_lo, n_max + 1 - sweep.m_cut)
+        self.found, self.informational, self.cells, self.seconds = [], [], 0, 0.0
+
+    def compare(self, m: int, lhs_col: list, rhs_col: list) -> None:
+        """Compare column m - stride (``lhs_col``) with column m (``rhs_col``).
+
+        The columns are compared as whole slices; only the violating cells are
+        visited one by one.
+        """
+        t0 = time.perf_counter()
+        sweep, n_max, k = self.sweep, self.n_max, self.k
+        diagonal = sweep.exclude_diagonal
+        dn = 0 if sweep.stride else 1  # a monotone sweep compares row n with row n - 1
         lo = max(m + sweep.m_cut, dn)  # first row whose window holds m
         first_counted = max(lo, sweep.scan_from)
-        cells += max(0, n_max + 1 - first_counted)
+        self.cells += max(0, n_max + 1 - first_counted)
         if diagonal is not None and first_counted <= m + diagonal <= n_max:
-            cells -= 1
-        lhs_col, rhs_col = table.column(m - stride).coeffs, table.column(m).coeffs
-        for n in compress(count(lo), map(operator.lt, lhs_col[lo:], rhs_col[lo - dn :])):
+            self.cells -= 1
+        for n in compress(count(lo), map(operator.lt, lhs_col[lo : n_max + 1], rhs_col[lo - dn :])):
             entry = {"m": m, "n": n, "lhs": lhs_col[n], "rhs": rhs_col[n - dn]}
             if k is not None:
                 entry["k"] = k
             if n < sweep.scan_from:
-                informational.append(entry)
+                self.informational.append(entry)
             elif diagonal is not None and n == m + diagonal:
-                informational.append(dict(entry, note=f"excluded diagonal n=m+{diagonal}"))
+                self.informational.append(dict(entry, note=f"excluded diagonal n=m+{diagonal}"))
             else:
-                found.append(entry)
-    found.sort(key=_BY_CELL)
-    informational.sort(key=_BY_CELL)
-    expected = {
-        (kk, m, n) for kk, m, n in sweep.expected if kk == k and sweep.scan_from <= n <= n_max
-    }
-    values = {
-        "statistic": sweep.statistic,
-        "k": k,
-        "n_max": n_max,
-        "scan_from": sweep.scan_from,
-        "relation": RELATIONS[stride],
-    }
-    return CheckReport(
-        sweep.check_id if k is None else f"{sweep.check_id}[k={k}]",
-        {name: values[name] for name in sweep.params},
-        passed={(e.get("k"), e["m"], e["n"]) for e in found} == expected,
-        exceptions=found,
-        informational=informational,
-        runtime_ms=(time.perf_counter() - t0) * 1000,
-        cells_checked=cells,
-    )
+                self.found.append(entry)
+        self.seconds += time.perf_counter() - t0
+
+    def report(self) -> CheckReport:
+        sweep, n_max, k = self.sweep, self.n_max, self.k
+        self.found.sort(key=_BY_CELL)
+        self.informational.sort(key=_BY_CELL)
+        expected = {
+            (kk, m, n) for kk, m, n in sweep.expected if kk == k and sweep.scan_from <= n <= n_max
+        }
+        values = {
+            "statistic": sweep.statistic,
+            "k": k,
+            "n_max": n_max,
+            "scan_from": sweep.scan_from,
+            "relation": RELATIONS[sweep.stride],
+        }
+        return CheckReport(
+            sweep.check_id if k is None else f"{sweep.check_id}[k={k}]",
+            {name: values[name] for name in sweep.params},
+            passed={(e.get("k"), e["m"], e["n"]) for e in self.found} == expected,
+            exceptions=self.found,
+            informational=self.informational,
+            runtime_ms=self.seconds * 1000,
+            cells_checked=self.cells,
+        )
 
 
-def check_identity(entry_id, order=DEFAULT_IDENTITY_ORDER):
-    """Run one identity-catalog entry at the given truncation order."""
+def _column_pass(statistic, k, size, scans, run=None, base=None) -> None:
+    """Stream the columns of one GF at order ``size`` once, from m = size down to 0.
+
+    Each of the ``scans`` compares column m with column m - stride as the
+    latter goes by, so only the last three columns are held.  ``run``, a
+    catalog run, keeps the low columns it reads.  ``base`` is the
+    statistic's base series, when the caller has it.
+    """
+    window = deque(maxlen=3)  # columns j, j + 1, j + 2
+    key = (statistic, k)
+    keep = run is not None and key in run.keys
+    for j, column in bivariate.gf_columns(statistic, size, k, base):
+        window.appendleft(column)
+        for scan in scans:
+            m = j + scan.sweep.stride
+            if m in scan.ms:
+                scan.compare(m, column, window[scan.sweep.stride])
+        if keep:
+            run.keep(key, j, column)
+
+
+def run_sweep(sweep: Sweep, n_max: int, k: int | None = None) -> CheckReport:
+    """Scan rows 0..n_max of the sweep's table (the k-colored one for kcrank).
+
+    Column m is compared with column m - stride (or with itself one row down)
+    as the GF's columns stream past; see :func:`run_checks` for a run of
+    several sweeps.
+    """
+    scan = _Scan(sweep, n_max, k)
+    _column_pass(sweep.statistic, k, n_max, [scan])
+    return scan.report()
+
+
+def check_identity(entry_id, order=DEFAULT_IDENTITY_ORDER, run=None):
+    """Run one identity-catalog entry at the given truncation order.
+
+    ``run`` is the :class:`~cranktab.identities.Run` of the catalog run the
+    entry belongs to; by default the entry gets a run of its own.
+    """
     entry = identities.CATALOG[entry_id]
     t0 = time.perf_counter()
-    exceptions, checked = identities.run_entry(entry, order)
+    exceptions, checked = identities.run_entry(entry, order, run)
     return CheckReport(
         entry_id,
         {"order": order},
@@ -260,21 +316,52 @@ def run_checks(check_ids, n_max=None, order=None, k_list=None):
 
     See :func:`expand_checks` for the ids.  A ``None`` setting selects the
     check's default.
+
+    Each GF is built once, in one column pass per (statistic, k), at the
+    largest size any selected check reads: the sweeps' scan ceiling, or the
+    identities' order when the catalog reads its columns.  The pass feeds
+    every sweep of that GF and hands the catalog run the low columns it
+    reads, so no full table is held.
     """
-    reports = []
-    for cid in expand_checks(check_ids):
-        if cid in identities.CATALOG:
-            reports.append(check_identity(cid, DEFAULT_IDENTITY_ORDER if order is None else order))
-            continue
-        for sweep in SWEEPS[cid]:
+    ids = expand_checks(check_ids)
+    order = DEFAULT_IDENTITY_ORDER if order is None else order
+    entries = [cid for cid in ids if cid in identities.CATALOG]
+    run = identities.Run(
+        order, {s for cid in entries for s in identities.CATALOG[cid].reads}
+    )
+    scans = {key: [] for key in run.keys}  # (statistic, k) -> the scans of its pass
+    for cid in ids:
+        for sweep in SWEEPS.get(cid, ()):
             size = DEFAULT_N_MAX[sweep.statistic] if n_max is None else n_max
             if sweep.statistic == "kcrank":
                 ks = DEFAULT_K_LIST if k_list is None else k_list
             else:
                 ks = (None,)
-            reports.extend(run_sweep(sweep, size, k) for k in ks)
+            for k in ks:
+                scans.setdefault((sweep.statistic, k), []).append(_Scan(sweep, size, k))
+    sizes = {
+        key: max([s.n_max for s in group] + ([order] if key in run.keys else []))
+        for key, group in scans.items()
+    }
+    bases = _kcrank_bases({k: size for (stat, k), size in sizes.items() if stat == "kcrank"})
+    for (statistic, k), group in scans.items():
+        _column_pass(statistic, k, sizes[statistic, k], group, run, bases.get(k))
+    reports = [scan.report() for group in scans.values() for scan in group]
+    reports.extend(check_identity(cid, order, run) for cid in entries)
     reports.sort(key=lambda r: r.check_id)
     return reports
+
+
+def _kcrank_bases(sizes: dict) -> dict:
+    """``k -> 1/(q;q)_inf**k`` at the largest of ``sizes``, for each k in ``sizes``.
+
+    Each power is the one before divided once more by Euler's pentagonal
+    series, so the bases up to k cost k divisions in all.
+    """
+    if not sizes:
+        return {}
+    powers = series.partition_powers_pentagonal(max(sizes.values()))
+    return {k: base for k, base in zip(range(1, max(sizes) + 1), powers) if k in sizes}
 
 
 def reports_to_json_obj(reports):

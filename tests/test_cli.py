@@ -285,7 +285,7 @@ def test_identity_negative_order_is_usage_error(tmp_path):
 BROKEN = IdentityEntry(
     "broken",
     "always fails",
-    lambda N: [identities.Clause("c", lambda: Series.constant(N, -1))],
+    lambda N, run: [identities.Clause("c", lambda: Series.constant(N, -1))],
 )
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from cranktab import identities, verify
-from cranktab.bivariate import kcrank_gf, overline_crank_gf
+from cranktab.bivariate import crank_gf, kcrank_gf
 from cranktab.identities import CATALOG, CORE_ENTRIES, run_entry
 from cranktab.series import Series, distinct_series, partition_series, qpoch_fin
 from cranktab.tables import build_table, diff_column
@@ -16,6 +16,12 @@ def test_catalog_entry_passes(entry_id):
     exceptions, checked = run_entry(CATALOG[entry_id], ORDER)
     assert exceptions == [], exceptions[:5]
     assert checked > 0
+
+
+def _clauses(entry_id, order):
+    """The clauses of one entry at ``order``, in a catalog run of its own."""
+    entry = CATALOG[entry_id]
+    return entry.clauses(order, identities.Run(order, entry.reads))
 
 
 def test_core_entries_are_registered():
@@ -32,7 +38,7 @@ def test_lemma_32_exception_values():
 
 
 def test_lemma_33_leading_coefficient():
-    lhs = CATALOG["lemma-3.3"].clauses(40)[0].lhs()
+    lhs = _clauses("lemma-3.3", 40)[0].lhs()
     assert lhs[0] == -1
     assert all(c >= 0 for c in lhs.coeffs[1:])
 
@@ -63,14 +69,14 @@ def test_andrews_merca_value_at_5():
 
 
 def test_andrews_merca_odd_stream_single_exception():
-    stream = CATALOG["andrews-merca"].clauses(80)[1].lhs()
+    stream = _clauses("andrews-merca", 80)[1].lhs()
     assert stream[1] == -1
     assert all(c >= 0 for n, c in enumerate(stream.coeffs) if n != 1)
 
 
 def test_crank_decomp_residuals_vanish_below_thresholds():
     # the explicit heads reproduce the difference columns exactly that far
-    clauses = CATALOG["crank-diff-decomp"].clauses(ORDER)
+    clauses = _clauses("crank-diff-decomp", ORDER)
     resid_m1 = clauses[0].lhs()
     resid_m2 = clauses[1].lhs()
     assert resid_m1.coeffs[:44] == [0] * 44
@@ -118,32 +124,80 @@ def test_coeffs_checked_is_pinned(entry_id):
     assert tuple(counts) == PINNED_COEFFS_CHECKED[entry_id]
 
 
-def _failing_cells(entry_id, gf, m, n, order):
-    """Add 1 to cell (m, n) of a cached GF, run the entry, restore the cell.
+def _failing_cells(entry_id, key, m, n, order):
+    """Add 1 to cell (m, n) of the GF ``key`` in the run's columns, run the entry.
 
     Returns the sorted (clause, n) pairs that failed.
     """
-    column = gf.columns[m]
-    column[n] += 1
-    try:
-        exceptions, _ = run_entry(CATALOG[entry_id], order)
-    finally:
-        column[n] -= 1
+    entry = CATALOG[entry_id]
+    run = identities.Run(order, entry.reads)
+    run.fill(key)
+    run.columns[key][m][n] += 1
+    exceptions, _ = run_entry(entry, order, run)
     return sorted({(e["clause"], e["n"]) for e in exceptions})
 
 
 @pytest.mark.parametrize("k", [2, 3, 4], ids=lambda k: f"k={k}")
 def test_corrupted_kcrank_cell_fails_only_its_clauses(k):
     # column 3 enters the differences of m = 3 and m = 4 of this k only
-    failed = _failing_cells("kcrank-reduction", kcrank_gf(k, 40), 3, 20, 40)
+    failed = _failing_cells("kcrank-reduction", ("kcrank", k), 3, 20, 40)
     assert failed == [(f"k={k},m=3", 20), (f"k={k},m=4", 20)]
 
 
 @pytest.mark.parametrize("m", [0, 7, 20], ids=lambda m: f"m={m}")
 def test_corrupted_ocrank_cell_fails_only_its_clause(m):
     # (1-q) times the overline column moves the error to n = 20 and 21
-    failed = _failing_cells("ocrank-monotone-factored", overline_crank_gf(40), m, 20, 40)
+    failed = _failing_cells("ocrank-monotone-factored", ("ocrank", None), m, 20, 40)
     assert failed == [(f"m={m}", 20), (f"m={m}", 21)]
+
+
+def test_run_columns_past_their_bound_raise():
+    run = identities.Run(30, ("crank", "kcrank"))
+    assert run.column("crank", 5) == crank_gf(30).column(5)
+    assert run.column("kcrank", 10, 4) == kcrank_gf(4, 30).column(10)
+    assert run.column("crank", 60) == Series.zero(30)  # above the order: zero by support
+    for statistic, m, k in (("crank", 61, None), ("kcrank", 11, 2), ("crank", -1, None)):
+        with pytest.raises(IndexError):
+            run.column(statistic, m, k)
+    for statistic, k in (("ocrank", None), ("kcrank", 5), ("rank", None)):
+        with pytest.raises(KeyError):  # not among the columns the run reads
+            run.column(statistic, 1, k)
+
+
+@pytest.mark.parametrize("entry_id", sorted(e for e in CATALOG if CATALOG[e].reads))
+def test_entry_reads_only_the_columns_it_declares(entry_id):
+    # a run that stores one statistic fewer than the entry declares fails it
+    entry = CATALOG[entry_id]
+    for dropped in entry.reads:
+        run = identities.Run(40, [s for s in entry.reads if s != dropped])
+        with pytest.raises(KeyError):
+            run_entry(entry, 40, run)
+
+
+def test_generic_products_are_built_once_per_run(monkeypatch):
+    calls = []
+    for name in ("partition_series", "distinct_series", "qpoch_inf"):
+        real = getattr(identities, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            calls.append((name, args, tuple(sorted(kwargs.items()))))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(identities, name, counted)
+    reports = verify.run_checks(sorted(CATALOG), order=60)
+    assert all(r.passed for r in reports)
+    # 1/(q;q), (-q;q), 1/(q;q^2), (-q;q^2), 1/(q^2;q^2) and 1/(q^3;q^2)
+    assert len(calls) == len(set(calls)) == 6
+
+
+def test_kcrank_multipliers_take_one_multiply_per_k(monkeypatch):
+    # 30 clauses multiply their factor by the multiplier of their k; the
+    # multipliers of k = 3 and 4 take one multiply each, that of k = 2 none
+    calls = []
+    real = Series.__mul__
+    monkeypatch.setattr(Series, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    exceptions, _ = run_entry(CATALOG["kcrank-reduction"], 60)
+    assert exceptions == [] and len(calls) == 32
 
 
 def test_sign_clause_reports_missing_and_unexpected_negatives():
@@ -183,7 +237,7 @@ def test_identity_failure_is_detected():
     bad = identities.IdentityEntry(
         "bad",
         "wrong on purpose",
-        lambda N: [
+        lambda N, run: [
             identities.Clause("c", lambda: distinct_series(N), lambda: Series.constant(N))
         ],
     )

@@ -181,10 +181,12 @@ def test_symmetry_violation_detected():
         tables._compress_full_rows([{0: 1}, {-2: 1, 2: 1}], "bogus")
 
 
-def test_tables_are_cached_and_shared():
-    # a GF table is the memoized builder's own object
-    assert build_table("crank", 9) is crank_gf(9)
+def test_oracle_tables_are_cached_gf_tables_are_built_afresh():
+    # the enumeration is memoized; a GF table is built on each call, and no
+    # builder keeps one alive after its caller drops it
     assert build_table("crank", 9, "oracle") is build_table("crank", 9, "oracle")
+    t = build_table("crank", 9)
+    assert t is not crank_gf(9) and t.columns == crank_gf(9).columns
 
 
 def test_render_rejects_unknown_format():

@@ -1,8 +1,14 @@
 """Tests for the verification sweeps and report machinery."""
 
+import json
+import operator
+import time
+from itertools import compress, count
+
 import pytest
 
-from cranktab import verify
+from cranktab import bivariate, series, verify
+from cranktab.series import partition_series
 from cranktab.tables import CrankTable, build_table
 from cranktab.verify import SWEEPS, check_table_consistency, run_checks, run_sweep
 
@@ -310,6 +316,131 @@ def test_column_scan_matches_per_cell_reference(n_max):
                 r = run_sweep(sweep, n_max, k)
                 got = (r.passed, r.exceptions, r.informational, r.cells_checked)
                 assert got == _per_cell_sweep(sweep, n_max, k), (sweep.check_id, k)
+
+
+# -- full-table reference ------------------------------------------------------
+#
+# run_sweep as it was before the sweeps streamed: it builds the whole table of
+# the sweep's statistic at n_max and compares its column slices.  The streamed
+# sweeps of run_checks must give the same reports, runtime_ms aside.
+
+
+def _full_table_sweep(sweep, n_max, k=None):
+    table = build_table(sweep.statistic, n_max, k=k)
+    t0 = time.perf_counter()
+    stride, diagonal = sweep.stride, sweep.exclude_diagonal
+    dn = 0 if stride else 1
+    found, informational, cells = [], [], 0
+    for m in range(sweep.m_lo, n_max + 1 - sweep.m_cut):
+        lo = max(m + sweep.m_cut, dn)
+        first_counted = max(lo, sweep.scan_from)
+        cells += max(0, n_max + 1 - first_counted)
+        if diagonal is not None and first_counted <= m + diagonal <= n_max:
+            cells -= 1
+        lhs_col, rhs_col = table.column(m - stride).coeffs, table.column(m).coeffs
+        for n in compress(count(lo), map(operator.lt, lhs_col[lo:], rhs_col[lo - dn :])):
+            entry = {"m": m, "n": n, "lhs": lhs_col[n], "rhs": rhs_col[n - dn]}
+            if k is not None:
+                entry["k"] = k
+            if n < sweep.scan_from:
+                informational.append(entry)
+            elif diagonal is not None and n == m + diagonal:
+                informational.append(dict(entry, note=f"excluded diagonal n=m+{diagonal}"))
+            else:
+                found.append(entry)
+    found.sort(key=verify._BY_CELL)
+    informational.sort(key=verify._BY_CELL)
+    expected = {
+        (kk, m, n) for kk, m, n in sweep.expected if kk == k and sweep.scan_from <= n <= n_max
+    }
+    values = {"statistic": sweep.statistic, "k": k, "n_max": n_max,
+              "scan_from": sweep.scan_from, "relation": verify.RELATIONS[stride]}
+    return verify.CheckReport(
+        sweep.check_id if k is None else f"{sweep.check_id}[k={k}]",
+        {name: values[name] for name in sweep.params},
+        passed={(e.get("k"), e["m"], e["n"]) for e in found} == expected,
+        exceptions=found,
+        informational=informational,
+        runtime_ms=(time.perf_counter() - t0) * 1000,
+        cells_checked=cells,
+    )
+
+
+def _payload(report):
+    obj = report.to_json_obj()
+    del obj["runtime_ms"]
+    return json.dumps(obj)
+
+
+# Catalog entries that read the crank, ocrank, m2crank and kcrank (k = 2..4)
+# columns: with them in the run, those passes run at the catalog's order,
+# above the sweeps' n_max.
+_COLUMN_READERS = ["crank-diff-heads", "kcrank-reduction", "m2-from-ocrank"]
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 13, 14, 45, 150])
+def test_streamed_sweeps_match_full_table_reference(n_max):
+    ks = (2, 3, 7)
+    reference = {
+        r.check_id: _payload(r)
+        for sweeps in SWEEPS.values()
+        for sweep in sweeps
+        for r in (_full_table_sweep(sweep, n_max, k)
+                  for k in (ks if sweep.statistic == "kcrank" else (None,)))
+    }
+    alone = {
+        r.check_id: _payload(r)
+        for sweeps in SWEEPS.values()
+        for sweep in sweeps
+        for r in (run_sweep(sweep, n_max, k)
+                  for k in (ks if sweep.statistic == "kcrank" else (None,)))
+    }
+    assert alone == reference
+    for order in (n_max, n_max + 17):
+        reports = run_checks([*SWEEPS, *_COLUMN_READERS], n_max=n_max, order=order, k_list=ks)
+        streamed = {r.check_id: _payload(r) for r in reports if r.check_id in reference}
+        assert streamed == reference, order
+        assert all(r.passed for r in reports if r.check_id in _COLUMN_READERS), order
+
+
+def test_run_checks_builds_each_gf_once(monkeypatch):
+    # one pass per (statistic, k), at the larger of n_max and the order of the
+    # catalog entries that read its columns
+    passes = []
+    real = bivariate.gf_columns
+
+    def counted(statistic, order, k=None, base=None):
+        passes.append((statistic, k, order))
+        return real(statistic, order, k, base)
+
+    monkeypatch.setattr(bivariate, "gf_columns", counted)
+    reports = run_checks(["all"], n_max=30, order=40)
+    assert len(reports) == 27 and all(r.passed for r in reports)
+    assert len(passes) == 9
+    assert set(passes) == {
+        ("crank", None, 40), ("ocrank", None, 40), ("m2crank", None, 40), ("rank", None, 30),
+        ("kcrank", 2, 40), ("kcrank", 3, 40), ("kcrank", 4, 40),
+        ("kcrank", 5, 30), ("kcrank", 6, 30),
+    }
+
+
+@pytest.mark.parametrize("order", [0, 1, 60, 200])
+def test_shared_kcrank_bases_equal_generic_powers(order, monkeypatch):
+    # base_k = base_(k-1) / (Euler's pentagonal series): 6 divisions for k = 2..6
+    divisions = []
+    real = series._div_sparse
+
+    def counted(c, pairs):
+        divisions.append(len(c))
+        real(c, pairs)
+
+    monkeypatch.setattr(series, "_div_sparse", counted)
+    bases = verify._kcrank_bases({k: order for k in range(2, 7)})
+    assert divisions == [order + 1] * 6
+    p = partition_series(order)
+    assert sorted(bases) == [2, 3, 4, 5, 6]
+    for k, base in bases.items():
+        assert base == p.pow(k), k
 
 
 def test_table_consistency_pass_and_fail():

@@ -130,9 +130,9 @@ class Run:
     truncated to ``order``, for the statistics in ``reads`` and m up to its
     :data:`COLUMN_BOUNDS`.  A caller that builds those GFs anyway hands their
     columns over with :meth:`keep` while they stream past; :meth:`column`
-    builds what nobody handed over by a column pass of its own.  Generic
-    products are built once per run by :meth:`product`.  A run holds no full
-    table, and nothing outlives it.
+    gets what nobody handed over from the GF's builder (:meth:`fill`).
+    Generic products are built once per run by :meth:`product`.  A run keeps
+    no full table, and nothing outlives it.
     """
 
     def __init__(self, order: int, reads=()):
@@ -147,9 +147,22 @@ class Run:
             self.columns.setdefault(key, {})[m] = column[: self.order + 1]
 
     def fill(self, key) -> None:
-        """Build the columns of ``key`` that the catalog reads, at the run's order."""
+        """Keep the columns of ``key`` that the catalog reads, from its builder.
+
+        The GF is built at the run's order by its named builder in
+        :mod:`cranktab.bivariate`, and its table is dropped once the low
+        columns are kept.
+        """
         statistic, k = key
-        for m, column in bivariate.gf_columns(statistic, self.order, k):
+        if statistic == "kcrank":
+            table = bivariate.kcrank_gf(k, self.order)
+        elif statistic == "ocrank":
+            table = bivariate.overline_crank_gf(self.order)
+        elif statistic == "m2crank":
+            table = bivariate.m2_crank_gf(self.order)
+        else:
+            table = bivariate.crank_gf(self.order)
+        for m, column in enumerate(table.columns):
             self.keep(key, m, column)
 
     def column(self, statistic: str, m: int, k: int | None = None) -> Series:
@@ -304,11 +317,29 @@ def _factored(rows, mult) -> list:
 # -- the catalog --------------------------------------------------------------
 
 
-def _kcrank_multiplier(k: int, r: Run, N: int) -> Series:
-    """``(q;q)_inf**(2-k) / (q^2;q^2)_inf``: the one for k - 1 times ``1/(q;q)_inf``."""
-    if k == 2:
-        return r.product(qpoch_inf, 2, 2, invert=True)
-    return r.product(_kcrank_multiplier, k - 1, r) * r.product(partition_series)
+def _kcrank_reduction(r: Run) -> list:
+    """The clauses of ``kcrank-reduction``, for k = 2, 3, 4 and m = 1..10.
+
+    The multiplier ``(q;q)_inf**(2-k) / (q^2;q^2)_inf`` of k is the one of
+    k - 1 times ``1/(q;q)_inf``: one multiply per k, each done once.
+    """
+    clauses = []
+    mult = functools.partial(r.product, qpoch_inf, 2, 2, invert=True)
+    for k in (2, 3, 4):
+        if k > 2:
+            mult = functools.cache(lambda prev=mult: prev() * r.product(partition_series))
+        clauses += _factored(
+            [
+                (
+                    f"k={k},m={m}",
+                    lambda k=k, m=m: r.diff("kcrank", m, k),
+                    lambda m=m: r.diff("ocrank", m),
+                )
+                for m in range(1, 11)
+            ],
+            mult,
+        )
+    return clauses
 
 
 CATALOG = {
@@ -469,21 +500,7 @@ CATALOG = {
             "kcrank-reduction",
             "k-crank difference columns = overline ones times (q;q)_inf^(2-k)/(q^2;q^2)_inf;"
             " both share S_m, so it checks a z-free identity between base series",
-            lambda N, r: [
-                clause
-                for k in (2, 3, 4)
-                for clause in _factored(
-                    [
-                        (
-                            f"k={k},m={m}",
-                            lambda k=k, m=m: r.diff("kcrank", m, k),
-                            lambda m=m: r.diff("ocrank", m),
-                        )
-                        for m in range(1, 11)
-                    ],
-                    lambda k=k: r.product(_kcrank_multiplier, k, r),
-                )
-            ],
+            lambda N, r: _kcrank_reduction(r),
             reads=("kcrank", "ocrank"),
         ),
         IdentityEntry(

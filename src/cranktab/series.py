@@ -25,8 +25,9 @@ factor by factor (:func:`qpoch_inf`, :func:`partition_series`,
 identity, so the tests and the identity catalog compare against it.  The
 fast one, which the generating-function bases use, is
 :func:`sparse_reciprocal`: division by a series with constant term 1 and
-O(sqrt(N)) terms, O(N**1.5) per division.  ``1/(q;q)_inf**k`` is k divisions
-by Euler's pentagonal series (:func:`partition_series_pentagonal`; the
+O(sqrt(N)) terms, O(N**1.5) per division, repeated once per power by
+:func:`sparse_reciprocal_powers`.  ``1/(q;q)_inf**k`` is k divisions by
+Euler's pentagonal series (:func:`partition_series_pentagonal`; the
 successive powers of :func:`partition_powers_pentagonal` share them), and the
 overpartition series is one division by Gauss's theta series
 ``phi(-q) = (q;q)_inf / (-q;q)_inf`` (:func:`overpartition_series_theta`).
@@ -35,6 +36,7 @@ overpartition series is one division by Gauss's theta series
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from itertools import islice
 from math import isqrt
 
 
@@ -370,22 +372,31 @@ def _div_sparse(c: list, pairs: list) -> None:
         c[n] = total
 
 
+def sparse_reciprocal_powers(order: int, terms: Mapping[int, int]):
+    """Yield ``1 / D(q)**p`` for p = 0, 1, 2, ..., without end.
+
+    ``D = 1 + sum_e terms[e] q**e`` is sparse.  Each power is the one before
+    it divided once more by ``D``: the division solves ``D * c = previous``
+    for c from the bottom up, in place, ``c[n] -= sum_e terms[e] * c[n - e]``.
+    It costs one multiply-add per term of ``D`` per coefficient, O(t*N) for t
+    terms below ``q**N``, so the first p powers of a series with O(sqrt(N))
+    terms cost O(p * N**1.5) in all.
+    """
+    pairs = _sparse_pairs(order, terms)
+    c = [1] + [0] * order
+    while True:
+        yield Series(order, c)  # a copy of c
+        _div_sparse(c, pairs)
+
+
 def sparse_reciprocal(order: int, terms: Mapping[int, int], power: int = 1) -> Series:
     """``1 / D(q)**power`` for the sparse series ``D = 1 + sum_e terms[e] q**e``.
 
-    Each division by ``D`` solves ``D * c = previous`` for c from the bottom
-    up, in place: ``c[n] -= sum_e terms[e] * c[n - e]``.  It costs one
-    multiply-add per term of ``D`` per coefficient, O(t*N) for t terms below
-    ``q**N``, so a reciprocal with O(sqrt(N)) terms costs O(power * N**1.5).
+    The item ``power`` of :func:`sparse_reciprocal_powers`.
     """
     if power < 0:
         raise ValueError("negative powers are not supported")
-    pairs = _sparse_pairs(order, terms)
-    c = [0] * (order + 1)
-    c[0] = 1
-    for _ in range(power):
-        _div_sparse(c, pairs)
-    return Series(order, c)
+    return next(islice(sparse_reciprocal_powers(order, terms), power, None))
 
 
 def partition_series_pentagonal(order: int, power: int = 1) -> Series:
@@ -398,16 +409,11 @@ def partition_series_pentagonal(order: int, power: int = 1) -> Series:
 
 
 def partition_powers_pentagonal(order: int):
-    """Yield ``1/(q; q)_inf**k`` for k = 1, 2, 3, ..., without end.
+    """Yield ``1/(q; q)_inf**k`` for k = 0, 1, 2, ..., without end.
 
-    Each power is the one before it divided once more by Euler's pentagonal
-    series, so the first k powers cost k sparse divisions, not k(k+1)/2.
+    The first k powers cost k sparse divisions, not k(k+1)/2.
     """
-    pairs = _sparse_pairs(order, dict(pentagonal_numbers(order)))
-    c = [1] + [0] * order
-    while True:
-        _div_sparse(c, pairs)
-        yield Series(order, c)  # a copy of c
+    return sparse_reciprocal_powers(order, dict(pentagonal_numbers(order)))
 
 
 def overpartition_series_theta(order: int) -> Series:

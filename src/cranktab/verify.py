@@ -361,7 +361,7 @@ def _kcrank_bases(sizes: dict) -> dict:
     if not sizes:
         return {}
     powers = series.partition_powers_pentagonal(max(sizes.values()))
-    return {k: base for k, base in zip(range(1, max(sizes) + 1), powers) if k in sizes}
+    return {k: base for k, base in zip(range(max(sizes) + 1), powers) if k in sizes}
 
 
 def reports_to_json_obj(reports):

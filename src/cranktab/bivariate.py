@@ -25,10 +25,11 @@ is ``S_m = R_m - R_(m+1)``, and shifting j by one gives
 for a = 3.  So the cumulative column ``B_m = base * R_m(q**d)`` is one
 shifted subtraction from ``B_(m+s)``, and column m is ``B_m - B_(m+1)``:
 O(N) per column and O(N**2) for the whole GF, one operation per stored cell.
-Each base is the reciprocal of a sparse series with O(sqrt(N)) terms (see
-:mod:`cranktab.series`): ``1/(q;q)_inf`` and ``1/(q;q)_inf**k`` of Euler's
-pentagonal series, the overpartition base of Gauss's ``phi(-q)``; a base
-costs O(k N sqrt(N)).
+Each base is a power of the reciprocal of a sparse series with O(sqrt(N))
+terms (see :mod:`cranktab.series`): ``1/(q;q)_inf`` and ``1/(q;q)_inf**k``
+of Euler's pentagonal series, the overpartition base of Gauss's
+``phi(-q)``.  One pass of the power recurrence builds it, O(N**1.5) for
+every k.
 
 Each builder's docstring gives the product form it equals.  The row for
 ``q**1`` comes out as ``z - 1 + 1/z`` from the j = 1, 2 terms: the crank GF
@@ -151,13 +152,17 @@ _FORMS = {"crank": (1, 1), "ocrank": (1, 1), "m2crank": (2, 1), "kcrank": (1, 1)
           "rank": (1, 3)}
 
 
-def gf_columns(statistic: str, order: int, k: int | None = None, base: Series | None = None):
+def check_k(statistic: str, k: int | None) -> None:
+    """Raise ``ValueError`` unless k >= 2 is given for the k-crank and only for it."""
+    if (statistic == "kcrank") != (k is not None) or (k is not None and k < 2):
+        raise ValueError(f"{statistic}: k={k}; kcrank needs k >= 2, and no other statistic takes k")
+
+
+def gf_columns(statistic: str, order: int, k: int | None = None):
     """Yield ``(m, column m)`` of the GF of one statistic for m = order down to 0.
 
     Column m is a list of the counts M(m, n) for n = 0..order.  ``k`` is the
-    number of colors of the k-crank.  ``base`` is the statistic's base series
-    at ``order`` or above, when the caller has it already; by default it is
-    built here.  ``B_m = base * R_m(q**d)`` obeys
+    number of colors of the k-crank.  ``B_m = base * R_m(q**d)`` obeys
     ``B_m = q**(d*(m + c)) * (base - B_(m+s))`` with ``s = a`` and
     ``c = (a - 1) / 2``, and column m is ``B_m - B_(m+1)``.  Filling m from
     the top down keeps only the s latest B lists, so a consumer that keeps
@@ -167,18 +172,13 @@ def gf_columns(statistic: str, order: int, k: int | None = None, base: Series | 
         raise ValueError(f"order must be >= 0, got {order}")
     if statistic not in _FORMS:
         raise ValueError(f"unknown statistic {statistic!r}")
-    if (statistic == "kcrank") != (k is not None) or (k is not None and k < 2):
-        raise ValueError(f"{statistic}: k={k}; kcrank needs k >= 2, and no other statistic takes k")
+    check_k(statistic, k)
     d, a = _FORMS[statistic]
-    if base is None:
-        if statistic in ("ocrank", "m2crank"):
-            base = overpartition_series_theta(order)
-        else:
-            base = partition_series_pentagonal(order, k or 1)
-    elif base.order < order:
-        raise ValueError(f"base of order {base.order} is too short for order {order}")
+    if statistic in ("ocrank", "m2crank"):
+        base = overpartition_series_theta(order).coeffs
+    else:
+        base = partition_series_pentagonal(order, k or 1).coeffs
     size = order + 1
-    base = base.coeffs[:size]
     zero = [0] * size
     window = deque([zero] * a, maxlen=a)  # B_(m+1), ..., B_(m+s)
     for m in range(order, -1, -1):

@@ -33,7 +33,7 @@ ORACLE_CEILINGS = {
     "rank": 60,
     "ocrank": 25,
     "m2crank": 25,
-    "kcrank": 25,  # with k <= 4
+    "kcrank": 25,
 }
 
 
@@ -204,8 +204,9 @@ def _rows_kcrank(n_max: int, k: int) -> list[Counter]:
     so the table is assembled from enumerated histograms: pair_diff[s][m]
     counts (first, second) component pairs of total size s with part-count
     difference m, and the remaining k-2 components contribute a tuple count
-    per leftover size.  Materializing all k-tuples would be hopeless already
-    at k = 4, n = 25.
+    per leftover size: the enumerated p(n) list raised to the power k - 2,
+    by repeated squaring, so log k truncated convolutions.  Materializing
+    all k-tuples would be hopeless already at k = 4, n = 25.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -221,12 +222,17 @@ def _rows_kcrank(n_max: int, k: int) -> list[Counter]:
                     row[l1 - l2] += c1 * c2
         pair_diff.append(row)
 
+    def times(a, b):  # the product of two count lists, truncated at n_max
+        return [sum(a[i] * b[r - i] for i in range(r + 1)) for r in range(n_max + 1)]
+
     tuples = [1] + [0] * n_max  # number of (k-2)-tuples of partitions per size
-    for _ in range(k - 2):
-        tuples = [
-            sum(p_count[a] * tuples[r - a] for a in range(r + 1))
-            for r in range(n_max + 1)
-        ]
+    square, power = p_count, k - 2
+    while power:
+        if power & 1:
+            tuples = times(tuples, square)
+        power >>= 1
+        if power:
+            square = times(square, square)
 
     rows = []
     for n in range(n_max + 1):

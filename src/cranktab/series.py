@@ -24,19 +24,17 @@ factor by factor (:func:`qpoch_inf`, :func:`partition_series`,
 :func:`overpartition_series`, :meth:`Series.pow`), independent of any
 identity, so the tests and the identity catalog compare against it.  The
 fast one, which the generating-function bases use, is
-:func:`sparse_reciprocal`: division by a series with constant term 1 and
-O(sqrt(N)) terms, O(N**1.5) per division, repeated once per power by
-:func:`sparse_reciprocal_powers`.  ``1/(q;q)_inf**k`` is k divisions by
-Euler's pentagonal series (:func:`partition_series_pentagonal`; the
-successive powers of :func:`partition_powers_pentagonal` share them), and the
-overpartition series is one division by Gauss's theta series
-``phi(-q) = (q;q)_inf / (-q;q)_inf`` (:func:`overpartition_series_theta`).
+:func:`sparse_reciprocal`: any power of the reciprocal of a series with
+constant term 1 and t terms, in one pass of the power recurrence, O(t*N)
+whatever the power.  ``1/(q;q)_inf**k`` is that pass over Euler's
+pentagonal series (:func:`partition_series_pentagonal`), O(N**1.5) for
+every k, and the overpartition series is the reciprocal of Gauss's theta
+series ``phi(-q) = (q;q)_inf / (-q;q)_inf`` (:func:`overpartition_series_theta`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from itertools import islice
 from math import isqrt
 
 
@@ -355,48 +353,37 @@ def euler_product_pentagonal(order: int) -> Series:
     return Series(order, c)
 
 
-def _sparse_pairs(order: int, terms: Mapping[int, int]) -> list:
-    if any(e < 1 for e in terms):
-        raise ValueError("terms must have exponents >= 1 (the constant term is 1)")
-    return sorted((e, v) for e, v in terms.items() if v and e <= order)
-
-
-def _div_sparse(c: list, pairs: list) -> None:
-    # divide by D = 1 + sum v q^e in place: solve D * new = old from the bottom up
-    for n in range(1, len(c)):
-        total = c[n]
-        for e, v in pairs:
-            if e > n:
-                break
-            total -= v * c[n - e]
-        c[n] = total
-
-
-def sparse_reciprocal_powers(order: int, terms: Mapping[int, int]):
-    """Yield ``1 / D(q)**p`` for p = 0, 1, 2, ..., without end.
-
-    ``D = 1 + sum_e terms[e] q**e`` is sparse.  Each power is the one before
-    it divided once more by ``D``: the division solves ``D * c = previous``
-    for c from the bottom up, in place, ``c[n] -= sum_e terms[e] * c[n - e]``.
-    It costs one multiply-add per term of ``D`` per coefficient, O(t*N) for t
-    terms below ``q**N``, so the first p powers of a series with O(sqrt(N))
-    terms cost O(p * N**1.5) in all.
-    """
-    pairs = _sparse_pairs(order, terms)
-    c = [1] + [0] * order
-    while True:
-        yield Series(order, c)  # a copy of c
-        _div_sparse(c, pairs)
-
-
 def sparse_reciprocal(order: int, terms: Mapping[int, int], power: int = 1) -> Series:
     """``1 / D(q)**power`` for the sparse series ``D = 1 + sum_e terms[e] q**e``.
 
-    The item ``power`` of :func:`sparse_reciprocal_powers`.
+    One pass of the power recurrence for power series (J. C. P. Miller;
+    Knuth, TAOCP vol. 2, 4.7): ``P = D**(-s)`` satisfies
+    ``D * P' = -s * D' * P``, so with ``d_e = terms[e]``
+
+        n * p_n = -sum_{1 <= e <= n} d_e * (n + (s - 1) * e) * p_(n-e).
+
+    It costs a few integer operations per term of ``D`` per coefficient,
+    O(t*N) for t terms below ``q**N``, whatever the power.  The division by
+    n is exact because ``D`` has integer coefficients and constant term 1; a
+    remainder raises ``ArithmeticError``.
     """
     if power < 0:
         raise ValueError("negative powers are not supported")
-    return next(islice(sparse_reciprocal_powers(order, terms), power, None))
+    if any(e < 1 for e in terms):
+        raise ValueError("terms must have exponents >= 1 (the constant term is 1)")
+    # (e, d_e, step): p_(n-e) has the weight n * d_e + step, step = d_e * (s - 1) * e
+    pairs = sorted((e, v, v * (power - 1) * e) for e, v in terms.items() if v and e <= order)
+    c = [1] + [0] * order
+    for n in range(1, order + 1):
+        total = 0
+        for e, v, step in pairs:
+            if e > n:
+                break
+            total += (n * v + step) * c[n - e]
+        c[n], rest = divmod(-total, n)
+        if rest:
+            raise ArithmeticError(f"inexact power recurrence at q**{n}")
+    return Series(order, c)
 
 
 def partition_series_pentagonal(order: int, power: int = 1) -> Series:
@@ -406,14 +393,6 @@ def partition_series_pentagonal(order: int, power: int = 1) -> Series:
     (raised to ``power`` by :meth:`Series.pow`) exactly.
     """
     return sparse_reciprocal(order, dict(pentagonal_numbers(order)), power)
-
-
-def partition_powers_pentagonal(order: int):
-    """Yield ``1/(q; q)_inf**k`` for k = 0, 1, 2, ..., without end.
-
-    The first k powers cost k sparse divisions, not k(k+1)/2.
-    """
-    return sparse_reciprocal_powers(order, dict(pentagonal_numbers(order)))
 
 
 def overpartition_series_theta(order: int) -> Series:

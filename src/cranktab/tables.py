@@ -43,18 +43,14 @@ def _oracle_table(statistic, n_max, k) -> CrankTable:
 
 
 def build_table(statistic, n_max, provenance="gf", k=None) -> CrankTable:
-    """The table of one statistic for n = 0..n_max; ``k`` is for kcrank only.
+    """The table of one statistic for n = 0..n_max; ``k`` (>= 2) is for kcrank only.
 
     A GF table is built afresh on each call.  An oracle table is cached and
     shared, because the enumeration is slow; treat it as immutable.
     """
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
-    if statistic == "kcrank":
-        if k is None or k < 2:
-            raise ValueError("kcrank needs k >= 2")
-    else:
-        k = None
+    bivariate.check_k(statistic, k)
     if provenance == "oracle":
         return _oracle_table(statistic, n_max, k)
     if provenance != "gf":

@@ -46,7 +46,7 @@ import time
 from collections import deque, namedtuple
 from itertools import compress, count
 
-from cranktab import bivariate, identities, series
+from cranktab import bivariate, identities
 
 DEFAULT_N_MAX = {"crank": 300, "ocrank": 300, "m2crank": 300, "kcrank": 200, "rank": 40}
 DEFAULT_IDENTITY_ORDER = 200
@@ -178,18 +178,19 @@ class _Scan:
         )
 
 
-def _column_pass(statistic, k, size, scans, run=None, base=None) -> None:
+def _column_pass(statistic, k, size, scans, run=None) -> None:
     """Stream the columns of one GF at order ``size`` once, from m = size down to 0.
 
+    The GF's base series is built in one pass of the power recurrence,
+    O(size**1.5) whatever k (:func:`cranktab.series.sparse_reciprocal`).
     Each of the ``scans`` compares column m with column m - stride as the
     latter goes by, so only the last three columns are held.  ``run``, a
-    catalog run, keeps the low columns it reads.  ``base`` is the
-    statistic's base series, when the caller has it.
+    catalog run, keeps the low columns it reads.
     """
     window = deque(maxlen=3)  # columns j, j + 1, j + 2
     key = (statistic, k)
     keep = run is not None and key in run.keys
-    for j, column in bivariate.gf_columns(statistic, size, k, base):
+    for j, column in bivariate.gf_columns(statistic, size, k):
         window.appendleft(column)
         for scan in scans:
             m = j + scan.sweep.stride
@@ -343,25 +344,12 @@ def run_checks(check_ids, n_max=None, order=None, k_list=None):
         key: max([s.n_max for s in group] + ([order] if key in run.keys else []))
         for key, group in scans.items()
     }
-    bases = _kcrank_bases({k: size for (stat, k), size in sizes.items() if stat == "kcrank"})
     for (statistic, k), group in scans.items():
-        _column_pass(statistic, k, sizes[statistic, k], group, run, bases.get(k))
+        _column_pass(statistic, k, sizes[statistic, k], group, run)
     reports = [scan.report() for group in scans.values() for scan in group]
     reports.extend(check_identity(cid, order, run) for cid in entries)
     reports.sort(key=lambda r: r.check_id)
     return reports
-
-
-def _kcrank_bases(sizes: dict) -> dict:
-    """``k -> 1/(q;q)_inf**k`` at the largest of ``sizes``, for each k in ``sizes``.
-
-    Each power is the one before divided once more by Euler's pentagonal
-    series, so the bases up to k cost k divisions in all.
-    """
-    if not sizes:
-        return {}
-    powers = series.partition_powers_pentagonal(max(sizes.values()))
-    return {k: base for k, base in zip(range(max(sizes) + 1), powers) if k in sizes}
 
 
 def reports_to_json_obj(reports):

@@ -175,6 +175,10 @@ def test_oracle_row_sums_count_objects():
         assert sum(crank_rows[n].values()) == p[n]
         assert sum(ocrank_rows[n].values()) == op[n]
         assert sum(m2_rows[n].values()) == op[n]
+    # k - 2 = 0..9 walks every branch of the repeated squaring of the tuple counts
+    for k in range(2, 12):
+        rows = oracle_rows("kcrank", 12, k=k)
+        assert [sum(row.values()) for row in rows] == partition_series(12).pow(k).coeffs, k
 
 
 def test_oracle_rows_symmetric():

@@ -360,6 +360,34 @@ def test_closed_stdout_exits_one_without_a_traceback():
     proc.stderr.close()
 
 
+LARGE_K = 10**8
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--stat", "kcrank"],
+    ["table", "--stat", "kcrank", "--provenance", "oracle"],
+    ["verify", "--check", "conj-1.8"],
+    ["crosscheck", "--stat", "kcrank"],
+])
+def test_large_k_ends_within_seconds(argv):
+    # the cost of a k-crank table does not grow with k; in a child process, so
+    # that a hang fails the test at its timeout instead of stalling the suite
+    proc = subprocess.run(
+        [sys.executable, "-m", "cranktab.cli", *argv, "--k", str(LARGE_K), "--n-max", "5"],
+        env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=10,
+    )
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    if argv[0] == "table":
+        rows = {}
+        for line in proc.stdout.splitlines()[1:]:
+            n, m, c = map(int, line.split(","))
+            rows.setdefault(n, {})[m] = c
+        # n = 1: a part 1 has k-crank 1, -1 or 0 in the first, second or any other color
+        assert rows[1] == {-1: 1, 0: LARGE_K - 2, 1: 1}
+        # n = 2: k colorings of (2), k of (1, 1), k(k-1)/2 of two 1s in different colors
+        assert sum(rows[2].values()) == LARGE_K * (LARGE_K + 3) // 2
+
+
 def _opt(flag, values):
     """An optional ``[flag, value]`` pair: absent, or one of ``values``."""
     return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))

@@ -113,7 +113,7 @@ def test_pentagonal_fast_paths_agree_with_generic_products():
         p = partition_series(order)
         assert partition_series_pentagonal(order) == p, order
         assert overpartition_series_theta(order) == overpartition_series(order), order
-        for k in range(2, 7):
+        for k in range(11):
             assert partition_series_pentagonal(order, k) == p.pow(k), (order, k)
 
 
@@ -124,6 +124,11 @@ def test_sparse_reciprocal():
     assert sparse_reciprocal(0, {1: 5}, 3) == Series.constant(0)
     d = Series.from_terms(30, {0: 1, 3: 2, 7: -5, 40: 1})
     assert sparse_reciprocal(30, {3: 2, 7: -5, 40: 1}, 2) * d * d == Series.constant(30)
+    # D is not the pentagonal series: a dense head, gaps, and big coefficients
+    terms = {1: 3, 2: -1, 5: 4, 9: -7, 11: 2}
+    d = Series.from_terms(40, {0: 1, **terms})
+    for power in (1, 3, 7):
+        assert sparse_reciprocal(40, terms, power) * d.pow(power) == Series.constant(40), power
     with pytest.raises(ValueError):
         sparse_reciprocal(5, {0: 1})
     with pytest.raises(ValueError):

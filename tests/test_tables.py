@@ -89,8 +89,13 @@ def test_rank_gf_table_equals_oracle():
 def test_invalid_inputs():
     with pytest.raises(ValueError):
         build_table("nope", 5)
-    with pytest.raises(ValueError):
-        build_table("kcrank", 5, "gf")  # missing k
+    for provenance in ("gf", "oracle"):
+        with pytest.raises(ValueError):
+            build_table("kcrank", 5, provenance)  # missing k
+        with pytest.raises(ValueError):
+            build_table("kcrank", 5, provenance, k=1)
+        with pytest.raises(ValueError):
+            build_table("crank", 5, provenance, k=3)  # k for a statistic without colors
 
 
 def test_gf_equals_oracle_within_small_range():

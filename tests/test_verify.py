@@ -7,7 +7,7 @@ from itertools import compress, count
 
 import pytest
 
-from cranktab import bivariate, series, verify
+from cranktab import bivariate, verify
 from cranktab.series import partition_series
 from cranktab.tables import CrankTable, build_table
 from cranktab.verify import SWEEPS, check_table_consistency, run_checks, run_sweep
@@ -409,9 +409,9 @@ def test_run_checks_builds_each_gf_once(monkeypatch):
     passes = []
     real = bivariate.gf_columns
 
-    def counted(statistic, order, k=None, base=None):
+    def counted(statistic, order, k=None):
         passes.append((statistic, k, order))
-        return real(statistic, order, k, base)
+        return real(statistic, order, k)
 
     monkeypatch.setattr(bivariate, "gf_columns", counted)
     reports = run_checks(["all"], n_max=30, order=40)
@@ -422,25 +422,6 @@ def test_run_checks_builds_each_gf_once(monkeypatch):
         ("kcrank", 2, 40), ("kcrank", 3, 40), ("kcrank", 4, 40),
         ("kcrank", 5, 30), ("kcrank", 6, 30),
     }
-
-
-@pytest.mark.parametrize("order", [0, 1, 60, 200])
-def test_shared_kcrank_bases_equal_generic_powers(order, monkeypatch):
-    # base_k = base_(k-1) / (Euler's pentagonal series): 6 divisions for k = 2..6
-    divisions = []
-    real = series._div_sparse
-
-    def counted(c, pairs):
-        divisions.append(len(c))
-        real(c, pairs)
-
-    monkeypatch.setattr(series, "_div_sparse", counted)
-    bases = verify._kcrank_bases({k: order for k in range(2, 7)})
-    assert divisions == [order + 1] * 6
-    p = partition_series(order)
-    assert sorted(bases) == [2, 3, 4, 5, 6]
-    for k, base in bases.items():
-        assert base == p.pow(k), k
 
 
 def test_table_consistency_pass_and_fail():

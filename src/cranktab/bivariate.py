@@ -41,8 +41,8 @@ Every builder returns a :class:`CrankTable`, the one count-table type of the
 package (:mod:`cranktab.tables` also makes it from the enumeration oracle).
 Every statistic here has rows symmetric in m, so a table stores the columns
 m >= 0 only, and it checks the |m| <= n support when it is made.  Exports
-(:meth:`CrankTable.write`) stream row by row: CSV with header ``n,m,count``
-in (n asc, m asc) order over the full -n..n range, and JSON
+(:meth:`CrankTable.write`) stream one ``%`` format per row: CSV with header
+``n,m,count`` in (n asc, m asc) order over the full -n..n range, and JSON
 ``{statistic, n_max, rows: [{n, counts}]}`` with counts as decimal strings,
 so consumers never face integer overflow.
 
@@ -125,24 +125,28 @@ class CrankTable:
 
         The JSON bytes are those of ``json.dumps(obj, indent=2) + "\\n"`` for
         ``obj = {"statistic", "n_max", "rows": [{"n", "counts": {m: count}}]}``
-        with m and count as decimal strings.
+        with m and count as decimal strings.  The per-m text of a cell is
+        made once per export, and each row n is one ``%`` format of the
+        template joined from the slice m = -n..n with the row's counts.
         """
         if fmt == "csv":
             fh.write("n,m,count\n")
+            labels = [f"{m}," for m in range(-self.order, self.order + 1)]
         elif fmt == "json":
             fh.write(f'{{\n  "statistic": {json.dumps(self.label)},\n'
                      f'  "n_max": {self.order},\n  "rows": [\n')
+            labels = [f'        "{m}": "%d"' for m in range(-self.order, self.order + 1)]
         else:
             raise ValueError(f"unknown format {fmt!r}")
-        for n in range(self.order + 1):
-            cells = self._cells(n)
+        for n, row in enumerate(zip(*self.columns)):
+            cells = labels[self.order - n : self.order + n + 1]
             if fmt == "csv":
-                fh.write("".join(f"{n},{m},{c}\n" for m, c in cells))
+                template = f"{n}," + f"%d\n{n},".join(cells) + "%d\n"
             else:
                 sep = ",\n" if n else ""
-                counts = ",\n".join(f'        "{m}": "{c}"' for m, c in cells)
-                fh.write(f'{sep}    {{\n      "n": {n},\n      "counts": {{\n{counts}\n'
-                         f'      }}\n    }}')
+                template = (f'{sep}    {{\n      "n": {n},\n      "counts": {{\n'
+                            + ",\n".join(cells) + "\n      }\n    }")
+            fh.write(template % (row[n:0:-1] + row[: n + 1]))
         if fmt == "json":
             fh.write("\n  ]\n}\n")
 

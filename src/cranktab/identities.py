@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
+from operator import add
 
 from cranktab import bivariate
 from cranktab.series import (
@@ -204,7 +205,7 @@ def _poly(order: int, terms: dict) -> Series:
 
 def _add_shifted(acc: list, src: list, shift: int) -> None:
     # acc += q^shift * src, truncated at len(acc)
-    acc[shift:] = [a + b for a, b in zip(acc[shift:], src)]
+    acc[shift:] = map(add, acc[shift:], src)
 
 
 def _one_minus_q_squared_distinct_rhs(order: int) -> Series:

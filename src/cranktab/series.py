@@ -22,7 +22,8 @@ the identity catalog), the product stays a shift-and-add over its terms.
 Two paths build the named series.  The generic one multiplies or divides
 factor by factor (:func:`qpoch_inf`, :func:`partition_series`,
 :func:`overpartition_series`, :meth:`Series.pow`), independent of any
-identity, so the tests and the identity catalog compare against it.  The
+identity, so the tests and the identity catalog compare against it; each
+factor is a few shifts and adds of one packed int (:func:`qpoch_fin`).  The
 fast one, which the generating-function bases use, is
 :func:`sparse_reciprocal`: any power of the reciprocal of a series with
 constant term 1 and t terms, in one pass of the power recurrence, O(t*N)
@@ -35,7 +36,9 @@ series ``phi(-q) = (q;q)_inf / (-q;q)_inf`` (:func:`overpartition_series_theta`)
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from itertools import accumulate, repeat
 from math import isqrt
+from operator import add, mul, sub
 
 
 class OrderMismatch(ValueError):
@@ -162,11 +165,8 @@ class Series:
         if shift < 0:
             raise ValueError(f"shift must be >= 0, got {shift}")
         c = [0] * (self.order + 1)
-        if scalar:
-            for i in range(self.order + 1 - shift):
-                v = self.coeffs[i]
-                if v:
-                    c[i + shift] = scalar * v
+        if scalar and shift <= self.order:
+            c[shift:] = map(mul, repeat(scalar), self.coeffs[: self.order + 1 - shift])
         return Series(self.order, c)
 
     def div_one_minus(self, exponent: int) -> "Series":
@@ -174,8 +174,7 @@ class Series:
         if exponent < 1:
             raise ValueError(f"exponent must be >= 1, got {exponent}")
         c = list(self.coeffs)
-        for i in range(exponent, self.order + 1):
-            c[i] += c[i - exponent]
+        _div_factor(c, exponent, 1)
         return Series(self.order, c)
 
     # -- reshaping ---------------------------------------------------------
@@ -190,8 +189,7 @@ class Series:
         if factor < 1:
             raise ValueError(f"factor must be >= 1, got {factor}")
         c = [0] * (self.order + 1)
-        for i in range(self.order // factor + 1):
-            c[i * factor] = self.coeffs[i]
+        c[::factor] = self.coeffs[: self.order // factor + 1]
         return Series(self.order, c)
 
 
@@ -223,9 +221,7 @@ def _kronecker_product(a: list, b: list) -> list:
     sizes), and slot k of the result is the Cauchy sum ``sum_i a[i]*b[k-i]``.
     Every such sum has at most n = len(a) terms, so
     ``|c_k| <= n * max|a| * max|b| < 2**(bits - 1) <= half`` for the ``bits``
-    below (the final 1 is the sign).  Adding ``half`` to the low n slots
-    therefore makes each of them a value in ``[0, 2**(8*w))`` with no borrow
-    between slots, and they are read back as unsigned bytes.
+    below (the final 1 is the sign), and :func:`_unpack` reads them back.
     """
     n = len(a)
     bits = _max_abs(a).bit_length() + _max_abs(b).bit_length() + n.bit_length() + 1
@@ -237,7 +233,18 @@ def _kronecker_product(a: list, b: list) -> list:
         raw = b"".join([(x + half).to_bytes(w, "little") for x in c])
         return int.from_bytes(raw, "little") - offset
 
-    low = (pack(a) * pack(b) + offset) & ((1 << (8 * w * n)) - 1)
+    return _unpack(pack(a) * pack(b), n, w)
+
+
+def _unpack(x: int, n: int, w: int) -> list:
+    """The n coefficients of ``x = sum c[i] * 2**(8*w*i)`` modulo ``2**(8*w*n)``.
+
+    Each ``c[i]`` must lie in ``[-half, half)``, ``half = 2**(8*w - 1)``;
+    adding half to every slot then leaves no borrow between slots.
+    """
+    half = 1 << (8 * w - 1)
+    offset = int.from_bytes(half.to_bytes(w, "little") * n, "little")
+    low = (x + offset) & ((1 << (8 * w * n)) - 1)
     raw = low.to_bytes(w * n, "little")
     return [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, w * n, w)]
 
@@ -246,19 +253,31 @@ def _kronecker_product(a: list, b: list) -> list:
 
 
 def _mul_factor(c: list, exponent: int, sign: int) -> None:
-    # multiply by (1 - sign*q^exponent); descending scan keeps reads pristine
-    for i in range(len(c) - 1, exponent - 1, -1):
-        v = c[i - exponent]
-        if v:
-            c[i] -= sign * v
+    """Multiply ``c`` by ``1 - sign*q**exponent`` in place."""
+    c[exponent:] = map(sub if sign == 1 else add, c[exponent:], c[: len(c) - exponent])
 
 
 def _div_factor(c: list, exponent: int, sign: int) -> None:
-    # divide by (1 - sign*q^exponent) via the geometric recurrence
-    for i in range(exponent, len(c)):
-        v = c[i - exponent]
-        if v:
-            c[i] += sign * v
+    """Divide ``c`` by ``1 - sign*q**exponent`` in place.
+
+    ``1 + q**e`` goes through ``(1 - q**e) / (1 - q**(2e))``.  One ``map`` adds
+    each block of e coefficients to the one before it, or, when e*e < len(c),
+    one running sum runs over each residue class mod e.
+    """
+    if sign == -1:
+        _mul_factor(c, exponent, 1)
+        exponent *= 2
+    if exponent * exponent < len(c):
+        for r in range(exponent):
+            c[r::exponent] = accumulate(c[r::exponent])
+    else:
+        for j in range(exponent, len(c), exponent):
+            c[j : j + exponent] = map(add, c[j : j + exponent], c[j - exponent : j])
+
+
+def _slot_bits(order: int) -> int:
+    """Slot width of :func:`qpoch_fin`: ``4*isqrt(order) + 6`` bits in whole bytes."""
+    return (4 * isqrt(order) + 13) // 8 * 8
 
 
 def qpoch_inf(a: int, d: int, order: int, sign: int = 1, invert: bool = False) -> Series:
@@ -283,6 +302,11 @@ def qpoch_fin(
     The empty product (``terms=0``) is the constant series 1.  Factors whose
     exponent exceeds the truncation order are skipped; they are congruent to
     1 modulo ``q**(order+1)``.
+
+    The product is one int, coefficient i in slot i of w = :func:`_slot_bits`
+    bits, modulo ``2**(w*(order+1))``: a ring image of Z[q]/(q**(order+1)), so
+    only the final coefficients must fit, and each is at most p(n) <
+    exp(pi*sqrt(2n/3)) < 2**(4*isqrt(n) + 5) in absolute value (Apostol, Thm 14.5).
     """
     if terms < 0:
         raise ValueError(f"terms must be >= 0, got {terms}")
@@ -290,17 +314,18 @@ def qpoch_fin(
         raise ValueError("exponents must be >= 1")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    c = [0] * (order + 1)
-    c[0] = 1
-    for k in range(terms):
-        e = a + k * d
-        if e > order:
-            break
-        if invert:
-            _div_factor(c, e, sign)
-        else:
-            _mul_factor(c, e, sign)
-    return Series(order, c)
+    w = _slot_bits(order)
+    mask = (1 << (w * (order + 1))) - 1
+    x = 1
+    for e in range(a, min(a + terms * d, order + 1), d):
+        if not invert:  # times 1 - sign*q^e
+            x = (x - (x << w * e) if sign == 1 else x + (x << w * e)) & mask
+            continue
+        if sign == -1:  # 1/(1 + q^e) = (1 - q^e) / (1 - q^(2e))
+            x, e = (x - (x << w * e)) & mask, 2 * e
+        while e <= order:  # 1/(1 - q^e) = prod_i (1 + q^(2^i e)) mod q^(order+1)
+            x, e = (x + (x << w * e)) & mask, 2 * e
+    return Series(order, _unpack(x, order + 1, w // 8))
 
 
 # -- named series used throughout -------------------------------------------

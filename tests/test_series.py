@@ -10,6 +10,9 @@ from cranktab.brute import partitions
 from cranktab.series import (
     _SPARSE_CUTOFF,
     OrderMismatch,
+    _div_factor,
+    _mul_factor,
+    _slot_bits,
     Series,
     distinct_series,
     euler_product,
@@ -67,6 +70,9 @@ def test_times_monomial():
     assert a.times_monomial(2, 1).coeffs == [0, 2, 2]
     assert a.times_monomial(1, 0) == a
     assert a.times_monomial(0, 3).is_zero()
+    assert a.times_monomial(5, 2).coeffs == [0, 0, 5]
+    for shift in (3, 4, 9):  # past the order
+        assert a.times_monomial(2, shift).is_zero()
 
 
 def test_div_one_minus():
@@ -163,6 +169,11 @@ def test_qpoch_inf_argument_validation():
 def test_stretched():
     a = Series(6, [1, 2, 3, 4, 5, 6, 7])
     assert a.stretched(2).coeffs == [1, 0, 2, 0, 3, 0, 4]
+    assert a.stretched(3).coeffs == [1, 0, 0, 2, 0, 0, 3]
+    assert a.stretched(1) == a
+    assert a.stretched(7).coeffs == [1, 0, 0, 0, 0, 0, 0]
+    with pytest.raises(ValueError):
+        a.stretched(0)
 
 
 def test_truncated():
@@ -285,3 +296,73 @@ signed_coeffs = st.one_of(
 def test_mul_matches_schoolbook_on_random_signed_lists(order, data):
     coeff_list = st.lists(signed_coeffs, min_size=order + 1, max_size=order + 1)
     _assert_mul_matches(data.draw(coeff_list), data.draw(coeff_list))
+
+
+# -- reference: the per-coefficient factor loops -------------------------------
+#
+# qpoch_fin works on one packed integer, and the list helpers step by slices;
+# both must equal these loops, which apply one factor one coefficient at a time.
+
+
+def _reference_mul_factor(c, exponent, sign):
+    # multiply by (1 - sign*q^exponent); descending scan keeps reads pristine
+    for i in range(len(c) - 1, exponent - 1, -1):
+        v = c[i - exponent]
+        if v:
+            c[i] -= sign * v
+
+
+def _reference_div_factor(c, exponent, sign):
+    # divide by (1 - sign*q^exponent) via the geometric recurrence
+    for i in range(exponent, len(c)):
+        v = c[i - exponent]
+        if v:
+            c[i] += sign * v
+
+
+def _reference_qpoch_fin(a, d, terms, order, sign=1, invert=False):
+    c = [1] + [0] * order
+    for k in range(terms):
+        e = a + k * d
+        if e > order:
+            break
+        (_reference_div_factor if invert else _reference_mul_factor)(c, e, sign)
+    return c
+
+
+QPOCH_FORMS = [(1, 1), (1, 2), (2, 2), (3, 2), (7, 2), (5, 3)]
+
+
+@pytest.mark.parametrize("order", [*range(41), 500, 2000])
+def test_packed_qpoch_fin_matches_factor_loops(order):
+    cutoffs = (0, 1, 3, order + 1) if order <= 40 else (0, 7, order + 1)
+    for a, d in QPOCH_FORMS:
+        for sign in (1, -1):
+            for invert in (False, True):
+                for terms in cutoffs:
+                    got = qpoch_fin(a, d, terms, order, sign, invert).coeffs
+                    want = _reference_qpoch_fin(a, d, terms, order, sign, invert)
+                    assert got == want, (a, d, terms, sign, invert)
+
+
+def test_list_factor_helpers_match_factor_loops():
+    rng = random.Random(14)
+    for size in (0, 1, 2, 3, 8, 9, 10, 24, 25, 61):
+        for exponent in range(1, size + 2):
+            for sign in (1, -1):
+                c = [rng.randint(-50, 50) for _ in range(size)]
+                for helper, reference in (
+                    (_mul_factor, _reference_mul_factor),
+                    (_div_factor, _reference_div_factor),
+                ):
+                    got, want = list(c), list(c)
+                    helper(got, exponent, sign)
+                    reference(want, exponent, sign)
+                    assert got == want, (helper.__name__, size, exponent, sign)
+
+
+def test_packed_slot_holds_every_coefficient():
+    # a qpoch_fin coefficient at order N is at most p(N) in absolute value,
+    # and its slot must hold it with its sign
+    for order, p in enumerate(partition_series_pentagonal(3000).coeffs):
+        assert p.bit_length() + 1 < _slot_bits(order), order

@@ -46,13 +46,13 @@ def _reference_json(t):
     return json.dumps(obj, indent=2) + "\n"
 
 
-# every statistic (kcrank at k = 3), both provenances
+# every statistic (kcrank at k = 3), both provenances, and wide GF rows
 EXPORT_CASES = [
     (stat, n_max, provenance)
     for stat in tables.STATISTICS
     for n_max in (0, 1, 12)
     for provenance in ("gf", "oracle")
-]
+] + [("crank", 60, "gf"), ("crank", 400, "gf"), ("kcrank", 60, "gf"), ("rank", 60, "gf")]
 
 
 def _export_tables():
@@ -195,8 +195,10 @@ def test_oracle_tables_are_cached_gf_tables_are_built_afresh():
 
 
 def test_render_rejects_unknown_format():
-    t = build_table("crank", 1, "gf")
-    buf = io.StringIO()
-    with pytest.raises(ValueError):
-        t.write(buf, "xml")
-    assert buf.getvalue() == ""
+    for n_max in (1, 60):
+        t = build_table("crank", n_max, "gf")
+        for fmt in ("xml", "CSV", "", "csv "):
+            buf = io.StringIO()
+            with pytest.raises(ValueError):
+                t.write(buf, fmt)
+            assert buf.getvalue() == "", fmt

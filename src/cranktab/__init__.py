@@ -4,76 +4,41 @@ brute-force enumeration, plus machine verification of the associated
 q-series identities and inequalities.
 
 All arithmetic is exact (Python ints throughout).
-"""
 
-from cranktab.bivariate import (
-    CrankTable,
-    crank_gf,
-    kcrank_gf,
-    m2_crank_gf,
-    overline_crank_gf,
-    rank_gf,
-)
-from cranktab.brute import (
-    colored_partitions,
-    crank,
-    crank_contributions,
-    first_residual_contributions,
-    kcrank,
-    overpartitions,
-    partitions,
-    rank,
-    second_residual_contributions,
-)
-from cranktab.series import (
-    OrderMismatch,
-    Series,
-    distinct_series,
-    euler_product,
-    overpartition_series,
-    partition_series,
-    qpoch_fin,
-    qpoch_inf,
-)
-from cranktab.tables import build_table, diff_column, monotone_diff_row
-from cranktab.verify import (
-    CheckReport,
-    check_identity,
-    check_table_consistency,
-    run_checks,
-)
+Importing the package loads no submodule.  Each public name is imported from
+its submodule on first access (PEP 562), so a command pays only for the
+modules it runs; every process starts afresh.  The package also holds the
+vocabulary the command-line parser needs before anything runs:
+:data:`STATISTICS`, the statistic names, and :data:`DEFAULT_IDENTITY_ORDER`.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckReport",
-    "CrankTable",
-    "OrderMismatch",
-    "Series",
-    "build_table",
-    "check_identity",
-    "check_table_consistency",
-    "colored_partitions",
-    "crank",
-    "crank_contributions",
-    "crank_gf",
-    "diff_column",
-    "distinct_series",
-    "euler_product",
-    "first_residual_contributions",
-    "kcrank",
-    "kcrank_gf",
-    "m2_crank_gf",
-    "monotone_diff_row",
-    "overline_crank_gf",
-    "overpartition_series",
-    "overpartitions",
-    "partition_series",
-    "partitions",
-    "qpoch_fin",
-    "qpoch_inf",
-    "rank",
-    "rank_gf",
-    "run_checks",
-    "second_residual_contributions",
-]
+STATISTICS = ("crank", "ocrank", "m2crank", "kcrank", "rank")
+DEFAULT_IDENTITY_ORDER = 200
+
+_PUBLIC = {
+    "bivariate": ("CrankTable", "crank_gf", "kcrank_gf", "m2_crank_gf",
+                  "overline_crank_gf", "rank_gf"),
+    "brute": ("colored_partitions", "crank", "crank_contributions",
+              "first_residual_contributions", "kcrank", "overpartitions",
+              "partitions", "rank", "second_residual_contributions"),
+    "series": ("OrderMismatch", "Series", "distinct_series", "euler_product",
+               "overpartition_series", "partition_series", "qpoch_fin", "qpoch_inf"),
+    "tables": ("build_table", "diff_column", "monotone_diff_row"),
+    "verify": ("CheckReport", "check_identity", "check_table_consistency", "run_checks"),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -7,8 +7,9 @@ Subcommands:
 * ``identity``   -- run one identity-catalog entry;
 * ``crosscheck`` -- compare a GF-built table against the enumeration oracle.
 
-Exit status: 0 when everything passed, 1 when any check failed, 2 on usage
-or configuration errors and on an ``--output`` file that cannot be written.
+Exit status: 0 when everything passed, 1 when any check failed or the reader
+of stdout went away (``| head``; no traceback), 2 on usage or configuration
+errors and on an ``--output`` file or a stdout that cannot be written.
 Every exit with status 2 writes exactly one ``Error: ...`` line to stderr
 and nothing to stdout, whether the parser or a check below found the fault.
 Usage is checked first, then the output file is opened, and only then is
@@ -16,20 +17,23 @@ anything built or checked, so a bad ``-o`` path fails at once.
 Outputs are deterministic for identical configurations, except for the
 measured ``runtime_ms`` fields in reports.
 
-The module imports only the standard library's ``argparse`` on top of the
-package, because every invocation is a fresh process and its imports are
-paid on each start.
+Every invocation is a fresh process that compiles and imports its modules
+anew, so this module imports at its top only the standard library and the
+package root, whose :data:`~cranktab.STATISTICS` and
+:data:`~cranktab.DEFAULT_IDENTITY_ORDER` the parser reads.  Each command
+imports the modules it runs: ``--help`` none, ``table`` :mod:`cranktab.tables`
+(and :mod:`cranktab.brute` for ``--provenance oracle``), ``identity`` and
+``verify`` :mod:`cranktab.verify`, and ``crosscheck`` all three.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 
-from cranktab import brute, identities, tables, verify
+from cranktab import DEFAULT_IDENTITY_ORDER, STATISTICS
 
 
 class UsageError(Exception):
@@ -70,6 +74,10 @@ def _emit_reports(make_reports, output) -> int:
 
     Returns the exit status of the reports.
     """
+    import json
+
+    from cranktab import verify
+
     with _output(output) as fh:
         reports = make_reports()
         fh.write(json.dumps(verify.reports_to_json_obj(reports), indent=2) + "\n")
@@ -98,6 +106,8 @@ def _check_k(stat: str, k: int | None) -> None:
 
 
 def _check_oracle_ceiling(stat: str, n_max: int) -> None:
+    from cranktab import brute
+
     ceiling = brute.ORACLE_CEILINGS.get(stat)
     if ceiling is not None and n_max > ceiling:
         raise UsageError(f"--n-max {n_max} exceeds the enumeration ceiling {ceiling} for {stat}")
@@ -105,6 +115,8 @@ def _check_oracle_ceiling(stat: str, n_max: int) -> None:
 
 def _check_flags_used(ids, flags) -> None:
     """Reject a ``verify`` flag that none of the checks ``ids`` reads."""
+    from cranktab import identities, verify
+
     readers = {
         "--n-max": sorted(verify.SWEEPS),
         "--order": sorted(identities.CATALOG),
@@ -118,6 +130,8 @@ def _check_flags_used(ids, flags) -> None:
 
 def table(stat, k, n_max, provenance, fmt, output):
     """Export the weighted count table of one statistic."""
+    from cranktab import tables
+
     _check_k(stat, k)
     if provenance == "oracle":
         _check_oracle_ceiling(stat, n_max)
@@ -128,6 +142,8 @@ def table(stat, k, n_max, provenance, fmt, output):
 
 def verify_cmd(checks, n_max, order, k_raw, output):
     """Run verification sweeps; exit 0 iff every check passes."""
+    from cranktab import verify
+
     ids = [c for chunk in checks for c in chunk.split(",") if c]
     available = f"available: {', '.join(verify.available_checks())}"
     if not ids:
@@ -145,6 +161,8 @@ def verify_cmd(checks, n_max, order, k_raw, output):
 
 def identity(entry_id, order, output):
     """Check one identity-catalog entry at the given truncation order."""
+    from cranktab import identities, verify
+
     if entry_id not in identities.CATALOG:
         raise UsageError(
             f"unknown identity {entry_id!r}; available: {', '.join(sorted(identities.CATALOG))}"
@@ -154,6 +172,8 @@ def identity(entry_id, order, output):
 
 def crosscheck(stat, k, n_max, output):
     """Compare the GF-built table against the enumeration oracle."""
+    from cranktab import tables, verify
+
     _check_k(stat, k)
     _check_oracle_ceiling(stat, n_max)
 
@@ -180,7 +200,7 @@ def _parser(prog: str) -> _Parser:
         return p
 
     p = command(table, "table")
-    p.add_argument("--stat", required=True, choices=tables.STATISTICS,
+    p.add_argument("--stat", required=True, choices=STATISTICS,
                    help="Statistic to tabulate.")
     p.add_argument("--k", type=int, help="Number of colors (kcrank only).")
     p.add_argument("--n-max", type=_size, default=50, help="Largest n (default: %(default)s).")
@@ -198,11 +218,11 @@ def _parser(prog: str) -> _Parser:
 
     p = command(identity, "identity")
     p.add_argument("--id", dest="entry_id", required=True, help="Identity catalog entry id.")
-    p.add_argument("--order", type=_size, default=verify.DEFAULT_IDENTITY_ORDER,
+    p.add_argument("--order", type=_size, default=DEFAULT_IDENTITY_ORDER,
                    help="Truncation order (default: %(default)s).")
 
     p = command(crosscheck, "crosscheck")
-    p.add_argument("--stat", required=True, choices=tables.STATISTICS)
+    p.add_argument("--stat", required=True, choices=STATISTICS)
     p.add_argument("--k", type=int)
     p.add_argument("--n-max", type=_size, default=25, help="Largest n (default: %(default)s).")
 
@@ -219,14 +239,20 @@ def main(args=None, prog_name=None):
     try:
         options = vars(_parser(prog_name or "cranktab").parse_args(args))
         code = options.pop("command")(**options)
+        sys.stdout.flush()
     except UsageError as exc:
         print(f"Error: {exc}", file=sys.stderr)
         code = 2
-    except BrokenPipeError:
-        # the reader of stdout went away (``| head``): exit 1 without a
-        # traceback, and point stdout at devnull so the final flush is silent
+    except OSError as exc:
+        # writing stdout failed (an ``-o`` file fails in _output instead):
+        # point stdout at devnull so the final flush is silent, and exit 1
+        # without a traceback when its reader went away (``| head``), or 2
+        # with one line on any other fault (``>/dev/full``)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
+        if not isinstance(exc, BrokenPipeError):
+            print(f"Error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+            code = 2
     raise SystemExit(code)
 
 

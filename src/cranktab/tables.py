@@ -15,11 +15,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from cranktab import bivariate, brute
+from cranktab import STATISTICS, bivariate
 from cranktab.bivariate import CrankTable
 from cranktab.series import Series
-
-STATISTICS = ("crank", "ocrank", "m2crank", "kcrank", "rank")
 
 
 def _compress_full_rows(full_rows, statistic) -> list:
@@ -37,6 +35,8 @@ def _compress_full_rows(full_rows, statistic) -> list:
 
 @lru_cache(maxsize=None)
 def _oracle_table(statistic, n_max, k) -> CrankTable:
+    from cranktab import brute
+
     cols = _compress_full_rows(brute.oracle_rows(statistic, n_max, k=k), statistic)
     label = f"kcrank({k})" if statistic == "kcrank" else statistic
     return CrankTable(label, n_max, "oracle", cols)

@@ -46,10 +46,9 @@ import time
 from collections import deque, namedtuple
 from itertools import compress, count
 
-from cranktab import bivariate, identities
+from cranktab import DEFAULT_IDENTITY_ORDER, bivariate, identities
 
 DEFAULT_N_MAX = {"crank": 300, "ocrank": 300, "m2crank": 300, "kcrank": 200, "rank": 40}
-DEFAULT_IDENTITY_ORDER = 200
 DEFAULT_K_LIST = (2, 3, 4, 5, 6)
 
 RELATIONS = {0: "monotone", 1: "step", 2: "step-by-2"}  # by Sweep.stride

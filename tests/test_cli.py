@@ -1,8 +1,10 @@
 """CLI behaviour: formats, determinism, exit codes, one-line usage errors."""
 
 import contextlib
+import errno
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +20,9 @@ from cranktab.identities import IdentityEntry
 from cranktab.series import Series
 
 SRC = Path(cranktab.__file__).resolve().parents[1]
+# the environment of child processes; they write no __pycache__ into the
+# checkout, where it would make later cold starts skip compiling
+CHILD_ENV = {"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def _run(argv):
@@ -342,16 +347,67 @@ def test_import_loads_only_the_standard_library():
     # -S keeps site hooks of the environment from loading modules of their own
     code = ("import sys, cranktab.cli; "
             "print(sorted({'click', 'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-S", "-c", code], env={"PYTHONPATH": str(SRC)},
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=CHILD_ENV,
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+# the cranktab modules each command loads besides the package root and the cli
+COMMAND_MODULES = [
+    (["--help"], set()),
+    (["table", "--stat", "crank"], {"tables", "bivariate", "series"}),
+    (["table", "--stat", "crank", "--provenance", "oracle", "--n-max", "8"],
+     {"tables", "bivariate", "series", "brute"}),
+    (["identity", "--id", "euler"], {"verify", "identities", "bivariate", "series"}),
+    (["verify", "--check", "thm-1.2"], {"verify", "identities", "bivariate", "series"}),
+    (["crosscheck", "--stat", "rank"],
+     {"tables", "verify", "identities", "bivariate", "series", "brute"}),
+]
+
+
+@pytest.mark.parametrize("argv, modules", COMMAND_MODULES,
+                         ids=[" ".join(argv) for argv, _ in COMMAND_MODULES])
+def test_each_command_loads_only_the_modules_it_runs(argv, modules):
+    # a fresh process compiles every module it imports, so a command that
+    # imports modules it never runs pays for them on each start
+    code = ("import sys\n"
+            "from cranktab.cli import main\n"
+            "try:\n    main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('cranktab'))\n"
+            "print(*loaded, 'json' in sys.modules, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=CHILD_ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    *loaded, json_loaded = proc.stderr.split()
+    assert loaded == sorted({"cranktab", "cranktab.cli"} | {f"cranktab.{m}" for m in modules})
+    if argv == ["--help"]:
+        assert json_loaded == "False"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["table", "--stat", "crank", "--n-max", "30"],
+    ["verify", "--check", "euler", "--order", "20"],
+    ["identity", "--id", "euler", "--order", "20"],
+    ["crosscheck", "--stat", "rank", "--n-max", "10"],
+], ids=lambda argv: argv[0])
+def test_unwritable_stdout_exits_two_with_one_line(argv, unbuffered):
+    # `cranktab ... >/dev/full`: every write to stdout fails with ENOSPC
+    env = dict(CHILD_ENV, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "cranktab.cli", *argv], env=env,
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (
+        2, f"Error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
 
 
 def test_closed_stdout_exits_one_without_a_traceback():
     # `cranktab table ... | head -1`: the reader goes away mid-table
     proc = subprocess.Popen(
         [sys.executable, "-m", "cranktab.cli", "table", "--stat", "crank", "--n-max", "300"],
-        env={"PYTHONPATH": str(SRC)}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=CHILD_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     assert proc.stdout.readline() == b"n,m,count\n"
     proc.stdout.close()
@@ -374,7 +430,7 @@ def test_large_k_ends_within_seconds(argv):
     # that a hang fails the test at its timeout instead of stalling the suite
     proc = subprocess.run(
         [sys.executable, "-m", "cranktab.cli", *argv, "--k", str(LARGE_K), "--n-max", "5"],
-        env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=10,
+        env=CHILD_ENV, capture_output=True, text=True, timeout=10,
     )
     assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
     if argv[0] == "table":

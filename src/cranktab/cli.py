@@ -44,6 +44,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def print_help(self, file=None):
+        # argparse's own write drops an OSError (``--help >/dev/full``)
+        (file or sys.stdout).write(self.format_help())
+
+    def exit(self, status=0, message=None):
+        # reached after --help only, inside main's try: flush stdout there
+        sys.stdout.flush()
+        super().exit(status, message)
+
 
 def _size(raw: str) -> int:
     """The value of ``--n-max`` or ``--order``: an integer >= 0."""

@@ -4,11 +4,11 @@
 ``clauses(N, run)``, which returns the entry's clauses at truncation order
 N, and ``reads``, the statistics whose GF columns they read.  A clause
 carries zero-argument builders bound to N and ``run``; ``run_clause`` calls
-them, so nothing is built until the clause runs.  ``run`` is the
-:class:`Run` that all entries of one catalog run share: it gives the GF
-columns the entries read (``run.column``, ``run.diff``), low columns only,
-truncated to N, and builds each generic product once (``run.product``).  A
-clause is of one of two kinds:
+them, so no column is read and nothing is multiplied until the clause runs.
+``run`` is the :class:`Run` that all entries of one catalog run share: it
+gives the GF columns the entries read (``run.column``, ``run.diff``), low
+columns only, truncated to N, and builds each generic product once
+(``run.product``).  A clause is of one of two kinds:
 
 * **exact** -- it has a right side ``rhs``, and both sides must agree
   coefficient for coefficient;
@@ -22,8 +22,10 @@ Most rows are built from three shapes:
   and has a sign pattern; it is built once per run and shared;
 * ``_head(N, label, series, head, tail)`` -- a series starts with a frozen
   head and, given a tail label, is nonnegative after it;
-* ``_factored(rows, mult)`` -- each left side equals its factor times one
-  multiplier, which is built once per run.
+* ``_factored(rows, left, right)`` -- each left side times the sparse units
+  ``left`` equals its factor times the sparse units ``right``: a quotient of
+  q-products written with Euler's pentagonal series and Gauss's phi(-q), so
+  that no clause multiplies two dense series.
 
 The other rows list their ``Clause(...)`` literals directly.  To add an
 entry, append one ``IdentityEntry`` row to ``CATALOG``, pick a shape or
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from operator import add
+from operator import add, mul
 
 from cranktab import bivariate
 from cranktab.series import (
@@ -59,7 +61,9 @@ from cranktab.series import (
     _div_factor,
     _mul_factor,
     distinct_series,
+    euler_product_pentagonal,
     partition_series,
+    phi_minus_q,
     qpoch_inf,
 )
 
@@ -303,44 +307,31 @@ def _head(N: int, label: str, series, head: list, tail: str | None = None) -> li
     return clauses
 
 
-def _factored(rows, mult) -> list:
-    """Exact clauses ``lhs = factor * mult``, one per ``(label, lhs, factor)`` row.
+def _factored(rows, left, right) -> list:
+    """Exact clauses ``lhs * left = factor * right``, one per ``(label, lhs, factor)`` row.
 
-    ``mult`` is built once per run and shared by all the clauses.
+    ``left`` and ``right`` are tuples of sparse units: series with constant
+    term 1 and O(sqrt N) nonzero terms, each applied by one multiply, so a
+    clause costs O(N**1.5).  A unit V is invertible modulo q^(N+1), so
+    ``lhs * V = factor * W`` holds exactly when ``lhs = factor * W / V``:
+    the clause checks that identity with no dense product.
     """
-    mult = functools.cache(mult)
     return [
-        Clause(label, lhs, lambda factor=factor: factor() * mult())
+        Clause(
+            label,
+            lambda lhs=lhs: functools.reduce(mul, left, lhs()),
+            lambda f=factor: functools.reduce(mul, right, f()),
+        )
         for label, lhs, factor in rows
     ]
 
 
+def _euler(N: int, d: int = 1) -> Series:
+    """The sparse unit ``(q^d; q^d)_inf``, by Euler's pentagonal number theorem."""
+    return euler_product_pentagonal(N).stretched(d)
+
+
 # -- the catalog --------------------------------------------------------------
-
-
-def _kcrank_reduction(r: Run) -> list:
-    """The clauses of ``kcrank-reduction``, for k = 2, 3, 4 and m = 1..10.
-
-    The multiplier ``(q;q)_inf**(2-k) / (q^2;q^2)_inf`` of k is the one of
-    k - 1 times ``1/(q;q)_inf``: one multiply per k, each done once.
-    """
-    clauses = []
-    mult = functools.partial(r.product, qpoch_inf, 2, 2, invert=True)
-    for k in (2, 3, 4):
-        if k > 2:
-            mult = functools.cache(lambda prev=mult: prev() * r.product(partition_series))
-        clauses += _factored(
-            [
-                (
-                    f"k={k},m={m}",
-                    lambda k=k, m=m: r.diff("kcrank", m, k),
-                    lambda m=m: r.diff("ocrank", m),
-                )
-                for m in range(1, 11)
-            ],
-            mult,
-        )
-    return clauses
 
 
 CATALOG = {
@@ -461,22 +452,24 @@ CATALOG = {
         ),
         IdentityEntry(
             "ocrank-monotone-factored",
-            "(1-q) times overline column m = crank column m over (q^3;q^2)_inf; both sides"
-            " share S_m, so it checks the z-free identity (1-q)(-q;q)_inf = 1/(q^3;q^2)_inf",
-            # Successive-n difference series of the first residual crank at
-            # fixed m, written with the n = 0 term equal to the count at n = 0
-            # (that is, (1-q) * sum_n count(m,n) q^n), which is what the
-            # factorization equals.
+            "overline column m times (q;q)_inf = crank column m times (q^2;q^2)_inf; both"
+            " sides share S_m, so it checks the z-free identity (q;q)_inf (-q;q)_inf ="
+            " (q^2;q^2)_inf",
+            # The paper's form: (1-q) times the overline column (its
+            # successive-n differences) equals the crank column over
+            # (q^3;q^2)_inf.  Times the unit (q^3;q^2)_inf (q^2;q^2)_inf it is
+            # this clause: (1-q)(q^3;q^2)_inf (q^2;q^2)_inf = (q;q)_inf.
             lambda N, r: _factored(
                 [
                     (
                         f"m={m}",
-                        lambda m=m: _poly(N, {0: 1, 1: -1}) * r.column("ocrank", m),
+                        lambda m=m: r.column("ocrank", m),
                         lambda m=m: r.column("crank", m),
                     )
                     for m in range(0, 21)
                 ],
-                lambda: r.product(qpoch_inf, 3, 2, invert=True),
+                left=(_euler(N),),
+                right=(_euler(N, 2),),
             ),
             reads=("crank", "ocrank"),
         ),
@@ -499,9 +492,24 @@ CATALOG = {
         ),
         IdentityEntry(
             "kcrank-reduction",
-            "k-crank difference columns = overline ones times (q;q)_inf^(2-k)/(q^2;q^2)_inf;"
+            "k-crank difference columns times (q;q)_inf^(k-2) (q^2;q^2)_inf = overline ones;"
             " both share S_m, so it checks a z-free identity between base series",
-            lambda N, r: _kcrank_reduction(r),
+            lambda N, r: [
+                clause
+                for k in (2, 3, 4)
+                for clause in _factored(
+                    [
+                        (
+                            f"k={k},m={m}",
+                            lambda k=k, m=m: r.diff("kcrank", m, k),
+                            lambda m=m: r.diff("ocrank", m),
+                        )
+                        for m in range(1, 11)
+                    ],
+                    left=(_euler(N),) * (k - 2) + (_euler(N, 2),),
+                    right=(),
+                )
+            ],
             reads=("kcrank", "ocrank"),
         ),
         IdentityEntry(
@@ -514,8 +522,9 @@ CATALOG = {
         ),
         IdentityEntry(
             "m2-from-ocrank",
-            "second-residual differences = (-q;q^2)/(q;q^2) times stretched overline ones;"
-            " both share S_m(q^2), so it checks a z-free identity between base series",
+            "second-residual differences times phi(-q) = stretched overline ones times"
+            " phi(-q^2), phi(-q) = (q;q)/(-q;q); both share S_m(q^2), so it checks a z-free"
+            " identity between base series",
             lambda N, r: _factored(
                 [
                     (
@@ -525,8 +534,8 @@ CATALOG = {
                     )
                     for m in range(1, 11)
                 ],
-                lambda: r.product(qpoch_inf, 1, 2, sign=-1)
-                * r.product(qpoch_inf, 1, 2, invert=True),
+                left=(phi_minus_q(N),),
+                right=(phi_minus_q(N).stretched(2),),
             ),
             reads=("m2crank", "ocrank"),
         ),

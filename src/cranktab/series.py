@@ -10,14 +10,12 @@ Combining series of different orders is an error rather than a silent
 truncation; mixed orders in this codebase almost always indicate a bug in a
 caller, and quietly dropping coefficients would hide it.
 
-A product of two dense series is done by Kronecker substitution
-(:func:`_kronecker_product`): each coefficient list is packed into one Python
-int with slots wide enough for every product coefficient and its sign, the
-two ints are multiplied once, and the low N+1 slots are read back.  Its cost
-is CPython's Karatsuba multiply of two ``(N+1)*B``-bit ints, B the slot width
-in bits, rather than N**2 coefficient products.  When one operand has at most
-``_SPARSE_CUTOFF`` nonzero coefficients (the explicit polynomial factors of
-the identity catalog), the product stays a shift-and-add over its terms.
+A product is a shift-and-add over the nonzero terms of its sparser operand,
+one slice of the other operand per term: t*N additions for t terms.  Each
+product of the identity catalog has a sparse operand, an explicit polynomial
+or a unit with O(sqrt N) terms (:func:`euler_product_pentagonal`,
+:func:`phi_minus_q`), so it costs O(N**1.5).  Only the generic
+:func:`overpartition_series` multiplies two dense series, in O(N**2).
 
 Two paths build the named series.  The generic one multiplies or divides
 factor by factor (:func:`qpoch_inf`, :func:`partition_series`,
@@ -30,7 +28,8 @@ constant term 1 and t terms, in one pass of the power recurrence, O(t*N)
 whatever the power.  ``1/(q;q)_inf**k`` is that pass over Euler's
 pentagonal series (:func:`partition_series_pentagonal`), O(N**1.5) for
 every k, and the overpartition series is the reciprocal of Gauss's theta
-series ``phi(-q) = (q;q)_inf / (-q;q)_inf`` (:func:`overpartition_series_theta`).
+series ``phi(-q) = (q;q)_inf / (-q;q)_inf`` (:func:`phi_minus_q`,
+:func:`overpartition_series_theta`).
 """
 
 from __future__ import annotations
@@ -138,18 +137,12 @@ class Series:
         a, b = self.coeffs, other.coeffs
         if a.count(0) < b.count(0):
             a, b = b, a  # a is the sparser operand
-        n = len(a)
-        if n - a.count(0) > _SPARSE_CUTOFF:
-            return Series(self.order, _kronecker_product(a, b))
-        out = [0] * n
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            seg = b[: n - i]
-            if ai == 1:
-                out[i:] = [x + y for x, y in zip(out[i:], seg)]
-            else:
-                out[i:] = [x + ai * y for x, y in zip(out[i:], seg)]
+        out = [0] * len(a)
+        for i, ai in enumerate(a):  # out += ai * q**i * b, truncated
+            if ai == 1 or ai == -1:
+                out[i:] = map(add if ai == 1 else sub, out[i:], b)
+            elif ai:
+                out[i:] = map(add, out[i:], map(mul, repeat(ai), b))
         return Series(self.order, out)
 
     def pow(self, exponent: int) -> "Series":
@@ -193,62 +186,6 @@ class Series:
         return Series(self.order, c)
 
 
-# -- products of raw coefficient lists ---------------------------------------
-
-# A product whose sparser operand has at most this many nonzero coefficients
-# is done by shift-and-add: one pass over the dense operand per nonzero term.
-# Measured against Kronecker substitution (2-vCPU host, Python 3.11, a k-term
-# factor times a dense series), the crossover is near k = 16-20 at order 100,
-# k = 20-28 at order 200, and k = 32 to beyond 64 at order 1000, rising with
-# the size of the dense coefficients.  The products that the identity
-# catalog makes are far from it on both sides: its explicit polynomial
-# factors have at most 16 nonzero terms, and in ``verify --check all`` every
-# other product's sparser operand has at least 91 (at the default order 200).
-_SPARSE_CUTOFF = 24
-
-
-def _max_abs(c: list) -> int:
-    return max(max(c), -min(c))
-
-
-def _kronecker_product(a: list, b: list) -> list:
-    """The first ``len(a)`` coefficients of ``a * b``, by one integer multiply.
-
-    Each list is packed into the integer ``sum c[i] * 2**(8*w*i)``: slot i
-    holds ``c[i] + half`` as w little-endian bytes, ``half = 2**(8*w - 1)``,
-    and subtracting ``half`` in every slot at once restores the signed value.
-    The two integers are multiplied once (CPython uses Karatsuba at these
-    sizes), and slot k of the result is the Cauchy sum ``sum_i a[i]*b[k-i]``.
-    Every such sum has at most n = len(a) terms, so
-    ``|c_k| <= n * max|a| * max|b| < 2**(bits - 1) <= half`` for the ``bits``
-    below (the final 1 is the sign), and :func:`_unpack` reads them back.
-    """
-    n = len(a)
-    bits = _max_abs(a).bit_length() + _max_abs(b).bit_length() + n.bit_length() + 1
-    w = (bits + 7) // 8  # slot width in bytes
-    half = 1 << (8 * w - 1)
-    offset = int.from_bytes(half.to_bytes(w, "little") * n, "little")  # half in every slot
-
-    def pack(c: list) -> int:
-        raw = b"".join([(x + half).to_bytes(w, "little") for x in c])
-        return int.from_bytes(raw, "little") - offset
-
-    return _unpack(pack(a) * pack(b), n, w)
-
-
-def _unpack(x: int, n: int, w: int) -> list:
-    """The n coefficients of ``x = sum c[i] * 2**(8*w*i)`` modulo ``2**(8*w*n)``.
-
-    Each ``c[i]`` must lie in ``[-half, half)``, ``half = 2**(8*w - 1)``;
-    adding half to every slot then leaves no borrow between slots.
-    """
-    half = 1 << (8 * w - 1)
-    offset = int.from_bytes(half.to_bytes(w, "little") * n, "little")
-    low = (x + offset) & ((1 << (8 * w * n)) - 1)
-    raw = low.to_bytes(w * n, "little")
-    return [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, w * n, w)]
-
-
 # -- in-place helpers on raw coefficient lists ------------------------------
 
 
@@ -278,6 +215,19 @@ def _div_factor(c: list, exponent: int, sign: int) -> None:
 def _slot_bits(order: int) -> int:
     """Slot width of :func:`qpoch_fin`: ``4*isqrt(order) + 6`` bits in whole bytes."""
     return (4 * isqrt(order) + 13) // 8 * 8
+
+
+def _unpack(x: int, n: int, w: int) -> list:
+    """The n coefficients of ``x = sum c[i] * 2**(8*w*i)`` modulo ``2**(8*w*n)``.
+
+    Each ``c[i]`` must lie in ``[-half, half)``, ``half = 2**(8*w - 1)``;
+    adding half to every slot then leaves no borrow between slots.
+    """
+    half = 1 << (8 * w - 1)
+    offset = int.from_bytes(half.to_bytes(w, "little") * n, "little")
+    low = (x + offset) & ((1 << (8 * w * n)) - 1)
+    raw = low.to_bytes(w * n, "little")
+    return [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, w * n, w)]
 
 
 def qpoch_inf(a: int, d: int, order: int, sign: int = 1, invert: bool = False) -> Series:
@@ -367,9 +317,10 @@ def pentagonal_numbers(limit: int):
 
 
 def euler_product_pentagonal(order: int) -> Series:
-    """``(q; q)_inf`` via the pentagonal number theorem.
+    """``(q; q)_inf`` via the pentagonal number theorem: O(sqrt N) nonzero terms.
 
-    Optional fast path; must agree with :func:`euler_product` exactly.
+    A sparse unit of the identity catalog's factored entries; must agree
+    with :func:`euler_product` exactly.
     """
     c = [0] * (order + 1)
     c[0] = 1
@@ -420,11 +371,22 @@ def partition_series_pentagonal(order: int, power: int = 1) -> Series:
     return sparse_reciprocal(order, dict(pentagonal_numbers(order)), power)
 
 
-def overpartition_series_theta(order: int) -> Series:
-    """``(-q; q)_inf / (q; q)_inf`` as the reciprocal of a theta series.
+def phi_minus_q(order: int) -> Series:
+    """Gauss's theta series ``phi(-q) = 1 + 2 sum_{j>=1} (-1)**j q**(j*j)``.
 
-    Gauss: ``(q; q)_inf / (-q; q)_inf = phi(-q) = 1 + 2 sum_{j>=1} (-1)**j q**(j*j)``.
+    It equals ``(q; q)_inf / (-q; q)_inf`` and has O(sqrt N) nonzero terms: the
+    base of :func:`overpartition_series_theta` and a sparse unit of the
+    identity catalog; must agree with the generic products exactly.
+    """
+    terms = {j * j: 2 * (-1) ** j for j in range(1, isqrt(order) + 1)}
+    return Series.from_terms(order, {0: 1, **terms})
+
+
+def overpartition_series_theta(order: int) -> Series:
+    """``(-q; q)_inf / (q; q)_inf`` as the reciprocal of :func:`phi_minus_q`.
+
     The fast path for the GF bases; must agree with
     :func:`overpartition_series` exactly.
     """
-    return sparse_reciprocal(order, {j * j: 2 * (-1) ** j for j in range(1, isqrt(order) + 1)})
+    phi = phi_minus_q(order).coeffs
+    return sparse_reciprocal(order, {e: c for e, c in enumerate(phi) if e and c})

@@ -392,7 +392,9 @@ def test_each_command_loads_only_the_modules_it_runs(argv, modules):
     ["verify", "--check", "euler", "--order", "20"],
     ["identity", "--id", "euler", "--order", "20"],
     ["crosscheck", "--stat", "rank", "--n-max", "10"],
-], ids=lambda argv: argv[0])
+    ["--help"],
+    ["verify", "--help"],
+], ids=lambda argv: "-".join(a.strip("-") for a in argv) if "--help" in argv else argv[0])
 def test_unwritable_stdout_exits_two_with_one_line(argv, unbuffered):
     # `cranktab ... >/dev/full`: every write to stdout fails with ENOSPC
     env = dict(CHILD_ENV, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))

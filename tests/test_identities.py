@@ -5,7 +5,15 @@ import pytest
 from cranktab import identities, verify
 from cranktab.bivariate import crank_gf, kcrank_gf
 from cranktab.identities import CATALOG, CORE_ENTRIES, run_entry
-from cranktab.series import Series, distinct_series, partition_series, qpoch_fin
+from cranktab.series import (
+    Series,
+    distinct_series,
+    euler_product,
+    partition_series,
+    pentagonal_numbers,
+    qpoch_fin,
+    qpoch_inf,
+)
 from cranktab.tables import build_table, diff_column
 
 ORDER = 120
@@ -137,18 +145,49 @@ def _failing_cells(entry_id, key, m, n, order):
     return sorted({(e["clause"], e["n"]) for e in exceptions})
 
 
+def _support(series, shift):
+    """The exponents ``shift + e``, up to the order, at which ``series`` is nonzero."""
+    return {shift + e for e, c in enumerate(series.coeffs) if c and shift + e <= series.order}
+
+
 @pytest.mark.parametrize("k", [2, 3, 4], ids=lambda k: f"k={k}")
 def test_corrupted_kcrank_cell_fails_only_its_clauses(k):
-    # column 3 enters the differences of m = 3 and m = 4 of this k only
+    # column 3 enters the differences of m = 3 and m = 4 of this k only; the
+    # clause multiplies them by (q;q)^(k-2) (q^2;q^2), which spreads the bump
+    # at n = 20 over 20 + the support of that unit
     failed = _failing_cells("kcrank-reduction", ("kcrank", k), 3, 20, 40)
-    assert failed == [(f"k={k},m=3", 20), (f"k={k},m=4", 20)]
+    unit = euler_product(40).pow(k - 2) * euler_product(40).stretched(2)
+    cells = _support(unit, 20)
+    if k == 2:
+        assert cells == {20, 22, 24, 30, 34}
+    assert failed == sorted((f"k={k},m={m}", n) for m in (3, 4) for n in cells)
 
 
 @pytest.mark.parametrize("m", [0, 7, 20], ids=lambda m: f"m={m}")
 def test_corrupted_ocrank_cell_fails_only_its_clause(m):
-    # (1-q) times the overline column moves the error to n = 20 and 21
+    # the clause multiplies the overline column by (q;q): 20 + {0,1,2,5,7,12,15}
     failed = _failing_cells("ocrank-monotone-factored", ("ocrank", None), m, 20, 40)
-    assert failed == [(f"m={m}", 20), (f"m={m}", 21)]
+    cells = _support(euler_product(40), 20)
+    assert cells == {20, 21, 22, 25, 27, 32, 35}
+    assert failed == [(f"m={m}", n) for n in sorted(cells)]
+
+
+@pytest.mark.parametrize("m", [1, 5, 10], ids=lambda m: f"m={m}")
+def test_corrupted_m2_from_ocrank_cell_fails_only_its_clauses(m):
+    # column m enters the differences of m and m + 1 (clauses m = 1..10 only)
+    phi = euler_product(40) * qpoch_inf(1, 1, 40, sign=-1, invert=True)  # (q;q)/(-q;q)
+    labels = [f"m={j}" for j in (m, m + 1) if j <= 10]
+    # the left side is the m2crank difference times phi(-q)
+    failed = _failing_cells("m2-from-ocrank", ("m2crank", None), m, 20, 40)
+    cells = _support(phi, 20)
+    assert cells == {20, 21, 24, 29, 36}
+    assert failed == sorted((label, n) for label in labels for n in cells)
+    # the right side stretches the ocrank difference (n = 10 -> 20) and
+    # multiplies it by phi(-q^2)
+    failed = _failing_cells("m2-from-ocrank", ("ocrank", None), m, 10, 40)
+    cells = _support(phi.stretched(2), 20)
+    assert cells == {20, 22, 28, 38}
+    assert failed == sorted((label, n) for label in labels for n in cells)
 
 
 def test_run_columns_past_their_bound_raise():
@@ -186,18 +225,27 @@ def test_generic_products_are_built_once_per_run(monkeypatch):
         monkeypatch.setattr(identities, name, counted)
     reports = verify.run_checks(sorted(CATALOG), order=60)
     assert all(r.passed for r in reports)
-    # 1/(q;q), (-q;q), 1/(q;q^2), (-q;q^2), 1/(q^2;q^2) and 1/(q^3;q^2)
-    assert len(calls) == len(set(calls)) == 6
+    # 1/(q;q), (-q;q), 1/(q;q^2), (-q;q^2) and 1/(q^2;q^2); the factored
+    # entries multiply by sparse units, not by generic products
+    assert len(calls) == len(set(calls)) == 5
 
 
-def test_kcrank_multipliers_take_one_multiply_per_k(monkeypatch):
-    # 30 clauses multiply their factor by the multiplier of their k; the
-    # multipliers of k = 3 and 4 take one multiply each, that of k = 2 none
-    calls = []
+def test_every_catalog_product_has_a_sparse_operand(monkeypatch):
+    # no product of the catalog multiplies two dense series: the sparser
+    # operand has at most as many terms as Euler's pentagonal series
+    order = 200
+    bound = len(list(pentagonal_numbers(order))) + 1
+    sparser = []
     real = Series.__mul__
-    monkeypatch.setattr(Series, "__mul__", lambda a, b: calls.append(1) or real(a, b))
-    exceptions, _ = run_entry(CATALOG["kcrank-reduction"], 60)
-    assert exceptions == [] and len(calls) == 32
+
+    def counted(a, b):
+        sparser.append(min(len(c) - c.count(0) for c in (a.coeffs, b.coeffs)))
+        return real(a, b)
+
+    monkeypatch.setattr(Series, "__mul__", counted)
+    reports = verify.run_checks(sorted(CATALOG), order=order)
+    assert all(r.passed for r in reports)
+    assert sparser and max(sparser) <= bound, (max(sparser), bound)
 
 
 def test_sign_clause_reports_missing_and_unexpected_negatives():

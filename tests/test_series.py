@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from cranktab.brute import partitions
 from cranktab.series import (
-    _SPARSE_CUTOFF,
     OrderMismatch,
     _div_factor,
     _mul_factor,
@@ -21,6 +20,7 @@ from cranktab.series import (
     overpartition_series_theta,
     partition_series,
     partition_series_pentagonal,
+    phi_minus_q,
     qpoch_fin,
     qpoch_inf,
     sparse_reciprocal,
@@ -113,9 +113,11 @@ def test_partition_series_matches_enumeration():
 
 
 def test_pentagonal_fast_paths_agree_with_generic_products():
-    # the GF bases against the factor-by-factor products and Series.pow
+    # the GF bases and the catalog's sparse units against the
+    # factor-by-factor products and Series.pow
     for order in [*range(61), 200, 500]:
         assert euler_product_pentagonal(order) == euler_product(order)
+        assert phi_minus_q(order) * distinct_series(order) == euler_product(order), order
         p = partition_series(order)
         assert partition_series_pentagonal(order) == p, order
         assert overpartition_series_theta(order) == overpartition_series(order), order
@@ -256,8 +258,7 @@ def test_mul_matches_schoolbook_reference():
         _assert_mul_matches([-rng.randint(1, 10**20) for _ in range(n)],
                             [-rng.randint(1, 10**5) for _ in range(n)])
     # coefficients at and just past the edge of a bit length, with one sign
-    # and with alternating signs; n = 2**L - 1 makes the last Cauchy sum as
-    # large as the slot bound allows
+    # and with alternating signs, n = 2**L - 1 terms each
     for n in (31, 63):
         for ka in range(1, 17):
             for kb in range(ka, ka + 8):  # ka + kb + L takes every residue mod 8
@@ -268,10 +269,10 @@ def test_mul_matches_schoolbook_reference():
     # mixed magnitudes from 1 to 10**120
     for n in (30, 101, 201):
         _assert_mul_matches(_mixed(rng, n, 0, 120), _mixed(rng, n, 0, 120))
-    # the sparser operand with exactly the cutoff number of nonzeros, and one more
+    # a sparser operand with 24 and with 25 nonzeros
     n = 90
     dense = _mixed(rng, n, 0, 40)
-    for nonzeros in (_SPARSE_CUTOFF, _SPARSE_CUTOFF + 1):
+    for nonzeros in (24, 25):
         sparse = [0] * n
         for e in rng.sample(range(n), nonzeros):
             sparse[e] = rng.choice((-1, 1)) * rng.randint(1, 10**12)

@@ -25,6 +25,8 @@ is ``S_m = R_m - R_(m+1)``, and shifting j by one gives
 for a = 3.  So the cumulative column ``B_m = base * R_m(q**d)`` is one
 shifted subtraction from ``B_(m+s)``, and column m is ``B_m - B_(m+1)``:
 O(N) per column and O(N**2) for the whole GF, one operation per stored cell.
+It may start at any column ``top`` from the seeds B_(top+1), ..., B_(top+s),
+each a sum of O(sqrt(N)) shifted copies of ``base`` (zero at top = N).
 Each base is a power of the reciprocal of a sparse series with O(sqrt(N))
 terms (see :mod:`cranktab.series`): ``1/(q;q)_inf`` and ``1/(q;q)_inf**k``
 of Euler's pentagonal series, the overpartition base of Gauss's
@@ -46,17 +48,18 @@ m >= 0 only, and it checks the |m| <= n support when it is made.  Exports
 ``{statistic, n_max, rows: [{n, counts}]}`` with counts as decimal strings,
 so consumers never face integer overflow.
 
-:func:`gf_columns` streams one GF's columns from m = order down to 0; each
-builder collects them into a fresh table, and nothing is memoized, so a
-table lives only as long as its caller keeps it.  ``cranktab verify`` scans
-the stream itself and never holds a whole table (see :mod:`cranktab.verify`).
+:func:`gf_columns` streams one GF's columns from m = top down to 0; each
+builder collects them into a fresh table (the columns m <= ``top`` only, for
+the identity catalog, when given), and nothing is memoized, so a table lives
+only as long as its caller keeps it.  ``cranktab verify`` scans the stream
+itself and never holds a whole table (see :mod:`cranktab.verify`).
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from operator import sub
+from operator import add, sub
 
 from cranktab.series import (
     Series,
@@ -68,10 +71,13 @@ from cranktab.series import (
 class CrankTable:
     """Weighted counts M(m, n) of one statistic for n = 0..order.
 
-    ``columns[m][n]`` is M(m, n) = M(-m, n) for 0 <= m <= order: the rows
-    are symmetric in m, so only the columns m >= 0 are stored.  The |m| <= n
-    support (column m vanishes below q**m) is checked here, when the table is
-    made.  ``bound``, the largest stored |m|, equals ``order``.
+    ``columns[m][n]`` is M(m, n) = M(-m, n) for 0 <= m <= ``bound`` <= ``order``:
+    the rows are symmetric in m, so only the columns m >= 0 are stored.  The
+    |m| <= n support (column m vanishes below q**m) is checked when the table
+    is made.  A whole table has ``bound == order``; on a low-column one, a
+    read of a column bound < |m| <= order raises ``IndexError``, and
+    :meth:`row`, :meth:`row_sum_series` and :meth:`write`, which need every
+    column, raise ``ValueError``.
     """
 
     __slots__ = ("label", "order", "provenance", "columns")
@@ -93,6 +99,16 @@ class CrankTable:
         if not 0 <= n <= self.order:
             raise IndexError(f"n={n} outside table range 0..{self.order}")
 
+    def _stored(self, m: int) -> int:
+        m = abs(m)
+        if self.bound < m <= self.order:
+            raise IndexError(f"{self.label}: column m={m} is past the stored bound {self.bound}")
+        return m
+
+    def _check_whole(self) -> None:
+        if self.bound < self.order:
+            raise ValueError(f"{self.label}: only the columns m <= {self.bound} are stored")
+
     def _cells(self, n: int):
         """The pairs (m, M(m, n)) for m = -n..n."""
         half = [col[n] for col in self.columns[: n + 1]]
@@ -101,23 +117,25 @@ class CrankTable:
     def count(self, m: int, n: int) -> int:
         """M(m, n); zero outside |m| <= n."""
         self._check_row(n)
-        m = abs(m)
+        m = self._stored(m)
         return self.columns[m][n] if m <= n else 0
 
     def row(self, n: int) -> dict:
         """The nonzero counts ``{m: M(m, n)}`` of one row, m ascending."""
+        self._check_whole()
         self._check_row(n)
         return {m: c for m, c in self._cells(n) if c}
 
     def column(self, m: int) -> Series:
         """The series ``n -> M(m, n)``; zero when |m| exceeds the order."""
-        m = abs(m)
+        m = self._stored(m)
         if m > self.order:
             return Series.zero(self.order)
         return Series(self.order, self.columns[m])
 
     def row_sum_series(self) -> Series:
         """Specialization z = 1: the series of row sums."""
+        self._check_whole()
         return Series(self.order, [2 * sum(cells) - cells[0] for cells in zip(*self.columns)])
 
     def write(self, fh, fmt: str) -> None:
@@ -129,6 +147,7 @@ class CrankTable:
         made once per export, and each row n is one ``%`` format of the
         template joined from the slice m = -n..n with the row's counts.
         """
+        self._check_whole()
         if fmt == "csv":
             fh.write("n,m,count\n")
             labels = [f"{m}," for m in range(-self.order, self.order + 1)]
@@ -162,18 +181,34 @@ def check_k(statistic: str, k: int | None) -> None:
         raise ValueError(f"{statistic}: k={k}; kcrank needs k >= 2, and no other statistic takes k")
 
 
-def gf_columns(statistic: str, order: int, k: int | None = None):
-    """Yield ``(m, column m)`` of the GF of one statistic for m = order down to 0.
+def _cumulative(base: list, a: int, d: int, m: int) -> list:
+    """``B_m = base * R_m(q**d)``, one shifted add or subtract of ``base`` per term of R_m."""
+    size = len(base)
+    b = [0] * size
+    j = 1
+    while (e := d * ((a * j * j - j) // 2 + j * m)) < size:
+        b[e:] = map(add if j % 2 else sub, b[e:], base)
+        j += 1
+    return b
+
+
+def gf_columns(statistic: str, order: int, k: int | None = None, top: int | None = None):
+    """Yield ``(m, column m)`` of the GF of one statistic for m = top down to 0.
 
     Column m is a list of the counts M(m, n) for n = 0..order.  ``k`` is the
-    number of colors of the k-crank.  ``B_m = base * R_m(q**d)`` obeys
+    number of colors of the k-crank.  ``top`` defaults to ``order`` and is
+    clamped to it.  ``B_m = base * R_m(q**d)`` obeys
     ``B_m = q**(d*(m + c)) * (base - B_(m+s))`` with ``s = a`` and
-    ``c = (a - 1) / 2``, and column m is ``B_m - B_(m+1)``.  Filling m from
-    the top down keeps only the s latest B lists, so a consumer that keeps
-    few columns runs in O(order) memory.
+    ``c = (a - 1) / 2``, and column m is ``B_m - B_(m+1)``.  The window
+    starts from B_(top+1), ..., B_(top+s) (:func:`_cumulative`; zero at
+    top = order).  Filling m from the top down keeps only the s latest B
+    lists, so a consumer that keeps few columns runs in O(order) memory, and
+    a pass costs O(order * (top + sqrt(order))).
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
+    if top is not None and top < 0:
+        raise ValueError(f"top must be >= 0, got {top}")
     if statistic not in _FORMS:
         raise ValueError(f"unknown statistic {statistic!r}")
     check_k(statistic, k)
@@ -182,10 +217,12 @@ def gf_columns(statistic: str, order: int, k: int | None = None):
         base = overpartition_series_theta(order).coeffs
     else:
         base = partition_series_pentagonal(order, k or 1).coeffs
+    top = order if top is None else min(top, order)
     size = order + 1
     zero = [0] * size
-    window = deque([zero] * a, maxlen=a)  # B_(m+1), ..., B_(m+s)
-    for m in range(order, -1, -1):
+    # B_(m+1), ..., B_(m+s)
+    window = deque((_cumulative(base, a, d, top + i) for i in range(1, a + 1)), maxlen=a)
+    for m in range(top, -1, -1):
         e = d * (m + (a - 1) // 2)
         b = [0] * e + list(map(sub, base[: size - e], window[-1])) if e < size else zero
         column = list(map(sub, b, window[0]))
@@ -195,25 +232,23 @@ def gf_columns(statistic: str, order: int, k: int | None = None):
         window.appendleft(b)
 
 
-def _table(statistic: str, order: int, k: int | None = None) -> CrankTable:
-    columns = [None] * (order + 1)
-    for m, column in gf_columns(statistic, order, k):
-        columns[m] = column
+def _table(statistic: str, order: int, k: int | None = None, top: int | None = None) -> CrankTable:
+    columns = [column for _, column in gf_columns(statistic, order, k, top)][::-1]
     label = statistic if k is None else f"{statistic}({k})"
     return CrankTable(label, order, "gf", columns)
 
 
-def crank_gf(order: int) -> CrankTable:
+def crank_gf(order: int, top: int | None = None) -> CrankTable:
     """Crank generating function ``(q;q)_inf / ((zq;q)_inf (q/z;q)_inf)``."""
-    return _table("crank", order)
+    return _table("crank", order, top=top)
 
 
-def overline_crank_gf(order: int) -> CrankTable:
+def overline_crank_gf(order: int, top: int | None = None) -> CrankTable:
     """First-residual-crank GF: the crank GF times ``(-q;q)_inf``."""
-    return _table("ocrank", order)
+    return _table("ocrank", order, top=top)
 
 
-def m2_crank_gf(order: int) -> CrankTable:
+def m2_crank_gf(order: int, top: int | None = None) -> CrankTable:
     """Second-residual-crank GF.
 
     The crank GF with ``q -> q**2`` (odd rows vanish) times
@@ -221,12 +256,12 @@ def m2_crank_gf(order: int) -> CrankTable:
     is ``(q;q)_inf``, its columns are ``S_m(q**2)`` times the overpartition
     series.
     """
-    return _table("m2crank", order)
+    return _table("m2crank", order, top=top)
 
 
-def kcrank_gf(k: int, order: int) -> CrankTable:
+def kcrank_gf(k: int, order: int, top: int | None = None) -> CrankTable:
     """k-crank GF for k-colored partitions: crank GF times ``(q;q)_inf**(1-k)``."""
-    return _table("kcrank", order, k)
+    return _table("kcrank", order, k, top)
 
 
 def rank_gf(order: int) -> CrankTable:

@@ -1,13 +1,13 @@
 """Catalog of q-series identities and sign claims, machine-checked exactly.
 
-``CATALOG`` is one table with one row per entry: an id, a one-line summary,
-``clauses(N, run)``, which returns the entry's clauses at truncation order
-N, and ``reads``, the statistics whose GF columns they read.  A clause
-carries zero-argument builders bound to N and ``run``; ``run_clause`` calls
-them, so no column is read and nothing is multiplied until the clause runs.
-``run`` is the :class:`Run` that all entries of one catalog run share: it
-gives the GF columns the entries read (``run.column``, ``run.diff``), low
-columns only, truncated to N, and builds each generic product once
+``CATALOG`` is one table with one row per entry: an id, a one-line summary
+and ``clauses(N, run)``, which returns the entry's clauses at truncation
+order N.  A clause carries zero-argument builders bound to N and ``run``;
+``run_clause`` calls them, so no column is read and nothing is multiplied
+until the clause runs.  ``run`` is the :class:`Run` that all entries of one
+catalog run share: it gives the GF columns the entries read (``run.column``,
+``run.diff``), low columns only (:data:`COLUMN_BOUNDS`), truncated to N, and
+builds each GF's low columns and each generic product once
 (``run.product``).  A clause is of one of two kinds:
 
 * **exact** -- it has a right side ``rhs``, and both sides must agree
@@ -29,9 +29,8 @@ Most rows are built from three shapes:
 
 The other rows list their ``Clause(...)`` literals directly.  To add an
 entry, append one ``IdentityEntry`` row to ``CATALOG``, pick a shape or
-write the clauses, list in ``reads`` the statistics whose columns they read
-(the column bounds of :data:`COLUMN_BOUNDS` cover the present rows), and
-bind every loop variable in its builders
+write the clauses, add or raise the GF's bound in :data:`COLUMN_BOUNDS`
+if they read a column past it, and bind every loop variable in its builders
 (``lambda m=m: ...``): a late-bound variable makes every clause read its
 last value.
 
@@ -108,13 +107,8 @@ class Clause(namedtuple("Clause", "label lhs rhs nonneg_from negative_at",
     __slots__ = ()
 
 
-class IdentityEntry(namedtuple("IdentityEntry", "entry_id summary clauses reads",
-                               defaults=((),))):
-    """One catalog row; ``clauses(N, run)`` returns its list of :class:`Clause`.
-
-    ``reads`` names the statistics whose GF columns the clauses read through
-    ``run`` (see :class:`Run`).
-    """
+class IdentityEntry(namedtuple("IdentityEntry", "entry_id summary clauses")):
+    """One catalog row; ``clauses(N, run)`` returns its list of :class:`Clause`."""
 
     __slots__ = ()
 
@@ -131,62 +125,51 @@ COLUMN_BOUNDS = {
 class Run:
     """What the clauses of one catalog run share, at truncation order ``order``.
 
-    ``columns[(statistic, k)][m]`` is column m of the GF of ``statistic``
-    truncated to ``order``, for the statistics in ``reads`` and m up to its
-    :data:`COLUMN_BOUNDS`.  A caller that builds those GFs anyway hands their
-    columns over with :meth:`keep` while they stream past; :meth:`column`
-    gets what nobody handed over from the GF's builder (:meth:`fill`).
-    Generic products are built once per run by :meth:`product`.  A run keeps
-    no full table, and nothing outlives it.
+    ``tables[(statistic, k)]`` is the low-column table of the GF of
+    ``statistic`` at ``order``: the columns m up to the GF's bound in
+    :data:`COLUMN_BOUNDS`.  The first :meth:`column` that reads a GF builds
+    it (:meth:`fill`); no other source of columns exists.  Generic products
+    are built once per run by :meth:`product`.  A run keeps no whole table,
+    and nothing outlives it.
     """
 
-    def __init__(self, order: int, reads=()):
+    def __init__(self, order: int):
         self.order = order
-        self.keys = [key for key in COLUMN_BOUNDS if key[0] in reads]
-        self.columns = {}
+        self.tables = {}
         self._products = {}
 
-    def keep(self, key, m: int, column: list) -> None:
-        """Store column m of the GF ``key``, given at ``order`` or above, if it is read."""
-        if m <= COLUMN_BOUNDS[key]:
-            self.columns.setdefault(key, {})[m] = column[: self.order + 1]
-
     def fill(self, key) -> None:
-        """Keep the columns of ``key`` that the catalog reads, from its builder.
+        """Build the columns of ``key`` that the catalog reads.
 
-        The GF is built at the run's order by its named builder in
-        :mod:`cranktab.bivariate`, and its table is dropped once the low
-        columns are kept.
+        The named builder of :mod:`cranktab.bivariate` runs at the run's
+        order from the column ``COLUMN_BOUNDS[key]`` down, so it costs
+        O(order * (bound + sqrt(order))), not the whole GF's O(order**2).
         """
         statistic, k = key
+        top = COLUMN_BOUNDS[key]
         if statistic == "kcrank":
-            table = bivariate.kcrank_gf(k, self.order)
+            table = bivariate.kcrank_gf(k, self.order, top=top)
         elif statistic == "ocrank":
-            table = bivariate.overline_crank_gf(self.order)
+            table = bivariate.overline_crank_gf(self.order, top=top)
         elif statistic == "m2crank":
-            table = bivariate.m2_crank_gf(self.order)
+            table = bivariate.m2_crank_gf(self.order, top=top)
         else:
-            table = bivariate.crank_gf(self.order)
-        for m, column in enumerate(table.columns):
-            self.keep(key, m, column)
+            table = bivariate.crank_gf(self.order, top=top)
+        self.tables[key] = table
 
     def column(self, statistic: str, m: int, k: int | None = None) -> Series:
         """Column m of one statistic's GF, truncated to the run's order.
 
-        A column that the run does not store raises: a statistic outside
-        ``reads``, or an m past its bound.
+        A GF with no :data:`COLUMN_BOUNDS` entry raises ``KeyError``, and an m
+        outside 0..bound raises ``IndexError``.
         """
         key = (statistic, k)
-        if key not in self.keys:
-            raise KeyError(f"{key} is not among the columns this run reads")
         bound = COLUMN_BOUNDS[key]
         if not 0 <= m <= bound:
             raise IndexError(f"column m={m} of {statistic} is past the stored bound {bound}")
-        if key not in self.columns:
+        if key not in self.tables:
             self.fill(key)
-        if m > self.order:
-            return Series.zero(self.order)  # column m vanishes below q**m
-        return Series(self.order, self.columns[key][m])
+        return self.tables[key].column(m)
 
     def diff(self, statistic: str, m: int, k: int | None = None) -> Series:
         """The difference column ``n -> T[m-1][n] - T[m][n]`` of one statistic."""
@@ -374,7 +357,6 @@ CATALOG = {
             "crank difference columns m = 1, 2 match their displayed heads",
             lambda N, r: _head(N, "m=1", lambda: r.diff("crank", 1), CRANK_DIFF_M1_HEAD)
             + _head(N, "m=2", lambda: r.diff("crank", 2), CRANK_DIFF_M2_HEAD),
-            reads=("crank",),
         ),
         IdentityEntry(
             "crank-diff-decomp",
@@ -404,7 +386,6 @@ CATALOG = {
                     nonneg_from=27,
                 ),
             ],
-            reads=("crank",),
         ),
         IdentityEntry(
             "crank-diff-tails",
@@ -420,7 +401,6 @@ CATALOG = {
                     f"m={m} tail",
                 )
             ],
-            reads=("crank",),
         ),
         IdentityEntry(
             "ocrank-diff-nonneg",
@@ -428,7 +408,6 @@ CATALOG = {
             lambda N, r: [
                 Clause(f"m={m}", lambda m=m: r.diff("ocrank", m)) for m in range(2, 21)
             ],
-            reads=("ocrank",),
         ),
         IdentityEntry(
             "sc-identity",
@@ -448,7 +427,6 @@ CATALOG = {
                 [1, 0, -1, 0, -1, 0, 1, 0],
                 "tail",
             ),
-            reads=("ocrank",),
         ),
         IdentityEntry(
             "ocrank-monotone-factored",
@@ -471,7 +449,6 @@ CATALOG = {
                 left=(_euler(N),),
                 right=(_euler(N, 2),),
             ),
-            reads=("crank", "ocrank"),
         ),
         IdentityEntry(
             "andrews-merca",
@@ -510,7 +487,6 @@ CATALOG = {
                     right=(),
                 )
             ],
-            reads=("kcrank", "ocrank"),
         ),
         IdentityEntry(
             "ocrank-head",
@@ -518,7 +494,6 @@ CATALOG = {
             lambda N, r: _head(
                 N, "prefix", lambda: r.diff("ocrank", 1), [1, -1, -1, 1, 0, 1], "tail"
             ),
-            reads=("ocrank",),
         ),
         IdentityEntry(
             "m2-from-ocrank",
@@ -537,7 +512,6 @@ CATALOG = {
                 left=(phi_minus_q(N),),
                 right=(phi_minus_q(N).stretched(2),),
             ),
-            reads=("m2crank", "ocrank"),
         ),
     ]
 }
@@ -592,7 +566,7 @@ def run_entry(entry: IdentityEntry, order: int, run: Run | None = None) -> tuple
     number of coefficients compared.
     """
     if run is None:
-        run = Run(order, entry.reads)
+        run = Run(order)
     elif run.order != order:
         raise ValueError(f"the run is at order {run.order}, not {order}")
     exceptions, checked = [], 0

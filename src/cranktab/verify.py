@@ -26,10 +26,10 @@ No sweep reads a whole table: each compares column m with column
 m - stride, or with itself one row down.  :func:`run_checks` therefore
 streams each GF's columns once per run, from m = order down to 0
 (:func:`cranktab.bivariate.gf_columns`), and feeds them to every selected
-sweep of that (statistic, k) while it holds the last three only.  The same
-pass hands the identity catalog's :class:`~cranktab.identities.Run` the low
-columns its entries read.  So each GF is built once per run, and a run holds
-O(N) cells per pass plus the catalog's few low columns, not whole tables.
+sweep of that (statistic, k) while it holds the last three only, so a run
+holds O(N) cells per pass, not whole tables.  The identity catalog gets its
+few low columns on its own (:class:`~cranktab.identities.Run`), from a pass
+that starts at the highest column it reads.
 
 Note on the monotonicity sweeps (`thm-1.7*`): the counts of the first
 residual crank satisfy count(m, n) >= count(m, n-1) for all comparisons
@@ -177,26 +177,21 @@ class _Scan:
         )
 
 
-def _column_pass(statistic, k, size, scans, run=None) -> None:
+def _column_pass(statistic, k, size, scans) -> None:
     """Stream the columns of one GF at order ``size`` once, from m = size down to 0.
 
     The GF's base series is built in one pass of the power recurrence,
     O(size**1.5) whatever k (:func:`cranktab.series.sparse_reciprocal`).
     Each of the ``scans`` compares column m with column m - stride as the
-    latter goes by, so only the last three columns are held.  ``run``, a
-    catalog run, keeps the low columns it reads.
+    latter goes by, so only the last three columns are held.
     """
     window = deque(maxlen=3)  # columns j, j + 1, j + 2
-    key = (statistic, k)
-    keep = run is not None and key in run.keys
     for j, column in bivariate.gf_columns(statistic, size, k):
         window.appendleft(column)
         for scan in scans:
             m = j + scan.sweep.stride
             if m in scan.ms:
                 scan.compare(m, column, window[scan.sweep.stride])
-        if keep:
-            run.keep(key, j, column)
 
 
 def run_sweep(sweep: Sweep, n_max: int, k: int | None = None) -> CheckReport:
@@ -317,19 +312,15 @@ def run_checks(check_ids, n_max=None, order=None, k_list=None):
     See :func:`expand_checks` for the ids.  A ``None`` setting selects the
     check's default.
 
-    Each GF is built once, in one column pass per (statistic, k), at the
-    largest size any selected check reads: the sweeps' scan ceiling, or the
-    identities' order when the catalog reads its columns.  The pass feeds
-    every sweep of that GF and hands the catalog run the low columns it
-    reads, so no full table is held.
+    Each GF that a sweep reads is built once, in one column pass per
+    (statistic, k) at the largest n_max of its sweeps, and the pass feeds
+    every sweep of that GF, so no full table is held.  The catalog entries
+    share one :class:`~cranktab.identities.Run`, which builds the low
+    columns they read.
     """
     ids = expand_checks(check_ids)
     order = DEFAULT_IDENTITY_ORDER if order is None else order
-    entries = [cid for cid in ids if cid in identities.CATALOG]
-    run = identities.Run(
-        order, {s for cid in entries for s in identities.CATALOG[cid].reads}
-    )
-    scans = {key: [] for key in run.keys}  # (statistic, k) -> the scans of its pass
+    scans = {}  # (statistic, k) -> the scans of its pass
     for cid in ids:
         for sweep in SWEEPS.get(cid, ()):
             size = DEFAULT_N_MAX[sweep.statistic] if n_max is None else n_max
@@ -339,14 +330,11 @@ def run_checks(check_ids, n_max=None, order=None, k_list=None):
                 ks = (None,)
             for k in ks:
                 scans.setdefault((sweep.statistic, k), []).append(_Scan(sweep, size, k))
-    sizes = {
-        key: max([s.n_max for s in group] + ([order] if key in run.keys else []))
-        for key, group in scans.items()
-    }
     for (statistic, k), group in scans.items():
-        _column_pass(statistic, k, sizes[statistic, k], group, run)
+        _column_pass(statistic, k, max(s.n_max for s in group), group)
     reports = [scan.report() for group in scans.values() for scan in group]
-    reports.extend(check_identity(cid, order, run) for cid in entries)
+    run = identities.Run(order)
+    reports.extend(check_identity(cid, order, run) for cid in ids if cid in identities.CATALOG)
     reports.sort(key=lambda r: r.check_id)
     return reports
 

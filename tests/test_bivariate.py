@@ -1,5 +1,6 @@
 """Tests for the two-variable generating functions."""
 
+import io
 from functools import lru_cache
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from cranktab.bivariate import (
     CrankTable,
     crank_gf,
+    gf_columns,
     kcrank_gf,
     m2_crank_gf,
     overline_crank_gf,
@@ -281,3 +283,42 @@ def test_invariant_check_detects_violations():
         _check_symmetry_and_support(tuple(Series(1, c) for c in ([0, 1], [1, -1], [0, 2])))
     with pytest.raises(ValueError, match="support"):
         _check_symmetry_and_support(tuple(Series(1, c) for c in ([1, 1], [1, -1], [1, 1])))
+
+
+# -- low-column passes ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("stat,k", [("crank", None), ("ocrank", None), ("m2crank", None),
+                                    ("kcrank", 2), ("kcrank", 6), ("rank", None)])
+def test_seeded_pass_matches_the_full_pass(stat, k):
+    # a pass from column top starts from B_(top+1), ..., B_(top+s) summed from
+    # the closed form; the rank's three-term seed (s = 3) is checked here too
+    for order in (0, 1, 2, 5, 40, 1000):
+        full = [column for _, column in gf_columns(stat, order, k)]
+        for top in sorted({0, 1, 2, 3, 10, 20, 60, max(order - 1, 0), order, order + 5}):
+            low = list(gf_columns(stat, order, k, top))
+            assert [m for m, _ in low] == list(range(min(top, order), -1, -1))
+            assert [column for _, column in low] == full[order - min(top, order):], (
+                order, top)
+    with pytest.raises(ValueError, match="top must be >= 0"):
+        next(gf_columns(stat, 5, k, -1))
+
+
+def test_low_column_table_refuses_reads_past_its_bound():
+    g, whole = crank_gf(30, top=10), crank_gf(30)
+    assert (g.order, g.bound) == (30, 10)
+    assert g.columns == whole.columns[:11]
+    assert crank_gf(5, top=10).bound == 5  # top is clamped to the order
+    for m in range(-10, 11):
+        assert g.column(m) == whole.column(m)
+        assert g.count(m, 20) == whole.count(m, 20)
+    assert g.column(31) == Series.zero(30)  # past the order: zero by support
+    for m in (11, -11, 30):
+        with pytest.raises(IndexError, match="past the stored bound 10"):
+            g.column(m)
+        with pytest.raises(IndexError, match="past the stored bound 10"):
+            g.count(m, 30)
+    for read in (lambda: g.row(0), g.row_sum_series,
+                 lambda: g.write(io.StringIO(), "csv"), lambda: g.write(io.StringIO(), "json")):
+        with pytest.raises(ValueError, match="only the columns m <= 10 are stored"):
+            read()

@@ -29,7 +29,7 @@ def test_catalog_entry_passes(entry_id):
 def _clauses(entry_id, order):
     """The clauses of one entry at ``order``, in a catalog run of its own."""
     entry = CATALOG[entry_id]
-    return entry.clauses(order, identities.Run(order, entry.reads))
+    return entry.clauses(order, identities.Run(order))
 
 
 def test_core_entries_are_registered():
@@ -133,14 +133,14 @@ def test_coeffs_checked_is_pinned(entry_id):
 
 
 def _failing_cells(entry_id, key, m, n, order):
-    """Add 1 to cell (m, n) of the GF ``key`` in the run's columns, run the entry.
+    """Add 1 to cell (m, n) of the GF ``key`` in the run's tables, run the entry.
 
     Returns the sorted (clause, n) pairs that failed.
     """
     entry = CATALOG[entry_id]
-    run = identities.Run(order, entry.reads)
+    run = identities.Run(order)
     run.fill(key)
-    run.columns[key][m][n] += 1
+    run.tables[key].columns[m][n] += 1
     exceptions, _ = run_entry(entry, order, run)
     return sorted({(e["clause"], e["n"]) for e in exceptions})
 
@@ -191,26 +191,17 @@ def test_corrupted_m2_from_ocrank_cell_fails_only_its_clauses(m):
 
 
 def test_run_columns_past_their_bound_raise():
-    run = identities.Run(30, ("crank", "kcrank"))
+    run = identities.Run(30)
     assert run.column("crank", 5) == crank_gf(30).column(5)
     assert run.column("kcrank", 10, 4) == kcrank_gf(4, 30).column(10)
+    assert (run.tables["kcrank", 4].order, run.tables["kcrank", 4].bound) == (30, 10)
     assert run.column("crank", 60) == Series.zero(30)  # above the order: zero by support
     for statistic, m, k in (("crank", 61, None), ("kcrank", 11, 2), ("crank", -1, None)):
         with pytest.raises(IndexError):
             run.column(statistic, m, k)
-    for statistic, k in (("ocrank", None), ("kcrank", 5), ("rank", None)):
-        with pytest.raises(KeyError):  # not among the columns the run reads
+    for statistic, k in (("kcrank", 5), ("rank", None)):
+        with pytest.raises(KeyError):  # no column bound: the catalog reads none of it
             run.column(statistic, 1, k)
-
-
-@pytest.mark.parametrize("entry_id", sorted(e for e in CATALOG if CATALOG[e].reads))
-def test_entry_reads_only_the_columns_it_declares(entry_id):
-    # a run that stores one statistic fewer than the entry declares fails it
-    entry = CATALOG[entry_id]
-    for dropped in entry.reads:
-        run = identities.Run(40, [s for s in entry.reads if s != dropped])
-        with pytest.raises(KeyError):
-            run_entry(entry, 40, run)
 
 
 def test_generic_products_are_built_once_per_run(monkeypatch):

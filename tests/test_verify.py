@@ -404,23 +404,25 @@ def test_streamed_sweeps_match_full_table_reference(n_max):
 
 
 def test_run_checks_builds_each_gf_once(monkeypatch):
-    # one pass per (statistic, k), at the larger of n_max and the order of the
-    # catalog entries that read its columns
+    # one pass per (statistic, k) of the sweeps, at n_max, and one low-column
+    # pass per GF the catalog reads, at its order from that GF's column bound
     passes = []
     real = bivariate.gf_columns
 
-    def counted(statistic, order, k=None):
-        passes.append((statistic, k, order))
-        return real(statistic, order, k)
+    def counted(statistic, order, k=None, top=None):
+        passes.append((statistic, k, order, top))
+        return real(statistic, order, k, top)
 
     monkeypatch.setattr(bivariate, "gf_columns", counted)
     reports = run_checks(["all"], n_max=30, order=40)
     assert len(reports) == 27 and all(r.passed for r in reports)
-    assert len(passes) == 9
+    assert len(passes) == 15
     assert set(passes) == {
-        ("crank", None, 40), ("ocrank", None, 40), ("m2crank", None, 40), ("rank", None, 30),
-        ("kcrank", 2, 40), ("kcrank", 3, 40), ("kcrank", 4, 40),
-        ("kcrank", 5, 30), ("kcrank", 6, 30),
+        *((statistic, k, 30, None) for statistic, k in (
+            ("crank", None), ("ocrank", None), ("m2crank", None), ("rank", None),
+            *(("kcrank", k) for k in (2, 3, 4, 5, 6)))),
+        ("crank", None, 40, 60), ("ocrank", None, 40, 20), ("m2crank", None, 40, 10),
+        ("kcrank", 2, 40, 10), ("kcrank", 3, 40, 10), ("kcrank", 4, 40, 10),
     }
 
 

@@ -18,14 +18,13 @@ STATISTICS = ("crank", "ocrank", "m2crank", "kcrank", "rank")
 DEFAULT_IDENTITY_ORDER = 200
 
 _PUBLIC = {
-    "bivariate": ("CrankTable", "crank_gf", "kcrank_gf", "m2_crank_gf",
+    "bivariate": ("CrankTable", "crank_gf", "gf_table", "kcrank_gf", "m2_crank_gf",
                   "overline_crank_gf", "rank_gf"),
     "brute": ("colored_partitions", "crank", "crank_contributions",
-              "first_residual_contributions", "kcrank", "overpartitions",
+              "first_residual_contributions", "kcrank", "oracle_table", "overpartitions",
               "partitions", "rank", "second_residual_contributions"),
     "series": ("OrderMismatch", "Series", "distinct_series", "euler_product",
                "overpartition_series", "partition_series", "qpoch_fin", "qpoch_inf"),
-    "tables": ("build_table", "diff_column", "monotone_diff_row"),
     "verify": ("CheckReport", "check_identity", "check_table_consistency", "run_checks"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -40,7 +40,7 @@ is needed downstream.  The rank's columns sum to ``1/(q;q)_inf - 1``: they
 miss the empty partition, which ``rank_gf`` adds at ``z**0 q**0``.
 
 Every builder returns a :class:`CrankTable`, the one count-table type of the
-package (:mod:`cranktab.tables` also makes it from the enumeration oracle).
+package (:func:`cranktab.brute.oracle_table` also makes it by enumeration).
 Every statistic here has rows symmetric in m, so a table stores the columns
 m >= 0 only, and it checks the |m| <= n support when it is made.  Exports
 (:meth:`CrankTable.write`) stream one ``%`` format per row: CSV with header
@@ -48,9 +48,10 @@ m >= 0 only, and it checks the |m| <= n support when it is made.  Exports
 ``{statistic, n_max, rows: [{n, counts}]}`` with counts as decimal strings,
 so consumers never face integer overflow.
 
-:func:`gf_columns` streams one GF's columns from m = top down to 0; each
-builder collects them into a fresh table (the columns m <= ``top`` only, for
-the identity catalog, when given), and nothing is memoized, so a table lives
+:func:`gf_columns` streams one GF's columns from m = top down to 0;
+:func:`gf_table`, which takes the statistic by name, and each builder
+collect them into a fresh table (the columns m <= ``top`` only, for the
+identity catalog, when given), and nothing is memoized, so a table lives
 only as long as its caller keeps it.  ``cranktab verify`` scans the stream
 itself and never holds a whole table (see :mod:`cranktab.verify`).
 """
@@ -80,15 +81,14 @@ class CrankTable:
     column, raise ``ValueError``.
     """
 
-    __slots__ = ("label", "order", "provenance", "columns")
+    __slots__ = ("label", "order", "columns")
 
-    def __init__(self, label: str, order: int, provenance: str, columns: list):
+    def __init__(self, label: str, order: int, columns: list):
         for m, col in enumerate(columns):
             if any(col[:m]):
                 raise ValueError(f"{label}: support violated in column m={m}")
         self.label = label
         self.order = order
-        self.provenance = provenance
         self.columns = columns
 
     @property
@@ -232,20 +232,21 @@ def gf_columns(statistic: str, order: int, k: int | None = None, top: int | None
         window.appendleft(b)
 
 
-def _table(statistic: str, order: int, k: int | None = None, top: int | None = None) -> CrankTable:
+def gf_table(statistic: str, order: int, k: int | None = None, top: int | None = None) -> CrankTable:
+    """A fresh table of the GF of one statistic: the columns m <= ``top`` of :func:`gf_columns`."""
     columns = [column for _, column in gf_columns(statistic, order, k, top)][::-1]
     label = statistic if k is None else f"{statistic}({k})"
-    return CrankTable(label, order, "gf", columns)
+    return CrankTable(label, order, columns)
 
 
 def crank_gf(order: int, top: int | None = None) -> CrankTable:
     """Crank generating function ``(q;q)_inf / ((zq;q)_inf (q/z;q)_inf)``."""
-    return _table("crank", order, top=top)
+    return gf_table("crank", order, top=top)
 
 
 def overline_crank_gf(order: int, top: int | None = None) -> CrankTable:
     """First-residual-crank GF: the crank GF times ``(-q;q)_inf``."""
-    return _table("ocrank", order, top=top)
+    return gf_table("ocrank", order, top=top)
 
 
 def m2_crank_gf(order: int, top: int | None = None) -> CrankTable:
@@ -256,14 +257,14 @@ def m2_crank_gf(order: int, top: int | None = None) -> CrankTable:
     is ``(q;q)_inf``, its columns are ``S_m(q**2)`` times the overpartition
     series.
     """
-    return _table("m2crank", order, top=top)
+    return gf_table("m2crank", order, top=top)
 
 
 def kcrank_gf(k: int, order: int, top: int | None = None) -> CrankTable:
     """k-crank GF for k-colored partitions: crank GF times ``(q;q)_inf**(1-k)``."""
-    return _table("kcrank", order, k, top)
+    return gf_table("kcrank", order, k, top)
 
 
 def rank_gf(order: int) -> CrankTable:
     """Dyson-rank GF ``sum_n q**(n*n) / ((zq;q)_n (q/z;q)_n)``."""
-    return _table("rank", order)
+    return gf_table("rank", order)

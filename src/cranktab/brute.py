@@ -3,7 +3,10 @@
 Everything in this module is deliberately independent of the generating
 function machinery: objects are generated one by one and their statistics are
 read straight off the definitions.  The resulting tables are the ground truth
-that the series-built tables are checked against.
+that the series-built tables are checked against.  :func:`oracle_table` gives
+them as a :class:`~cranktab.bivariate.CrankTable`, the type the GF builders
+return; it imports that class only when called, so importing this module
+loads no GF code.
 
 Representations:
 
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator, Sequence
+from functools import lru_cache
 
 Partition = tuple[int, ...]
 Overpartition = tuple[tuple[int, bool], ...]
@@ -261,3 +265,32 @@ def oracle_rows(statistic: str, n_max: int, k: int | None = None) -> list[dict]:
     else:
         raise ValueError(f"unknown statistic {statistic!r}")
     return [{m: c for m, c in sorted(row.items()) if c} for row in rows]
+
+
+def _columns_from_rows(rows: list[dict], statistic: str) -> list:
+    """Columns m = 0..n_max of rows given as {m: count} dicts, verifying invariants."""
+    for n, row in enumerate(rows):
+        for m, c in row.items():
+            if c and abs(m) > n:
+                raise ValueError(
+                    f"{statistic}: support violated at n={n}, m={m} (count {c})"
+                )
+            if row.get(-m, 0) != c:
+                raise ValueError(f"{statistic}: asymmetric row at n={n}, m={m}")
+    return [[row.get(m, 0) for row in rows] for m in range(len(rows))]
+
+
+@lru_cache(maxsize=None)
+def oracle_table(statistic: str, n_max: int, k: int | None = None):
+    """The :class:`~cranktab.bivariate.CrankTable` of :func:`oracle_rows`.
+
+    The rows' support and symmetry m <-> -m are checked as they are
+    transposed into the columns m >= 0.  ``k`` (>= 2) is for kcrank only.
+    The table is cached and shared, because the enumeration is slow; treat
+    it as immutable.
+    """
+    from cranktab.bivariate import CrankTable, check_k
+
+    check_k(statistic, k)
+    columns = _columns_from_rows(oracle_rows(statistic, n_max, k=k), statistic)
+    return CrankTable(statistic if k is None else f"{statistic}({k})", n_max, columns)

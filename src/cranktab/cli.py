@@ -21,9 +21,10 @@ Every invocation is a fresh process that compiles and imports its modules
 anew, so this module imports at its top only the standard library and the
 package root, whose :data:`~cranktab.STATISTICS` and
 :data:`~cranktab.DEFAULT_IDENTITY_ORDER` the parser reads.  Each command
-imports the modules it runs: ``--help`` none, ``table`` :mod:`cranktab.tables`
-(and :mod:`cranktab.brute` for ``--provenance oracle``), ``identity`` and
-``verify`` :mod:`cranktab.verify`, and ``crosscheck`` all three.
+imports the modules it runs: ``--help`` none, ``table``
+:mod:`cranktab.bivariate` (:mod:`cranktab.brute` for ``--provenance
+oracle``), ``identity`` and ``verify`` :mod:`cranktab.verify`, and
+``crosscheck`` all three.
 """
 
 from __future__ import annotations
@@ -139,13 +140,18 @@ def _check_flags_used(ids, flags) -> None:
 
 def table(stat, k, n_max, provenance, fmt, output):
     """Export the weighted count table of one statistic."""
-    from cranktab import tables
-
     _check_k(stat, k)
     if provenance == "oracle":
+        from cranktab import brute
+
         _check_oracle_ceiling(stat, n_max)
+        build = brute.oracle_table
+    else:
+        from cranktab import bivariate
+
+        build = bivariate.gf_table
     with _output(output) as fh:
-        tables.build_table(stat, n_max, provenance, k=k).write(fh, fmt)
+        build(stat, n_max, k).write(fh, fmt)
     return 0
 
 
@@ -181,14 +187,14 @@ def identity(entry_id, order, output):
 
 def crosscheck(stat, k, n_max, output):
     """Compare the GF-built table against the enumeration oracle."""
-    from cranktab import tables, verify
+    from cranktab import bivariate, brute, verify
 
     _check_k(stat, k)
     _check_oracle_ceiling(stat, n_max)
 
     def reports():
-        gf = tables.build_table(stat, n_max, "gf", k=k)
-        oracle = tables.build_table(stat, n_max, "oracle", k=k)
+        gf = bivariate.gf_table(stat, n_max, k)
+        oracle = brute.oracle_table(stat, n_max, k)
         return [verify.check_table_consistency(gf, oracle)]
 
     return _emit_reports(reports, output)

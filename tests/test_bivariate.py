@@ -273,10 +273,10 @@ def test_product_form_reference_is_sound():
 
 def test_invariant_check_detects_violations():
     # a table checks the |m| <= n support of its columns when it is made
-    t = CrankTable("crank", 1, "gf", [[1, -1], [0, 1]])
+    t = CrankTable("crank", 1, [[1, -1], [0, 1]])
     assert t.row(1) == {-1: 1, 0: -1, 1: 1}
     with pytest.raises(ValueError, match="support violated in column m=1"):
-        CrankTable("bogus", 1, "gf", [[1, -1], [1, 1]])
+        CrankTable("bogus", 1, [[1, -1], [1, 1]])
     # the reference's own check sees both faults
     _check_symmetry_and_support(tuple(Series(1, c) for c in ([0, 1], [1, -1], [0, 1])))
     with pytest.raises(ValueError, match="symmetry"):

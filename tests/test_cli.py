@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cranktab
-from cranktab import identities, tables, verify
+from cranktab import bivariate, brute, identities, verify
 from cranktab.cli import _parse_k_list, main
 from cranktab.identities import IdentityEntry
 from cranktab.series import Series
@@ -148,7 +148,8 @@ def test_unwritable_output_fails_before_any_work(tmp_path, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the output was opened")
 
-    monkeypatch.setattr(tables, "build_table", no_work)
+    monkeypatch.setattr(bivariate, "gf_table", no_work)
+    monkeypatch.setattr(brute, "oracle_table", no_work)
     for name in ("run_checks", "check_identity"):
         monkeypatch.setattr(verify, name, no_work)
     for argv in (
@@ -355,13 +356,13 @@ def test_import_loads_only_the_standard_library():
 # the cranktab modules each command loads besides the package root and the cli
 COMMAND_MODULES = [
     (["--help"], set()),
-    (["table", "--stat", "crank"], {"tables", "bivariate", "series"}),
+    (["table", "--stat", "crank"], {"bivariate", "series"}),
     (["table", "--stat", "crank", "--provenance", "oracle", "--n-max", "8"],
-     {"tables", "bivariate", "series", "brute"}),
+     {"bivariate", "series", "brute"}),
     (["identity", "--id", "euler"], {"verify", "identities", "bivariate", "series"}),
     (["verify", "--check", "thm-1.2"], {"verify", "identities", "bivariate", "series"}),
     (["crosscheck", "--stat", "rank"],
-     {"tables", "verify", "identities", "bivariate", "series", "brute"}),
+     {"verify", "identities", "bivariate", "series", "brute"}),
 ]
 
 
@@ -452,7 +453,7 @@ def _opt(flag, values):
 
 
 SIZES = st.integers(-1, 12)
-STATS = st.sampled_from(tables.STATISTICS + ("bogus",))
+STATS = st.sampled_from(cranktab.STATISTICS + ("bogus",))
 KS = _opt("--k", st.integers(-1, 7))
 CHECK_IDS = st.sampled_from(verify.available_checks() + ["all", "thm-9.9"])
 

@@ -3,7 +3,7 @@
 import pytest
 
 from cranktab import identities, verify
-from cranktab.bivariate import crank_gf, kcrank_gf
+from cranktab.bivariate import crank_gf, gf_table, kcrank_gf
 from cranktab.identities import CATALOG, CORE_ENTRIES, run_entry
 from cranktab.series import (
     Series,
@@ -14,7 +14,6 @@ from cranktab.series import (
     qpoch_fin,
     qpoch_inf,
 )
-from cranktab.tables import build_table, diff_column
 
 ORDER = 120
 
@@ -92,9 +91,9 @@ def test_crank_decomp_residuals_vanish_below_thresholds():
 
 
 def test_crank_tail_point_values():
-    t = build_table("crank", 80, "gf")
+    t = gf_table("crank", 80)
     for m in (8, 20, 45):
-        d = diff_column(t, m)
+        d = t.column(m - 1) - t.column(m)
         assert d[m - 1] == 1
         assert d[m] == -1
         assert all(c == 0 for c in d.coeffs[: m - 1])

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import cranktab
-from cranktab import tables, verify
+from cranktab import cli, verify
 
 SRC = Path(cranktab.__file__).resolve().parents[1]
 
@@ -32,7 +32,7 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_parser_vocabulary_is_defined_once():
-    assert cranktab.STATISTICS is tables.STATISTICS
+    assert cranktab.STATISTICS is cli.STATISTICS
     assert cranktab.DEFAULT_IDENTITY_ORDER is verify.DEFAULT_IDENTITY_ORDER
 
 

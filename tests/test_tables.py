@@ -5,11 +5,11 @@ import json
 
 import pytest
 
-from cranktab import tables
-from cranktab.bivariate import crank_gf
+from cranktab import STATISTICS, brute
+from cranktab.bivariate import crank_gf, gf_table
+from cranktab.brute import oracle_table
 from cranktab.identities import CRANK_DIFF_M1_HEAD, CRANK_DIFF_M2_HEAD
 from cranktab.series import overpartition_series, partition_series
-from cranktab.tables import build_table, diff_column, monotone_diff_row
 
 
 def _row(t, n):
@@ -46,62 +46,63 @@ def _reference_json(t):
     return json.dumps(obj, indent=2) + "\n"
 
 
-# every statistic (kcrank at k = 3), both provenances, and wide GF rows
+# every statistic (kcrank at k = 3) from both constructors, and wide GF rows
 EXPORT_CASES = [
-    (stat, n_max, provenance)
-    for stat in tables.STATISTICS
+    (build, stat, n_max)
+    for stat in STATISTICS
     for n_max in (0, 1, 12)
-    for provenance in ("gf", "oracle")
-] + [("crank", 60, "gf"), ("crank", 400, "gf"), ("kcrank", 60, "gf"), ("rank", 60, "gf")]
+    for build in (gf_table, oracle_table)
+] + [(gf_table, "crank", 60), (gf_table, "crank", 400), (gf_table, "kcrank", 60),
+     (gf_table, "rank", 60)]
 
 
 def _export_tables():
-    for stat, n_max, provenance in EXPORT_CASES:
+    for build, stat, n_max in EXPORT_CASES:
         k = 3 if stat == "kcrank" else None
-        yield build_table(stat, n_max, provenance, k=k)
+        yield build(stat, n_max, k)
 
 
 def test_build_crank_n1():
-    t = build_table("crank", 1, "gf")
+    t = gf_table("crank", 1)
     assert _row(t, 1) == {-1: 1, 0: -1, 1: 1}
     assert t.count(0, 1) == -1
     assert t.count(5, 1) == 0
 
 
 def test_build_ocrank_point_values():
-    t = build_table("ocrank", 4, "gf")
+    t = gf_table("ocrank", 4)
     assert t.count(0, 4) == 2
     assert t.count(1, 4) == 2
 
 
 def test_build_m2_n0():
-    t = build_table("m2crank", 0, "gf")
+    t = gf_table("m2crank", 0)
     assert _row(t, 0) == {0: 1}
 
 
 def test_rank_gf_table_equals_oracle():
-    gf, oracle = build_table("rank", 12, "gf"), build_table("rank", 12, "oracle")
+    gf, oracle = gf_table("rank", 12), oracle_table("rank", 12)
     for n in range(13):
         assert _row(gf, n) == _row(oracle, n), n
     assert gf.count(0, 0) == 1  # the empty partition
 
 
 def test_invalid_inputs():
-    with pytest.raises(ValueError):
-        build_table("nope", 5)
-    for provenance in ("gf", "oracle"):
+    for build in (gf_table, oracle_table):
         with pytest.raises(ValueError):
-            build_table("kcrank", 5, provenance)  # missing k
+            build("nope", 5)
         with pytest.raises(ValueError):
-            build_table("kcrank", 5, provenance, k=1)
+            build("kcrank", 5)  # missing k
         with pytest.raises(ValueError):
-            build_table("crank", 5, provenance, k=3)  # k for a statistic without colors
+            build("kcrank", 5, k=1)
+        with pytest.raises(ValueError):
+            build("crank", 5, k=3)  # k for a statistic without colors
 
 
 def test_gf_equals_oracle_within_small_range():
     for stat, k in (("crank", None), ("ocrank", None), ("m2crank", None), ("kcrank", 3)):
-        gf = build_table(stat, 14, "gf", k=k)
-        oracle = build_table(stat, 14, "oracle", k=k)
+        gf = gf_table(stat, 14, k)
+        oracle = oracle_table(stat, 14, k)
         for n in range(15):
             for m in range(n + 1):
                 assert gf.count(m, n) == oracle.count(m, n), (stat, m, n)
@@ -111,39 +112,38 @@ def test_row_sums_match_counting_series():
     def row_sums(t):
         return [sum(_row(t, n).values()) for n in range(t.order + 1)]
 
-    assert row_sums(build_table("crank", 20, "gf")) == partition_series(20).coeffs
-    assert row_sums(build_table("ocrank", 20, "gf")) == overpartition_series(20).coeffs
+    assert row_sums(gf_table("crank", 20)) == partition_series(20).coeffs
+    assert row_sums(gf_table("ocrank", 20)) == overpartition_series(20).coeffs
 
 
 def test_diff_column_heads():
-    t = build_table("crank", 60, "gf")
-    assert diff_column(t, 1).coeffs[:44] == CRANK_DIFF_M1_HEAD
-    assert diff_column(t, 2).coeffs[:27] == CRANK_DIFF_M2_HEAD
-    with pytest.raises(ValueError):
-        diff_column(t, 0)
+    t = gf_table("crank", 60)
+    assert (t.column(0) - t.column(1)).coeffs[:44] == CRANK_DIFF_M1_HEAD
+    assert (t.column(1) - t.column(2)).coeffs[:27] == CRANK_DIFF_M2_HEAD
 
 
 def test_ocrank_diff_column_head():
-    t = build_table("ocrank", 20, "gf")
-    assert diff_column(t, 1).coeffs[:6] == [1, -1, -1, 1, 0, 1]
+    t = gf_table("ocrank", 20)
+    assert (t.column(0) - t.column(1)).coeffs[:6] == [1, -1, -1, 1, 0, 1]
 
 
 def test_monotone_diff_row():
-    t = build_table("ocrank", 40, "gf")
-    d0 = monotone_diff_row(t, 0)
-    assert d0[0] == 0  # series starts at n = 1
+    # successive-n differences count(m, n) - count(m, n - 1), from n = 1
+    t = gf_table("ocrank", 40)
+    col = t.column(0).coeffs
+    d0 = [b - a for a, b in zip(col, col[1:])]
     # the signed n = 1 convention forces the single dip count(0,1) < count(0,0)
-    assert d0[1] == -1
-    assert all(c >= 0 for c in d0.coeffs[2:])
+    assert d0[0] == -1
+    assert all(c >= 0 for c in d0[1:])
 
-    t = build_table("crank", 60, "gf")
+    t = gf_table("crank", 60)
     for m in (0, 1, 2):
-        d = monotone_diff_row(t, m)
-        assert all(c >= 0 for c in d.coeffs[14:])
+        col = t.column(m).coeffs
+        assert all(b >= a for a, b in zip(col[13:], col[14:]))
 
 
 def test_rank_oracle_table_symmetric():
-    t = build_table("rank", 12, "oracle")
+    t = oracle_table("rank", 12)
     for n in range(13):
         row = _row(t, n)
         assert row == {-m: c for m, c in row.items()}
@@ -151,52 +151,52 @@ def test_rank_oracle_table_symmetric():
 
 
 def test_csv_export():
-    t = build_table("crank", 1, "gf")
+    t = gf_table("crank", 1)
     lines = _written(t, "csv").splitlines()
     assert lines == ["n,m,count", "0,0,1", "1,-1,1", "1,0,-1", "1,1,1"]
 
 
 def test_csv_is_deterministic():
-    t = build_table("ocrank", 12, "gf")
-    assert _written(t, "csv") == _written(build_table("ocrank", 12, "gf"), "csv")
+    t = gf_table("ocrank", 12)
+    assert _written(t, "csv") == _written(gf_table("ocrank", 12), "csv")
     for t in _export_tables():
-        assert _written(t, "csv") == _reference_csv(t), (t.label, t.order, t.provenance)
+        assert _written(t, "csv") == _reference_csv(t), (t.label, t.order)
 
 
 def test_json_export_decimal_strings():
-    t = build_table("kcrank", 2, "gf", k=3)
+    t = gf_table("kcrank", 2, 3)
     obj = json.loads(_written(t, "json"))
     assert obj["statistic"] == "kcrank(3)"
     assert obj["n_max"] == 2
     assert obj["rows"][1]["counts"] == {"-1": "1", "0": "1", "1": "1"}
     assert all(isinstance(v, str) for row in obj["rows"] for v in row["counts"].values())
     for t in _export_tables():
-        assert _written(t, "json") == _reference_json(t), (t.label, t.order, t.provenance)
+        assert _written(t, "json") == _reference_json(t), (t.label, t.order)
 
 
 def test_symmetry_violation_detected():
     # rows become the columns m >= 0
-    assert tables._compress_full_rows([{0: 1}, {-1: 1, 0: -1, 1: 1}], "crank") == [
+    assert brute._columns_from_rows([{0: 1}, {-1: 1, 0: -1, 1: 1}], "crank") == [
         [1, -1],
         [0, 1],
     ]
     with pytest.raises(ValueError):
-        tables._compress_full_rows([{0: 1}, {-1: 1, 0: 0, 1: 2}], "bogus")
+        brute._columns_from_rows([{0: 1}, {-1: 1, 0: 0, 1: 2}], "bogus")
     with pytest.raises(ValueError):
-        tables._compress_full_rows([{0: 1}, {-2: 1, 2: 1}], "bogus")
+        brute._columns_from_rows([{0: 1}, {-2: 1, 2: 1}], "bogus")
 
 
 def test_oracle_tables_are_cached_gf_tables_are_built_afresh():
     # the enumeration is memoized; a GF table is built on each call, and no
     # builder keeps one alive after its caller drops it
-    assert build_table("crank", 9, "oracle") is build_table("crank", 9, "oracle")
-    t = build_table("crank", 9)
+    assert oracle_table("crank", 9) is oracle_table("crank", 9)
+    t = gf_table("crank", 9)
     assert t is not crank_gf(9) and t.columns == crank_gf(9).columns
 
 
 def test_render_rejects_unknown_format():
     for n_max in (1, 60):
-        t = build_table("crank", n_max, "gf")
+        t = gf_table("crank", n_max)
         for fmt in ("xml", "CSV", "", "csv "):
             buf = io.StringIO()
             with pytest.raises(ValueError):

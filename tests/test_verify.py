@@ -8,8 +8,9 @@ from itertools import compress, count
 import pytest
 
 from cranktab import bivariate, verify
+from cranktab.bivariate import CrankTable, gf_table
+from cranktab.brute import oracle_table
 from cranktab.series import partition_series
-from cranktab.tables import CrankTable, build_table
 from cranktab.verify import SWEEPS, check_table_consistency, run_checks, run_sweep
 
 THM_14 = SWEEPS["thm-1.4"][0]
@@ -280,7 +281,7 @@ def test_sweeps_count_the_cells_they_check():
 
 
 def _per_cell_sweep(sweep, n_max, k=None):
-    table = build_table(sweep.statistic, n_max, k=k)
+    table = gf_table(sweep.statistic, n_max, k)
     stride, diagonal = sweep.stride, sweep.exclude_diagonal
     dn = 0 if stride else 1
     found, informational, cells = [], [], 0
@@ -326,7 +327,7 @@ def test_column_scan_matches_per_cell_reference(n_max):
 
 
 def _full_table_sweep(sweep, n_max, k=None):
-    table = build_table(sweep.statistic, n_max, k=k)
+    table = gf_table(sweep.statistic, n_max, k)
     t0 = time.perf_counter()
     stride, diagonal = sweep.stride, sweep.exclude_diagonal
     dn = 0 if stride else 1
@@ -427,21 +428,21 @@ def test_run_checks_builds_each_gf_once(monkeypatch):
 
 
 def test_table_consistency_pass_and_fail():
-    gf = build_table("crank", 10, "gf")
-    oracle = build_table("crank", 10, "oracle")
+    gf = gf_table("crank", 10)
+    oracle = oracle_table("crank", 10)
     assert check_table_consistency(gf, oracle).passed
 
     broken_cols = [list(c) for c in oracle.columns]
     broken_cols[0][6] += 1
     broken_cols[3][5] += 1
-    broken = CrankTable("crank", 10, "oracle", broken_cols)
+    broken = CrankTable("crank", 10, broken_cols)
     report = check_table_consistency(gf, broken)
     assert not report.passed
     assert report.exceptions[0]["n"] == 5
     assert _keys(report.exceptions) == [(3, 5), (0, 6)]  # by row, not by column
 
     with pytest.raises(ValueError):
-        check_table_consistency(gf, build_table("ocrank", 10, "gf"))
+        check_table_consistency(gf, gf_table("ocrank", 10))
 
 
 def test_run_checks_interface():

@@ -39,21 +39,23 @@ itself encodes the conventional signed counts at n = 1 and no special-casing
 is needed downstream.  The rank's columns sum to ``1/(q;q)_inf - 1``: they
 miss the empty partition, which ``rank_gf`` adds at ``z**0 q**0``.
 
-Every builder returns a :class:`CrankTable`, the one count-table type of the
-package (:func:`cranktab.brute.oracle_table` also makes it by enumeration).
-Every statistic here has rows symmetric in m, so a table stores the columns
-m >= 0 only, and it checks the |m| <= n support when it is made.  Exports
-(:meth:`CrankTable.write`) stream one ``%`` format per row: CSV with header
-``n,m,count`` in (n asc, m asc) order over the full -n..n range, and JSON
-``{statistic, n_max, rows: [{n, counts}]}`` with counts as decimal strings,
-so consumers never face integer overflow.
+A GF is read in one of two shapes, each streamed and never held whole.
+:func:`gf_columns` yields its columns from m = top down to 0, and
+``cranktab verify`` scans them as they pass (see :mod:`cranktab.verify`).
+:func:`gf_rows` yields row n, the counts for m = -n..n, straight from the
+same closed form, for the consumers that read whole rows: export and the
+cross-check with :func:`cranktab.brute.oracle_rows`, which gives rows of
+the same shape.  :func:`write_rows` exports either source with one ``%``
+format per row: CSV with header ``n,m,count`` in (n asc, m asc) order over
+the full -n..n range, and JSON ``{statistic, n_max, rows: [{n, counts}]}``
+with counts as decimal strings, so consumers never face integer overflow.
 
-:func:`gf_columns` streams one GF's columns from m = top down to 0;
-:func:`gf_table`, which takes the statistic by name, and each builder
-collect them into a fresh table (the columns m <= ``top`` only, for the
-identity catalog, when given), and nothing is memoized, so a table lives
-only as long as its caller keeps it.  ``cranktab verify`` scans the stream
-itself and never holds a whole table (see :mod:`cranktab.verify`).
+:func:`gf_table`, which takes the statistic by name, and each named builder
+collect the columns m <= ``top`` of one pass into a fresh
+:class:`CrankTable`, for the identity catalog's few low columns.  Every
+statistic here has rows symmetric in m, so a table stores the columns
+m >= 0 only, and it checks the |m| <= n support when it is made.  Nothing
+is memoized, so a table lives only as long as its caller keeps it.
 """
 
 from __future__ import annotations
@@ -70,15 +72,13 @@ from cranktab.series import (
 
 
 class CrankTable:
-    """Weighted counts M(m, n) of one statistic for n = 0..order.
+    """The low columns of one statistic's GF: M(m, n) for 0 <= m <= ``bound``, n = 0..order.
 
-    ``columns[m][n]`` is M(m, n) = M(-m, n) for 0 <= m <= ``bound`` <= ``order``:
-    the rows are symmetric in m, so only the columns m >= 0 are stored.  The
-    |m| <= n support (column m vanishes below q**m) is checked when the table
-    is made.  A whole table has ``bound == order``; on a low-column one, a
-    read of a column bound < |m| <= order raises ``IndexError``, and
-    :meth:`row`, :meth:`row_sum_series` and :meth:`write`, which need every
-    column, raise ``ValueError``.
+    ``columns[m][n]`` is M(m, n) = M(-m, n): the rows are symmetric in m, so
+    only the columns m >= 0 are stored.  The |m| <= n support (column m
+    vanishes below q**m) is checked when the table is made.  A read of a
+    column bound < |m| <= order raises ``IndexError``.  A whole table is read
+    as rows (:func:`gf_rows`), not from here.
     """
 
     __slots__ = ("label", "order", "columns")
@@ -95,79 +95,14 @@ class CrankTable:
     def bound(self) -> int:
         return len(self.columns) - 1
 
-    def _check_row(self, n: int) -> None:
-        if not 0 <= n <= self.order:
-            raise IndexError(f"n={n} outside table range 0..{self.order}")
-
-    def _stored(self, m: int) -> int:
-        m = abs(m)
-        if self.bound < m <= self.order:
-            raise IndexError(f"{self.label}: column m={m} is past the stored bound {self.bound}")
-        return m
-
-    def _check_whole(self) -> None:
-        if self.bound < self.order:
-            raise ValueError(f"{self.label}: only the columns m <= {self.bound} are stored")
-
-    def _cells(self, n: int):
-        """The pairs (m, M(m, n)) for m = -n..n."""
-        half = [col[n] for col in self.columns[: n + 1]]
-        return zip(range(-n, n + 1), half[:0:-1] + half)
-
-    def count(self, m: int, n: int) -> int:
-        """M(m, n); zero outside |m| <= n."""
-        self._check_row(n)
-        m = self._stored(m)
-        return self.columns[m][n] if m <= n else 0
-
-    def row(self, n: int) -> dict:
-        """The nonzero counts ``{m: M(m, n)}`` of one row, m ascending."""
-        self._check_whole()
-        self._check_row(n)
-        return {m: c for m, c in self._cells(n) if c}
-
     def column(self, m: int) -> Series:
         """The series ``n -> M(m, n)``; zero when |m| exceeds the order."""
-        m = self._stored(m)
+        m = abs(m)
         if m > self.order:
             return Series.zero(self.order)
+        if m > self.bound:
+            raise IndexError(f"{self.label}: column m={m} is past the stored bound {self.bound}")
         return Series(self.order, self.columns[m])
-
-    def row_sum_series(self) -> Series:
-        """Specialization z = 1: the series of row sums."""
-        self._check_whole()
-        return Series(self.order, [2 * sum(cells) - cells[0] for cells in zip(*self.columns)])
-
-    def write(self, fh, fmt: str) -> None:
-        """Export to the text stream ``fh`` ("csv" or "json"), one row at a time.
-
-        The JSON bytes are those of ``json.dumps(obj, indent=2) + "\\n"`` for
-        ``obj = {"statistic", "n_max", "rows": [{"n", "counts": {m: count}}]}``
-        with m and count as decimal strings.  The per-m text of a cell is
-        made once per export, and each row n is one ``%`` format of the
-        template joined from the slice m = -n..n with the row's counts.
-        """
-        self._check_whole()
-        if fmt == "csv":
-            fh.write("n,m,count\n")
-            labels = [f"{m}," for m in range(-self.order, self.order + 1)]
-        elif fmt == "json":
-            fh.write(f'{{\n  "statistic": {json.dumps(self.label)},\n'
-                     f'  "n_max": {self.order},\n  "rows": [\n')
-            labels = [f'        "{m}": "%d"' for m in range(-self.order, self.order + 1)]
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
-        for n, row in enumerate(zip(*self.columns)):
-            cells = labels[self.order - n : self.order + n + 1]
-            if fmt == "csv":
-                template = f"{n}," + f"%d\n{n},".join(cells) + "%d\n"
-            else:
-                sep = ",\n" if n else ""
-                template = (f'{sep}    {{\n      "n": {n},\n      "counts": {{\n'
-                            + ",\n".join(cells) + "\n      }\n    }")
-            fh.write(template % (row[n:0:-1] + row[: n + 1]))
-        if fmt == "json":
-            fh.write("\n  ]\n}\n")
 
 
 # statistic -> (d, a) of its column form; see the module docstring
@@ -175,10 +110,24 @@ _FORMS = {"crank": (1, 1), "ocrank": (1, 1), "m2crank": (2, 1), "kcrank": (1, 1)
           "rank": (1, 3)}
 
 
-def check_k(statistic: str, k: int | None) -> None:
-    """Raise ``ValueError`` unless k >= 2 is given for the k-crank and only for it."""
+def table_label(statistic: str, k: int | None = None) -> str:
+    """The name of one statistic's table: the statistic, with k for the k-crank."""
+    return statistic if k is None else f"{statistic}({k})"
+
+
+def _form(statistic: str, order: int, k: int | None) -> tuple:
+    """``(d, a, base coefficients)`` of one statistic at ``order``; k >= 2 is for kcrank only."""
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    if statistic not in _FORMS:
+        raise ValueError(f"unknown statistic {statistic!r}")
     if (statistic == "kcrank") != (k is not None) or (k is not None and k < 2):
         raise ValueError(f"{statistic}: k={k}; kcrank needs k >= 2, and no other statistic takes k")
+    if statistic in ("ocrank", "m2crank"):
+        base = overpartition_series_theta(order).coeffs
+    else:
+        base = partition_series_pentagonal(order, k or 1).coeffs
+    return (*_FORMS[statistic], base)
 
 
 def _cumulative(base: list, a: int, d: int, m: int) -> list:
@@ -205,18 +154,9 @@ def gf_columns(statistic: str, order: int, k: int | None = None, top: int | None
     lists, so a consumer that keeps few columns runs in O(order) memory, and
     a pass costs O(order * (top + sqrt(order))).
     """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
     if top is not None and top < 0:
         raise ValueError(f"top must be >= 0, got {top}")
-    if statistic not in _FORMS:
-        raise ValueError(f"unknown statistic {statistic!r}")
-    check_k(statistic, k)
-    d, a = _FORMS[statistic]
-    if statistic in ("ocrank", "m2crank"):
-        base = overpartition_series_theta(order).coeffs
-    else:
-        base = partition_series_pentagonal(order, k or 1).coeffs
+    d, a, base = _form(statistic, order, k)
     top = order if top is None else min(top, order)
     size = order + 1
     zero = [0] * size
@@ -232,11 +172,68 @@ def gf_columns(statistic: str, order: int, k: int | None = None, top: int | None
         window.appendleft(b)
 
 
+def gf_rows(statistic: str, order: int, k: int | None = None):
+    """Yield row n of the GF of one statistic for n = 0..order.
+
+    Row n is a list of the counts M(m, n) for m = -n..n.  At row n the
+    cumulative column B_m (see :func:`gf_columns`) is a sum over j of
+    ``(-1)**(j-1) base[n - e_j - d*j*m]`` with ``e_j = d*(a*j*j - j)/2``, so
+    the strided slice ``base[n - e_j :: -d*j]`` gives term j for every m at
+    once, and M(m, n) = B_m[n] - B_(m+1)[n].  Only the base and one row are
+    held.  A row costs O(n log n), so rows cost about 2.5 times the column
+    pass; they serve the consumers that read whole rows.
+    """
+    d, a, base = _form(statistic, order, k)
+    e = d * ((a - 1) // 2)  # e_1
+    for n in range(order + 1):
+        acc = base[n - e :: -d] if n >= e else []  # B_m[n] for m = 0..n+1
+        acc += [0] * (n + 2 - len(acc))
+        j = 2
+        while (start := n - d * ((a * j * j - j) // 2)) >= 0:
+            terms = base[start :: -d * j]
+            acc[: len(terms)] = map(add if j % 2 else sub, acc, terms)
+            j += 1
+        half = list(map(sub, acc, acc[1:]))
+        if statistic == "rank" and n == 0:
+            half[0] += 1  # the empty partition, of rank 0
+        yield half[:0:-1] + half
+
+
+def write_rows(fh, fmt: str, label: str, n_max: int, rows) -> None:
+    """Export the rows n = 0..n_max of one table to the text stream ``fh``.
+
+    ``fmt`` is "csv" or "json"; row n of ``rows`` lists the counts M(m, n)
+    for m = -n..n.  The JSON bytes are those of ``json.dumps(obj, indent=2)
+    + "\\n"`` for ``obj = {"statistic", "n_max", "rows": [{"n", "counts":
+    {m: count}}]}`` with m and count as decimal strings.  Each row is one
+    ``%`` format of a template joined from per-m cell texts made once.
+    """
+    if fmt == "csv":
+        fh.write("n,m,count\n")
+        labels = [f"{m}," for m in range(-n_max, n_max + 1)]
+    elif fmt == "json":
+        fh.write(f'{{\n  "statistic": {json.dumps(label)},\n'
+                 f'  "n_max": {n_max},\n  "rows": [\n')
+        labels = [f'        "{m}": "%d"' for m in range(-n_max, n_max + 1)]
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    for n, row in zip(range(n_max + 1), rows, strict=True):
+        cells = labels[n_max - n : n_max + n + 1]
+        if fmt == "csv":
+            template = f"{n}," + f"%d\n{n},".join(cells) + "%d\n"
+        else:
+            sep = ",\n" if n else ""
+            template = (f'{sep}    {{\n      "n": {n},\n      "counts": {{\n'
+                        + ",\n".join(cells) + "\n      }\n    }")
+        fh.write(template % tuple(row))
+    if fmt == "json":
+        fh.write("\n  ]\n}\n")
+
+
 def gf_table(statistic: str, order: int, k: int | None = None, top: int | None = None) -> CrankTable:
     """A fresh table of the GF of one statistic: the columns m <= ``top`` of :func:`gf_columns`."""
     columns = [column for _, column in gf_columns(statistic, order, k, top)][::-1]
-    label = statistic if k is None else f"{statistic}({k})"
-    return CrankTable(label, order, columns)
+    return CrankTable(table_label(statistic, k), order, columns)
 
 
 def crank_gf(order: int, top: int | None = None) -> CrankTable:

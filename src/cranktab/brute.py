@@ -3,10 +3,10 @@
 Everything in this module is deliberately independent of the generating
 function machinery: objects are generated one by one and their statistics are
 read straight off the definitions.  The resulting tables are the ground truth
-that the series-built tables are checked against.  :func:`oracle_table` gives
-them as a :class:`~cranktab.bivariate.CrankTable`, the type the GF builders
-return; it imports that class only when called, so importing this module
-loads no GF code.
+that the series-built tables are checked against.  :func:`oracle_rows` gives
+them as rows, row n the counts for m = -n..n, the shape of
+:func:`cranktab.bivariate.gf_rows`, so one writer exports both and the
+cross-check compares them row by row.  This module imports no GF code.
 
 Representations:
 
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator, Sequence
-from functools import lru_cache
 
 Partition = tuple[int, ...]
 Overpartition = tuple[tuple[int, bool], ...]
@@ -166,8 +165,7 @@ def second_residual_contributions(op: Overpartition) -> tuple[tuple[int, int], .
 # -- oracle tables ------------------------------------------------------------
 
 
-def _rows_from_partitions(n_max: int, statistic: str) -> list[Counter]:
-    rows = []
+def _rows_from_partitions(n_max: int, statistic: str) -> Iterator[Counter]:
     for n in range(n_max + 1):
         row: Counter = Counter()
         for p in partitions(n):
@@ -176,24 +174,21 @@ def _rows_from_partitions(n_max: int, statistic: str) -> list[Counter]:
                     row[m] += w
             else:  # rank; the empty partition is assigned rank 0 at n = 0
                 row[0 if not p else rank(p)] += 1
-        rows.append(row)
-    return rows
+        yield row
 
 
-def _rows_from_overpartitions(n_max: int, statistic: str) -> list[Counter]:
+def _rows_from_overpartitions(n_max: int, statistic: str) -> Iterator[Counter]:
     contrib = (
         first_residual_contributions
         if statistic == "ocrank"
         else second_residual_contributions
     )
-    rows = []
     for n in range(n_max + 1):
         row: Counter = Counter()
         for op in overpartitions(n):
             for m, w in contrib(op):
                 row[m] += w
-        rows.append(row)
-    return rows
+        yield row
 
 
 def part_count_histograms(n_max: int) -> list[Counter]:
@@ -201,7 +196,7 @@ def part_count_histograms(n_max: int) -> list[Counter]:
     return [Counter(len(p) for p in partitions(n)) for n in range(n_max + 1)]
 
 
-def _rows_kcrank(n_max: int, k: int) -> list[Counter]:
+def _rows_kcrank(n_max: int, k: int) -> Iterator[Counter]:
     """k-crank oracle rows via part-number histograms.
 
     The k-crank depends only on the part counts of the first two components,
@@ -212,8 +207,6 @@ def _rows_kcrank(n_max: int, k: int) -> list[Counter]:
     by repeated squaring, so log k truncated convolutions.  Materializing
     all k-tuples would be hopeless already at k = 4, n = 25.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
     hist = part_count_histograms(n_max)
     p_count = [sum(h.values()) for h in hist]
 
@@ -238,7 +231,6 @@ def _rows_kcrank(n_max: int, k: int) -> list[Counter]:
         if power:
             square = times(square, square)
 
-    rows = []
     for n in range(n_max + 1):
         row = Counter()
         for s in range(n + 1):
@@ -246,51 +238,38 @@ def _rows_kcrank(n_max: int, k: int) -> list[Counter]:
             if w:
                 for m, c in pair_diff[s].items():
                     row[m] += c * w
-        rows.append(row)
-    return rows
+        yield row
 
 
-def oracle_rows(statistic: str, n_max: int, k: int | None = None) -> list[dict]:
-    """Weighted count rows ``{m: count}`` for n = 0..n_max, by enumeration."""
+def _checked_row(statistic: str, n: int, counts: Counter) -> list[int]:
+    """The counts of row n for m = -n..n, once its support and symmetry hold."""
+    for m, c in counts.items():
+        if c and abs(m) > n:
+            raise ValueError(f"{statistic}: support violated at n={n}, m={m} (count {c})")
+        if counts.get(-m, 0) != c:
+            raise ValueError(f"{statistic}: asymmetric row at n={n}, m={m}")
+    return [counts.get(m, 0) for m in range(-n, n + 1)]
+
+
+def oracle_rows(statistic: str, n_max: int, k: int | None = None) -> list[list[int]]:
+    """Weighted count rows for n = 0..n_max, by enumeration.
+
+    Row n lists the counts M(m, n) for m = -n..n, the shape of
+    :func:`cranktab.bivariate.gf_rows`.  Each row's support (no count at
+    |m| > n) and its symmetry m <-> -m are checked as it is enumerated; a
+    violation raises ``ValueError`` naming the statistic, n and m.  ``k``
+    (>= 2) is for kcrank only.
+    """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if (statistic == "kcrank") != (k is not None) or (k is not None and k < 2):
+        raise ValueError(f"{statistic}: k={k}; kcrank needs k >= 2, and no other statistic takes k")
     if statistic in ("crank", "rank"):
         rows = _rows_from_partitions(n_max, statistic)
     elif statistic in ("ocrank", "m2crank"):
         rows = _rows_from_overpartitions(n_max, statistic)
     elif statistic == "kcrank":
-        if k is None:
-            raise ValueError("kcrank needs k")
         rows = _rows_kcrank(n_max, k)
     else:
         raise ValueError(f"unknown statistic {statistic!r}")
-    return [{m: c for m, c in sorted(row.items()) if c} for row in rows]
-
-
-def _columns_from_rows(rows: list[dict], statistic: str) -> list:
-    """Columns m = 0..n_max of rows given as {m: count} dicts, verifying invariants."""
-    for n, row in enumerate(rows):
-        for m, c in row.items():
-            if c and abs(m) > n:
-                raise ValueError(
-                    f"{statistic}: support violated at n={n}, m={m} (count {c})"
-                )
-            if row.get(-m, 0) != c:
-                raise ValueError(f"{statistic}: asymmetric row at n={n}, m={m}")
-    return [[row.get(m, 0) for row in rows] for m in range(len(rows))]
-
-
-@lru_cache(maxsize=None)
-def oracle_table(statistic: str, n_max: int, k: int | None = None):
-    """The :class:`~cranktab.bivariate.CrankTable` of :func:`oracle_rows`.
-
-    The rows' support and symmetry m <-> -m are checked as they are
-    transposed into the columns m >= 0.  ``k`` (>= 2) is for kcrank only.
-    The table is cached and shared, because the enumeration is slow; treat
-    it as immutable.
-    """
-    from cranktab.bivariate import CrankTable, check_k
-
-    check_k(statistic, k)
-    columns = _columns_from_rows(oracle_rows(statistic, n_max, k=k), statistic)
-    return CrankTable(statistic if k is None else f"{statistic}({k})", n_max, columns)
+    return [_checked_row(statistic, n, row) for n, row in enumerate(rows)]

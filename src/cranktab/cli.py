@@ -9,11 +9,12 @@ Subcommands:
 
 Exit status: 0 when everything passed, 1 when any check failed or the reader
 of stdout went away (``| head``; no traceback), 2 on usage or configuration
-errors and on an ``--output`` file or a stdout that cannot be written.
-Every exit with status 2 writes exactly one ``Error: ...`` line to stderr
-and nothing to stdout, whether the parser or a check below found the fault.
+errors, on an ``--output`` file or a stdout that cannot be written, and when
+memory runs out.  Every exit with status 2 writes exactly one ``Error: ...``
+line to stderr and, unless memory ran out mid-table, nothing to stdout.
 Usage is checked first, then the output file is opened, and only then is
-anything built or checked, so a bad ``-o`` path fails at once.
+anything built or checked, so a bad ``-o`` path fails at once; a command
+that fails leaves no ``-o`` file and an existing one unchanged.
 Outputs are deterministic for identical configurations, except for the
 measured ``runtime_ms`` fields in reports.
 
@@ -22,9 +23,10 @@ anew, so this module imports at its top only the standard library and the
 package root, whose :data:`~cranktab.STATISTICS` and
 :data:`~cranktab.DEFAULT_IDENTITY_ORDER` the parser reads.  Each command
 imports the modules it runs: ``--help`` none, ``table``
-:mod:`cranktab.bivariate` (:mod:`cranktab.brute` for ``--provenance
-oracle``), ``identity`` and ``verify`` :mod:`cranktab.verify`, and
-``crosscheck`` all three.
+:mod:`cranktab.bivariate`, whose writer exports the GF's rows or (with
+:mod:`cranktab.brute`, for ``--provenance oracle``) the oracle's,
+``identity`` and ``verify`` :mod:`cranktab.verify`, and ``crosscheck``,
+which compares those two row streams, all three.
 """
 
 from __future__ import annotations
@@ -68,15 +70,30 @@ def _size(raw: str) -> int:
 
 @contextlib.contextmanager
 def _output(path: str | None):
-    """The stream to write to: the file at ``path``, or stdout when it is None."""
+    """The stream to write to: stdout when ``path`` is None, else a new file.
+
+    A regular file is written as a temporary sibling, opened before any
+    work, that replaces it only if the command ends without an exception
+    and is removed otherwise.  A device or a pipe is written in place.
+    """
     if path is None:
         yield sys.stdout
         return
+    target = os.path.realpath(path)  # replace a symlink's target, not the link
+    regular = os.path.isfile(target) or not os.path.exists(target)
+    tmp = f"{target}.{os.getpid()}.tmp" if regular else target
+    fh = None
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(tmp, "x" if regular else "w", encoding="utf-8") as fh:
             yield fh
+        if regular:
+            os.replace(tmp, target)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}")
+    finally:
+        if regular and fh is not None:  # ours to remove; gone after the rename
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
 
 
 def _emit_reports(make_reports, output) -> int:
@@ -141,17 +158,16 @@ def _check_flags_used(ids, flags) -> None:
 def table(stat, k, n_max, provenance, fmt, output):
     """Export the weighted count table of one statistic."""
     _check_k(stat, k)
+    from cranktab import bivariate
+
+    rows = bivariate.gf_rows
     if provenance == "oracle":
         from cranktab import brute
 
         _check_oracle_ceiling(stat, n_max)
-        build = brute.oracle_table
-    else:
-        from cranktab import bivariate
-
-        build = bivariate.gf_table
+        rows = brute.oracle_rows
     with _output(output) as fh:
-        build(stat, n_max, k).write(fh, fmt)
+        bivariate.write_rows(fh, fmt, bivariate.table_label(stat, k), n_max, rows(stat, n_max, k))
     return 0
 
 
@@ -186,16 +202,15 @@ def identity(entry_id, order, output):
 
 
 def crosscheck(stat, k, n_max, output):
-    """Compare the GF-built table against the enumeration oracle."""
+    """Compare the GF's table against the enumeration oracle, row by row."""
     from cranktab import bivariate, brute, verify
 
     _check_k(stat, k)
     _check_oracle_ceiling(stat, n_max)
 
     def reports():
-        gf = bivariate.gf_table(stat, n_max, k)
-        oracle = brute.oracle_table(stat, n_max, k)
-        return [verify.check_table_consistency(gf, oracle)]
+        gf, oracle = bivariate.gf_rows(stat, n_max, k), brute.oracle_rows(stat, n_max, k)
+        return [verify.check_table_consistency(bivariate.table_label(stat, k), gf, oracle)]
 
     return _emit_reports(reports, output)
 
@@ -257,6 +272,9 @@ def main(args=None, prog_name=None):
         sys.stdout.flush()
     except UsageError as exc:
         print(f"Error: {exc}", file=sys.stderr)
+        code = 2
+    except MemoryError:
+        print("Error: out of memory", file=sys.stderr)
         code = 2
     except OSError as exc:
         # writing stdout failed (an ``-o`` file fails in _output instead):

@@ -9,10 +9,12 @@ from cranktab.bivariate import (
     CrankTable,
     crank_gf,
     gf_columns,
+    gf_rows,
     kcrank_gf,
     m2_crank_gf,
     overline_crank_gf,
     rank_gf,
+    write_rows,
 )
 from cranktab.brute import oracle_rows
 from cranktab.series import (
@@ -25,38 +27,46 @@ from cranktab.series import (
 )
 
 
+def _nonzero(row):
+    """Nonzero entries ``{m: count}`` of a row over its full -n..n range."""
+    n = len(row) // 2
+    return {m: c for m, c in zip(range(-n, n + 1), row) if c}
+
+
 def test_crank_gf_small_rows():
-    g = crank_gf(6)
-    assert g.row(0) == {0: 1}
-    assert g.row(1) == {-1: 1, 0: -1, 1: 1}
+    rows = [_nonzero(row) for row in gf_rows("crank", 6)]
+    assert rows[0] == {0: 1}
+    assert rows[1] == {-1: 1, 0: -1, 1: 1}
     # partitions of 3: (3) -> 3, (2,1) -> 0, (1,1,1) -> -3
-    assert g.row(3) == {-3: 1, 0: 1, 3: 1}
+    assert rows[3] == {-3: 1, 0: 1, 3: 1}
 
 
 def test_overline_crank_gf_rows():
-    g = overline_crank_gf(6)
-    assert g.row(1) == {-1: 1, 1: 1}
-    assert g.count(0, 4) == 2
-    assert g.count(1, 4) == 2
-    assert g.row_sum_series()[4] == 14
+    rows = list(gf_rows("ocrank", 6))
+    assert _nonzero(rows[1]) == {-1: 1, 1: 1}
+    assert rows[4][4 + 0] == 2
+    assert rows[4][4 + 1] == 2
+    assert sum(rows[4]) == 14
 
 
 def test_m2_crank_gf_rows():
-    g = m2_crank_gf(6)
-    assert g.row(0) == {0: 1}
-    assert g.row(1) == {0: 2}
-    assert g.row(2) == {-1: 1, 0: 2, 1: 1}
+    rows = [_nonzero(row) for row in gf_rows("m2crank", 6)]
+    assert rows[0] == {0: 1}
+    assert rows[1] == {0: 2}
+    assert rows[2] == {-1: 1, 0: 2, 1: 1}
 
 
 def test_kcrank_gf_rows():
-    g = kcrank_gf(2, 10)
-    assert g.row(0) == {0: 1}
-    assert g.row(1) == {-1: 1, 1: 1}
+    rows = list(gf_rows("kcrank", 10, 2))
+    assert _nonzero(rows[0]) == {0: 1}
+    assert _nonzero(rows[1]) == {-1: 1, 1: 1}
     # row sums count pairs of partitions with total size n
     expected = (partition_series(10) * partition_series(10)).coeffs
-    assert g.row_sum_series().coeffs == expected
+    assert [sum(row) for row in rows] == expected
     with pytest.raises(ValueError):
         kcrank_gf(1, 5)
+    with pytest.raises(ValueError):
+        next(gf_rows("kcrank", 5, 1))
 
 
 def test_symmetry_and_support_invariants():
@@ -69,15 +79,19 @@ def test_symmetry_and_support_invariants():
 
 
 def test_specialization_row_sums():
+    # z = 1: each row sums to the coefficient of the product form
+    def row_sums(stat, order, k=None):
+        return [sum(row) for row in gf_rows(stat, order, k)]
+
     order = 25
-    assert crank_gf(order).row_sum_series() == partition_series(order)
-    # the rank's column form misses the empty partition; rank_gf adds it at n = 0
-    assert rank_gf(300).row_sum_series() == partition_series(300)
-    over = overpartition_series(order)
-    assert overline_crank_gf(order).row_sum_series() == over
-    assert m2_crank_gf(order).row_sum_series() == over
+    assert row_sums("crank", order) == partition_series(order).coeffs
+    # the rank's column form misses the empty partition; gf_rows adds it at n = 0
+    assert row_sums("rank", 300) == partition_series(300).coeffs
+    over = overpartition_series(order).coeffs
+    assert row_sums("ocrank", order) == over
+    assert row_sums("m2crank", order) == over
     for k in (2, 3, 4):
-        assert kcrank_gf(k, order).row_sum_series() == partition_series(order).pow(k)
+        assert row_sums("kcrank", order, k) == partition_series(order).pow(k).coeffs
 
 
 def test_column_extraction():
@@ -86,18 +100,17 @@ def test_column_extraction():
     for m in range(0, 11):
         assert g.column(m) == g.column(-m)
     assert g.column(99) == Series.zero(10)
-    with pytest.raises(IndexError):
-        g.count(0, 11)
 
 
 def test_rows_outside_the_order_raise():
-    g = crank_gf(10)
-    assert g.row(10) == {m: g.count(m, 10) for m in range(-10, 11) if g.count(m, 10)}
-    for n in (-1, 11):
-        with pytest.raises(IndexError):
-            g.row(n)
-        with pytest.raises(IndexError):
-            g.count(0, n)
+    # the stream ends at the order, and the writer refuses a stream that
+    # ends before its n_max or runs past it
+    rows = list(gf_rows("crank", 10))
+    assert [len(row) for row in rows] == [2 * n + 1 for n in range(11)]
+    assert rows[10] == [crank_gf(10).column(m)[10] for m in range(-10, 11)]
+    for n_max in (9, 11):
+        with pytest.raises(ValueError):
+            write_rows(io.StringIO(), "csv", "crank", n_max, iter(rows))
 
 
 def test_overline_diff_head():
@@ -117,8 +130,9 @@ def test_gf_matches_oracle_tables():
     ]
     for stat, g, k in cases:
         rows = oracle_rows(stat, 18, k=k)
+        assert list(gf_rows(stat, 18, k)) == rows, stat
         for n in range(19):
-            assert g.row(n) == rows[n], (stat, n)
+            assert [g.column(m)[n] for m in range(-n, n + 1)] == rows[n], (stat, n)
 
 
 # -- product-form reference ---------------------------------------------------
@@ -170,8 +184,9 @@ def _reference(stat, order, k=None):
 
 
 def _reference_row(ref, n):
+    """The counts of row n for m = -n..n."""
     bound = len(ref) // 2
-    return {m - bound: c[n] for m, c in enumerate(ref) if c[n]}
+    return [ref[bound + m][n] for m in range(-n, n + 1)]
 
 
 def _check_symmetry_and_support(ref):
@@ -262,7 +277,7 @@ def test_cumulative_columns_match_lambert_sum(stat, k):
 
 
 def test_product_form_reference_is_sound():
-    assert _reference_row(_reference("crank", 6), 1) == {-1: 1, 0: -1, 1: 1}
+    assert _reference_row(_reference("crank", 6), 1) == [1, -1, 1]
     for stat, k in PARITY_CASES:
         _check_symmetry_and_support(_reference(stat, 40, k))
     for stat, k in [("crank", None), ("ocrank", None), ("m2crank", None),
@@ -274,7 +289,7 @@ def test_product_form_reference_is_sound():
 def test_invariant_check_detects_violations():
     # a table checks the |m| <= n support of its columns when it is made
     t = CrankTable("crank", 1, [[1, -1], [0, 1]])
-    assert t.row(1) == {-1: 1, 0: -1, 1: 1}
+    assert [t.column(m)[1] for m in (-1, 0, 1)] == [1, -1, 1]
     with pytest.raises(ValueError, match="support violated in column m=1"):
         CrankTable("bogus", 1, [[1, -1], [1, 1]])
     # the reference's own check sees both faults
@@ -311,14 +326,22 @@ def test_low_column_table_refuses_reads_past_its_bound():
     assert crank_gf(5, top=10).bound == 5  # top is clamped to the order
     for m in range(-10, 11):
         assert g.column(m) == whole.column(m)
-        assert g.count(m, 20) == whole.count(m, 20)
     assert g.column(31) == Series.zero(30)  # past the order: zero by support
     for m in (11, -11, 30):
         with pytest.raises(IndexError, match="past the stored bound 10"):
             g.column(m)
-        with pytest.raises(IndexError, match="past the stored bound 10"):
-            g.count(m, 30)
-    for read in (lambda: g.row(0), g.row_sum_series,
-                 lambda: g.write(io.StringIO(), "csv"), lambda: g.write(io.StringIO(), "json")):
-        with pytest.raises(ValueError, match="only the columns m <= 10 are stored"):
-            read()
+
+
+# -- rows ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("stat,k", PARITY_CASES + [("rank", None)])
+def test_rows_are_the_transposed_columns(stat, k):
+    # gf_rows sums the closed form along a row; gf_columns is the reference
+    for order in (0, 1, 2, 3, 7, 40, 300):
+        columns = [column for _, column in gf_columns(stat, order, k)][::-1]
+        rows = list(gf_rows(stat, order, k))
+        assert len(rows) == order + 1
+        for n, row in enumerate(rows):
+            half = [column[n] for column in columns[: n + 1]]
+            assert row == half[:0:-1] + half, (stat, k, order, n)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cranktab import brute
 from cranktab.brute import (
     colored_partitions,
     crank,
@@ -139,19 +138,19 @@ def test_colored_partitions_counts():
 
 def test_oracle_rows_crank_convention():
     rows = oracle_rows("crank", 3)
-    assert rows[0] == {0: 1}
-    assert rows[1] == {-1: 1, 0: -1, 1: 1}
-    assert rows[3] == {-3: 1, 0: 1, 3: 1}
+    assert rows[0] == [1]
+    assert rows[1] == [1, -1, 1]
+    assert rows[3] == [1, 0, 0, 1, 0, 0, 1]
 
 
 def test_oracle_rows_ocrank_n2():
     rows = oracle_rows("ocrank", 2)
-    assert rows[2] == {-2: 1, -1: 1, 1: 1, 2: 1}
+    assert rows[2] == [1, 1, 0, 1, 1]
 
 
 def test_oracle_rows_rank_n4():
     rows = oracle_rows("rank", 4)
-    assert rows[4] == {-3: 1, -1: 1, 0: 1, 1: 1, 3: 1}
+    assert rows[4] == [0, 1, 0, 1, 1, 1, 0, 1, 0]
 
 
 def test_oracle_rows_kcrank_matches_direct_enumeration():
@@ -162,7 +161,7 @@ def test_oracle_rows_kcrank_matches_direct_enumeration():
             for c in colored_partitions(n, k):
                 m = kcrank(c)
                 direct[m] = direct.get(m, 0) + 1
-            assert rows[n] == direct
+            assert rows[n] == [direct.get(m, 0) for m in range(-n, n + 1)]
 
 
 def test_oracle_row_sums_count_objects():
@@ -172,21 +171,21 @@ def test_oracle_row_sums_count_objects():
     ocrank_rows = oracle_rows("ocrank", 12)
     m2_rows = oracle_rows("m2crank", 12)
     for n in range(13):
-        assert sum(crank_rows[n].values()) == p[n]
-        assert sum(ocrank_rows[n].values()) == op[n]
-        assert sum(m2_rows[n].values()) == op[n]
+        assert sum(crank_rows[n]) == p[n]
+        assert sum(ocrank_rows[n]) == op[n]
+        assert sum(m2_rows[n]) == op[n]
     # k - 2 = 0..9 walks every branch of the repeated squaring of the tuple counts
     for k in range(2, 12):
         rows = oracle_rows("kcrank", 12, k=k)
-        assert [sum(row.values()) for row in rows] == partition_series(12).pow(k).coeffs, k
+        assert [sum(row) for row in rows] == partition_series(12).pow(k).coeffs, k
 
 
 def test_oracle_rows_symmetric():
     for stat, k in (("crank", None), ("ocrank", None), ("m2crank", None),
                     ("rank", None), ("kcrank", 3)):
         for n, row in enumerate(oracle_rows(stat, 10, k=k)):
-            assert row == {-m: c for m, c in row.items()}, (stat, n)
-            assert all(abs(m) <= n for m in row), (stat, n)
+            assert row == row[::-1], (stat, n)
+            assert len(row) == 2 * n + 1, (stat, n)
 
 
 @settings(max_examples=30)
@@ -205,4 +204,10 @@ def test_unknown_statistic_rejected():
     with pytest.raises(ValueError):
         oracle_rows("kcrank", 3)  # k missing
     with pytest.raises(ValueError):
-        brute._rows_kcrank(3, 1)
+        oracle_rows("kcrank", 3, k=1)
+
+
+def test_oracle_rows_take_k_for_kcrank_only():
+    for stat in ("crank", "rank", "ocrank", "m2crank"):
+        with pytest.raises(ValueError, match=f"{stat}: k=3; kcrank needs k >= 2"):
+            oracle_rows(stat, 5, k=3)

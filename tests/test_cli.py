@@ -148,8 +148,8 @@ def test_unwritable_output_fails_before_any_work(tmp_path, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the output was opened")
 
-    monkeypatch.setattr(bivariate, "gf_table", no_work)
-    monkeypatch.setattr(brute, "oracle_table", no_work)
+    monkeypatch.setattr(bivariate, "gf_rows", no_work)
+    monkeypatch.setattr(brute, "oracle_rows", no_work)
     for name in ("run_checks", "check_identity"):
         monkeypatch.setattr(verify, name, no_work)
     for argv in (
@@ -160,6 +160,66 @@ def test_unwritable_output_fails_before_any_work(tmp_path, monkeypatch):
         ["crosscheck", "--stat", "crank", "--n-max", "5"],
     ):
         _assert_cannot_write(argv, tmp_path)
+
+
+def test_a_failed_command_leaves_no_partial_output(tmp_path, monkeypatch):
+    # -o is written as a temporary sibling that replaces the path on success only
+    real_rows = bivariate.gf_rows
+
+    def rows_then_fault(*args):
+        rows = real_rows(*args)
+        yield next(rows)
+        raise RuntimeError("fault after the first row")
+
+    monkeypatch.setattr(bivariate, "gf_rows", rows_then_fault)
+    out = tmp_path / "t.csv"
+    argv = ["table", "--stat", "crank", "--n-max", "9", "-o", str(out)]
+    with pytest.raises(RuntimeError, match="fault after the first row"):
+        main(args=argv)
+    assert list(tmp_path.iterdir()) == []
+    out.write_text("kept\n")
+    with pytest.raises(RuntimeError, match="fault after the first row"):
+        main(args=argv)
+    assert out.read_text() == "kept\n" and list(tmp_path.iterdir()) == [out]
+
+    monkeypatch.setattr(bivariate, "gf_rows", real_rows)
+    assert _ok(argv) == ""
+    assert out.read_text() == _ok(argv[:-2]) and list(tmp_path.iterdir()) == [out]
+
+
+def test_output_keeps_symlinks_and_devices(tmp_path):
+    # the file a symlink names is replaced, not the link; a path that is not
+    # a regular file (a device) is opened as it is, never replaced
+    argv = ["table", "--stat", "crank", "--n-max", "5", "-o"]
+    target, link = tmp_path / "t.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert _ok([*argv, str(link)]) == ""
+    assert link.is_symlink() and target.read_text() == _ok(argv[:-1])
+    assert sorted(tmp_path.iterdir()) == [link, target]
+    if os.path.exists(os.devnull):
+        assert _ok([*argv, os.devnull]) == ""
+        assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+
+
+def test_out_of_memory_is_one_error_line(tmp_path, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    for module, name in ((bivariate, "gf_rows"), (brute, "oracle_rows"),
+                         (bivariate, "gf_columns"), (bivariate, "crank_gf")):
+        monkeypatch.setattr(module, name, no_memory)
+    out = tmp_path / "out.txt"
+    for argv in (
+        ["table", "--stat", "crank", "--n-max", "30"],
+        ["table", "--stat", "rank", "--provenance", "oracle", "--n-max", "5"],
+        ["crosscheck", "--stat", "crank", "--n-max", "5"],
+        ["verify", "--check", "thm-1.4"],
+        ["identity", "--id", "crank-diff-tails"],
+    ):
+        assert _usage_error(argv) == "Error: out of memory", argv
+        assert _usage_error([*argv, "-o", str(out)]) == "Error: out of memory", argv
+        assert list(tmp_path.iterdir()) == [], argv
 
 
 def test_usage_errors_leave_output_untouched(tmp_path):

@@ -1,94 +1,94 @@
 """Tests for table construction, difference views and export formats."""
 
+import csv
 import io
 import json
+from collections import Counter
 
 import pytest
 
 from cranktab import STATISTICS, brute
-from cranktab.bivariate import crank_gf, gf_table
-from cranktab.brute import oracle_table
+from cranktab.bivariate import crank_gf, gf_rows, gf_table, table_label, write_rows
+from cranktab.brute import oracle_rows
 from cranktab.identities import CRANK_DIFF_M1_HEAD, CRANK_DIFF_M2_HEAD
 from cranktab.series import overpartition_series, partition_series
 
 
-def _row(t, n):
-    """Nonzero entries of row n over the full -n..n range."""
-    return {m: t.count(m, n) for m in range(-n, n + 1) if t.count(m, n)}
+def _nonzero(row):
+    """Nonzero entries ``{m: count}`` of a row over its full -n..n range."""
+    n = len(row) // 2
+    return {m: c for m, c in zip(range(-n, n + 1), row) if c}
 
 
-def _written(t, fmt):
+def _written(source, stat, n_max, k, fmt):
     buf = io.StringIO()
-    t.write(buf, fmt)
+    write_rows(buf, fmt, table_label(stat, k), n_max, source(stat, n_max, k))
     return buf.getvalue()
 
 
 # -- reference exporters --------------------------------------------------------
 #
-# The per-cell CSV loop and the whole-object JSON that the streamed
-# CrankTable.write replaced.  Every export must equal them byte for byte.
+# The csv module and the whole-object JSON, from the same rows.  Every export
+# of write_rows must equal them byte for byte.
 
 
-def _reference_csv(t):
-    lines = ["n,m,count\n"]
-    for n in range(t.order + 1):
-        for m in range(-n, n + 1):
-            lines.append(f"{n},{m},{t.count(m, n)}\n")
-    return "".join(lines)
+def _reference_csv(rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["n", "m", "count"])
+    for n, row in enumerate(rows):
+        writer.writerows([n, m, c] for m, c in zip(range(-n, n + 1), row))
+    return buf.getvalue()
 
 
-def _reference_json(t):
-    rows = []
-    for n in range(t.order + 1):
-        counts = {str(m): str(t.count(m, n)) for m in range(-n, n + 1)}
-        rows.append({"n": n, "counts": counts})
-    obj = {"statistic": t.label, "n_max": t.order, "rows": rows}
+def _reference_json(label, rows):
+    obj = {"statistic": label, "n_max": len(rows) - 1, "rows": [
+        {"n": n, "counts": {str(m): str(c) for m, c in zip(range(-n, n + 1), row)}}
+        for n, row in enumerate(rows)
+    ]}
     return json.dumps(obj, indent=2) + "\n"
 
 
-# every statistic (kcrank at k = 3) from both constructors, and wide GF rows
+# every statistic (kcrank at k = 3) from both row sources, and wide GF rows
 EXPORT_CASES = [
-    (build, stat, n_max)
+    (source, stat, n_max)
     for stat in STATISTICS
     for n_max in (0, 1, 12)
-    for build in (gf_table, oracle_table)
-] + [(gf_table, "crank", 60), (gf_table, "crank", 400), (gf_table, "kcrank", 60),
-     (gf_table, "rank", 60)]
+    for source in (gf_rows, oracle_rows)
+] + [(gf_rows, "crank", 60), (gf_rows, "crank", 400), (gf_rows, "kcrank", 60),
+     (gf_rows, "rank", 60), (oracle_rows, "crank", 30)]
 
 
-def _export_tables():
-    for build, stat, n_max in EXPORT_CASES:
+def _export_cases():
+    for source, stat, n_max in EXPORT_CASES:
         k = 3 if stat == "kcrank" else None
-        yield build(stat, n_max, k)
+        yield source, stat, n_max, k, list(source(stat, n_max, k))
 
 
 def test_build_crank_n1():
-    t = gf_table("crank", 1)
-    assert _row(t, 1) == {-1: 1, 0: -1, 1: 1}
-    assert t.count(0, 1) == -1
-    assert t.count(5, 1) == 0
+    rows = list(gf_rows("crank", 1))
+    assert _nonzero(rows[1]) == {-1: 1, 0: -1, 1: 1}
+    assert rows == [[1], [1, -1, 1]]  # no cell outside |m| <= n
 
 
 def test_build_ocrank_point_values():
-    t = gf_table("ocrank", 4)
-    assert t.count(0, 4) == 2
-    assert t.count(1, 4) == 2
+    row = list(gf_rows("ocrank", 4))[4]
+    assert row[4 + 0] == 2
+    assert row[4 + 1] == 2
 
 
 def test_build_m2_n0():
-    t = gf_table("m2crank", 0)
-    assert _row(t, 0) == {0: 1}
+    assert list(gf_rows("m2crank", 0)) == [[1]]
 
 
 def test_rank_gf_table_equals_oracle():
-    gf, oracle = gf_table("rank", 12), oracle_table("rank", 12)
-    for n in range(13):
-        assert _row(gf, n) == _row(oracle, n), n
-    assert gf.count(0, 0) == 1  # the empty partition
+    gf, oracle = list(gf_rows("rank", 12)), oracle_rows("rank", 12)
+    assert gf == oracle
+    assert gf[0] == [1]  # the empty partition
 
 
 def test_invalid_inputs():
-    for build in (gf_table, oracle_table):
+    for build in (gf_table, lambda *a, **kw: list(gf_rows(*a, **kw)), oracle_rows):
         with pytest.raises(ValueError):
             build("nope", 5)
         with pytest.raises(ValueError):
@@ -101,19 +101,15 @@ def test_invalid_inputs():
 
 def test_gf_equals_oracle_within_small_range():
     for stat, k in (("crank", None), ("ocrank", None), ("m2crank", None), ("kcrank", 3)):
-        gf = gf_table(stat, 14, k)
-        oracle = oracle_table(stat, 14, k)
+        gf = list(gf_rows(stat, 14, k))
+        oracle = oracle_rows(stat, 14, k)
         for n in range(15):
-            for m in range(n + 1):
-                assert gf.count(m, n) == oracle.count(m, n), (stat, m, n)
+            assert gf[n] == oracle[n], (stat, n)
 
 
 def test_row_sums_match_counting_series():
-    def row_sums(t):
-        return [sum(_row(t, n).values()) for n in range(t.order + 1)]
-
-    assert row_sums(gf_table("crank", 20)) == partition_series(20).coeffs
-    assert row_sums(gf_table("ocrank", 20)) == overpartition_series(20).coeffs
+    assert [sum(row) for row in gf_rows("crank", 20)] == partition_series(20).coeffs
+    assert [sum(row) for row in gf_rows("ocrank", 20)] == overpartition_series(20).coeffs
 
 
 def test_diff_column_heads():
@@ -143,62 +139,75 @@ def test_monotone_diff_row():
 
 
 def test_rank_oracle_table_symmetric():
-    t = oracle_table("rank", 12)
-    for n in range(13):
-        row = _row(t, n)
-        assert row == {-m: c for m, c in row.items()}
-    assert t.count(0, 0) == 1  # empty partition assigned rank 0
+    rows = oracle_rows("rank", 12)
+    for n, row in enumerate(rows):
+        assert len(row) == 2 * n + 1
+        assert row == row[::-1]
+    assert rows[0] == [1]  # empty partition assigned rank 0
 
 
 def test_csv_export():
-    t = gf_table("crank", 1)
-    lines = _written(t, "csv").splitlines()
-    assert lines == ["n,m,count", "0,0,1", "1,-1,1", "1,0,-1", "1,1,1"]
+    for source in (gf_rows, oracle_rows):
+        lines = _written(source, "crank", 1, None, "csv").splitlines()
+        assert lines == ["n,m,count", "0,0,1", "1,-1,1", "1,0,-1", "1,1,1"]
 
 
 def test_csv_is_deterministic():
-    t = gf_table("ocrank", 12)
-    assert _written(t, "csv") == _written(gf_table("ocrank", 12), "csv")
-    for t in _export_tables():
-        assert _written(t, "csv") == _reference_csv(t), (t.label, t.order)
+    assert _written(gf_rows, "ocrank", 12, None, "csv") == _written(
+        gf_rows, "ocrank", 12, None, "csv")
+    for source, stat, n_max, k, rows in _export_cases():
+        assert _written(source, stat, n_max, k, "csv") == _reference_csv(rows), (
+            source.__name__, stat, n_max)
 
 
 def test_json_export_decimal_strings():
-    t = gf_table("kcrank", 2, 3)
-    obj = json.loads(_written(t, "json"))
-    assert obj["statistic"] == "kcrank(3)"
-    assert obj["n_max"] == 2
-    assert obj["rows"][1]["counts"] == {"-1": "1", "0": "1", "1": "1"}
-    assert all(isinstance(v, str) for row in obj["rows"] for v in row["counts"].values())
-    for t in _export_tables():
-        assert _written(t, "json") == _reference_json(t), (t.label, t.order)
+    for source in (gf_rows, oracle_rows):
+        obj = json.loads(_written(source, "kcrank", 2, 3, "json"))
+        assert obj["statistic"] == "kcrank(3)"
+        assert obj["n_max"] == 2
+        assert obj["rows"][1]["counts"] == {"-1": "1", "0": "1", "1": "1"}
+        assert all(isinstance(v, str) for row in obj["rows"] for v in row["counts"].values())
+    for source, stat, n_max, k, rows in _export_cases():
+        label = table_label(stat, k)
+        assert _written(source, stat, n_max, k, "json") == _reference_json(label, rows), (
+            source.__name__, stat, n_max)
 
 
-def test_symmetry_violation_detected():
-    # rows become the columns m >= 0
-    assert brute._columns_from_rows([{0: 1}, {-1: 1, 0: -1, 1: 1}], "crank") == [
-        [1, -1],
-        [0, 1],
-    ]
-    with pytest.raises(ValueError):
-        brute._columns_from_rows([{0: 1}, {-1: 1, 0: 0, 1: 2}], "bogus")
-    with pytest.raises(ValueError):
-        brute._columns_from_rows([{0: 1}, {-2: 1, 2: 1}], "bogus")
+def test_symmetry_violation_detected(monkeypatch):
+    # each enumerated row is checked for support and symmetry as it is built
+    assert brute._checked_row("crank", 1, Counter({-1: 1, 0: -1, 1: 1})) == [1, -1, 1]
+    assert brute._checked_row("crank", 2, Counter({0: 3, 1: 0})) == [0, 0, 3, 0, 0]
+    with pytest.raises(ValueError, match="bogus: asymmetric row at n=1, m=-1"):
+        brute._checked_row("bogus", 1, Counter({-1: 1, 0: 0, 1: 2}))
+    with pytest.raises(ValueError, match=r"bogus: support violated at n=1, m=-2 \(count 1\)"):
+        brute._checked_row("bogus", 1, Counter({-2: 1, 2: 1}))
+
+    built = []
+
+    def rows(n_max, statistic):
+        for n, row in enumerate([Counter({0: 1}), Counter({-1: 1, 1: 1}),
+                                 Counter({-1: 1, 2: 1}), Counter({0: 5})]):
+            built.append(n)
+            yield row
+
+    monkeypatch.setattr(brute, "_rows_from_partitions", rows)
+    with pytest.raises(ValueError, match="crank: asymmetric row at n=2, m=-1"):
+        oracle_rows("crank", 3)
+    assert built == [0, 1, 2]  # the fault is found before the next row is enumerated
 
 
-def test_oracle_tables_are_cached_gf_tables_are_built_afresh():
-    # the enumeration is memoized; a GF table is built on each call, and no
-    # builder keeps one alive after its caller drops it
-    assert oracle_table("crank", 9) is oracle_table("crank", 9)
+def test_gf_tables_are_built_afresh():
+    # a GF table is built on each call, and no builder keeps one alive after
+    # its caller drops it; nothing caches the enumeration either
     t = gf_table("crank", 9)
     assert t is not crank_gf(9) and t.columns == crank_gf(9).columns
+    assert oracle_rows("crank", 9) is not oracle_rows("crank", 9)
 
 
 def test_render_rejects_unknown_format():
     for n_max in (1, 60):
-        t = gf_table("crank", n_max)
         for fmt in ("xml", "CSV", "", "csv "):
             buf = io.StringIO()
             with pytest.raises(ValueError):
-                t.write(buf, fmt)
+                write_rows(buf, fmt, "crank", n_max, gf_rows("crank", n_max))
             assert buf.getvalue() == "", fmt

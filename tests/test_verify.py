@@ -8,8 +8,8 @@ from itertools import compress, count
 import pytest
 
 from cranktab import bivariate, verify
-from cranktab.bivariate import CrankTable, gf_table
-from cranktab.brute import oracle_table
+from cranktab.bivariate import gf_rows, gf_table
+from cranktab.brute import oracle_rows
 from cranktab.series import partition_series
 from cranktab.verify import SWEEPS, check_table_consistency, run_checks, run_sweep
 
@@ -281,7 +281,11 @@ def test_sweeps_count_the_cells_they_check():
 
 
 def _per_cell_sweep(sweep, n_max, k=None):
-    table = gf_table(sweep.statistic, n_max, k)
+    columns = gf_table(sweep.statistic, n_max, k).columns
+
+    def count(m, n):  # M(m, n), zero outside |m| <= n
+        return columns[abs(m)][n] if abs(m) <= n else 0
+
     stride, diagonal = sweep.stride, sweep.exclude_diagonal
     dn = 0 if stride else 1
     found, informational, cells = [], [], 0
@@ -292,7 +296,7 @@ def _per_cell_sweep(sweep, n_max, k=None):
         if counted:
             cells += len(row) - (skip_m is not None and skip_m in row)
         for m in row:
-            lhs, rhs = table.count(m - stride, n), table.count(m, n - dn)
+            lhs, rhs = count(m - stride, n), count(m, n - dn)
             if lhs >= rhs:
                 continue
             entry = {"m": m, "n": n, "lhs": lhs, "rhs": rhs}
@@ -428,21 +432,24 @@ def test_run_checks_builds_each_gf_once(monkeypatch):
 
 
 def test_table_consistency_pass_and_fail():
-    gf = gf_table("crank", 10)
-    oracle = oracle_table("crank", 10)
-    assert check_table_consistency(gf, oracle).passed
+    gf = list(gf_rows("crank", 10))
+    oracle = oracle_rows("crank", 10)
+    report = check_table_consistency("crank", iter(gf), iter(oracle))
+    assert report.passed
+    assert (report.check_id, report.params, report.cells_checked) == (
+        "crosscheck-crank", {"n_max": 10}, 11 * 12 // 2)
 
-    broken_cols = [list(c) for c in oracle.columns]
-    broken_cols[0][6] += 1
-    broken_cols[3][5] += 1
-    broken = CrankTable("crank", 10, broken_cols)
-    report = check_table_consistency(gf, broken)
+    broken = [list(row) for row in oracle]
+    broken[6][6 + 0] += 1
+    broken[5][5 + 3] += 1
+    broken[5][5 - 3] += 1
+    report = check_table_consistency("crank", gf, broken)
     assert not report.passed
-    assert report.exceptions[0]["n"] == 5
-    assert _keys(report.exceptions) == [(3, 5), (0, 6)]  # by row, not by column
+    assert report.exceptions[0] == {"m": 3, "n": 5, "lhs": gf[5][8], "rhs": gf[5][8] + 1}
+    assert _keys(report.exceptions) == [(3, 5), (0, 6)]  # by row, then by m
 
-    with pytest.raises(ValueError):
-        check_table_consistency(gf, gf_table("ocrank", 10))
+    with pytest.raises(ValueError):  # streams of different lengths
+        check_table_consistency("crank", gf, oracle_rows("crank", 9))
 
 
 def test_run_checks_interface():

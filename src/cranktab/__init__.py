@@ -18,7 +18,7 @@ STATISTICS = ("crank", "ocrank", "m2crank", "kcrank", "rank")
 DEFAULT_IDENTITY_ORDER = 200
 
 _PUBLIC = {
-    "bivariate": ("CrankTable", "crank_gf", "gf_rows", "gf_table", "kcrank_gf", "m2_crank_gf",
+    "bivariate": ("crank_gf", "gf_rows", "gf_table", "kcrank_gf", "m2_crank_gf",
                   "overline_crank_gf", "rank_gf", "write_rows"),
     "brute": ("colored_partitions", "crank", "crank_contributions",
               "first_residual_contributions", "kcrank", "oracle_rows", "overpartitions",

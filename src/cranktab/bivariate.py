@@ -51,11 +51,12 @@ the full -n..n range, and JSON ``{statistic, n_max, rows: [{n, counts}]}``
 with counts as decimal strings, so consumers never face integer overflow.
 
 :func:`gf_table`, which takes the statistic by name, and each named builder
-collect the columns m <= ``top`` of one pass into a fresh
-:class:`CrankTable`, for the identity catalog's few low columns.  Every
-statistic here has rows symmetric in m, so a table stores the columns
-m >= 0 only, and it checks the |m| <= n support when it is made.  Nothing
-is memoized, so a table lives only as long as its caller keeps it.
+collect the columns m <= ``top`` of one pass into a fresh list of
+:class:`~cranktab.series.Series`, item m the column m, for the identity
+catalog's few low columns.  Every statistic here has rows symmetric in m,
+so column m is also column -m; the |m| <= n support is checked as the list
+is made.  Nothing is memoized, so a list lives only as long as its caller
+keeps it.
 """
 
 from __future__ import annotations
@@ -69,40 +70,6 @@ from cranktab.series import (
     overpartition_series_theta,
     partition_series_pentagonal,
 )
-
-
-class CrankTable:
-    """The low columns of one statistic's GF: M(m, n) for 0 <= m <= ``bound``, n = 0..order.
-
-    ``columns[m][n]`` is M(m, n) = M(-m, n): the rows are symmetric in m, so
-    only the columns m >= 0 are stored.  The |m| <= n support (column m
-    vanishes below q**m) is checked when the table is made.  A read of a
-    column bound < |m| <= order raises ``IndexError``.  A whole table is read
-    as rows (:func:`gf_rows`), not from here.
-    """
-
-    __slots__ = ("label", "order", "columns")
-
-    def __init__(self, label: str, order: int, columns: list):
-        for m, col in enumerate(columns):
-            if any(col[:m]):
-                raise ValueError(f"{label}: support violated in column m={m}")
-        self.label = label
-        self.order = order
-        self.columns = columns
-
-    @property
-    def bound(self) -> int:
-        return len(self.columns) - 1
-
-    def column(self, m: int) -> Series:
-        """The series ``n -> M(m, n)``; zero when |m| exceeds the order."""
-        m = abs(m)
-        if m > self.order:
-            return Series.zero(self.order)
-        if m > self.bound:
-            raise IndexError(f"{self.label}: column m={m} is past the stored bound {self.bound}")
-        return Series(self.order, self.columns[m])
 
 
 # statistic -> (d, a) of its column form; see the module docstring
@@ -230,23 +197,31 @@ def write_rows(fh, fmt: str, label: str, n_max: int, rows) -> None:
         fh.write("\n  ]\n}\n")
 
 
-def gf_table(statistic: str, order: int, k: int | None = None, top: int | None = None) -> CrankTable:
-    """A fresh table of the GF of one statistic: the columns m <= ``top`` of :func:`gf_columns`."""
-    columns = [column for _, column in gf_columns(statistic, order, k, top)][::-1]
-    return CrankTable(table_label(statistic, k), order, columns)
+def gf_table(statistic: str, order: int, k: int | None = None, top: int | None = None) -> list:
+    """The columns m = 0..min(top, order) of :func:`gf_columns`, as a list of :class:`Series`.
+
+    Each column m is checked to vanish below q**m (the |m| <= n support);
+    a violation raises ``ValueError`` naming the table and m.
+    """
+    columns = []
+    for m, column in gf_columns(statistic, order, k, top):
+        if any(column[:m]):
+            raise ValueError(f"{table_label(statistic, k)}: support violated in column m={m}")
+        columns.append(Series(order, column))
+    return columns[::-1]
 
 
-def crank_gf(order: int, top: int | None = None) -> CrankTable:
+def crank_gf(order: int, top: int | None = None) -> list:
     """Crank generating function ``(q;q)_inf / ((zq;q)_inf (q/z;q)_inf)``."""
     return gf_table("crank", order, top=top)
 
 
-def overline_crank_gf(order: int, top: int | None = None) -> CrankTable:
+def overline_crank_gf(order: int, top: int | None = None) -> list:
     """First-residual-crank GF: the crank GF times ``(-q;q)_inf``."""
     return gf_table("ocrank", order, top=top)
 
 
-def m2_crank_gf(order: int, top: int | None = None) -> CrankTable:
+def m2_crank_gf(order: int, top: int | None = None) -> list:
     """Second-residual-crank GF.
 
     The crank GF with ``q -> q**2`` (odd rows vanish) times
@@ -257,11 +232,11 @@ def m2_crank_gf(order: int, top: int | None = None) -> CrankTable:
     return gf_table("m2crank", order, top=top)
 
 
-def kcrank_gf(k: int, order: int, top: int | None = None) -> CrankTable:
+def kcrank_gf(k: int, order: int, top: int | None = None) -> list:
     """k-crank GF for k-colored partitions: crank GF times ``(q;q)_inf**(1-k)``."""
     return gf_table("kcrank", order, k, top)
 
 
-def rank_gf(order: int) -> CrankTable:
+def rank_gf(order: int) -> list:
     """Dyson-rank GF ``sum_n q**(n*n) / ((zq;q)_n (q/z;q)_n)``."""
     return gf_table("rank", order)

@@ -251,14 +251,16 @@ def _checked_row(statistic: str, n: int, counts: Counter) -> list[int]:
     return [counts.get(m, 0) for m in range(-n, n + 1)]
 
 
-def oracle_rows(statistic: str, n_max: int, k: int | None = None) -> list[list[int]]:
-    """Weighted count rows for n = 0..n_max, by enumeration.
+def oracle_rows(statistic: str, n_max: int, k: int | None = None) -> Iterator[list[int]]:
+    """Weighted count rows for n = 0..n_max, by enumeration, one at a time.
 
     Row n lists the counts M(m, n) for m = -n..n, the shape of
-    :func:`cranktab.bivariate.gf_rows`.  Each row's support (no count at
-    |m| > n) and its symmetry m <-> -m are checked as it is enumerated; a
-    violation raises ``ValueError`` naming the statistic, n and m.  ``k``
-    (>= 2) is for kcrank only.
+    :func:`cranktab.bivariate.gf_rows`.  A row is enumerated only when it is
+    drawn, so a consumer that times its reads times the enumeration.  Each
+    row's support (no count at |m| > n) and its symmetry m <-> -m are
+    checked as it is enumerated; a violation raises ``ValueError`` naming
+    the statistic, n and m.  ``k`` (>= 2) is for kcrank only; bad arguments
+    raise ``ValueError`` at the call.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -272,4 +274,4 @@ def oracle_rows(statistic: str, n_max: int, k: int | None = None) -> list[list[i
         rows = _rows_kcrank(n_max, k)
     else:
         raise ValueError(f"unknown statistic {statistic!r}")
-    return [_checked_row(statistic, n, row) for n, row in enumerate(rows)]
+    return (_checked_row(statistic, n, row) for n, row in enumerate(rows))

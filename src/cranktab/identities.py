@@ -125,12 +125,12 @@ COLUMN_BOUNDS = {
 class Run:
     """What the clauses of one catalog run share, at truncation order ``order``.
 
-    ``tables[(statistic, k)]`` is the low-column table of the GF of
-    ``statistic`` at ``order``: the columns m up to the GF's bound in
-    :data:`COLUMN_BOUNDS`.  The first :meth:`column` that reads a GF builds
-    it (:meth:`fill`); no other source of columns exists.  Generic products
-    are built once per run by :meth:`product`.  A run keeps no whole table,
-    and nothing outlives it.
+    ``tables[(statistic, k)]`` lists the low columns of the GF of
+    ``statistic`` at ``order``, item m the column m, for m up to the GF's
+    bound in :data:`COLUMN_BOUNDS` or the order, whichever is smaller.  The
+    first :meth:`column` that reads a GF builds them (:meth:`fill`); no other
+    source of columns exists.  Generic products are built once per run by
+    :meth:`product`.  A run keeps no whole table, and nothing outlives it.
     """
 
     def __init__(self, order: int):
@@ -148,28 +148,31 @@ class Run:
         statistic, k = key
         top = COLUMN_BOUNDS[key]
         if statistic == "kcrank":
-            table = bivariate.kcrank_gf(k, self.order, top=top)
+            columns = bivariate.kcrank_gf(k, self.order, top=top)
         elif statistic == "ocrank":
-            table = bivariate.overline_crank_gf(self.order, top=top)
+            columns = bivariate.overline_crank_gf(self.order, top=top)
         elif statistic == "m2crank":
-            table = bivariate.m2_crank_gf(self.order, top=top)
+            columns = bivariate.m2_crank_gf(self.order, top=top)
         else:
-            table = bivariate.crank_gf(self.order, top=top)
-        self.tables[key] = table
+            columns = bivariate.crank_gf(self.order, top=top)
+        self.tables[key] = columns
 
     def column(self, statistic: str, m: int, k: int | None = None) -> Series:
         """Column m of one statistic's GF, truncated to the run's order.
 
         A GF with no :data:`COLUMN_BOUNDS` entry raises ``KeyError``, and an m
-        outside 0..bound raises ``IndexError``.
+        outside 0..bound raises ``IndexError``, at every order.  Past the
+        order the column is zero, by the |m| <= n support.
         """
         key = (statistic, k)
         bound = COLUMN_BOUNDS[key]
         if not 0 <= m <= bound:
             raise IndexError(f"column m={m} of {statistic} is past the stored bound {bound}")
+        if m > self.order:
+            return Series.zero(self.order)
         if key not in self.tables:
             self.fill(key)
-        return self.tables[key].column(m)
+        return self.tables[key][m]
 
     def diff(self, statistic: str, m: int, k: int | None = None) -> Series:
         """The difference column ``n -> T[m-1][n] - T[m][n]`` of one statistic."""

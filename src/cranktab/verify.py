@@ -55,23 +55,12 @@ RELATIONS = {0: "monotone", 1: "step", 2: "step-by-2"}  # by Sweep.stride
 _BY_CELL = operator.itemgetter("n", "m")  # the order of report entries
 
 
-class CheckReport:
+class CheckReport(namedtuple("CheckReport", "check_id params passed exceptions informational "
+                                            "runtime_ms cells_checked coeffs_checked",
+                             defaults=((), 0.0, None, None))):
     """The verdict of one check, the entries behind it and what it covered."""
 
-    __slots__ = ("check_id", "params", "passed", "exceptions", "informational",
-                 "runtime_ms", "cells_checked", "coeffs_checked")
-
-    def __init__(self, check_id: str, params: dict, passed: bool, exceptions: list,
-                 informational: list | None = None, runtime_ms: float = 0.0,
-                 cells_checked: int | None = None, coeffs_checked: int | None = None):
-        self.check_id = check_id
-        self.params = params
-        self.passed = passed
-        self.exceptions = exceptions
-        self.informational = [] if informational is None else informational
-        self.runtime_ms = runtime_ms
-        self.cells_checked = cells_checked
-        self.coeffs_checked = coeffs_checked
+    __slots__ = ()
 
     @property
     def verdict(self) -> str:

@@ -108,9 +108,9 @@ def test_criterion_07_kcrank_unimodality():
 
 def test_criterion_08_displayed_expansions():
     t0 = time.perf_counter()
-    table = gf_table("crank", 60)
-    assert (table.column(0) - table.column(1)).coeffs[:44] == CRANK_DIFF_M1_HEAD
-    assert (table.column(1) - table.column(2)).coeffs[:27] == CRANK_DIFF_M2_HEAD
+    cols = gf_table("crank", 60)
+    assert (cols[0] - cols[1]).coeffs[:44] == CRANK_DIFF_M1_HEAD
+    assert (cols[1] - cols[2]).coeffs[:27] == CRANK_DIFF_M2_HEAD
     _report(8, "crank difference columns match displayed heads through q^43 / q^26", time.perf_counter() - t0)
 
 

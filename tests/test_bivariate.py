@@ -5,11 +5,12 @@ from functools import lru_cache
 
 import pytest
 
+from cranktab import bivariate
 from cranktab.bivariate import (
-    CrankTable,
     crank_gf,
     gf_columns,
     gf_rows,
+    gf_table,
     kcrank_gf,
     m2_crank_gf,
     overline_crank_gf,
@@ -70,12 +71,13 @@ def test_kcrank_gf_rows():
 
 
 def test_symmetry_and_support_invariants():
-    for g in (crank_gf(30), overline_crank_gf(30), m2_crank_gf(30), kcrank_gf(3, 30),
-              rank_gf(300)):
-        assert len(g.columns) == g.order + 1
-        for m, col in enumerate(g.columns):
-            assert not any(col[:m]), (g.label, m)  # column m vanishes below q**m
-            assert g.column(-m) == g.column(m)
+    for label, g in (("crank", crank_gf(30)), ("ocrank", overline_crank_gf(30)),
+                     ("m2crank", m2_crank_gf(30)), ("kcrank(3)", kcrank_gf(3, 30)),
+                     ("rank", rank_gf(300))):
+        order = len(g) - 1
+        for m, col in enumerate(g):
+            assert col.order == order, (label, m)
+            assert not any(col.coeffs[:m]), (label, m)  # column m vanishes below q**m
 
 
 def test_specialization_row_sums():
@@ -95,11 +97,11 @@ def test_specialization_row_sums():
 
 
 def test_column_extraction():
+    # item m of a builder's list is column m, a series truncated at the order
     g = crank_gf(10)
-    assert g.column(0)[1] == -1
-    for m in range(0, 11):
-        assert g.column(m) == g.column(-m)
-    assert g.column(99) == Series.zero(10)
+    assert len(g) == 11 and all(col.order == 10 for col in g)
+    assert g[0][1] == -1
+    assert g[3].coeffs[:7] == [0, 0, 0, 1, 0, 1, 1]
 
 
 def test_rows_outside_the_order_raise():
@@ -107,7 +109,7 @@ def test_rows_outside_the_order_raise():
     # ends before its n_max or runs past it
     rows = list(gf_rows("crank", 10))
     assert [len(row) for row in rows] == [2 * n + 1 for n in range(11)]
-    assert rows[10] == [crank_gf(10).column(m)[10] for m in range(-10, 11)]
+    assert rows[10] == [crank_gf(10)[abs(m)][10] for m in range(-10, 11)]
     for n_max in (9, 11):
         with pytest.raises(ValueError):
             write_rows(io.StringIO(), "csv", "crank", n_max, iter(rows))
@@ -115,7 +117,7 @@ def test_rows_outside_the_order_raise():
 
 def test_overline_diff_head():
     g = overline_crank_gf(10)
-    head = (g.column(0) - g.column(1)).coeffs[:6]
+    head = (g[0] - g[1]).coeffs[:6]
     assert head == [1, -1, -1, 1, 0, 1]
 
 
@@ -129,10 +131,10 @@ def test_gf_matches_oracle_tables():
         ("rank", rank_gf(18), None),
     ]
     for stat, g, k in cases:
-        rows = oracle_rows(stat, 18, k=k)
+        rows = list(oracle_rows(stat, 18, k=k))
         assert list(gf_rows(stat, 18, k)) == rows, stat
         for n in range(19):
-            assert [g.column(m)[n] for m in range(-n, n + 1)] == rows[n], (stat, n)
+            assert [g[abs(m)][n] for m in range(-n, n + 1)] == rows[n], (stat, n)
 
 
 # -- product-form reference ---------------------------------------------------
@@ -222,9 +224,9 @@ PARITY_CASES = [("crank", None), ("ocrank", None), ("m2crank", None)] + [
 def test_column_form_matches_product_form(stat, k):
     for order in range(41):
         g, ref = _builder(stat, order, k), _reference(stat, order, k)
-        assert (g.order, g.bound, len(ref)) == (order, order, 2 * order + 1)
+        assert (len(g), len(ref)) == (order + 1, 2 * order + 1)
         for m in range(-order, order + 1):
-            assert g.column(m) == ref[order + m], (stat, k, order, m)
+            assert g[abs(m)] == ref[order + m], (stat, k, order, m)
 
 
 # -- Lambert-sum reference ------------------------------------------------------
@@ -270,10 +272,8 @@ def _lambert_columns(stat, order, k=None):
 def test_cumulative_columns_match_lambert_sum(stat, k):
     for order in [*range(41), 300]:
         g, ref = _builder(stat, order, k), _lambert_columns(stat, order, k)
-        assert (g.order, g.bound) == (order, order)
-        assert g.columns == ref, (stat, k, order)
-        for m in range(1, order + 1):
-            assert g.column(-m) == g.column(m)
+        assert [col.order for col in g] == [order] * (order + 1)
+        assert [col.coeffs for col in g] == ref, (stat, k, order)
 
 
 def test_product_form_reference_is_sound():
@@ -283,15 +283,19 @@ def test_product_form_reference_is_sound():
     for stat, k in [("crank", None), ("ocrank", None), ("m2crank", None),
                     ("kcrank", 2), ("kcrank", 4)]:
         ref = _reference(stat, 18, k)
-        assert [_reference_row(ref, n) for n in range(19)] == oracle_rows(stat, 18, k=k)
+        assert [_reference_row(ref, n) for n in range(19)] == list(oracle_rows(stat, 18, k=k))
 
 
-def test_invariant_check_detects_violations():
-    # a table checks the |m| <= n support of its columns when it is made
-    t = CrankTable("crank", 1, [[1, -1], [0, 1]])
-    assert [t.column(m)[1] for m in (-1, 0, 1)] == [1, -1, 1]
-    with pytest.raises(ValueError, match="support violated in column m=1"):
-        CrankTable("bogus", 1, [[1, -1], [1, 1]])
+def test_invariant_check_detects_violations(monkeypatch):
+    # gf_table checks the |m| <= n support of each column as it collects it
+    def pass_of(columns):
+        return lambda statistic, order, k=None, top=None: iter(columns)
+
+    monkeypatch.setattr(bivariate, "gf_columns", pass_of([(1, [0, 1]), (0, [1, -1])]))
+    assert [col.coeffs for col in gf_table("crank", 1)] == [[1, -1], [0, 1]]
+    monkeypatch.setattr(bivariate, "gf_columns", pass_of([(1, [1, 1]), (0, [1, -1])]))
+    with pytest.raises(ValueError, match=r"^kcrank\(3\): support violated in column m=1$"):
+        gf_table("kcrank", 1, 3)
     # the reference's own check sees both faults
     _check_symmetry_and_support(tuple(Series(1, c) for c in ([0, 1], [1, -1], [0, 1])))
     with pytest.raises(ValueError, match="symmetry"):
@@ -320,16 +324,12 @@ def test_seeded_pass_matches_the_full_pass(stat, k):
 
 
 def test_low_column_table_refuses_reads_past_its_bound():
+    # the columns m <= top are the head of the whole table, and no more
     g, whole = crank_gf(30, top=10), crank_gf(30)
-    assert (g.order, g.bound) == (30, 10)
-    assert g.columns == whole.columns[:11]
-    assert crank_gf(5, top=10).bound == 5  # top is clamped to the order
-    for m in range(-10, 11):
-        assert g.column(m) == whole.column(m)
-    assert g.column(31) == Series.zero(30)  # past the order: zero by support
-    for m in (11, -11, 30):
-        with pytest.raises(IndexError, match="past the stored bound 10"):
-            g.column(m)
+    assert len(g) == 11 and g == whole[:11]
+    assert len(crank_gf(5, top=10)) == 6  # top is clamped to the order
+    with pytest.raises(IndexError):
+        g[11]
 
 
 # -- rows ---------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cranktab import brute
 from cranktab.brute import (
     colored_partitions,
     crank,
@@ -137,25 +138,25 @@ def test_colored_partitions_counts():
 
 
 def test_oracle_rows_crank_convention():
-    rows = oracle_rows("crank", 3)
+    rows = list(oracle_rows("crank", 3))
     assert rows[0] == [1]
     assert rows[1] == [1, -1, 1]
     assert rows[3] == [1, 0, 0, 1, 0, 0, 1]
 
 
 def test_oracle_rows_ocrank_n2():
-    rows = oracle_rows("ocrank", 2)
+    rows = list(oracle_rows("ocrank", 2))
     assert rows[2] == [1, 1, 0, 1, 1]
 
 
 def test_oracle_rows_rank_n4():
-    rows = oracle_rows("rank", 4)
+    rows = list(oracle_rows("rank", 4))
     assert rows[4] == [0, 1, 0, 1, 1, 1, 0, 1, 0]
 
 
 def test_oracle_rows_kcrank_matches_direct_enumeration():
     for k in (2, 3, 4):
-        rows = oracle_rows("kcrank", 7, k=k)
+        rows = list(oracle_rows("kcrank", 7, k=k))
         for n in range(8):
             direct = {}
             for c in colored_partitions(n, k):
@@ -167,9 +168,9 @@ def test_oracle_rows_kcrank_matches_direct_enumeration():
 def test_oracle_row_sums_count_objects():
     p = partition_series(12).coeffs
     op = overpartition_series(12).coeffs
-    crank_rows = oracle_rows("crank", 12)
-    ocrank_rows = oracle_rows("ocrank", 12)
-    m2_rows = oracle_rows("m2crank", 12)
+    crank_rows = list(oracle_rows("crank", 12))
+    ocrank_rows = list(oracle_rows("ocrank", 12))
+    m2_rows = list(oracle_rows("m2crank", 12))
     for n in range(13):
         assert sum(crank_rows[n]) == p[n]
         assert sum(ocrank_rows[n]) == op[n]
@@ -211,3 +212,23 @@ def test_oracle_rows_take_k_for_kcrank_only():
     for stat in ("crank", "rank", "ocrank", "m2crank"):
         with pytest.raises(ValueError, match=f"{stat}: k=3; kcrank needs k >= 2"):
             oracle_rows(stat, 5, k=3)
+
+
+def test_oracle_rows_enumerate_only_when_drawn(monkeypatch):
+    # the rows are enumerated as they are drawn, so a consumer that times its
+    # reads times the enumeration; bad arguments still raise at the call
+    calls = []
+    enumerate_partitions = brute.partitions
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_partitions(*args)
+
+    monkeypatch.setattr(brute, "partitions", counted)
+    rows = oracle_rows("crank", 10)
+    assert calls == []
+    assert next(rows) == [1]
+    assert calls
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        oracle_rows("crank", -1)
+    assert len(calls) == 1  # row 0 only: the refused call enumerated nothing

@@ -543,3 +543,32 @@ def test_any_argv_exits_cleanly(argv):
     if code == 2:
         (line,) = err.splitlines()
         assert out == "" and err == line + "\n" and line.startswith("Error: "), (argv, err)
+
+
+def test_every_writing_of_the_k_rule_accepts_the_same_pairs():
+    # the k rule (k >= 2 for kcrank, no k for any other statistic) is written
+    # in the GF's form, in the oracle and in the command line's usage checks
+    def accepts(build, stat, k):
+        try:
+            build(stat, 3, k)
+        except ValueError:
+            return False
+        return True
+
+    def cli_accepts(stat, k):
+        code, _, _ = _run(["table", "--stat", stat, "--n-max", "3",
+                           *([] if k is None else ["--k", str(k)])])
+        assert code in (0, 2), (stat, k, code)
+        return code == 0
+
+    builds = {
+        "gf_rows": lambda stat, n, k: list(bivariate.gf_rows(stat, n, k)),
+        "gf_table": bivariate.gf_table,
+        "oracle_rows": lambda stat, n, k: list(brute.oracle_rows(stat, n, k)),
+    }
+    pairs = [(stat, k) for stat in cranktab.STATISTICS for k in (None, 0, 1, 2, 3)]
+    accepted = {name: {p for p in pairs if accepts(build, *p)} for name, build in builds.items()}
+    accepted["cli table"] = {p for p in pairs if cli_accepts(*p)}
+    rule = {(stat, None) for stat in cranktab.STATISTICS if stat != "kcrank"}
+    rule |= {("kcrank", 2), ("kcrank", 3)}
+    assert accepted == dict.fromkeys(accepted, rule)

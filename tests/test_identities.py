@@ -91,9 +91,9 @@ def test_crank_decomp_residuals_vanish_below_thresholds():
 
 
 def test_crank_tail_point_values():
-    t = gf_table("crank", 80)
+    cols = gf_table("crank", 80)
     for m in (8, 20, 45):
-        d = t.column(m - 1) - t.column(m)
+        d = cols[m - 1] - cols[m]
         assert d[m - 1] == 1
         assert d[m] == -1
         assert all(c == 0 for c in d.coeffs[: m - 1])
@@ -139,7 +139,7 @@ def _failing_cells(entry_id, key, m, n, order):
     entry = CATALOG[entry_id]
     run = identities.Run(order)
     run.fill(key)
-    run.tables[key].columns[m][n] += 1
+    run.tables[key][m].coeffs[n] += 1
     exceptions, _ = run_entry(entry, order, run)
     return sorted({(e["clause"], e["n"]) for e in exceptions})
 
@@ -191,13 +191,15 @@ def test_corrupted_m2_from_ocrank_cell_fails_only_its_clauses(m):
 
 def test_run_columns_past_their_bound_raise():
     run = identities.Run(30)
-    assert run.column("crank", 5) == crank_gf(30).column(5)
-    assert run.column("kcrank", 10, 4) == kcrank_gf(4, 30).column(10)
-    assert (run.tables["kcrank", 4].order, run.tables["kcrank", 4].bound) == (30, 10)
-    assert run.column("crank", 60) == Series.zero(30)  # above the order: zero by support
-    for statistic, m, k in (("crank", 61, None), ("kcrank", 11, 2), ("crank", -1, None)):
-        with pytest.raises(IndexError):
-            run.column(statistic, m, k)
+    assert run.column("crank", 5) == crank_gf(30)[5]
+    assert run.column("kcrank", 10, 4) == kcrank_gf(4, 30)[10]
+    assert run.tables["kcrank", 4] == kcrank_gf(4, 30)[:11]  # the columns m <= 10 only
+    # the bound holds at every order, also at an order below it
+    for r in (run, identities.Run(5)):
+        assert r.column("crank", 60) == Series.zero(r.order)  # above the order: zero by support
+        for statistic, m, k in (("crank", 61, None), ("kcrank", 11, 2), ("crank", -1, None)):
+            with pytest.raises(IndexError):
+                r.column(statistic, m, k)
     for statistic, k in (("kcrank", 5), ("rank", None)):
         with pytest.raises(KeyError):  # no column bound: the catalog reads none of it
             run.column(statistic, 1, k)

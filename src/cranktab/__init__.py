@@ -9,13 +9,24 @@ Importing the package loads no submodule.  Each public name is imported from
 its submodule on first access (PEP 562), so a command pays only for the
 modules it runs; every process starts afresh.  The package also holds the
 vocabulary the command-line parser needs before anything runs:
-:data:`STATISTICS`, the statistic names, and :data:`DEFAULT_IDENTITY_ORDER`.
+:data:`STATISTICS`, :data:`DEFAULT_IDENTITY_ORDER`, :class:`UsageError` and :func:`check_k`.
 """
 
 __version__ = "0.1.0"
 
 STATISTICS = ("crank", "ocrank", "m2crank", "kcrank", "rank")
 DEFAULT_IDENTITY_ORDER = 200
+
+
+class UsageError(ValueError):
+    """A bad argument or command line: the command line exits 2 with its one line."""
+
+
+def check_k(statistic: str, k: int | None) -> None:
+    """Raise :class:`UsageError` unless k >= 2 is given for kcrank, and no k for the rest."""
+    if (statistic == "kcrank") != (k is not None) or (k is not None and k < 2):
+        raise UsageError(f"{statistic}: k={k}; kcrank needs k >= 2, and no other statistic takes k")
+
 
 _PUBLIC = {
     "bivariate": ("crank_gf", "gf_rows", "gf_table", "kcrank_gf", "m2_crank_gf",

@@ -49,6 +49,8 @@ the same shape.  :func:`write_rows` exports either source with one ``%``
 format per row: CSV with header ``n,m,count`` in (n asc, m asc) order over
 the full -n..n range, and JSON ``{statistic, n_max, rows: [{n, counts}]}``
 with counts as decimal strings, so consumers never face integer overflow.
+Both check their arguments at the call, before building anything: a bad
+statistic, order, ``top`` or k (:func:`cranktab.check_k`) raises ``UsageError``.
 
 :func:`gf_table`, which takes the statistic by name, and each named builder
 collect the columns m <= ``top`` of one pass into a fresh list of
@@ -65,6 +67,7 @@ import json
 from collections import deque
 from operator import add, sub
 
+from cranktab import UsageError, check_k
 from cranktab.series import (
     Series,
     overpartition_series_theta,
@@ -83,13 +86,12 @@ def table_label(statistic: str, k: int | None = None) -> str:
 
 
 def _form(statistic: str, order: int, k: int | None) -> tuple:
-    """``(d, a, base coefficients)`` of one statistic at ``order``; k >= 2 is for kcrank only."""
+    """``(d, a, base coefficients)`` of one statistic at ``order``, once its arguments pass."""
     if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+        raise UsageError(f"order must be >= 0, got {order}")
     if statistic not in _FORMS:
-        raise ValueError(f"unknown statistic {statistic!r}")
-    if (statistic == "kcrank") != (k is not None) or (k is not None and k < 2):
-        raise ValueError(f"{statistic}: k={k}; kcrank needs k >= 2, and no other statistic takes k")
+        raise UsageError(f"unknown statistic {statistic!r}")
+    check_k(statistic, k)
     if statistic in ("ocrank", "m2crank"):
         base = overpartition_series_theta(order).coeffs
     else:
@@ -119,24 +121,29 @@ def gf_columns(statistic: str, order: int, k: int | None = None, top: int | None
     starts from B_(top+1), ..., B_(top+s) (:func:`_cumulative`; zero at
     top = order).  Filling m from the top down keeps only the s latest B
     lists, so a consumer that keeps few columns runs in O(order) memory, and
-    a pass costs O(order * (top + sqrt(order))).
+    a pass costs O(order * (top + sqrt(order))).  Bad arguments raise
+    :class:`~cranktab.UsageError` at the call.
     """
     if top is not None and top < 0:
-        raise ValueError(f"top must be >= 0, got {top}")
+        raise UsageError(f"top must be >= 0, got {top}")
     d, a, base = _form(statistic, order, k)
     top = order if top is None else min(top, order)
     size = order + 1
     zero = [0] * size
-    # B_(m+1), ..., B_(m+s)
-    window = deque((_cumulative(base, a, d, top + i) for i in range(1, a + 1)), maxlen=a)
-    for m in range(top, -1, -1):
-        e = d * (m + (a - 1) // 2)
-        b = [0] * e + list(map(sub, base[: size - e], window[-1])) if e < size else zero
-        column = list(map(sub, b, window[0]))
-        if statistic == "rank" and m == 0:
-            column[0] += 1  # the empty partition, of rank 0
-        yield m, column
-        window.appendleft(b)
+
+    def columns():
+        # B_(m+1), ..., B_(m+s)
+        window = deque((_cumulative(base, a, d, top + i) for i in range(1, a + 1)), maxlen=a)
+        for m in range(top, -1, -1):
+            e = d * (m + (a - 1) // 2)
+            b = [0] * e + list(map(sub, base[: size - e], window[-1])) if e < size else zero
+            column = list(map(sub, b, window[0]))
+            if statistic == "rank" and m == 0:
+                column[0] += 1  # the empty partition, of rank 0
+            yield m, column
+            window.appendleft(b)
+
+    return columns()
 
 
 def gf_rows(statistic: str, order: int, k: int | None = None):
@@ -148,22 +155,27 @@ def gf_rows(statistic: str, order: int, k: int | None = None):
     the strided slice ``base[n - e_j :: -d*j]`` gives term j for every m at
     once, and M(m, n) = B_m[n] - B_(m+1)[n].  Only the base and one row are
     held.  A row costs O(n log n), so rows cost about 2.5 times the column
-    pass; they serve the consumers that read whole rows.
+    pass; they serve the consumers that read whole rows.  Bad arguments
+    raise :class:`~cranktab.UsageError` at the call.
     """
     d, a, base = _form(statistic, order, k)
     e = d * ((a - 1) // 2)  # e_1
-    for n in range(order + 1):
-        acc = base[n - e :: -d] if n >= e else []  # B_m[n] for m = 0..n+1
-        acc += [0] * (n + 2 - len(acc))
-        j = 2
-        while (start := n - d * ((a * j * j - j) // 2)) >= 0:
-            terms = base[start :: -d * j]
-            acc[: len(terms)] = map(add if j % 2 else sub, acc, terms)
-            j += 1
-        half = list(map(sub, acc, acc[1:]))
-        if statistic == "rank" and n == 0:
-            half[0] += 1  # the empty partition, of rank 0
-        yield half[:0:-1] + half
+
+    def rows():
+        for n in range(order + 1):
+            acc = base[n - e :: -d] if n >= e else []  # B_m[n] for m = 0..n+1
+            acc += [0] * (n + 2 - len(acc))
+            j = 2
+            while (start := n - d * ((a * j * j - j) // 2)) >= 0:
+                terms = base[start :: -d * j]
+                acc[: len(terms)] = map(add if j % 2 else sub, acc, terms)
+                j += 1
+            half = list(map(sub, acc, acc[1:]))
+            if statistic == "rank" and n == 0:
+                half[0] += 1  # the empty partition, of rank 0
+            yield half[:0:-1] + half
+
+    return rows()
 
 
 def write_rows(fh, fmt: str, label: str, n_max: int, rows) -> None:

@@ -6,7 +6,8 @@ read straight off the definitions.  The resulting tables are the ground truth
 that the series-built tables are checked against.  :func:`oracle_rows` gives
 them as rows, row n the counts for m = -n..n, the shape of
 :func:`cranktab.bivariate.gf_rows`, so one writer exports both and the
-cross-check compares them row by row.  This module imports no GF code.
+cross-check compares them row by row, up to n = :data:`ORACLE_CEILINGS`
+of the statistic at most.  This module imports no GF code.
 
 Representations:
 
@@ -27,6 +28,8 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator, Sequence
+
+from cranktab import UsageError, check_k
 
 Partition = tuple[int, ...]
 Overpartition = tuple[tuple[int, bool], ...]
@@ -259,19 +262,20 @@ def oracle_rows(statistic: str, n_max: int, k: int | None = None) -> Iterator[li
     drawn, so a consumer that times its reads times the enumeration.  Each
     row's support (no count at |m| > n) and its symmetry m <-> -m are
     checked as it is enumerated; a violation raises ``ValueError`` naming
-    the statistic, n and m.  ``k`` (>= 2) is for kcrank only; bad arguments
-    raise ``ValueError`` at the call.
+    the statistic, n and m.  A bad statistic, k or n_max (below 0 or above
+    :data:`ORACLE_CEILINGS`) raises :class:`~cranktab.UsageError` at the call.
     """
     if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if (statistic == "kcrank") != (k is not None) or (k is not None and k < 2):
-        raise ValueError(f"{statistic}: k={k}; kcrank needs k >= 2, and no other statistic takes k")
+        raise UsageError(f"n_max must be >= 0, got {n_max}")
+    if (ceiling := ORACLE_CEILINGS.get(statistic)) is None:
+        raise UsageError(f"unknown statistic {statistic!r}")
+    check_k(statistic, k)
+    if n_max > ceiling:
+        raise UsageError(f"n_max {n_max} exceeds the enumeration ceiling {ceiling} for {statistic}")
     if statistic in ("crank", "rank"):
         rows = _rows_from_partitions(n_max, statistic)
     elif statistic in ("ocrank", "m2crank"):
         rows = _rows_from_overpartitions(n_max, statistic)
-    elif statistic == "kcrank":
-        rows = _rows_kcrank(n_max, k)
     else:
-        raise ValueError(f"unknown statistic {statistic!r}")
+        rows = _rows_kcrank(n_max, k)
     return (_checked_row(statistic, n, row) for n, row in enumerate(rows))

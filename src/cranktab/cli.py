@@ -12,9 +12,9 @@ of stdout went away (``| head``; no traceback), 2 on usage or configuration
 errors, on an ``--output`` file or a stdout that cannot be written, and when
 memory runs out.  Every exit with status 2 writes exactly one ``Error: ...``
 line to stderr and, unless memory ran out mid-table, nothing to stdout.
-Usage is checked first, then the output file is opened, and only then is
-anything built or checked, so a bad ``-o`` path fails at once; a command
-that fails leaves no ``-o`` file and an existing one unchanged.
+The parser checks first, the output file is opened next, and each source
+then raises :class:`cranktab.UsageError` for a bad argument before it
+builds; a failed command leaves no ``-o`` file and an existing one unchanged.
 Outputs are deterministic for identical configurations, except for the
 measured ``runtime_ms`` fields in reports.
 
@@ -36,11 +36,7 @@ import contextlib
 import os
 import sys
 
-from cranktab import DEFAULT_IDENTITY_ORDER, STATISTICS
-
-
-class UsageError(Exception):
-    """A bad command line or an unwritable output file: exit 2, one line."""
+from cranktab import DEFAULT_IDENTITY_ORDER, STATISTICS, UsageError, check_k
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,26 +114,9 @@ def _parse_k_list(raw: str | None):
         ks = tuple(int(part) for part in raw.split(","))
     except ValueError:
         raise UsageError(f"bad k list {raw!r}; expected comma-separated integers")
-    if any(k < 2 for k in ks):
-        raise UsageError("every k must be >= 2")
+    for k in ks:
+        check_k("kcrank", k)
     return tuple(dict.fromkeys(ks))  # a repeated k runs once, in first-seen order
-
-
-def _check_k(stat: str, k: int | None) -> None:
-    if stat == "kcrank" and k is None:
-        raise UsageError("--stat kcrank requires --k")
-    if stat == "kcrank" and k < 2:
-        raise UsageError("--k must be >= 2")
-    if stat != "kcrank" and k is not None:
-        raise UsageError(f"--k applies only to --stat kcrank, not {stat}")
-
-
-def _check_oracle_ceiling(stat: str, n_max: int) -> None:
-    from cranktab import brute
-
-    ceiling = brute.ORACLE_CEILINGS.get(stat)
-    if ceiling is not None and n_max > ceiling:
-        raise UsageError(f"--n-max {n_max} exceeds the enumeration ceiling {ceiling} for {stat}")
 
 
 def _check_flags_used(ids, flags) -> None:
@@ -157,14 +136,12 @@ def _check_flags_used(ids, flags) -> None:
 
 def table(stat, k, n_max, provenance, fmt, output):
     """Export the weighted count table of one statistic."""
-    _check_k(stat, k)
     from cranktab import bivariate
 
     rows = bivariate.gf_rows
     if provenance == "oracle":
         from cranktab import brute
 
-        _check_oracle_ceiling(stat, n_max)
         rows = brute.oracle_rows
     with _output(output) as fh:
         bivariate.write_rows(fh, fmt, bivariate.table_label(stat, k), n_max, rows(stat, n_max, k))
@@ -205,11 +182,8 @@ def crosscheck(stat, k, n_max, output):
     """Compare the GF's table against the enumeration oracle, row by row."""
     from cranktab import bivariate, brute, verify
 
-    _check_k(stat, k)
-    _check_oracle_ceiling(stat, n_max)
-
-    def reports():
-        gf, oracle = bivariate.gf_rows(stat, n_max, k), brute.oracle_rows(stat, n_max, k)
+    def reports():  # the oracle's ceiling is checked before the GF's base is built
+        oracle, gf = brute.oracle_rows(stat, n_max, k), bivariate.gf_rows(stat, n_max, k)
         return [verify.check_table_consistency(bivariate.table_label(stat, k), gf, oracle)]
 
     return _emit_reports(reports, output)

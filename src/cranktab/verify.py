@@ -7,7 +7,7 @@ sweep reads the counts ``count(m, n)`` that the generating function of its
 * 1 or 2 -- step in m: count(m - stride, n) >= count(m, n);
 * 0      -- monotone in n: count(m, n) >= count(m, n - 1), from n = 1 on.
 
-Row n compares the m in ``range(m_lo, n + 1 - m_cut)``.  Rows from
+Row n compares the m in ``range(stride, n + 1 - m_cut)``.  Rows from
 ``scan_from`` on are counted: the verdict is "pass" exactly when the
 violations found there equal ``expected``, the statement's exception set of
 (k, m, n) triples (k is None except for the k-crank), intersected with the
@@ -92,9 +92,9 @@ class CheckReport(namedtuple("CheckReport", "check_id params passed exceptions i
         return obj
 
 
-class Sweep(namedtuple("Sweep", "check_id statistic stride m_lo m_cut scan_from expected "
+class Sweep(namedtuple("Sweep", "check_id statistic stride m_cut scan_from expected "
                                 "exclude_diagonal params",
-                       defaults=(0, 0, 0, frozenset(), None, ("n_max",)))):
+                       defaults=(0, 0, frozenset(), None, ("n_max",)))):
     """One inequality sweep over a count table; see the module docstring.
 
     ``stride`` is 1 or 2 for a step in m and 0 for monotone in n;
@@ -108,10 +108,8 @@ class _Scan:
     """One sweep of rows 0..n_max, fed the columns of its statistic's pass."""
 
     def __init__(self, sweep: Sweep, n_max: int, k: int | None):
-        if sweep.m_lo < sweep.stride:
-            raise ValueError(f"{sweep.check_id}: m_lo must be >= stride")
         self.sweep, self.n_max, self.k = sweep, n_max, k
-        self.ms = range(sweep.m_lo, n_max + 1 - sweep.m_cut)
+        self.ms = range(sweep.stride, n_max + 1 - sweep.m_cut)
         self.found, self.informational, self.cells, self.seconds = [], [], 0, 0.0
 
     def compare(self, m: int, lhs_col: list, rhs_col: list) -> None:
@@ -242,12 +240,12 @@ def check_table_consistency(label, gf_rows, oracle_rows):
 # Check id -> its sweeps.  A kcrank sweep runs once per k of the k list.
 SWEEPS = {
     "thm-1.1": (
-        Sweep("thm-1.1a", "rank", stride=2, m_lo=2, params=("n_max", "relation")),
+        Sweep("thm-1.1a", "rank", stride=2, params=("n_max", "relation")),
         Sweep("thm-1.1b", "rank", stride=0, scan_from=12, exclude_diagonal=2,
               params=("n_max", "relation")),
     ),
     "thm-1.2": (
-        Sweep("thm-1.2", "crank", stride=1, m_lo=1, m_cut=1, scan_from=44,
+        Sweep("thm-1.2", "crank", stride=1, m_cut=1, scan_from=44,
               params=("n_max", "scan_from")),
     ),
     "thm-1.3": (
@@ -255,10 +253,10 @@ SWEEPS = {
               params=("n_max", "scan_from")),
     ),
     "thm-1.4": (
-        Sweep("thm-1.4", "ocrank", stride=1, m_lo=1,
+        Sweep("thm-1.4", "ocrank", stride=1,
               expected=frozenset({(None, 1, 1), (None, 1, 2)})),
     ),
-    "thm-1.5": (Sweep("thm-1.5", "m2crank", stride=1, m_lo=1),),
+    "thm-1.5": (Sweep("thm-1.5", "m2crank", stride=1),),
     "thm-1.7": (
         Sweep("thm-1.7a", "ocrank", stride=0, scan_from=2,
               params=("statistic", "n_max", "scan_from")),
@@ -266,7 +264,7 @@ SWEEPS = {
               params=("statistic", "n_max", "scan_from")),
     ),
     "conj-1.8": (
-        Sweep("conj-1.8", "kcrank", stride=1, m_lo=1, expected=frozenset({(2, 1, 1)}),
+        Sweep("conj-1.8", "kcrank", stride=1, expected=frozenset({(2, 1, 1)}),
               params=("k", "n_max")),
     ),
 }

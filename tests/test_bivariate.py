@@ -2,6 +2,7 @@
 
 import io
 from functools import lru_cache
+from operator import sub
 
 import pytest
 
@@ -302,6 +303,64 @@ def test_invariant_check_detects_violations(monkeypatch):
         _check_symmetry_and_support(tuple(Series(1, c) for c in ([0, 1], [1, -1], [0, 2])))
     with pytest.raises(ValueError, match="support"):
         _check_symmetry_and_support(tuple(Series(1, c) for c in ([1, 1], [1, -1], [1, 1])))
+
+
+# -- Garvan's functional equation -----------------------------------------------
+#
+# The crank GF F(z, q) = (q;q)_inf / ((zq;q)_inf (q/z;q)_inf) obeys
+# (1 - z) F(zq, q) = -z (1 - zq) F(z, q), read off the product form.  With
+# C_m = sum_n M(m, n) q**n its z**m coefficient is
+# C_m - q C_(m-1) = q**m (C_m - q C_(m+1)).  A z-free factor keeps it, and
+# q -> q**2 turns each q into q**d, so every crank-family GF obeys it with
+# its d.  The relation leaves column 0 free, so the row sums pin it to the
+# generic products.  The rank obeys another equation and is left out.
+
+CRANK_FAMILY = [("crank", None, 1), ("ocrank", None, 1), ("m2crank", None, 2)] + [
+    ("kcrank", k, 1) for k in range(2, 7)
+]
+
+
+def _shifted(column, e):
+    """``q**e`` times a column, truncated to its length."""
+    return ([0] * e + column)[: len(column)]
+
+
+def _functional_equation_violations(columns, d, ms):
+    """The cells (m, n) at which ``C_m - q**d C_(m-1) = q**(d*m) (C_m - q**d C_(m+1))`` fails."""
+    zero = [0] * len(columns[0])
+    found = []
+    for m in ms:
+        above = columns[m + 1] if m + 1 < len(columns) else zero
+        lhs = map(sub, columns[m], _shifted(columns[m - 1], d))
+        rhs = _shifted(list(map(sub, columns[m], _shifted(above, d))), d * m)
+        found += [(m, n) for n, (x, y) in enumerate(zip(lhs, rhs)) if x != y]
+    return found
+
+
+@pytest.mark.parametrize("stat,k,d", CRANK_FAMILY)
+def test_columns_obey_garvans_functional_equation(stat, k, d):
+    order = 300
+    columns = [col.coeffs for col in gf_table(stat, order, k)]
+    assert _functional_equation_violations(columns, d, range(1, order + 1)) == []
+    if stat == "kcrank":
+        product = partition_series(order).pow(k)
+    else:
+        product = partition_series(order) if stat == "crank" else overpartition_series(order)
+    sums = [2 * sum(cells) - cells[0] for cells in zip(*columns)]
+    assert sums == product.coeffs
+
+
+def test_seeded_low_columns_obey_the_functional_equation():
+    # the pass from top = 60 starts from seeds summed from the closed form
+    columns = [col.coeffs for col in gf_table("crank", 4000, top=60)]
+    assert _functional_equation_violations(columns, 1, range(1, 60)) == []
+
+
+def test_functional_equation_sees_one_wrong_cell():
+    columns = [col.coeffs for col in crank_gf(300)]
+    columns[3][50] += 1
+    assert _functional_equation_violations(columns, 1, range(1, 301)) == [
+        (2, 53), (3, 50), (3, 53), (4, 51)]
 
 
 # -- low-column passes ----------------------------------------------------------

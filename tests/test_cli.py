@@ -99,7 +99,8 @@ def test_table_rank_defaults_to_gf():
 
 def test_table_usage_errors(tmp_path):
     for argv, line in (
-        (["--stat", "kcrank", "--n-max", "4"], "Error: --stat kcrank requires --k"),
+        (["--stat", "kcrank", "--n-max", "4"],
+         "Error: kcrank: k=None; kcrank needs k >= 2, and no other statistic takes k"),
         (["--stat", "bogus"], "Error: argument --stat: invalid choice: 'bogus' "),
         (["--stat", "crank", "--n-max", "9", "--order", "4"],
          "Error: unrecognized arguments: --order 4"),
@@ -107,7 +108,7 @@ def test_table_usage_errors(tmp_path):
          "Error: argument --n-max: '-1' is not an integer >= 0"),
         (["--stat", "crank", "--order", "-1"], "Error: unrecognized arguments: --order -1"),
         (["--stat", "crank", "--k", "3", "--n-max", "1"],
-         "Error: --k applies only to --stat kcrank, not crank"),
+         "Error: crank: k=3; kcrank needs k >= 2, and no other statistic takes k"),
         (["--stat", "crank", "--provenance", "oracle", "--n-max", "3", "--order", "10"],
          "Error: unrecognized arguments: --order 10"),
     ):
@@ -230,17 +231,25 @@ def test_usage_errors_leave_output_untouched(tmp_path):
         ["verify", "--check", "euler,thm-9.9"],
         ["verify", "--check", "conj-1.8", "--k", "1"],
         ["crosscheck", "--stat", "ocrank", "--n-max", "99"],
+        ["crosscheck", "--stat", "kcrank", "--k", "1"],
+        ["table", "--stat", "ocrank", "--provenance", "oracle", "--n-max", "26"],
     ):
         _usage_error([*argv, "-o", str(out)])
         assert not out.exists(), argv
+    # a source checks its arguments once the output is open, so a bad -o is named first
+    missing = tmp_path / "missing" / "out.txt"
+    for argv in (["table", "--stat", "kcrank", "--k", "1"],
+                 ["crosscheck", "--stat", "ocrank", "--n-max", "99"]):
+        line = _usage_error([*argv, "-o", str(missing)])
+        assert line.startswith(f"Error: cannot write {missing}: "), argv
 
 
 def test_table_oracle_respects_enumeration_ceilings():
     for args, line in (
         (["--stat", "ocrank", "--provenance", "oracle", "--n-max", "60"],
-         "Error: --n-max 60 exceeds the enumeration ceiling 25 for ocrank"),
+         "Error: n_max 60 exceeds the enumeration ceiling 25 for ocrank"),
         (["--stat", "rank", "--provenance", "oracle", "--n-max", "200"],
-         "Error: --n-max 200 exceeds the enumeration ceiling 60 for rank"),
+         "Error: n_max 200 exceeds the enumeration ceiling 60 for rank"),
     ):
         assert _usage_error(["table", *args]) == line
 
@@ -323,7 +332,7 @@ def test_verify_bad_k_list():
     line = _usage_error(["verify", "--check", "conj-1.8", "--k", "2,x"])
     assert line == "Error: bad k list '2,x'; expected comma-separated integers"
     assert _usage_error(["verify", "--check", "conj-1.8", "--k", "1"]) == (
-        "Error: every k must be >= 2"
+        "Error: kcrank: k=1; kcrank needs k >= 2, and no other statistic takes k"
     )
 
 
@@ -389,18 +398,29 @@ def test_crosscheck_command():
         assert json.loads(_ok(args))["all_passed"] is True
 
 
-def test_crosscheck_usage_errors(tmp_path):
+def test_crosscheck_usage_errors(tmp_path, monkeypatch):
     for args, line in (
-        (["--stat", "kcrank"], "Error: --stat kcrank requires --k"),
+        (["--stat", "kcrank"],
+         "Error: kcrank: k=None; kcrank needs k >= 2, and no other statistic takes k"),
         (["--stat", "ocrank", "--n-max", "99"],
-         "Error: --n-max 99 exceeds the enumeration ceiling 25 for ocrank"),
+         "Error: n_max 99 exceeds the enumeration ceiling 25 for ocrank"),
         (["--stat", "crank", "--n-max", "-1"],
          "Error: argument --n-max: '-1' is not an integer >= 0"),
-        (["--stat", "kcrank", "--k", "1"], "Error: --k must be >= 2"),
-        (["--stat", "crank", "--k", "9"], "Error: --k applies only to --stat kcrank, not crank"),
+        (["--stat", "kcrank", "--k", "1"],
+         "Error: kcrank: k=1; kcrank needs k >= 2, and no other statistic takes k"),
+        (["--stat", "crank", "--k", "9"],
+         "Error: crank: k=9; kcrank needs k >= 2, and no other statistic takes k"),
     ):
         assert _usage_error(["crosscheck", *args]) == line
     _assert_cannot_write(["crosscheck", "--stat", "crank", "--n-max", "3"], tmp_path)
+
+    # the oracle refuses an n_max above its ceiling before the GF's base is built
+    def not_built(*args):
+        raise AssertionError("the GF's base was built first")
+
+    monkeypatch.setattr(bivariate, "partition_series_pentagonal", not_built)
+    assert _usage_error(["crosscheck", "--stat", "crank", "--n-max", "61"]) == (
+        "Error: n_max 61 exceeds the enumeration ceiling 60 for crank")
 
 
 def test_import_loads_only_the_standard_library():
@@ -546,8 +566,8 @@ def test_any_argv_exits_cleanly(argv):
 
 
 def test_every_writing_of_the_k_rule_accepts_the_same_pairs():
-    # the k rule (k >= 2 for kcrank, no k for any other statistic) is written
-    # in the GF's form, in the oracle and in the command line's usage checks
+    # the k rule (k >= 2 for kcrank, no k for any other statistic) is
+    # cranktab.check_k, which every source and the command line apply
     def accepts(build, stat, k):
         try:
             build(stat, 3, k)
@@ -563,6 +583,7 @@ def test_every_writing_of_the_k_rule_accepts_the_same_pairs():
 
     builds = {
         "gf_rows": lambda stat, n, k: list(bivariate.gf_rows(stat, n, k)),
+        "gf_columns": lambda stat, n, k: list(bivariate.gf_columns(stat, n, k)),
         "gf_table": bivariate.gf_table,
         "oracle_rows": lambda stat, n, k: list(brute.oracle_rows(stat, n, k)),
     }

@@ -7,8 +7,8 @@ from collections import Counter
 
 import pytest
 
-from cranktab import STATISTICS, brute
-from cranktab.bivariate import crank_gf, gf_rows, gf_table, table_label, write_rows
+from cranktab import STATISTICS, UsageError, bivariate, brute
+from cranktab.bivariate import crank_gf, gf_columns, gf_rows, gf_table, table_label, write_rows
 from cranktab.brute import oracle_rows
 from cranktab.identities import CRANK_DIFF_M1_HEAD, CRANK_DIFF_M2_HEAD
 from cranktab.series import overpartition_series, partition_series
@@ -97,6 +97,39 @@ def test_invalid_inputs():
             build("kcrank", 5, k=1)
         with pytest.raises(ValueError):
             build("crank", 5, k=3)  # k for a statistic without colors
+
+
+K_RULE = "kcrank needs k >= 2, and no other statistic takes k"
+BAD_CALLS = [  # (arguments, the start of the message), for every source
+    (("nope", 5), "unknown statistic 'nope'"),
+    (("crank", -1), "(order|n_max) must be >= 0, got -1"),
+    (("kcrank", 5), f"kcrank: k=None; {K_RULE}"),
+    (("kcrank", 5, 1), f"kcrank: k=1; {K_RULE}"),
+    (("kcrank", 5, -3), f"kcrank: k=-3; {K_RULE}"),
+    (("crank", 5, 3), f"crank: k=3; {K_RULE}"),
+]
+
+
+def test_bad_arguments_raise_at_the_call_before_anything_is_built(monkeypatch):
+    def not_built(*args, **kwargs):
+        raise AssertionError("built before the arguments were checked")
+
+    for module, name in ((bivariate, "partition_series_pentagonal"),
+                         (bivariate, "overpartition_series_theta"),
+                         (brute, "partitions"), (brute, "overpartitions")):
+        monkeypatch.setattr(module, name, not_built)
+    sources = {"gf_rows": gf_rows, "gf_columns": gf_columns, "gf_table": gf_table,
+               "oracle_rows": oracle_rows}
+    calls = [(name, args, match) for name in sources for args, match in BAD_CALLS]
+    calls += [(name, ("crank", 5, None, -1), "top must be >= 0, got -1")
+              for name in ("gf_columns", "gf_table")]
+    calls += [("oracle_rows", (stat, ceiling + 1, 2 if stat == "kcrank" else None),
+               f"n_max {ceiling + 1} exceeds the enumeration ceiling {ceiling} for {stat}$")
+              for stat, ceiling in brute.ORACLE_CEILINGS.items()]
+    for name, args, match in calls:
+        with pytest.raises(UsageError, match=f"^{match}"):
+            sources[name](*args)
+    assert issubclass(UsageError, ValueError)
 
 
 def test_gf_equals_oracle_within_small_range():

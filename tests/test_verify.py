@@ -292,7 +292,7 @@ def _per_cell_sweep(sweep, n_max, k=None):
     for n in range(dn, n_max + 1):
         counted = n >= sweep.scan_from
         skip_m = n - diagonal if counted and diagonal is not None else None
-        row = range(sweep.m_lo, n + 1 - sweep.m_cut)
+        row = range(stride, n + 1 - sweep.m_cut)
         if counted:
             cells += len(row) - (skip_m is not None and skip_m in row)
         for m in row:
@@ -336,7 +336,7 @@ def _full_table_sweep(sweep, n_max, k=None):
     stride, diagonal = sweep.stride, sweep.exclude_diagonal
     dn = 0 if stride else 1
     found, informational, cells = [], [], 0
-    for m in range(sweep.m_lo, n_max + 1 - sweep.m_cut):
+    for m in range(stride, n_max + 1 - sweep.m_cut):
         lo = max(m + sweep.m_cut, dn)
         first_counted = max(lo, sweep.scan_from)
         cells += max(0, n_max + 1 - first_counted)

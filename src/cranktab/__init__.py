@@ -8,8 +8,9 @@ All arithmetic is exact (Python ints throughout).
 Importing the package loads no submodule.  Each public name is imported from
 its submodule on first access (PEP 562), so a command pays only for the
 modules it runs; every process starts afresh.  The package also holds the
-vocabulary the command-line parser needs before anything runs:
-:data:`STATISTICS`, :data:`DEFAULT_IDENTITY_ORDER`, :class:`UsageError` and :func:`check_k`.
+vocabulary the command-line parser needs before anything runs (:data:`STATISTICS`,
+:data:`DEFAULT_IDENTITY_ORDER`, :class:`UsageError`) and the shared argument rules
+:func:`check_k` and :func:`check_size`.
 """
 
 __version__ = "0.1.0"
@@ -23,9 +24,16 @@ class UsageError(ValueError):
 
 
 def check_k(statistic: str, k: int | None) -> None:
-    """Raise :class:`UsageError` unless k >= 2 is given for kcrank, and no k for the rest."""
-    if (statistic == "kcrank") != (k is not None) or (k is not None and k < 2):
+    """Raise :class:`UsageError` unless an int k >= 2 is given for kcrank, and no k for the rest."""
+    kcrank = statistic == "kcrank"
+    if kcrank != (k is not None) or kcrank and not (isinstance(k, int) and k >= 2):
         raise UsageError(f"{statistic}: k={k}; kcrank needs k >= 2, and no other statistic takes k")
+
+
+def check_size(name: str, value: int) -> None:
+    """Raise :class:`UsageError` unless the size ``name`` (an order, n_max, top) is >= 0."""
+    if value < 0:
+        raise UsageError(f"{name} must be >= 0, got {value}")
 
 
 _PUBLIC = {

@@ -67,7 +67,7 @@ import json
 from collections import deque
 from operator import add, sub
 
-from cranktab import UsageError, check_k
+from cranktab import UsageError, check_k, check_size
 from cranktab.series import (
     Series,
     overpartition_series_theta,
@@ -87,8 +87,7 @@ def table_label(statistic: str, k: int | None = None) -> str:
 
 def _form(statistic: str, order: int, k: int | None) -> tuple:
     """``(d, a, base coefficients)`` of one statistic at ``order``, once its arguments pass."""
-    if order < 0:
-        raise UsageError(f"order must be >= 0, got {order}")
+    check_size("order", order)
     if statistic not in _FORMS:
         raise UsageError(f"unknown statistic {statistic!r}")
     check_k(statistic, k)
@@ -124,8 +123,8 @@ def gf_columns(statistic: str, order: int, k: int | None = None, top: int | None
     a pass costs O(order * (top + sqrt(order))).  Bad arguments raise
     :class:`~cranktab.UsageError` at the call.
     """
-    if top is not None and top < 0:
-        raise UsageError(f"top must be >= 0, got {top}")
+    if top is not None:
+        check_size("top", top)
     d, a, base = _form(statistic, order, k)
     top = order if top is None else min(top, order)
     size = order + 1

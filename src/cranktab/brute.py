@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator, Sequence
 
-from cranktab import UsageError, check_k
+from cranktab import UsageError, check_k, check_size
 
 Partition = tuple[int, ...]
 Overpartition = tuple[tuple[int, bool], ...]
@@ -51,8 +51,7 @@ def partitions(n: int, largest: int | None = None) -> Iterator[Partition]:
 
     Deterministic order: descending lexicographic by part tuple.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    check_size("n", n)
     if n == 0:
         yield ()
         return
@@ -89,8 +88,7 @@ def colored_partitions(n: int, k: int) -> Iterator[tuple[Partition, ...]]:
     Fine for small n; the k-crank oracle table below counts by part-number
     histograms instead of materializing these tuples.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    check_size("k", k)
     if k == 0:
         if n == 0:
             yield ()
@@ -265,8 +263,7 @@ def oracle_rows(statistic: str, n_max: int, k: int | None = None) -> Iterator[li
     the statistic, n and m.  A bad statistic, k or n_max (below 0 or above
     :data:`ORACLE_CEILINGS`) raises :class:`~cranktab.UsageError` at the call.
     """
-    if n_max < 0:
-        raise UsageError(f"n_max must be >= 0, got {n_max}")
+    check_size("n_max", n_max)
     if (ceiling := ORACLE_CEILINGS.get(statistic)) is None:
         raise UsageError(f"unknown statistic {statistic!r}")
     check_k(statistic, k)

@@ -12,9 +12,10 @@ of stdout went away (``| head``; no traceback), 2 on usage or configuration
 errors, on an ``--output`` file or a stdout that cannot be written, and when
 memory runs out.  Every exit with status 2 writes exactly one ``Error: ...``
 line to stderr and, unless memory ran out mid-table, nothing to stdout.
-The parser checks first, the output file is opened next, and each source
-then raises :class:`cranktab.UsageError` for a bad argument before it
-builds; a failed command leaves no ``-o`` file and an existing one unchanged.
+The parser only parses, the output file is opened next, and the library
+call then raises :class:`cranktab.UsageError` for a bad argument before it
+builds or checks anything; its message is the ``Error:`` line.  A failed
+command leaves no ``-o`` file and an existing one unchanged.
 Outputs are deterministic for identical configurations, except for the
 measured ``runtime_ms`` fields in reports.
 
@@ -36,7 +37,7 @@ import contextlib
 import os
 import sys
 
-from cranktab import DEFAULT_IDENTITY_ORDER, STATISTICS, UsageError, check_k
+from cranktab import DEFAULT_IDENTITY_ORDER, STATISTICS, UsageError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,31 +108,12 @@ def _emit_reports(make_reports, output) -> int:
     return verify.exit_code(reports)
 
 
-def _parse_k_list(raw: str | None):
-    if raw is None:
-        return None
+def _parse_k_list(raw: str) -> tuple:
+    """The value of ``verify --k``: comma-separated integers."""
     try:
-        ks = tuple(int(part) for part in raw.split(","))
+        return tuple(int(part) for part in raw.split(","))
     except ValueError:
-        raise UsageError(f"bad k list {raw!r}; expected comma-separated integers")
-    for k in ks:
-        check_k("kcrank", k)
-    return tuple(dict.fromkeys(ks))  # a repeated k runs once, in first-seen order
-
-
-def _check_flags_used(ids, flags) -> None:
-    """Reject a ``verify`` flag that none of the checks ``ids`` reads."""
-    from cranktab import identities, verify
-
-    readers = {
-        "--n-max": sorted(verify.SWEEPS),
-        "--order": sorted(identities.CATALOG),
-        "--k": sorted(cid for cid, sweeps in verify.SWEEPS.items()
-                      if any(s.statistic == "kcrank" for s in sweeps)),
-    }
-    for flag, value in flags.items():
-        if value is not None and set(ids).isdisjoint(readers[flag]):
-            raise UsageError(f"{flag} applies only to {', '.join(readers[flag])}")
+        raise argparse.ArgumentTypeError(f"bad k list {raw!r}; expected comma-separated integers")
 
 
 def table(stat, k, n_max, provenance, fmt, output):
@@ -148,33 +130,18 @@ def table(stat, k, n_max, provenance, fmt, output):
     return 0
 
 
-def verify_cmd(checks, n_max, order, k_raw, output):
+def verify_cmd(checks, n_max, order, k_list, output):
     """Run verification sweeps; exit 0 iff every check passes."""
     from cranktab import verify
 
     ids = [c for chunk in checks for c in chunk.split(",") if c]
-    available = f"available: {', '.join(verify.available_checks())}"
-    if not ids:
-        raise UsageError(f"no check id given; {available}")
-    try:
-        ids = verify.expand_checks(ids)
-    except KeyError as exc:
-        raise UsageError(f"{exc.args[0]}; {available}")
-    _check_flags_used(ids, {"--n-max": n_max, "--order": order, "--k": k_raw})
-    k_list = _parse_k_list(k_raw)
-    return _emit_reports(
-        lambda: verify.run_checks(ids, n_max=n_max, order=order, k_list=k_list), output
-    )
+    return _emit_reports(lambda: verify.run_checks(ids, n_max, order, k_list), output)
 
 
 def identity(entry_id, order, output):
     """Check one identity-catalog entry at the given truncation order."""
-    from cranktab import identities, verify
+    from cranktab import verify
 
-    if entry_id not in identities.CATALOG:
-        raise UsageError(
-            f"unknown identity {entry_id!r}; available: {', '.join(sorted(identities.CATALOG))}"
-        )
     return _emit_reports(lambda: [verify.check_identity(entry_id, order)], output)
 
 
@@ -218,7 +185,8 @@ def _parser(prog: str) -> _Parser:
                    help="Check id, or 'all'; may be repeated or comma-separated.")
     p.add_argument("--n-max", type=_size, help="Scan ceiling for sweeps.")
     p.add_argument("--order", type=_size, help="Truncation order for identities.")
-    p.add_argument("--k", dest="k_raw", help="Comma-separated k values for the k-crank checks.")
+    p.add_argument("--k", dest="k_list", type=_parse_k_list,
+                   help="Comma-separated k values for the k-crank checks.")
 
     p = command(identity, "identity")
     p.add_argument("--id", dest="entry_id", required=True, help="Identity catalog entry id.")

@@ -457,7 +457,7 @@ CATALOG = {
             "andrews-merca",
             "Andrews-Merca inequality p(n) <= p(n-1)+p(n-2)-p(n-5); derived odd stream",
             lambda N, r: [
-                # -(p(n) - p(n-1) - p(n-2) + p(n-5)) must be >= 0 for n >= 1
+                # p(n-1) + p(n-2) - p(n-5) - p(n) >= 0 for n >= 1
                 Clause(
                     "partition-inequality",
                     lambda: -(_poly(N, {0: 1, 1: -1, 2: -1, 5: 1}) * r.product(partition_series)),

@@ -31,6 +31,10 @@ holds O(N) cells per pass, not whole tables.  The identity catalog gets its
 few low columns on its own (:class:`~cranktab.identities.Run`), from a pass
 that starts at the highest column it reads.
 
+:func:`run_checks` and :func:`check_identity` check their arguments at the
+call and raise :class:`~cranktab.UsageError` before any column pass or
+clause runs; the command line only parses, and prints that message.
+
 Note on the monotonicity sweeps (`thm-1.7*`): the counts of the first
 residual crank satisfy count(m, n) >= count(m, n-1) for all comparisons
 among n >= 1, but the single comparison against n = 0 fails at m = 0
@@ -46,7 +50,8 @@ import time
 from collections import deque, namedtuple
 from itertools import compress, count
 
-from cranktab import DEFAULT_IDENTITY_ORDER, bivariate, identities
+from cranktab import (DEFAULT_IDENTITY_ORDER, UsageError, bivariate, check_k, check_size,
+                      identities)
 
 DEFAULT_N_MAX = {"crank": 300, "ocrank": 300, "m2crank": 300, "kcrank": 200, "rank": 40}
 DEFAULT_K_LIST = (2, 3, 4, 5, 6)
@@ -197,9 +202,14 @@ def check_identity(entry_id, order=DEFAULT_IDENTITY_ORDER, run=None):
     """Run one identity-catalog entry at the given truncation order.
 
     ``run`` is the :class:`~cranktab.identities.Run` of the catalog run the
-    entry belongs to; by default the entry gets a run of its own.
+    entry belongs to; by default the entry gets a run of its own.  An
+    unknown id or a negative order raises :class:`~cranktab.UsageError`.
     """
-    entry = identities.CATALOG[entry_id]
+    entry = identities.CATALOG.get(entry_id)
+    if entry is None:
+        raise UsageError(f"unknown identity {entry_id!r}; "
+                         f"available: {', '.join(sorted(identities.CATALOG))}")
+    check_size("order", order)
     t0 = time.perf_counter()
     exceptions, checked = identities.run_entry(entry, order, run)
     return CheckReport(
@@ -270,6 +280,10 @@ SWEEPS = {
 }
 
 
+K_LIST_READERS = [cid for cid, sweeps in SWEEPS.items()
+                  if any(s.statistic == "kcrank" for s in sweeps)]
+
+
 def available_checks():
     return sorted(SWEEPS) + sorted(identities.CATALOG)
 
@@ -278,17 +292,16 @@ def expand_checks(check_ids) -> list:
     """The checks that ``check_ids`` select, each once, in first-seen order.
 
     ``check_ids`` may contain theorem-sweep ids, identity-catalog ids, or
-    ``"all"``; an unknown id raises ``KeyError``.
+    ``"all"``; an empty selection or an unknown id raises
+    :class:`~cranktab.UsageError`.
     """
-    ids = []
+    known, ids = available_checks(), []
     for cid in check_ids:
-        if cid == "all":
-            expansion = available_checks()
-        elif cid in SWEEPS or cid in identities.CATALOG:
-            expansion = [cid]
-        else:
-            raise KeyError(f"unknown check id {cid!r}")
-        ids.extend(c for c in expansion if c not in ids)
+        if cid != "all" and cid not in known:
+            raise UsageError(f"unknown check id {cid!r}; available: {', '.join(known)}")
+        ids.extend(c for c in (known if cid == "all" else [cid]) if c not in ids)
+    if not ids:
+        raise UsageError(f"no check id given; available: {', '.join(known)}")
     return ids
 
 
@@ -296,7 +309,9 @@ def run_checks(check_ids, n_max=None, order=None, k_list=None):
     """Run the checks that ``check_ids`` select; returns reports sorted by check id.
 
     See :func:`expand_checks` for the ids.  A ``None`` setting selects the
-    check's default.
+    check's default; a repeated k runs once.  A negative size, a setting
+    that no selected check reads, an empty ``k_list`` or a k that
+    :func:`cranktab.check_k` refuses raises :class:`~cranktab.UsageError`.
 
     Each GF that a sweep reads is built once, in one column pass per
     (statistic, k) at the largest n_max of its sweeps, and the pass feeds
@@ -305,16 +320,26 @@ def run_checks(check_ids, n_max=None, order=None, k_list=None):
     columns they read.
     """
     ids = expand_checks(check_ids)
+    for name, size in (("n_max", n_max), ("order", order)):
+        if size is not None:
+            check_size(name, size)
+    for name, value, readers in (("n_max", n_max, SWEEPS), ("order", order, identities.CATALOG),
+                                 ("k_list", k_list, K_LIST_READERS)):
+        if value is not None and set(ids).isdisjoint(readers):
+            raise UsageError(f"{name} applies only to {', '.join(sorted(readers))}")
+    if k_list is not None:
+        k_list = tuple(dict.fromkeys(k_list))  # first-seen order
+        if not k_list:
+            raise UsageError("k_list is empty")
+        for k in k_list:
+            check_k("kcrank", k)
     order = DEFAULT_IDENTITY_ORDER if order is None else order
+    k_list = DEFAULT_K_LIST if k_list is None else k_list
     scans = {}  # (statistic, k) -> the scans of its pass
     for cid in ids:
         for sweep in SWEEPS.get(cid, ()):
             size = DEFAULT_N_MAX[sweep.statistic] if n_max is None else n_max
-            if sweep.statistic == "kcrank":
-                ks = DEFAULT_K_LIST if k_list is None else k_list
-            else:
-                ks = (None,)
-            for k in ks:
+            for k in k_list if sweep.statistic == "kcrank" else (None,):
                 scans.setdefault((sweep.statistic, k), []).append(_Scan(sweep, size, k))
     for (statistic, k), group in scans.items():
         _column_pass(statistic, k, max(s.n_max for s in group), group)

@@ -233,13 +233,19 @@ def test_usage_errors_leave_output_untouched(tmp_path):
         ["crosscheck", "--stat", "ocrank", "--n-max", "99"],
         ["crosscheck", "--stat", "kcrank", "--k", "1"],
         ["table", "--stat", "ocrank", "--provenance", "oracle", "--n-max", "26"],
+        ["identity", "--id", "nope"],
+        ["verify", "--check", "euler", "--n-max", "5"],
+        ["verify", "--check", "thm-1.4,conj-1.8", "--k", "3,1"],
     ):
         _usage_error([*argv, "-o", str(out)])
         assert not out.exists(), argv
-    # a source checks its arguments once the output is open, so a bad -o is named first
+    # the library checks its arguments once the output is open, so a bad -o is named first
     missing = tmp_path / "missing" / "out.txt"
     for argv in (["table", "--stat", "kcrank", "--k", "1"],
-                 ["crosscheck", "--stat", "ocrank", "--n-max", "99"]):
+                 ["crosscheck", "--stat", "ocrank", "--n-max", "99"],
+                 ["identity", "--id", "nope"],
+                 ["verify", "--check", "euler", "--n-max", "5"],
+                 ["verify", "--check", "thm-1.4,conj-1.8", "--k", "3,1"]):
         line = _usage_error([*argv, "-o", str(missing)])
         assert line.startswith(f"Error: cannot write {missing}: "), argv
 
@@ -257,10 +263,10 @@ def test_table_oracle_respects_enumeration_ceilings():
 def test_verify_rejects_a_flag_no_selected_check_reads(tmp_path):
     out = tmp_path / "out.json"
     for argv, line in (
-        (["--check", "euler", "--k", "3"], "Error: --k applies only to conj-1.8"),
-        (["--check", "thm-1.4", "--k", "3"], "Error: --k applies only to conj-1.8"),
-        (["--check", "euler", "--n-max", "999"], "Error: --n-max applies only to conj-1.8, "),
-        (["--check", "thm-1.4,conj-1.8", "--order", "9"], "Error: --order applies only to "),
+        (["--check", "euler", "--k", "3"], "Error: k_list applies only to conj-1.8"),
+        (["--check", "thm-1.4", "--k", "3"], "Error: k_list applies only to conj-1.8"),
+        (["--check", "euler", "--n-max", "999"], "Error: n_max applies only to conj-1.8, "),
+        (["--check", "thm-1.4,conj-1.8", "--order", "9"], "Error: order applies only to "),
     ):
         assert _usage_error(["verify", *argv, "-o", str(out)]).startswith(line), argv
         assert not out.exists(), argv
@@ -292,7 +298,7 @@ def test_verify_conj_with_k_list():
             "conj-1.8[k=2]",
             "conj-1.8[k=3]",
         ]
-    assert _parse_k_list("3,2,3,2") == (3, 2)  # first-seen order
+    assert _parse_k_list("3,2,3,2") == (3, 2, 3, 2)  # run_checks runs a repeated k once
 
 
 def test_verify_all_aggregated():
@@ -330,7 +336,7 @@ def test_verify_empty_check_list_is_usage_error():
 
 def test_verify_bad_k_list():
     line = _usage_error(["verify", "--check", "conj-1.8", "--k", "2,x"])
-    assert line == "Error: bad k list '2,x'; expected comma-separated integers"
+    assert line == "Error: argument --k: bad k list '2,x'; expected comma-separated integers"
     assert _usage_error(["verify", "--check", "conj-1.8", "--k", "1"]) == (
         "Error: kcrank: k=1; kcrank needs k >= 2, and no other statistic takes k"
     )
@@ -340,7 +346,7 @@ def test_verify_empty_k_list_is_usage_error():
     # an empty list would otherwise run the default k = 2..6
     for raw in ("", ",", " "):
         line = _usage_error(["verify", "--check", "conj-1.8", "--k", raw, "--n-max", "5"])
-        assert line == f"Error: bad k list {raw!r}; expected comma-separated integers"
+        assert line == f"Error: argument --k: bad k list {raw!r}; expected comma-separated integers"
 
 
 def test_identity_command():
@@ -587,9 +593,11 @@ def test_every_writing_of_the_k_rule_accepts_the_same_pairs():
         "gf_table": bivariate.gf_table,
         "oracle_rows": lambda stat, n, k: list(brute.oracle_rows(stat, n, k)),
     }
-    pairs = [(stat, k) for stat in cranktab.STATISTICS for k in (None, 0, 1, 2, 3)]
-    accepted = {name: {p for p in pairs if accepts(build, *p)} for name, build in builds.items()}
-    accepted["cli table"] = {p for p in pairs if cli_accepts(*p)}
-    rule = {(stat, None) for stat in cranktab.STATISTICS if stat != "kcrank"}
-    rule |= {("kcrank", 2), ("kcrank", 3)}
+    # pairs by repr: 2.0 == 2, so a set of pairs would fold them into one
+    pairs = [(stat, k) for stat in cranktab.STATISTICS for k in (None, 0, 1, 2, 3, 2.0, 2.5)]
+    accepted = {name: {repr(p) for p in pairs if accepts(build, *p)}
+                for name, build in builds.items()}
+    accepted["cli table"] = {repr(p) for p in pairs if cli_accepts(*p)}
+    rule = {repr((stat, None)) for stat in cranktab.STATISTICS if stat != "kcrank"}
+    rule |= {repr(("kcrank", 2)), repr(("kcrank", 3))}
     assert accepted == dict.fromkeys(accepted, rule)

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from cranktab import STATISTICS, UsageError, bivariate, brute
+from cranktab import STATISTICS, UsageError, bivariate, brute, identities, verify
 from cranktab.bivariate import crank_gf, gf_columns, gf_rows, gf_table, table_label, write_rows
 from cranktab.brute import oracle_rows
 from cranktab.identities import CRANK_DIFF_M1_HEAD, CRANK_DIFF_M2_HEAD
@@ -130,6 +130,38 @@ def test_bad_arguments_raise_at_the_call_before_anything_is_built(monkeypatch):
         with pytest.raises(UsageError, match=f"^{match}"):
             sources[name](*args)
     assert issubclass(UsageError, ValueError)
+
+    # run_checks and check_identity refuse before any column pass or clause runs
+    monkeypatch.setattr(bivariate, "gf_columns", not_built)
+    monkeypatch.setattr(identities, "run_clause", not_built)
+    available = "available: conj-1.8, thm-1.1, .*, sc-identity$"
+    checks = [
+        (verify.run_checks, ([],), {}, f"no check id given; {available}"),
+        (verify.run_checks, (["euler", "nope"],), {}, f"unknown check id 'nope'; {available}"),
+        (verify.run_checks, (["thm-1.4"],), {"n_max": -1}, "n_max must be >= 0, got -1"),
+        (verify.run_checks, (["euler"],), {"order": -1}, "order must be >= 0, got -1"),
+        (verify.run_checks, (["euler"],), {"n_max": 5},
+         "n_max applies only to conj-1.8, thm-1.1, .*, thm-1.7$"),
+        (verify.run_checks, (["thm-1.4"],), {"order": 5},
+         "order applies only to andrews-merca, .*, sc-identity$"),
+        (verify.run_checks, (["thm-1.4", "euler"],), {"k_list": (3,)},
+         "k_list applies only to conj-1.8$"),
+        (verify.run_checks, (["conj-1.8"],), {"k_list": ()}, "k_list is empty$"),
+        (verify.run_checks, (["thm-1.4", "conj-1.8"],), {"k_list": (3, 1)},
+         f"kcrank: k=1; {K_RULE}$"),
+        (verify.run_checks, (["conj-1.8"],), {"k_list": (3, 2.0)},
+         f"kcrank: k=2.0; {K_RULE}$"),
+        (verify.check_identity, ("crank-diff-tails", -1), {}, "order must be >= 0, got -1$"),
+        (verify.check_identity, ("nope",), {},
+         "unknown identity 'nope'; available: andrews-merca, .*, sc-identity$"),
+    ]
+    for fn, args, kwargs, match in checks:
+        with pytest.raises(UsageError, match=f"^{match}"):
+            fn(*args, **kwargs)
+
+    monkeypatch.undo()
+    reports = verify.run_checks(["conj-1.8"], n_max=5, k_list=(3, 3))
+    assert [r.check_id for r in reports] == ["conj-1.8[k=3]"]  # a repeated k runs once
 
 
 def test_gf_equals_oracle_within_small_range():

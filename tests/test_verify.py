@@ -7,7 +7,7 @@ from itertools import compress, count
 
 import pytest
 
-from cranktab import bivariate, verify
+from cranktab import UsageError, bivariate, verify
 from cranktab.bivariate import gf_rows, gf_table
 from cranktab.brute import oracle_rows
 from cranktab.series import partition_series
@@ -456,7 +456,7 @@ def test_run_checks_interface():
     reports = run_checks(["thm-1.4", "euler"], n_max=40, order=50)
     assert [r.check_id for r in reports] == ["euler", "thm-1.4"]
     assert all(r.passed for r in reports)
-    with pytest.raises(KeyError):
+    with pytest.raises(UsageError, match="^unknown check id 'nope'; available: "):
         run_checks(["nope"])
 
 

@@ -31,14 +31,15 @@ def check_k(statistic: str, k: int | None) -> None:
 
 
 def check_size(name: str, value: int) -> None:
-    """Raise :class:`UsageError` unless the size ``name`` (an order, n_max, top) is >= 0."""
+    """Raise :class:`UsageError` unless the size ``name`` (an order, n_max, top) is an int >= 0."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise UsageError(f"{name} must be an int, got {value!r}")
     if value < 0:
         raise UsageError(f"{name} must be >= 0, got {value}")
 
 
 _PUBLIC = {
-    "bivariate": ("crank_gf", "gf_rows", "gf_table", "kcrank_gf", "m2_crank_gf",
-                  "overline_crank_gf", "rank_gf", "write_rows"),
+    "bivariate": ("crank_gf", "gf_rows", "gf_table", "overline_crank_gf", "write_rows"),
     "brute": ("colored_partitions", "crank", "crank_contributions",
               "first_residual_contributions", "kcrank", "oracle_rows", "overpartitions",
               "partitions", "rank", "second_residual_contributions"),

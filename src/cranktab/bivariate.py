@@ -9,14 +9,18 @@ or the rank's (Atkin-Swinnerton-Dyer, Proc. LMS 4, 1954) with a = 3::
     sum_n M(m, n) q**n = S_m(q) / (q;q)_inf,
     S_m(q) = sum_{j>=1} (-1)**(j-1) q**((a j**2 - j)/2 + j|m|) (1 - q**j).
 
-Column m of each statistic is ``base * S_m(q**d)``:
+Column m of each statistic is ``base * S_m(q**d)`` (:func:`gf_base` gives
+the base); the GF equals the product form beside it::
 
-    statistic  builder            base                    d  a
-    crank      crank_gf           1/(q;q)_inf             1  1
-    ocrank     overline_crank_gf  (-q;q)_inf / (q;q)_inf  1  1
-    m2crank    m2_crank_gf        (-q;q)_inf / (q;q)_inf  2  1
-    kcrank     kcrank_gf          1/(q;q)_inf**k          1  1
-    rank       rank_gf            1/(q;q)_inf             1  3  plus 1 at z**0 q**0
+    statistic  base                    d  a  product form
+    crank      1/(q;q)_inf             1  1  (q;q)_inf / ((zq;q)_inf (q/z;q)_inf)
+    ocrank     (-q;q)_inf / (q;q)_inf  1  1  the crank GF times (-q;q)_inf
+    m2crank    (-q;q)_inf / (q;q)_inf  2  1  the crank GF at q -> q**2, times
+                                             (-q;q)_inf / (q;q**2)_inf; the base as
+                                             (q**2;q**2)_inf (q;q**2)_inf = (q;q)_inf
+    kcrank     1/(q;q)_inf**k          1  1  the crank GF times (q;q)_inf**(1-k)
+    rank       1/(q;q)_inf             1  3  sum_n q**(n*n) / ((zq;q)_n (q/z;q)_n),
+                                             plus 1 at z**0 q**0
 
 No column sums its terms one by one.  With
 ``R_m(q) = sum_{j>=1} (-1)**(j-1) q**((a j**2 - j)/2 + j m)`` the column factor
@@ -33,11 +37,11 @@ of Euler's pentagonal series, the overpartition base of Gauss's
 ``phi(-q)``.  One pass of the power recurrence builds it, O(N**1.5) for
 every k.
 
-Each builder's docstring gives the product form it equals.  The row for
-``q**1`` comes out as ``z - 1 + 1/z`` from the j = 1, 2 terms: the crank GF
-itself encodes the conventional signed counts at n = 1 and no special-casing
-is needed downstream.  The rank's columns sum to ``1/(q;q)_inf - 1``: they
-miss the empty partition, which ``rank_gf`` adds at ``z**0 q**0``.
+The row for ``q**1`` comes out as ``z - 1 + 1/z`` from the j = 1, 2 terms:
+the crank GF itself encodes the conventional signed counts at n = 1 and no
+special-casing is needed downstream.  The rank's columns sum to
+``1/(q;q)_inf - 1``: they miss the empty partition, which column 0 adds at
+``z**0 q**0``.
 
 A GF is read in one of two shapes, each streamed and never held whole.
 :func:`gf_columns` yields its columns from m = top down to 0, and
@@ -52,13 +56,13 @@ with counts as decimal strings, so consumers never face integer overflow.
 Both check their arguments at the call, before building anything: a bad
 statistic, order, ``top`` or k (:func:`cranktab.check_k`) raises ``UsageError``.
 
-:func:`gf_table`, which takes the statistic by name, and each named builder
-collect the columns m <= ``top`` of one pass into a fresh list of
-:class:`~cranktab.series.Series`, item m the column m, for the identity
-catalog's few low columns.  Every statistic here has rows symmetric in m,
-so column m is also column -m; the |m| <= n support is checked as the list
-is made.  Nothing is memoized, so a list lives only as long as its caller
-keeps it.
+:func:`gf_table`, which takes the statistic by name, and the named builders
+:func:`crank_gf` and :func:`overline_crank_gf` collect the columns m <= ``top``
+of one pass into a fresh list of :class:`~cranktab.series.Series`, item m the
+column m, for the identity catalog's few low columns.  Every statistic here
+has rows symmetric in m, so column m is also column -m; the |m| <= n support
+is checked as the list is made.  Nothing is memoized, so a list lives only
+as long as its caller keeps it.
 """
 
 from __future__ import annotations
@@ -85,16 +89,20 @@ def table_label(statistic: str, k: int | None = None) -> str:
     return statistic if k is None else f"{statistic}({k})"
 
 
-def _form(statistic: str, order: int, k: int | None) -> tuple:
-    """``(d, a, base coefficients)`` of one statistic at ``order``, once its arguments pass."""
+def gf_base(statistic: str, order: int, k: int | None = None) -> Series:
+    """The base of one statistic's GF (see the table above); checks the arguments first."""
     check_size("order", order)
     if statistic not in _FORMS:
         raise UsageError(f"unknown statistic {statistic!r}")
     check_k(statistic, k)
     if statistic in ("ocrank", "m2crank"):
-        base = overpartition_series_theta(order).coeffs
-    else:
-        base = partition_series_pentagonal(order, k or 1).coeffs
+        return overpartition_series_theta(order)
+    return partition_series_pentagonal(order, k or 1)
+
+
+def _form(statistic: str, order: int, k: int | None) -> tuple:
+    """``(d, a, base coefficients)`` of one statistic at ``order``, once its arguments pass."""
+    base = gf_base(statistic, order, k).coeffs  # checks the arguments first
     return (*_FORMS[statistic], base)
 
 
@@ -231,23 +239,3 @@ def overline_crank_gf(order: int, top: int | None = None) -> list:
     """First-residual-crank GF: the crank GF times ``(-q;q)_inf``."""
     return gf_table("ocrank", order, top=top)
 
-
-def m2_crank_gf(order: int, top: int | None = None) -> list:
-    """Second-residual-crank GF.
-
-    The crank GF with ``q -> q**2`` (odd rows vanish) times
-    ``(-q;q)_inf / (q;q**2)_inf``.  Since ``(q**2;q**2)_inf (q;q**2)_inf``
-    is ``(q;q)_inf``, its columns are ``S_m(q**2)`` times the overpartition
-    series.
-    """
-    return gf_table("m2crank", order, top=top)
-
-
-def kcrank_gf(k: int, order: int, top: int | None = None) -> list:
-    """k-crank GF for k-colored partitions: crank GF times ``(q;q)_inf**(1-k)``."""
-    return gf_table("kcrank", order, k, top)
-
-
-def rank_gf(order: int) -> list:
-    """Dyson-rank GF ``sum_n q**(n*n) / ((zq;q)_n (q/z;q)_n)``."""
-    return gf_table("rank", order)

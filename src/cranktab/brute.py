@@ -7,7 +7,8 @@ that the series-built tables are checked against.  :func:`oracle_rows` gives
 them as rows, row n the counts for m = -n..n, the shape of
 :func:`cranktab.bivariate.gf_rows`, so one writer exports both and the
 cross-check compares them row by row, up to n = :data:`ORACLE_CEILINGS`
-of the statistic at most.  This module imports no GF code.
+of the statistic at most.  Each generator checks its arguments at the call.
+This module imports no GF code.
 
 Representations:
 
@@ -52,12 +53,15 @@ def partitions(n: int, largest: int | None = None) -> Iterator[Partition]:
     Deterministic order: descending lexicographic by part tuple.
     """
     check_size("n", n)
+    return _partitions(n, n if largest is None else largest)
+
+
+def _partitions(n: int, largest: int) -> Iterator[Partition]:
     if n == 0:
         yield ()
         return
-    top = n if largest is None or largest > n else largest
-    for first in range(top, 0, -1):
-        for rest in partitions(n - first, first):
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
             yield (first,) + rest
 
 
@@ -88,14 +92,19 @@ def colored_partitions(n: int, k: int) -> Iterator[tuple[Partition, ...]]:
     Fine for small n; the k-crank oracle table below counts by part-number
     histograms instead of materializing these tuples.
     """
+    check_size("n", n)
     check_size("k", k)
+    return _colored_partitions(n, k)
+
+
+def _colored_partitions(n: int, k: int) -> Iterator[tuple[Partition, ...]]:
     if k == 0:
         if n == 0:
             yield ()
         return
     for size in range(n, -1, -1):
-        for head in partitions(size):
-            for rest in colored_partitions(n - size, k - 1):
+        for head in _partitions(size, size):
+            for rest in _colored_partitions(n - size, k - 1):
                 yield (head,) + rest
 
 

@@ -12,10 +12,7 @@ from cranktab.bivariate import (
     gf_columns,
     gf_rows,
     gf_table,
-    kcrank_gf,
-    m2_crank_gf,
     overline_crank_gf,
-    rank_gf,
     write_rows,
 )
 from cranktab.brute import oracle_rows
@@ -66,15 +63,15 @@ def test_kcrank_gf_rows():
     expected = (partition_series(10) * partition_series(10)).coeffs
     assert [sum(row) for row in rows] == expected
     with pytest.raises(ValueError):
-        kcrank_gf(1, 5)
+        gf_table("kcrank", 5, 1)
     with pytest.raises(ValueError):
         next(gf_rows("kcrank", 5, 1))
 
 
 def test_symmetry_and_support_invariants():
     for label, g in (("crank", crank_gf(30)), ("ocrank", overline_crank_gf(30)),
-                     ("m2crank", m2_crank_gf(30)), ("kcrank(3)", kcrank_gf(3, 30)),
-                     ("rank", rank_gf(300))):
+                     ("m2crank", gf_table("m2crank", 30)), ("kcrank(3)", gf_table("kcrank", 30, 3)),
+                     ("rank", gf_table("rank", 300))):
         order = len(g) - 1
         for m, col in enumerate(g):
             assert col.order == order, (label, m)
@@ -126,10 +123,10 @@ def test_gf_matches_oracle_tables():
     cases = [
         ("crank", crank_gf(18), None),
         ("ocrank", overline_crank_gf(18), None),
-        ("m2crank", m2_crank_gf(18), None),
-        ("kcrank", kcrank_gf(2, 18), 2),
-        ("kcrank", kcrank_gf(4, 18), 4),
-        ("rank", rank_gf(18), None),
+        ("m2crank", gf_table("m2crank", 18), None),
+        ("kcrank", gf_table("kcrank", 18, 2), 2),
+        ("kcrank", gf_table("kcrank", 18, 4), 4),
+        ("rank", gf_table("rank", 18), None),
     ]
     for stat, g, k in cases:
         rows = list(oracle_rows(stat, 18, k=k))
@@ -207,13 +204,9 @@ def _check_symmetry_and_support(ref):
 def _builder(stat, order, k=None):
     if stat == "crank":
         return crank_gf(order)
-    if stat == "rank":
-        return rank_gf(order)
     if stat == "ocrank":
         return overline_crank_gf(order)
-    if stat == "m2crank":
-        return m2_crank_gf(order)
-    return kcrank_gf(k, order)
+    return gf_table(stat, order, k)
 
 
 PARITY_CASES = [("crank", None), ("ocrank", None), ("m2crank", None)] + [

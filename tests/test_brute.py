@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cranktab import brute
+from cranktab import UsageError, brute
 from cranktab.brute import (
     colored_partitions,
     crank,
@@ -135,6 +135,19 @@ def test_colored_partitions_counts():
             objs = list(colored_partitions(n, k))
             assert len(objs) == len(set(objs)) == expected[n]
             assert all(sum(map(sum, o)) == n for o in objs)
+
+
+def test_enumerators_check_their_arguments_once_at_the_call(monkeypatch):
+    for call in (lambda: partitions(-1), lambda: partitions(2.5),
+                 lambda: colored_partitions(-1, 2), lambda: colored_partitions(3, -1)):
+        with pytest.raises(UsageError):
+            call()  # no draw needed
+    calls = []
+    real = brute.check_size
+    monkeypatch.setattr(brute, "check_size", lambda *args: (calls.append(args), real(*args)))
+    assert sum(1 for _ in partitions(20)) == partition_series(20).coeffs[20]
+    assert sum(1 for _ in colored_partitions(6, 3)) == partition_series(6).pow(3).coeffs[6]
+    assert calls == [("n", 20), ("n", 6), ("k", 3)]  # not once per recursive call
 
 
 def test_oracle_rows_crank_convention():

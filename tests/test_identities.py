@@ -2,8 +2,8 @@
 
 import pytest
 
-from cranktab import identities, verify
-from cranktab.bivariate import crank_gf, gf_table, kcrank_gf
+from cranktab import bivariate, identities, verify
+from cranktab.bivariate import crank_gf, gf_table, overline_crank_gf
 from cranktab.identities import CATALOG, CORE_ENTRIES, run_entry
 from cranktab.series import (
     Series,
@@ -70,6 +70,21 @@ def test_closed_form_left_side_is_built_once(entry_id, factor, monkeypatch):
     assert len(calls) == 1
 
 
+def test_head_and_tail_clauses_share_one_series(monkeypatch):
+    # crank-diff-tails builds each of its 53 difference columns once, not once per clause
+    calls = []
+    real = identities.Run.diff
+
+    def counted(self, statistic, m):
+        calls.append((statistic, m))
+        return real(self, statistic, m)
+
+    monkeypatch.setattr(identities.Run, "diff", counted)
+    exceptions, _ = run_entry(CATALOG["crank-diff-tails"], 200)
+    assert exceptions == []
+    assert sorted(calls) == [("crank", m) for m in range(8, 61)]
+
+
 def test_andrews_merca_value_at_5():
     p = partition_series(10).coeffs
     assert p[5] - p[4] - p[3] + p[0] == 0  # 7 - 5 - 3 + 1
@@ -109,10 +124,10 @@ PINNED_COEFFS_CHECKED = {
     "crank-diff-heads": (2, 12, 68, 71),
     "crank-diff-tails": (0, 0, 1312, 10653),
     "euler": (1, 6, 41, 201),
-    "kcrank-reduction": (30, 180, 1230, 6030),
+    "kcrank-reduction": (3, 18, 123, 603),
     "lemma-3.2": (2, 12, 82, 402),
     "lemma-3.3": (1, 11, 81, 401),
-    "m2-from-ocrank": (10, 60, 410, 2010),
+    "m2-from-ocrank": (1, 6, 41, 201),
     "m2-head": (1, 6, 41, 201),
     "ocrank-diff-nonneg": (19, 114, 779, 3819),
     "ocrank-head": (1, 6, 41, 201),
@@ -131,16 +146,26 @@ def test_coeffs_checked_is_pinned(entry_id):
     assert tuple(counts) == PINNED_COEFFS_CHECKED[entry_id]
 
 
-def _failing_cells(entry_id, key, m, n, order):
-    """Add 1 to cell (m, n) of the GF ``key`` in the run's tables, run the entry.
+def _failing_cells(entry_id, statistic, m, n, order):
+    """Add 1 to cell (m, n) of the GF of ``statistic`` in the run's tables, run the entry.
 
     Returns the sorted (clause, n) pairs that failed.
     """
-    entry = CATALOG[entry_id]
     run = identities.Run(order)
-    run.fill(key)
-    run.tables[key][m].coeffs[n] += 1
-    exceptions, _ = run_entry(entry, order, run)
+    run.fill(statistic)
+    run.tables[statistic][m].coeffs[n] += 1
+    exceptions, _ = run_entry(CATALOG[entry_id], order, run)
+    return sorted({(e["clause"], e["n"]) for e in exceptions})
+
+
+def _failing_base_cells(entry_id, n, order, *args, **kwargs):
+    """Add 1 to coefficient n of the run's ``gf_base(*args, **kwargs)``, run the entry.
+
+    Returns the sorted (clause, n) pairs that failed.
+    """
+    run = identities.Run(order)
+    run.product(bivariate.gf_base, *args, **kwargs).coeffs[n] += 1
+    exceptions, _ = run_entry(CATALOG[entry_id], order, run)
     return sorted({(e["clause"], e["n"]) for e in exceptions})
 
 
@@ -150,59 +175,57 @@ def _support(series, shift):
 
 
 @pytest.mark.parametrize("k", [2, 3, 4], ids=lambda k: f"k={k}")
-def test_corrupted_kcrank_cell_fails_only_its_clauses(k):
-    # column 3 enters the differences of m = 3 and m = 4 of this k only; the
-    # clause multiplies them by (q;q)^(k-2) (q^2;q^2), which spreads the bump
-    # at n = 20 over 20 + the support of that unit
-    failed = _failing_cells("kcrank-reduction", ("kcrank", k), 3, 20, 40)
+def test_corrupted_kcrank_base_fails_only_its_clause(k):
+    # the clause of this k multiplies base_k by (q;q)^(k-2) (q^2;q^2), which
+    # spreads the bump at n = 20 over 20 + the support of that unit
+    failed = _failing_base_cells("kcrank-reduction", 20, 40, "kcrank", k=k)
     unit = euler_product(40).pow(k - 2) * euler_product(40).stretched(2)
     cells = _support(unit, 20)
     if k == 2:
         assert cells == {20, 22, 24, 30, 34}
-    assert failed == sorted((f"k={k},m={m}", n) for m in (3, 4) for n in cells)
+    assert failed == [(f"k={k}", n) for n in sorted(cells)]
+
+
+@pytest.mark.parametrize("n", [1, 5, 10], ids=lambda n: f"n={n}")
+def test_corrupted_overpartition_base_fails_m2_from_ocrank(n):
+    phi = euler_product(40) * qpoch_inf(1, 1, 40, sign=-1, invert=True)  # (q;q)/(-q;q)
+    # the left side is the m2crank base times phi(-q)
+    failed = _failing_base_cells("m2-from-ocrank", n, 40, "m2crank")
+    assert failed == [("bases", e) for e in sorted(_support(phi, n))]
+    # the right side stretches the ocrank base (n -> 2n) and multiplies it by phi(-q^2)
+    failed = _failing_base_cells("m2-from-ocrank", n, 40, "ocrank")
+    cells = _support(phi.stretched(2), 2 * n)
+    if n == 10:
+        assert cells == {20, 22, 28, 38}
+    assert failed == [("bases", e) for e in sorted(cells)]
+    # every kcrank clause reads the same ocrank base as its right side
+    failed = _failing_base_cells("kcrank-reduction", n, 40, "ocrank")
+    assert failed == [(f"k={k}", n) for k in (2, 3, 4)]
 
 
 @pytest.mark.parametrize("m", [0, 7, 20], ids=lambda m: f"m={m}")
 def test_corrupted_ocrank_cell_fails_only_its_clause(m):
     # the clause multiplies the overline column by (q;q): 20 + {0,1,2,5,7,12,15}
-    failed = _failing_cells("ocrank-monotone-factored", ("ocrank", None), m, 20, 40)
+    failed = _failing_cells("ocrank-monotone-factored", "ocrank", m, 20, 40)
     cells = _support(euler_product(40), 20)
     assert cells == {20, 21, 22, 25, 27, 32, 35}
     assert failed == [(f"m={m}", n) for n in sorted(cells)]
 
 
-@pytest.mark.parametrize("m", [1, 5, 10], ids=lambda m: f"m={m}")
-def test_corrupted_m2_from_ocrank_cell_fails_only_its_clauses(m):
-    # column m enters the differences of m and m + 1 (clauses m = 1..10 only)
-    phi = euler_product(40) * qpoch_inf(1, 1, 40, sign=-1, invert=True)  # (q;q)/(-q;q)
-    labels = [f"m={j}" for j in (m, m + 1) if j <= 10]
-    # the left side is the m2crank difference times phi(-q)
-    failed = _failing_cells("m2-from-ocrank", ("m2crank", None), m, 20, 40)
-    cells = _support(phi, 20)
-    assert cells == {20, 21, 24, 29, 36}
-    assert failed == sorted((label, n) for label in labels for n in cells)
-    # the right side stretches the ocrank difference (n = 10 -> 20) and
-    # multiplies it by phi(-q^2)
-    failed = _failing_cells("m2-from-ocrank", ("ocrank", None), m, 10, 40)
-    cells = _support(phi.stretched(2), 20)
-    assert cells == {20, 22, 28, 38}
-    assert failed == sorted((label, n) for label in labels for n in cells)
-
-
 def test_run_columns_past_their_bound_raise():
     run = identities.Run(30)
     assert run.column("crank", 5) == crank_gf(30)[5]
-    assert run.column("kcrank", 10, 4) == kcrank_gf(4, 30)[10]
-    assert run.tables["kcrank", 4] == kcrank_gf(4, 30)[:11]  # the columns m <= 10 only
+    assert run.column("ocrank", 20) == overline_crank_gf(30)[20]
+    assert run.tables["ocrank"] == overline_crank_gf(30)[:21]  # the columns m <= 20 only
     # the bound holds at every order, also at an order below it
     for r in (run, identities.Run(5)):
         assert r.column("crank", 60) == Series.zero(r.order)  # above the order: zero by support
-        for statistic, m, k in (("crank", 61, None), ("kcrank", 11, 2), ("crank", -1, None)):
+        for statistic, m in (("crank", 61), ("ocrank", 21), ("crank", -1)):
             with pytest.raises(IndexError):
-                r.column(statistic, m, k)
-    for statistic, k in (("kcrank", 5), ("rank", None)):
+                r.column(statistic, m)
+    for statistic in ("m2crank", "kcrank", "rank"):
         with pytest.raises(KeyError):  # no column bound: the catalog reads none of it
-            run.column(statistic, 1, k)
+            run.column(statistic, 1)
 
 
 def test_generic_products_are_built_once_per_run(monkeypatch):

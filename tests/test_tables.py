@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -162,6 +163,21 @@ def test_bad_arguments_raise_at_the_call_before_anything_is_built(monkeypatch):
     monkeypatch.undo()
     reports = verify.run_checks(["conj-1.8"], n_max=5, k_list=(3, 3))
     assert [r.check_id for r in reports] == ["conj-1.8[k=3]"]  # a repeated k runs once
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [(lambda size: gf_rows("crank", size), "order"),
+     (lambda size: verify.run_checks(["thm-1.4"], n_max=size), "n_max"),
+     (lambda size: verify.check_identity("euler", size), "order"),
+     (lambda size: oracle_rows("crank", size), "n_max")],
+    ids=["gf_rows", "run_checks", "check_identity", "oracle_rows"],
+)
+def test_a_size_that_is_not_an_int_is_refused_at_the_call(call, name):
+    # a float or a bool is a usage error that names the size, not a TypeError
+    for size in (2.5, 2.0, True, "3"):
+        with pytest.raises(UsageError, match=re.escape(f"{name} must be an int, got {size!r}")):
+            call(size)
 
 
 def test_gf_equals_oracle_within_small_range():

@@ -377,10 +377,9 @@ def _payload(report):
     return json.dumps(obj)
 
 
-# Catalog entries that read the crank, ocrank, m2crank and kcrank (k = 2..4)
-# columns: with them in the run, those passes run at the catalog's order,
-# above the sweeps' n_max.
-_COLUMN_READERS = ["crank-diff-heads", "kcrank-reduction", "m2-from-ocrank"]
+# Catalog entries that read the crank and ocrank columns: with them in the
+# run, those passes run at the catalog's order, above the sweeps' n_max.
+_COLUMN_READERS = ["crank-diff-heads", "ocrank-monotone-factored"]
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 2, 13, 14, 45, 150])
@@ -421,13 +420,12 @@ def test_run_checks_builds_each_gf_once(monkeypatch):
     monkeypatch.setattr(bivariate, "gf_columns", counted)
     reports = run_checks(["all"], n_max=30, order=40)
     assert len(reports) == 27 and all(r.passed for r in reports)
-    assert len(passes) == 15
+    assert len(passes) == 11
     assert set(passes) == {
         *((statistic, k, 30, None) for statistic, k in (
             ("crank", None), ("ocrank", None), ("m2crank", None), ("rank", None),
             *(("kcrank", k) for k in (2, 3, 4, 5, 6)))),
-        ("crank", None, 40, 60), ("ocrank", None, 40, 20), ("m2crank", None, 40, 10),
-        ("kcrank", 2, 40, 10), ("kcrank", 3, 40, 10), ("kcrank", 4, 40, 10),
+        ("crank", None, 40, 60), ("ocrank", None, 40, 20),
     }
 
 

@@ -43,9 +43,10 @@ _PUBLIC = {
     "brute": ("colored_partitions", "crank", "crank_contributions",
               "first_residual_contributions", "kcrank", "oracle_rows", "overpartitions",
               "partitions", "rank", "second_residual_contributions"),
+    "identities": ("CheckReport", "check_identity"),
     "series": ("OrderMismatch", "Series", "distinct_series", "euler_product",
                "overpartition_series", "partition_series", "qpoch_fin", "qpoch_inf"),
-    "verify": ("CheckReport", "check_identity", "check_table_consistency", "run_checks"),
+    "verify": ("check_table_consistency", "run_checks"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 

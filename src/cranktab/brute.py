@@ -53,6 +53,8 @@ def partitions(n: int, largest: int | None = None) -> Iterator[Partition]:
     Deterministic order: descending lexicographic by part tuple.
     """
     check_size("n", n)
+    if largest is not None:
+        check_size("largest", largest)
     return _partitions(n, n if largest is None else largest)
 
 
@@ -71,7 +73,12 @@ def overpartitions(n: int) -> Iterator[Overpartition]:
     For each base partition, every subset of its distinct part values may be
     overlined (on the first occurrence of the value).
     """
-    for base in partitions(n):
+    check_size("n", n)
+    return _overpartitions(n)
+
+
+def _overpartitions(n: int) -> Iterator[Overpartition]:
+    for base in _partitions(n, n):
         distinct = sorted(set(base), reverse=True)
         for mask in range(1 << len(distinct)):
             overlined = {v for i, v in enumerate(distinct) if mask >> i & 1}
@@ -215,8 +222,10 @@ def _rows_kcrank(n_max: int, k: int) -> Iterator[Counter]:
     difference m, and the remaining k-2 components contribute a tuple count
     per leftover size: the enumerated p(n) list raised to the power k - 2,
     by repeated squaring, so log k truncated convolutions.  Materializing
-    all k-tuples would be hopeless already at k = 4, n = 25.
+    all k-tuples would be hopeless already at k = 4, n = 25.  A k below 2
+    is refused: the power k - 2 would never shift down to 0.
     """
+    check_k("kcrank", k)
     hist = part_count_histograms(n_max)
     p_count = [sum(h.values()) for h in hist]
 

@@ -26,8 +26,10 @@ package root, whose :data:`~cranktab.STATISTICS` and
 imports the modules it runs: ``--help`` none, ``table``
 :mod:`cranktab.bivariate`, whose writer exports the GF's rows or (with
 :mod:`cranktab.brute`, for ``--provenance oracle``) the oracle's,
-``identity`` and ``verify`` :mod:`cranktab.verify`, and ``crosscheck``,
-which compares those two row streams, all three.
+``identity`` :mod:`cranktab.identities`, which holds the catalog and the
+report type and loads :mod:`cranktab.bivariate` only for an entry that reads
+a GF, ``verify`` :mod:`cranktab.verify`, and ``crosscheck``, which compares
+those two row streams, all three.
 """
 
 from __future__ import annotations
@@ -100,12 +102,12 @@ def _emit_reports(make_reports, output) -> int:
     """
     import json
 
-    from cranktab import verify
+    from cranktab import identities
 
     with _output(output) as fh:
         reports = make_reports()
-        fh.write(json.dumps(verify.reports_to_json_obj(reports), indent=2) + "\n")
-    return verify.exit_code(reports)
+        fh.write(json.dumps(identities.reports_to_json_obj(reports), indent=2) + "\n")
+    return identities.exit_code(reports)
 
 
 def _parse_k_list(raw: str) -> tuple:
@@ -140,9 +142,9 @@ def verify_cmd(checks, n_max, order, k_list, output):
 
 def identity(entry_id, order, output):
     """Check one identity-catalog entry at the given truncation order."""
-    from cranktab import verify
+    from cranktab import identities
 
-    return _emit_reports(lambda: [verify.check_identity(entry_id, order)], output)
+    return _emit_reports(lambda: [identities.check_identity(entry_id, order)], output)
 
 
 def crosscheck(stat, k, n_max, output):

@@ -7,9 +7,13 @@ order N.  A clause carries zero-argument builders bound to N and ``run``;
 until the clause runs.  ``run`` is the :class:`Run` that all entries of one
 catalog run share: it gives the crank and ocrank GF columns the entries read
 (``run.column``, ``run.diff``), low columns only (:data:`COLUMN_BOUNDS`),
-truncated to N, and builds each GF's low columns, each generic product and
-each GF base (:func:`cranktab.bivariate.gf_base`) once (``run.product``).
-A clause is of one of two kinds:
+truncated to N, and builds each GF's low columns, each generic product
+(``run.product``) and each GF base (``run.base``,
+:func:`cranktab.bivariate.gf_base`) once.  Only those two reads of a GF
+import :mod:`cranktab.bivariate`, so an entry that reads none loads this
+module and :mod:`cranktab.series` only.  :func:`check_identity` runs one
+entry and returns its :class:`CheckReport`, the one report type of every
+check (:mod:`cranktab.verify` uses it too).  A clause is of one of two kinds:
 
 * **exact** -- it has a right side ``rhs``, and both sides must agree
   coefficient for coefficient;
@@ -46,10 +50,12 @@ Closed forms with sums over an unbounded index j instantiate j until the
 smallest q-exponent of the summand exceeds the truncation order, so both
 sides are exact modulo q^(order+1).  Such a sum is evaluated with a running
 prefix: the q-Pochhammer product that the summands share is kept as one
-coefficient list and grown (or divided) by one factor per step of j, and
-each summand's sparse monomial or trinomial factor is applied as a few
-shifted adds of that prefix into a single accumulator.  Every step costs
-O(N), so a right-hand side at order N costs O(N^2).
+packed int, the ring image of :func:`cranktab.series.qpoch_fin`, and grown
+(or divided) by one factor per step of j with the same factor steps, cut to
+the coefficients that later summands still reach.  Each summand's sparse
+factor is a few shifted adds of that prefix into two accumulators, and the
+sum is unpacked once.  Every step costs O(N) operations on slots of
+O(sqrt N) bits, so a right-hand side at order N costs O(N^2) of them.
 
 The displayed coefficient heads and the explicit polynomials below are
 frozen constants; the whole point of the exact-equality clauses is that the
@@ -59,14 +65,17 @@ series machinery must reproduce them term for term.
 from __future__ import annotations
 
 import functools
+import time
 from collections import namedtuple
-from operator import add, mul
+from operator import mul
 
-from cranktab import bivariate
+from cranktab import DEFAULT_IDENTITY_ORDER, UsageError, check_size
 from cranktab.series import (
     Series,
     _div_factor,
     _mul_factor,
+    _slot_bits,
+    _unpack,
     distinct_series,
     euler_product_pentagonal,
     partition_series,
@@ -132,8 +141,9 @@ class Run:
     at ``order``, item m the column m, for m up to the GF's bound in
     :data:`COLUMN_BOUNDS` or the order, whichever is smaller.  The first
     :meth:`column` that reads a GF builds them (:meth:`fill`); no other source
-    of columns exists.  :meth:`product` builds each generic product and GF
-    base once per run.  A run keeps no whole table, and nothing outlives it.
+    of columns exists.  :meth:`product` builds each generic product, and
+    :meth:`base` each GF base, once per run.  A run keeps no whole table, and
+    nothing outlives it.
     """
 
     def __init__(self, order: int):
@@ -148,6 +158,8 @@ class Run:
         order from the column ``COLUMN_BOUNDS[statistic]`` down, so it costs
         O(order * (bound + sqrt(order))), not the whole GF's O(order**2).
         """
+        from cranktab import bivariate
+
         build = bivariate.overline_crank_gf if statistic == "ocrank" else bivariate.crank_gf
         self.tables[statistic] = build(self.order, top=COLUMN_BOUNDS[statistic])
 
@@ -178,34 +190,64 @@ class Run:
             self._products[key] = build(*args, self.order, **kwargs)
         return self._products[key]
 
+    def base(self, statistic: str, **k) -> Series:
+        """The GF base of ``statistic`` (:func:`cranktab.bivariate.gf_base`), built once per run."""
+        from cranktab import bivariate
+
+        return self.product(bivariate.gf_base, statistic, **k)
+
 
 def _poly(order: int, terms: dict) -> Series:
     return Series.from_terms(order, terms)
 
 
 # -- right-hand sides of the structural closed forms -------------------------
+#
+# Packed as in qpoch_fin (see the module docstring).  A summand's sparse
+# factor splits into a "near" and a "far" power of q, each times a fixed
+# polynomial; the two sums are kept apart and multiplied by their
+# polynomials once, at the end.
 
 
-def _add_shifted(acc: list, src: list, shift: int) -> None:
-    # acc += q^shift * src, truncated at len(acc)
-    acc[shift:] = map(add, acc[shift:], src)
+def _ring(order: int) -> tuple[int, int]:
+    """The slot width w and the mask 2^(w*(order+1)) - 1 of the packed image."""
+    w = _slot_bits(order)
+    return w, (1 << w * (order + 1)) - 1
+
+
+def _pack(terms: dict, w: int) -> int:
+    return sum(c << w * e for e, c in terms.items())
+
+
+def _shifted(prefix: int, e: int, w: int, mask: int) -> int:
+    """q^e times the prefix, cut to the slots below the mask."""
+    return (prefix & (mask >> w * e)) << w * e
+
+
+def _unpacked(order: int, x: int, w: int) -> Series:
+    return Series(order, _unpack(x, order + 1, w // 8))
 
 
 def _one_minus_q_squared_distinct_rhs(order: int) -> Series:
     """Closed form for (1-q)^2 (-q;q)_inf.
 
     1 - q + q^3 - q^4 + q^5 + q^9 + q^12
-      + sum_{j>=6} q^(2j-1) (-q^3;q)_(j-6) (q^(j-3) + q^(j-2) + q^(2j-5)).
+      + sum_{j>=6} q^(2j-1) (-q^3;q)_(j-6) (q^(j-3) + q^(j-2) + q^(2j-5)),
+
+    summed as (1 + q) sum_j q^(3j-4) P_j + sum_j q^(4j-6) P_j, P_j = (-q^3;q)_(j-6).
     """
-    acc = _poly(order, {0: 1, 1: -1, 3: 1, 4: -1, 5: 1, 9: 1, 12: 1}).coeffs
-    prefix = [1] + [0] * order  # (-q^3;q)_(j-6)
-    j = 6
-    while 3 * j - 4 <= order:
-        for shift in (3 * j - 4, 3 * j - 3, 4 * j - 6):
-            _add_shifted(acc, prefix, shift)
-        _mul_factor(prefix, j - 3, -1)
+    w, mask = _ring(order)
+    near = far = 0
+    prefix, j = 1, 6
+    cut = mask >> 14 * w  # P_j reaches the slots below q^(order+1-(3j-4))
+    while cut:
+        near += prefix << w * (3 * j - 4)
+        far += _shifted(prefix, 4 * j - 6, w, mask)
+        cut >>= 3 * w
+        prefix = _mul_factor(prefix, j - 3, -1, w, cut)
         j += 1
-    return Series(order, acc)
+    head = _pack({0: 1, 1: -1, 3: 1, 4: -1, 5: 1, 9: 1, 12: 1}, w)
+    return _unpacked(order, head + near + (near << w) + far, w)
 
 
 def _quintic_distinct_rhs(order: int) -> Series:
@@ -217,47 +259,48 @@ def _quintic_distinct_rhs(order: int) -> Series:
       + sum_{j>=11 odd} q^(2j+3) / ((1-q^3)(q^7;q^2)_((j-5)/2)).
 
     All structural terms have nonnegative coefficients except the leading -1.
-    Both sums read the prefix 1/((1-q^3)(q^7;q^2)_t): the first at
-    t = (j-11)/2, the second at t = (j-5)/2.
+    With P_s = 1/((1-q^3)(q^7;q^2)_s), the terms j = 2s+5 of the two sums are
+    q^(2s+9) (1 - q^(2s+1)) P_s and q^(4s+13) P_s, s >= 3, and q^10, q^17 and
+    q^16 multiply P_0, P_1 and P_2.  So the sums are one running prefix,
+    sum_s q^(a_s) P_s + (q^3 - 1) sum_{s>=3} q^(4s+10) P_s, with
+    a_s = 10, 17, 16 for s < 3 and 2s + 9 from then on: one division per step.
     """
-    acc = (
-        _poly(order, {0: -1, 2: 1, 4: 1, 11: 1})
-        + _poly(order, {10: 1}).div_one_minus(3)
-        + _poly(order, {17: 1}).div_one_minus(3).div_one_minus(7)
-        + _poly(order, {16: 1}).div_one_minus(3).div_one_minus(7).div_one_minus(9)
-        + _poly(order, {13: 1, 20: 1}).div_one_minus(9)
-    ).coeffs
-    prefix = [1] + [0] * order  # 1/((1-q^3)(q^7;q^2)_t)
-    _div_factor(prefix, 3, 1)
-    t = 0
-    while 2 * t + 15 <= order:
-        j = 2 * t + 11  # first sum
-        term = prefix[: order - (j + 4) + 1]
-        _div_factor(term, j - 2, 1)
-        _div_factor(term, j, 1)
-        _add_shifted(acc, term, j + 4)
-        if t >= 3:  # second sum, j = 2t + 5
-            _add_shifted(acc, prefix, 4 * t + 13)
-        _div_factor(prefix, 2 * t + 7, 1)
-        t += 1
-    return Series(order, acc)
+    w, mask = _ring(order)
+    near = far = 0
+    cut = mask >> 9 * w  # P_s reaches the slots below q^(order+1-(2s+9))
+    prefix, s = _div_factor(1, 3, w, cut), 0
+    while cut:
+        if s < 3:
+            near += _shifted(prefix, (10, 17, 16)[s], w, mask)
+        else:
+            near += prefix << w * (2 * s + 9)
+            far += _shifted(prefix, 4 * s + 10, w, mask)
+        cut >>= 2 * w
+        prefix = _div_factor(prefix, 2 * s + 7, w, cut)
+        s += 1
+    head = _pack({0: -1, 2: 1, 4: 1, 11: 1}, w) + _div_factor(_pack({13: 1, 20: 1}, w), 9, w, mask)
+    return _unpacked(order, head + near + (far << 3 * w) - far, w)
 
 
 def _distinct_odd_rhs(order: int) -> Series:
     """Closed form for (1-q^4)(-q;q^2)_inf.
 
     1 + q + q^3 + sum_{j>=5 odd} q^j (-q;q^2)_((j-5)/2)
-                               (q^(j-4) + q^(j-2) + q^(2j-6)).
+                               (q^(j-4) + q^(j-2) + q^(2j-6)),
+
+    summed as (1 + q^2) sum_j q^(2j-4) P_j + sum_j q^(3j-6) P_j, P_j = (-q;q^2)_((j-5)/2).
     """
-    acc = _poly(order, {0: 1, 1: 1, 3: 1}).coeffs
-    prefix = [1] + [0] * order  # (-q;q^2)_((j-5)/2)
-    j = 5
-    while 2 * j - 4 <= order:
-        for shift in (2 * j - 4, 2 * j - 2, 3 * j - 6):
-            _add_shifted(acc, prefix, shift)
-        _mul_factor(prefix, j - 4, -1)
+    w, mask = _ring(order)
+    near = far = 0
+    prefix, j = 1, 5
+    cut = mask >> 6 * w  # P_j reaches the slots below q^(order+1-(2j-4))
+    while cut:
+        near += prefix << w * (2 * j - 4)
+        far += _shifted(prefix, 3 * j - 6, w, mask)
+        cut >>= 4 * w
+        prefix = _mul_factor(prefix, j - 4, -1, w, cut)
         j += 2
-    return Series(order, acc)
+    return _unpacked(order, _pack({0: 1, 1: 1, 3: 1}, w) + near + (near << 2 * w) + far, w)
 
 
 # -- clause shapes ------------------------------------------------------------
@@ -477,8 +520,8 @@ CATALOG = {
                     [
                         (
                             f"k={k}",
-                            lambda k=k: r.product(bivariate.gf_base, "kcrank", k=k),
-                            lambda: r.product(bivariate.gf_base, "ocrank"),
+                            lambda k=k: r.base("kcrank", k=k),
+                            lambda: r.base("ocrank"),
                         )
                     ],
                     left=(_euler(N),) * (k - 2) + (_euler(N, 2),),
@@ -503,8 +546,8 @@ CATALOG = {
                 [
                     (
                         "bases",
-                        lambda: r.product(bivariate.gf_base, "m2crank"),
-                        lambda: r.product(bivariate.gf_base, "ocrank").stretched(2),
+                        lambda: r.base("m2crank"),
+                        lambda: r.base("ocrank").stretched(2),
                     )
                 ],
                 left=(phi_minus_q(N),),
@@ -575,3 +618,78 @@ def run_entry(entry: IdentityEntry, order: int, run: Run | None = None) -> tuple
         exceptions.extend(found)
         checked += count
     return exceptions, checked
+
+
+# -- reports ------------------------------------------------------------------
+
+
+class CheckReport(namedtuple("CheckReport", "check_id params passed exceptions informational "
+                                            "runtime_ms cells_checked coeffs_checked",
+                             defaults=((), 0.0, None, None))):
+    """The verdict of one check, the entries behind it and what it covered."""
+
+    __slots__ = ()
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.passed else "fail"
+
+    def to_json_obj(self) -> dict:
+        def fmt(entries):
+            out = []
+            for e in entries:
+                d = dict(e)
+                for key in ("lhs", "rhs"):
+                    if key in d:
+                        d[key] = str(d[key])
+                out.append(d)
+            return out
+
+        obj = {
+            "check_id": self.check_id,
+            "params": self.params,
+            "verdict": self.verdict,
+            "exceptions": fmt(self.exceptions),
+            "runtime_ms": round(self.runtime_ms, 3),
+        }
+        if self.informational:
+            obj["informational"] = fmt(self.informational)
+        for key in ("cells_checked", "coeffs_checked"):
+            if getattr(self, key) is not None:
+                obj[key] = getattr(self, key)
+        return obj
+
+
+def check_identity(entry_id, order=DEFAULT_IDENTITY_ORDER, run=None):
+    """Run one catalog entry at the given truncation order.
+
+    ``run`` is the :class:`Run` of the catalog run the entry belongs to; by
+    default the entry gets a run of its own.  An unknown id or a negative
+    order raises :class:`~cranktab.UsageError`.
+    """
+    entry = CATALOG.get(entry_id)
+    if entry is None:
+        raise UsageError(f"unknown identity {entry_id!r}; available: {', '.join(sorted(CATALOG))}")
+    check_size("order", order)
+    t0 = time.perf_counter()
+    exceptions, checked = run_entry(entry, order, run)
+    return CheckReport(
+        entry_id,
+        {"order": order},
+        passed=not exceptions,
+        exceptions=exceptions,
+        runtime_ms=(time.perf_counter() - t0) * 1000,
+        coeffs_checked=checked,
+    )
+
+
+def reports_to_json_obj(reports):
+    return {
+        "checks": [r.to_json_obj() for r in reports],
+        "all_passed": all(r.passed for r in reports),
+    }
+
+
+def exit_code(reports) -> int:
+    """0 when every verdict is pass, 1 otherwise."""
+    return 0 if all(r.passed for r in reports) else 1

@@ -21,7 +21,8 @@ Two paths build the named series.  The generic one multiplies or divides
 factor by factor (:func:`qpoch_inf`, :func:`partition_series`,
 :func:`overpartition_series`, :meth:`Series.pow`), independent of any
 identity, so the tests and the identity catalog compare against it; each
-factor is a few shifts and adds of one packed int (:func:`qpoch_fin`).  The
+factor is a few shifts and adds of one packed int (:func:`_mul_factor`,
+:func:`_div_factor`; the catalog's closed forms use them too).  The
 fast one, which the generating-function bases use, is
 :func:`sparse_reciprocal`: any power of the reciprocal of a series with
 constant term 1 and t terms, in one pass of the power recurrence, O(t*N)
@@ -167,7 +168,12 @@ class Series:
         if exponent < 1:
             raise ValueError(f"exponent must be >= 1, got {exponent}")
         c = list(self.coeffs)
-        _div_factor(c, exponent, 1)
+        if exponent * exponent < len(c):  # a running sum per residue class
+            for r in range(exponent):
+                c[r::exponent] = accumulate(c[r::exponent])
+        else:  # each block of e plus the one before
+            for j in range(exponent, len(c), exponent):
+                c[j : j + exponent] = map(add, c[j : j + exponent], c[j - exponent : j])
         return Series(self.order, c)
 
     # -- reshaping ---------------------------------------------------------
@@ -186,30 +192,24 @@ class Series:
         return Series(self.order, c)
 
 
-# -- in-place helpers on raw coefficient lists ------------------------------
+# -- factor steps on the packed ring image (see qpoch_fin), modulo mask + 1 --
 
 
-def _mul_factor(c: list, exponent: int, sign: int) -> None:
-    """Multiply ``c`` by ``1 - sign*q**exponent`` in place."""
-    c[exponent:] = map(sub if sign == 1 else add, c[exponent:], c[: len(c) - exponent])
+def _mul_factor(x: int, exponent: int, sign: int, w: int, mask: int) -> int:
+    """``x * (1 - sign*q**exponent)``: the low n - e slots, shifted e slots up, masked once."""
+    t = (x & (mask >> w * exponent)) << w * exponent
+    return (x - t if sign == 1 else x + t) & mask
 
 
-def _div_factor(c: list, exponent: int, sign: int) -> None:
-    """Divide ``c`` by ``1 - sign*q**exponent`` in place.
-
-    ``1 + q**e`` goes through ``(1 - q**e) / (1 - q**(2e))``.  One ``map`` adds
-    each block of e coefficients to the one before it, or, when e*e < len(c),
-    one running sum runs over each residue class mod e.
-    """
-    if sign == -1:
-        _mul_factor(c, exponent, 1)
-        exponent *= 2
-    if exponent * exponent < len(c):
-        for r in range(exponent):
-            c[r::exponent] = accumulate(c[r::exponent])
-    else:
-        for j in range(exponent, len(c), exponent):
-            c[j : j + exponent] = map(add, c[j : j + exponent], c[j - exponent : j])
+def _div_factor(x: int, exponent: int, w: int, mask: int) -> int:
+    """``x / (1 - q**exponent)``: ``x`` times the ``1 + q**(2**i * e)`` below q**n, masked once."""
+    s = w * exponent
+    low = mask >> s
+    while low:  # the slots still below q**n once shifted
+        x += (x & low) << s
+        low >>= s
+        s *= 2
+    return x & mask
 
 
 def _slot_bits(order: int) -> int:
@@ -268,13 +268,12 @@ def qpoch_fin(
     mask = (1 << (w * (order + 1))) - 1
     x = 1
     for e in range(a, min(a + terms * d, order + 1), d):
-        if not invert:  # times 1 - sign*q^e
-            x = (x - (x << w * e) if sign == 1 else x + (x << w * e)) & mask
+        if not invert:
+            x = _mul_factor(x, e, sign, w, mask)
             continue
         if sign == -1:  # 1/(1 + q^e) = (1 - q^e) / (1 - q^(2e))
-            x, e = (x - (x << w * e)) & mask, 2 * e
-        while e <= order:  # 1/(1 - q^e) = prod_i (1 + q^(2^i e)) mod q^(order+1)
-            x, e = (x + (x << w * e)) & mask, 2 * e
+            x, e = _mul_factor(x, e, 1, w, mask), 2 * e
+        x = _div_factor(x, e, w, mask)
     return Series(order, _unpack(x, order + 1, w // 8))
 
 

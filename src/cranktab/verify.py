@@ -52,49 +52,14 @@ from itertools import compress, count
 
 from cranktab import (DEFAULT_IDENTITY_ORDER, UsageError, bivariate, check_k, check_size,
                       identities)
+# one report type for sweeps and identities; the identity command loads only identities
+from cranktab.identities import CheckReport, check_identity, exit_code, reports_to_json_obj
 
 DEFAULT_N_MAX = {"crank": 300, "ocrank": 300, "m2crank": 300, "kcrank": 200, "rank": 40}
 DEFAULT_K_LIST = (2, 3, 4, 5, 6)
 
 RELATIONS = {0: "monotone", 1: "step", 2: "step-by-2"}  # by Sweep.stride
 _BY_CELL = operator.itemgetter("n", "m")  # the order of report entries
-
-
-class CheckReport(namedtuple("CheckReport", "check_id params passed exceptions informational "
-                                            "runtime_ms cells_checked coeffs_checked",
-                             defaults=((), 0.0, None, None))):
-    """The verdict of one check, the entries behind it and what it covered."""
-
-    __slots__ = ()
-
-    @property
-    def verdict(self) -> str:
-        return "pass" if self.passed else "fail"
-
-    def to_json_obj(self) -> dict:
-        def fmt(entries):
-            out = []
-            for e in entries:
-                d = dict(e)
-                for key in ("lhs", "rhs"):
-                    if key in d:
-                        d[key] = str(d[key])
-                out.append(d)
-            return out
-
-        obj = {
-            "check_id": self.check_id,
-            "params": self.params,
-            "verdict": self.verdict,
-            "exceptions": fmt(self.exceptions),
-            "runtime_ms": round(self.runtime_ms, 3),
-        }
-        if self.informational:
-            obj["informational"] = fmt(self.informational)
-        for key in ("cells_checked", "coeffs_checked"):
-            if getattr(self, key) is not None:
-                obj[key] = getattr(self, key)
-        return obj
 
 
 class Sweep(namedtuple("Sweep", "check_id statistic stride m_cut scan_from expected "
@@ -196,30 +161,6 @@ def run_sweep(sweep: Sweep, n_max: int, k: int | None = None) -> CheckReport:
     scan = _Scan(sweep, n_max, k)
     _column_pass(sweep.statistic, k, n_max, [scan])
     return scan.report()
-
-
-def check_identity(entry_id, order=DEFAULT_IDENTITY_ORDER, run=None):
-    """Run one identity-catalog entry at the given truncation order.
-
-    ``run`` is the :class:`~cranktab.identities.Run` of the catalog run the
-    entry belongs to; by default the entry gets a run of its own.  An
-    unknown id or a negative order raises :class:`~cranktab.UsageError`.
-    """
-    entry = identities.CATALOG.get(entry_id)
-    if entry is None:
-        raise UsageError(f"unknown identity {entry_id!r}; "
-                         f"available: {', '.join(sorted(identities.CATALOG))}")
-    check_size("order", order)
-    t0 = time.perf_counter()
-    exceptions, checked = identities.run_entry(entry, order, run)
-    return CheckReport(
-        entry_id,
-        {"order": order},
-        passed=not exceptions,
-        exceptions=exceptions,
-        runtime_ms=(time.perf_counter() - t0) * 1000,
-        coeffs_checked=checked,
-    )
 
 
 def check_table_consistency(label, gf_rows, oracle_rows):
@@ -348,15 +289,3 @@ def run_checks(check_ids, n_max=None, order=None, k_list=None):
     reports.extend(check_identity(cid, order, run) for cid in ids if cid in identities.CATALOG)
     reports.sort(key=lambda r: r.check_id)
     return reports
-
-
-def reports_to_json_obj(reports):
-    return {
-        "checks": [r.to_json_obj() for r in reports],
-        "all_passed": all(r.passed for r in reports),
-    }
-
-
-def exit_code(reports) -> int:
-    """0 when every verdict is pass, 1 otherwise."""
-    return 0 if all(r.passed for r in reports) else 1

@@ -1,9 +1,14 @@
 """Tests for the enumeration oracle: generation, statistics, weighted tables."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cranktab
 from cranktab import UsageError, brute
 from cranktab.brute import (
     colored_partitions,
@@ -20,6 +25,9 @@ from cranktab.brute import (
     second_residual_contributions,
 )
 from cranktab.series import overpartition_series, partition_series
+
+CHILD_ENV = {"PYTHONPATH": str(Path(cranktab.__file__).resolve().parents[1]),
+             "PYTHONDONTWRITEBYTECODE": "1"}
 
 # the worked overpartition example: non-overlined subpartition (9,7,5,5,4,3,1,1)
 EXAMPLE_OP = (
@@ -148,6 +156,37 @@ def test_enumerators_check_their_arguments_once_at_the_call(monkeypatch):
     assert sum(1 for _ in partitions(20)) == partition_series(20).coeffs[20]
     assert sum(1 for _ in colored_partitions(6, 3)) == partition_series(6).pow(3).coeffs[6]
     assert calls == [("n", 20), ("n", 6), ("k", 3)]  # not once per recursive call
+
+
+def test_every_enumerator_checks_its_arguments_at_the_call():
+    # overpartitions was a generator, and partitions checked no largest: both
+    # raised only at the first draw, partitions(5, 2.5) with a bare TypeError
+    for call, message in (
+        (lambda: overpartitions(-1), "^n must be >= 0, got -1$"),
+        (lambda: overpartitions(2.5), "^n must be an int, got 2.5$"),
+        (lambda: partitions(5, 2.5), "^largest must be an int, got 2.5$"),
+        (lambda: partitions(5, -1), "^largest must be >= 0, got -1$"),
+        (lambda: partitions(5, True), "^largest must be an int, got True$"),
+    ):
+        with pytest.raises(UsageError, match=message):
+            call()  # no draw needed
+    assert list(partitions(5, 2)) == [(2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)]
+    assert list(partitions(5, 0)) == [] and list(partitions(0, 0)) == [()]
+    assert sum(1 for _ in overpartitions(6)) == overpartition_series(6).coeffs[6]
+
+
+@pytest.mark.parametrize("k", [1, 0, -3])
+def test_kcrank_rows_refuse_a_k_below_two(k):
+    # k - 2 < 0 made the repeated squaring spin: power >>= 1 stops at -1, not 0;
+    # the child gets a timeout, so a spin fails the test instead of hanging it
+    code = ("from cranktab import UsageError\n"
+            "from cranktab.brute import _rows_kcrank\n"
+            f"try:\n    next(_rows_kcrank(5, {k}))\n"
+            "except UsageError as exc:\n    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=CHILD_ENV,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"kcrank: k={k}; kcrank needs k >= 2, and no other statistic takes k\n"
 
 
 def test_oracle_rows_crank_convention():

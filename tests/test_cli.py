@@ -445,7 +445,8 @@ COMMAND_MODULES = [
     (["table", "--stat", "crank"], {"bivariate", "series"}),
     (["table", "--stat", "crank", "--provenance", "oracle", "--n-max", "8"],
      {"bivariate", "series", "brute"}),
-    (["identity", "--id", "euler"], {"verify", "identities", "bivariate", "series"}),
+    (["identity", "--id", "euler"], {"identities", "series"}),
+    (["identity", "--id", "crank-diff-heads"], {"identities", "series", "bivariate"}),
     (["verify", "--check", "thm-1.2"], {"verify", "identities", "bivariate", "series"}),
     (["crosscheck", "--stat", "rank"],
      {"verify", "identities", "bivariate", "series", "brute"}),

@@ -1,5 +1,7 @@
 """Tests for the identity catalog: every entry must verify exactly."""
 
+from operator import add
+
 import pytest
 
 from cranktab import bivariate, identities, verify
@@ -7,6 +9,7 @@ from cranktab.bivariate import crank_gf, gf_table, overline_crank_gf
 from cranktab.identities import CATALOG, CORE_ENTRIES, run_entry
 from cranktab.series import (
     Series,
+    _slot_bits,
     distinct_series,
     euler_product,
     partition_series,
@@ -398,5 +401,34 @@ def _distinct_odd_rhs(order: int) -> Series:
     ids=["lemma-3.2", "lemma-3.3", "sc-identity"],
 )
 def test_closed_form_rhs_matches_per_j_reference(builder, reference):
-    for order in [*range(151), 500]:
+    for order in [*range(151), 500, 1000]:
         assert builder(order) == reference(order), order
+
+
+def _distinct_product(order, start, step):
+    """``(-q^start; q^step)_inf`` by list slices, one factor ``1 + q^e`` at a time."""
+    c = [1] + [0] * order
+    for e in range(start, order + 1, step):
+        c[e:] = map(add, c[e:], c[: order + 1 - e])
+    return Series(order, c)
+
+
+def test_closed_forms_fit_the_packed_slots():
+    # the right sides are built on the packed image of qpoch_fin, where each
+    # coefficient must fit a slot of _slot_bits(order) bits with its sign; the
+    # left sides equal them, so check the left sides, built by list products.
+    # The width does not fall with the order, so coefficient n fitting
+    # _slot_bits(n) covers every order from n on.
+    order = 3000
+    distinct = _distinct_product(order, 1, 1)
+    left_sides = {
+        "lemma-3.2": _poly(order, {0: 1, 1: -1}).pow(2) * distinct,
+        "lemma-3.3": _poly(order, {0: 1, 1: -1}) * _poly(order, {0: 1, 5: -1})
+        * _poly(order, {0: -1, 2: 1, 3: 1, 4: 1, 5: -1}) * distinct,
+        "sc-identity": _poly(order, {0: 1, 4: -1}) * _distinct_product(order, 1, 2),
+    }
+    assert distinct == distinct_series(order)
+    for entry_id, lhs in left_sides.items():
+        for n, c in enumerate(lhs.coeffs):
+            half = 1 << (_slot_bits(n) - 1)
+            assert -half <= c < half, (entry_id, n)

@@ -43,3 +43,17 @@ def test_a_name_loads_only_its_submodule():
                           env={"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"},
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "cranktab cranktab.series\n"
+
+
+def test_report_names_resolve_to_the_catalog_module():
+    # one report type and one check_identity, named by the root, verify and identities
+    from cranktab import identities
+
+    assert cranktab.CheckReport is identities.CheckReport is verify.CheckReport
+    assert cranktab.check_identity is identities.check_identity is verify.check_identity
+    code = ("import sys, cranktab; cranktab.check_identity; "
+            "print(*sorted(m for m in sys.modules if m.startswith('cranktab')))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env={"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "cranktab cranktab.identities cranktab.series\n"

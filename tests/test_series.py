@@ -12,6 +12,7 @@ from cranktab.series import (
     _div_factor,
     _mul_factor,
     _slot_bits,
+    _unpack,
     Series,
     distinct_series,
     euler_product,
@@ -301,8 +302,9 @@ def test_mul_matches_schoolbook_on_random_signed_lists(order, data):
 
 # -- reference: the per-coefficient factor loops -------------------------------
 #
-# qpoch_fin works on one packed integer, and the list helpers step by slices;
-# both must equal these loops, which apply one factor one coefficient at a time.
+# qpoch_fin and the closed forms of the identity catalog step one packed
+# integer (_mul_factor, _div_factor); both must equal these loops, which apply
+# one factor one coefficient at a time.
 
 
 def _reference_mul_factor(c, exponent, sign):
@@ -346,20 +348,27 @@ def test_packed_qpoch_fin_matches_factor_loops(order):
                     assert got == want, (a, d, terms, sign, invert)
 
 
-def test_list_factor_helpers_match_factor_loops():
+def test_packed_factor_helpers_match_factor_loops():
+    # each packed step, at every exponent, at the full width and cut to fewer
+    # slots, equals the per-coefficient loop on the list cut to that width
     rng = random.Random(14)
+    w = 16  # every value below stays under 2**15 in absolute value
     for size in (0, 1, 2, 3, 8, 9, 10, 24, 25, 61):
-        for exponent in range(1, size + 2):
-            for sign in (1, -1):
+        for n in sorted({size, max(size - 3, 0), size // 2}):
+            mask = (1 << w * n) - 1
+            for exponent in range(1, size + 2):
                 c = [rng.randint(-50, 50) for _ in range(size)]
-                for helper, reference in (
-                    (_mul_factor, _reference_mul_factor),
-                    (_div_factor, _reference_div_factor),
+                x = sum(v << w * i for i, v in enumerate(c))  # may be < 0: high bits all ones
+                for sign, got, reference in (
+                    (1, _mul_factor(x, exponent, 1, w, mask), _reference_mul_factor),
+                    (-1, _mul_factor(x, exponent, -1, w, mask), _reference_mul_factor),
+                    (1, _div_factor(x, exponent, w, mask), _reference_div_factor),
                 ):
-                    got, want = list(c), list(c)
-                    helper(got, exponent, sign)
+                    want = c[:n]
                     reference(want, exponent, sign)
-                    assert got == want, (helper.__name__, size, exponent, sign)
+                    assert 0 <= got <= mask
+                    assert _unpack(got, n, w // 8) == want, (
+                        reference.__name__, size, n, exponent, sign)
 
 
 def test_packed_slot_holds_every_coefficient():

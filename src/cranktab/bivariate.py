@@ -27,15 +27,19 @@ No column sums its terms one by one.  With
 is ``S_m = R_m - R_(m+1)``, and shifting j by one gives
 ``R_m = q**(m + c) (1 - R_(m+s))`` with (c, s) = (0, 1) for a = 1 and (1, 3)
 for a = 3.  So the cumulative column ``B_m = base * R_m(q**d)`` is one
-shifted subtraction from ``B_(m+s)``, and column m is ``B_m - B_(m+1)``:
-O(N) per column and O(N**2) for the whole GF, one operation per stored cell.
-It may start at any column ``top`` from the seeds B_(top+1), ..., B_(top+s),
-each a sum of O(sqrt(N)) shifted copies of ``base`` (zero at top = N).
+shifted subtraction from ``B_(m+s)``, and column m is ``B_m - B_(m+1)``.
+B_m vanishes below ``q**(d(m + c))``, so it is kept and subtracted from that
+cell on only: O(N) per column and O(N**2) for the whole GF, about 0.75 N**2
+subtractions for d = 1 and 0.375 N**2 for d = 2.  It may start at any
+column ``top`` from the seeds B_(top+1), ..., B_(top+s), each a sum of
+O(sqrt(N)) shifted copies of ``base`` (zero at top = N).
 Each base is a power of the reciprocal of a sparse series with O(sqrt(N))
 terms (see :mod:`cranktab.series`): ``1/(q;q)_inf`` and ``1/(q;q)_inf**k``
 of Euler's pentagonal series, the overpartition base of Gauss's
 ``phi(-q)``.  One pass of the power recurrence builds it, O(N**1.5) for
-every k.
+every k.  A caller that holds a base already, such as the store of a
+``verify`` run (:class:`cranktab.identities.Run`), hands it to the pass,
+which then builds none.
 
 The row for ``q**1`` comes out as ``z - 1 + 1/z`` from the j = 1, 2 terms:
 the crank GF itself encodes the conventional signed counts at n = 1 and no
@@ -89,21 +93,40 @@ def table_label(statistic: str, k: int | None = None) -> str:
     return statistic if k is None else f"{statistic}({k})"
 
 
-def gf_base(statistic: str, order: int, k: int | None = None) -> Series:
-    """The base of one statistic's GF (see the table above); checks the arguments first."""
+def _check(statistic: str, order: int, k: int | None) -> None:
+    """Raise ``UsageError`` for a bad statistic, order or k (:func:`cranktab.check_k`)."""
     check_size("order", order)
     if statistic not in _FORMS:
         raise UsageError(f"unknown statistic {statistic!r}")
     check_k(statistic, k)
-    if statistic in ("ocrank", "m2crank"):
+
+
+def base_name(statistic: str, k: int | None = None) -> str:
+    """The series that :func:`gf_base` builds for ``statistic``; ocrank and m2crank share one."""
+    return "overpartition" if statistic in ("ocrank", "m2crank") else f"partition^{k or 1}"
+
+
+def gf_base(statistic: str, order: int, k: int | None = None) -> Series:
+    """The base of one statistic's GF (see the table above); checks the arguments first."""
+    _check(statistic, order, k)
+    if base_name(statistic) == "overpartition":
         return overpartition_series_theta(order)
     return partition_series_pentagonal(order, k or 1)
 
 
-def _form(statistic: str, order: int, k: int | None) -> tuple:
-    """``(d, a, base coefficients)`` of one statistic at ``order``, once its arguments pass."""
-    base = gf_base(statistic, order, k).coeffs  # checks the arguments first
-    return (*_FORMS[statistic], base)
+def _form(statistic: str, order: int, k: int | None, base: Series | None) -> tuple:
+    """``(d, a, base coefficients)`` of one statistic at ``order``, once its arguments pass.
+
+    The base is built unless ``base``, the :func:`gf_base` of the same
+    arguments, is given; one at another order raises ``ValueError``.
+    """
+    if base is None:
+        base = gf_base(statistic, order, k)  # checks the arguments first
+    else:
+        _check(statistic, order, k)
+        if base.order != order:
+            raise ValueError(f"the base is at order {base.order}, not {order}")
+    return (*_FORMS[statistic], base.coeffs)
 
 
 def _cumulative(base: list, a: int, d: int, m: int) -> list:
@@ -117,43 +140,59 @@ def _cumulative(base: list, a: int, d: int, m: int) -> list:
     return b
 
 
-def gf_columns(statistic: str, order: int, k: int | None = None, top: int | None = None):
+def gf_columns(statistic: str, order: int, k: int | None = None, top: int | None = None,
+               base: Series | None = None):
     """Yield ``(m, column m)`` of the GF of one statistic for m = top down to 0.
 
     Column m is a list of the counts M(m, n) for n = 0..order.  ``k`` is the
     number of colors of the k-crank.  ``top`` defaults to ``order`` and is
-    clamped to it.  ``B_m = base * R_m(q**d)`` obeys
-    ``B_m = q**(d*(m + c)) * (base - B_(m+s))`` with ``s = a`` and
-    ``c = (a - 1) / 2``, and column m is ``B_m - B_(m+1)``.  The window
-    starts from B_(top+1), ..., B_(top+s) (:func:`_cumulative`; zero at
-    top = order).  Filling m from the top down keeps only the s latest B
-    lists, so a consumer that keeps few columns runs in O(order) memory, and
-    a pass costs O(order * (top + sqrt(order))).  Bad arguments raise
+    clamped to it.  ``base``, when given, is the GF's base at ``order``
+    (:func:`gf_base`), which the pass then does not build.
+
+    ``B_m = base * R_m(q**d)`` obeys ``B_m = q**(d*(m + c)) * (base - B_(m+s))``
+    with ``s = a`` and ``c = (a - 1) / 2``, and column m is ``B_m - B_(m+1)``.
+    B_m vanishes below q**start(m), ``start(j) = min(d*(j + c), order + 1)``,
+    so the pass keeps only its tail ``t_m = B_m[start(m):]``: with
+    ``e = start(m)`` and ``f = start(m + s)``, ``t_m = base[:f] + (base[f:] -
+    t_(m+s))`` cut to ``order + 1 - e`` cells, and column m is e zeros, then
+    ``t_m[:d]``, then ``t_m[d:] - t_(m+1)``.  No cell below the start of
+    either operand is subtracted: about 0.75 * order**2 subtractions for d = 1
+    and 0.375 * order**2 for d = 2.  The window starts from the tails of
+    B_(top+1), ..., B_(top+s) (:func:`_cumulative`; empty at top = order).
+    Filling m from the top down keeps only the s latest tails, so a consumer
+    that keeps few columns runs in O(order) memory, and a pass costs
+    O(order * (top + sqrt(order))).  Bad arguments raise
     :class:`~cranktab.UsageError` at the call.
     """
     if top is not None:
         check_size("top", top)
-    d, a, base = _form(statistic, order, k)
+    d, a, base = _form(statistic, order, k, base)
     top = order if top is None else min(top, order)
     size = order + 1
-    zero = [0] * size
+
+    def start(j):
+        return min(d * (j + (a - 1) // 2), size)
 
     def columns():
-        # B_(m+1), ..., B_(m+s)
-        window = deque((_cumulative(base, a, d, top + i) for i in range(1, a + 1)), maxlen=a)
+        # the tails t_(m+1), ..., t_(m+s)
+        window = deque((_cumulative(base, a, d, j)[start(j):] for j in range(top + 1, top + a + 1)),
+                       maxlen=a)
         for m in range(top, -1, -1):
-            e = d * (m + (a - 1) // 2)
-            b = [0] * e + list(map(sub, base[: size - e], window[-1])) if e < size else zero
-            column = list(map(sub, b, window[0]))
+            e, f = start(m), start(m + a)
+            tail = base[: min(f, size - e)]
+            tail += map(sub, base[f : size - e], window[-1])
+            column = [0] * e
+            column += tail[:d]
+            column += map(sub, tail[d:], window[0])
             if statistic == "rank" and m == 0:
                 column[0] += 1  # the empty partition, of rank 0
             yield m, column
-            window.appendleft(b)
+            window.appendleft(tail)
 
     return columns()
 
 
-def gf_rows(statistic: str, order: int, k: int | None = None):
+def gf_rows(statistic: str, order: int, k: int | None = None, base: Series | None = None):
     """Yield row n of the GF of one statistic for n = 0..order.
 
     Row n is a list of the counts M(m, n) for m = -n..n.  At row n the
@@ -161,11 +200,13 @@ def gf_rows(statistic: str, order: int, k: int | None = None):
     ``(-1)**(j-1) base[n - e_j - d*j*m]`` with ``e_j = d*(a*j*j - j)/2``, so
     the strided slice ``base[n - e_j :: -d*j]`` gives term j for every m at
     once, and M(m, n) = B_m[n] - B_(m+1)[n].  Only the base and one row are
-    held.  A row costs O(n log n), so rows cost about 2.5 times the column
-    pass; they serve the consumers that read whole rows.  Bad arguments
-    raise :class:`~cranktab.UsageError` at the call.
+    held.  A row costs O(n log n), so rows cost about 3 times the column
+    pass (2.3 to 3.4 times, base included, over the statistics at orders
+    1000 and 2000); they serve the consumers that read whole rows.
+    ``base`` is as in :func:`gf_columns`.  Bad arguments raise
+    :class:`~cranktab.UsageError` at the call.
     """
-    d, a, base = _form(statistic, order, k)
+    d, a, base = _form(statistic, order, k, base)
     e = d * ((a - 1) // 2)  # e_1
 
     def rows():
@@ -216,26 +257,27 @@ def write_rows(fh, fmt: str, label: str, n_max: int, rows) -> None:
         fh.write("\n  ]\n}\n")
 
 
-def gf_table(statistic: str, order: int, k: int | None = None, top: int | None = None) -> list:
+def gf_table(statistic: str, order: int, k: int | None = None, top: int | None = None,
+             base: Series | None = None) -> list:
     """The columns m = 0..min(top, order) of :func:`gf_columns`, as a list of :class:`Series`.
 
     Each column m is checked to vanish below q**m (the |m| <= n support);
     a violation raises ``ValueError`` naming the table and m.
     """
     columns = []
-    for m, column in gf_columns(statistic, order, k, top):
+    for m, column in gf_columns(statistic, order, k, top, base):
         if any(column[:m]):
             raise ValueError(f"{table_label(statistic, k)}: support violated in column m={m}")
         columns.append(Series(order, column))
     return columns[::-1]
 
 
-def crank_gf(order: int, top: int | None = None) -> list:
+def crank_gf(order: int, top: int | None = None, base: Series | None = None) -> list:
     """Crank generating function ``(q;q)_inf / ((zq;q)_inf (q/z;q)_inf)``."""
-    return gf_table("crank", order, top=top)
+    return gf_table("crank", order, top=top, base=base)
 
 
-def overline_crank_gf(order: int, top: int | None = None) -> list:
+def overline_crank_gf(order: int, top: int | None = None, base: Series | None = None) -> list:
     """First-residual-crank GF: the crank GF times ``(-q;q)_inf``."""
-    return gf_table("ocrank", order, top=top)
+    return gf_table("ocrank", order, top=top, base=base)
 

@@ -9,7 +9,8 @@ catalog run share: it gives the crank and ocrank GF columns the entries read
 (``run.column``, ``run.diff``), low columns only (:data:`COLUMN_BOUNDS`),
 truncated to N, and builds each GF's low columns, each generic product
 (``run.product``) and each GF base (``run.base``,
-:func:`cranktab.bivariate.gf_base`) once.  Only those two reads of a GF
+:func:`cranktab.bivariate.gf_base`) once; in ``verify`` the sweeps' column
+passes take their bases from the same run.  Only those two reads of a GF
 import :mod:`cranktab.bivariate`, so an entry that reads none loads this
 module and :mod:`cranktab.series` only.  :func:`check_identity` runs one
 entry and returns its :class:`CheckReport`, the one report type of every
@@ -124,8 +125,14 @@ class Clause(namedtuple("Clause", "label lhs rhs nonneg_from negative_at",
     __slots__ = ()
 
 
-class IdentityEntry(namedtuple("IdentityEntry", "entry_id summary clauses")):
-    """One catalog row; ``clauses(N, run)`` returns its list of :class:`Clause`."""
+class IdentityEntry(namedtuple("IdentityEntry", "entry_id summary clauses reads",
+                                defaults=((),))):
+    """One catalog row; ``clauses(N, run)`` returns its list of :class:`Clause`.
+
+    ``reads`` lists the ``(statistic, k)`` of every GF whose columns or base
+    the clauses read (:meth:`Run.column`, :meth:`Run.base`), so that a run
+    can size each base before it builds it (:meth:`Run.reserve`).
+    """
 
     __slots__ = ()
 
@@ -141,27 +148,65 @@ class Run:
     at ``order``, item m the column m, for m up to the GF's bound in
     :data:`COLUMN_BOUNDS` or the order, whichever is smaller.  The first
     :meth:`column` that reads a GF builds them (:meth:`fill`); no other source
-    of columns exists.  :meth:`product` builds each generic product, and
-    :meth:`base` each GF base, once per run.  A run keeps no whole table, and
-    nothing outlives it.
+    of columns exists.  :meth:`product` builds each generic product once per
+    run.
+
+    A run is also the one store of GF bases of a ``verify`` run, shared by
+    the sweeps' column passes and the catalog.  :meth:`base` builds each
+    distinct base once (:func:`cranktab.bivariate.base_name`: ocrank and
+    m2crank share one), at the largest size that :meth:`reserve` was told of
+    or that a reader asks for, and hands a smaller reader the prefix: the
+    coefficient n of a base depends on the coefficients up to n only.  A run
+    keeps no whole table, and nothing outlives it.
     """
 
     def __init__(self, order: int):
         self.order = order
         self.tables = {}
         self._products = {}
+        self._bases = {}  # base name -> the base at the largest size built
+        self._sizes = {}  # base name -> the largest size reserved
+
+    def reserve(self, statistic: str, size: int, k: int | None = None) -> None:
+        """Note that a reader will take the GF base of ``statistic`` at ``size``.
+
+        Reserve every size before the first :meth:`base` of that base, so
+        that it is built once, at the largest.
+        """
+        from cranktab import bivariate
+
+        name = bivariate.base_name(statistic, k)
+        self._sizes[name] = max(size, self._sizes.get(name, 0))
+
+    def base(self, statistic: str, k: int | None = None, size: int | None = None) -> Series:
+        """The GF base of ``statistic`` (:func:`cranktab.bivariate.gf_base`) at ``size``.
+
+        ``size`` defaults to the run's order.  The first read builds the base
+        at the larger of ``size`` and the largest size reserved; a later read
+        past that size raises ``ValueError``, as its size was not reserved.
+        """
+        from cranktab import bivariate
+
+        size = self.order if size is None else size
+        name = bivariate.base_name(statistic, k)
+        if name not in self._bases:
+            self._bases[name] = bivariate.gf_base(statistic, max(size, self._sizes.get(name, 0)), k)
+        stored = self._bases[name]
+        return stored if stored.order == size else stored.truncated(size)
 
     def fill(self, statistic: str) -> None:
         """Build the columns of ``statistic`` that the catalog reads.
 
-        The named builder of :mod:`cranktab.bivariate` runs at the run's
-        order from the column ``COLUMN_BOUNDS[statistic]`` down, so it costs
-        O(order * (bound + sqrt(order))), not the whole GF's O(order**2).
+        The named builder of :mod:`cranktab.bivariate` runs on the run's base
+        at the run's order from the column ``COLUMN_BOUNDS[statistic]`` down,
+        so it costs O(order * (bound + sqrt(order))), not the whole GF's
+        O(order**2).
         """
         from cranktab import bivariate
 
         build = bivariate.overline_crank_gf if statistic == "ocrank" else bivariate.crank_gf
-        self.tables[statistic] = build(self.order, top=COLUMN_BOUNDS[statistic])
+        self.tables[statistic] = build(self.order, top=COLUMN_BOUNDS[statistic],
+                                       base=self.base(statistic))
 
     def column(self, statistic: str, m: int) -> Series:
         """Column m of one statistic's GF, truncated to the run's order.
@@ -189,12 +234,6 @@ class Run:
         if key not in self._products:
             self._products[key] = build(*args, self.order, **kwargs)
         return self._products[key]
-
-    def base(self, statistic: str, **k) -> Series:
-        """The GF base of ``statistic`` (:func:`cranktab.bivariate.gf_base`), built once per run."""
-        from cranktab import bivariate
-
-        return self.product(bivariate.gf_base, statistic, **k)
 
 
 def _poly(order: int, terms: dict) -> Series:
@@ -397,6 +436,7 @@ CATALOG = {
             "crank difference columns m = 1, 2 match their displayed heads",
             lambda N, r: _head(N, "m=1", lambda: r.diff("crank", 1), CRANK_DIFF_M1_HEAD)
             + _head(N, "m=2", lambda: r.diff("crank", 2), CRANK_DIFF_M2_HEAD),
+            reads=(("crank", None),),
         ),
         IdentityEntry(
             "crank-diff-decomp",
@@ -426,6 +466,7 @@ CATALOG = {
                     nonneg_from=27,
                 ),
             ],
+            reads=(("crank", None),),
         ),
         IdentityEntry(
             "crank-diff-tails",
@@ -441,6 +482,7 @@ CATALOG = {
                     f"m={m} tail",
                 )
             ],
+            reads=(("crank", None),),
         ),
         IdentityEntry(
             "ocrank-diff-nonneg",
@@ -448,6 +490,7 @@ CATALOG = {
             lambda N, r: [
                 Clause(f"m={m}", lambda m=m: r.diff("ocrank", m)) for m in range(2, 21)
             ],
+            reads=(("ocrank", None),),
         ),
         IdentityEntry(
             "sc-identity",
@@ -467,6 +510,7 @@ CATALOG = {
                 [1, 0, -1, 0, -1, 0, 1, 0],
                 "tail",
             ),
+            reads=(("ocrank", None),),
         ),
         IdentityEntry(
             "ocrank-monotone-factored",
@@ -489,6 +533,7 @@ CATALOG = {
                 left=(_euler(N),),
                 right=(_euler(N, 2),),
             ),
+            reads=(("ocrank", None), ("crank", None)),
         ),
         IdentityEntry(
             "andrews-merca",
@@ -528,6 +573,7 @@ CATALOG = {
                     right=(),
                 )
             ],
+            reads=(*(("kcrank", k) for k in (2, 3, 4)), ("ocrank", None)),
         ),
         IdentityEntry(
             "ocrank-head",
@@ -535,6 +581,7 @@ CATALOG = {
             lambda N, r: _head(
                 N, "prefix", lambda: r.diff("ocrank", 1), [1, -1, -1, 1, 0, 1], "tail"
             ),
+            reads=(("ocrank", None),),
         ),
         IdentityEntry(
             "m2-from-ocrank",
@@ -553,6 +600,7 @@ CATALOG = {
                 left=(phi_minus_q(N),),
                 right=(phi_minus_q(N).stretched(2),),
             ),
+            reads=(("m2crank", None), ("ocrank", None)),
         ),
     ]
 }

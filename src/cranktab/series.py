@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from itertools import accumulate, repeat
 from math import isqrt
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 
 class OrderMismatch(ValueError):
@@ -124,14 +124,14 @@ class Series:
 
     def __add__(self, other: "Series") -> "Series":
         self._check_order(other)
-        return Series(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return Series(self.order, map(add, self.coeffs, other.coeffs))
 
     def __sub__(self, other: "Series") -> "Series":
         self._check_order(other)
-        return Series(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return Series(self.order, map(sub, self.coeffs, other.coeffs))
 
     def __neg__(self) -> "Series":
-        return Series(self.order, [-a for a in self.coeffs])
+        return Series(self.order, map(neg, self.coeffs))
 
     def __mul__(self, other: "Series") -> "Series":
         self._check_order(other)

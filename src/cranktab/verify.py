@@ -29,7 +29,9 @@ streams each GF's columns once per run, from m = order down to 0
 sweep of that (statistic, k) while it holds the last three only, so a run
 holds O(N) cells per pass, not whole tables.  The identity catalog gets its
 few low columns on its own (:class:`~cranktab.identities.Run`), from a pass
-that starts at the highest column it reads.
+that starts at the highest column it reads.  That run is also the run's one
+store of GF bases, so the passes and the catalog build each distinct base
+once.
 
 :func:`run_checks` and :func:`check_identity` check their arguments at the
 call and raise :class:`~cranktab.UsageError` before any column pass or
@@ -85,8 +87,9 @@ class _Scan:
     def compare(self, m: int, lhs_col: list, rhs_col: list) -> None:
         """Compare column m - stride (``lhs_col``) with column m (``rhs_col``).
 
-        The columns are compared as whole slices; only the violating cells are
-        visited one by one.
+        The columns are compared as whole slices, once to learn whether any
+        cell violates the relation and, only then, again to visit the
+        violating cells one by one.
         """
         t0 = time.perf_counter()
         sweep, n_max, k = self.sweep, self.n_max, self.k
@@ -97,16 +100,19 @@ class _Scan:
         self.cells += max(0, n_max + 1 - first_counted)
         if diagonal is not None and first_counted <= m + diagonal <= n_max:
             self.cells -= 1
-        for n in compress(count(lo), map(operator.lt, lhs_col[lo : n_max + 1], rhs_col[lo - dn :])):
-            entry = {"m": m, "n": n, "lhs": lhs_col[n], "rhs": rhs_col[n - dn]}
-            if k is not None:
-                entry["k"] = k
-            if n < sweep.scan_from:
-                self.informational.append(entry)
-            elif diagonal is not None and n == m + diagonal:
-                self.informational.append(dict(entry, note=f"excluded diagonal n=m+{diagonal}"))
-            else:
-                self.found.append(entry)
+        lhs, rhs = lhs_col[lo : n_max + 1], rhs_col[lo - dn :]
+        if any(map(operator.lt, lhs, rhs)):  # nearly every column has no violation
+            for n in compress(count(lo), map(operator.lt, lhs, rhs)):
+                entry = {"m": m, "n": n, "lhs": lhs_col[n], "rhs": rhs_col[n - dn]}
+                if k is not None:
+                    entry["k"] = k
+                if n < sweep.scan_from:
+                    self.informational.append(entry)
+                elif diagonal is not None and n == m + diagonal:
+                    self.informational.append(
+                        dict(entry, note=f"excluded diagonal n=m+{diagonal}"))
+                else:
+                    self.found.append(entry)
         self.seconds += time.perf_counter() - t0
 
     def report(self) -> CheckReport:
@@ -134,16 +140,19 @@ class _Scan:
         )
 
 
-def _column_pass(statistic, k, size, scans) -> None:
+def _column_pass(statistic, k, size, scans, run=None) -> None:
     """Stream the columns of one GF at order ``size`` once, from m = size down to 0.
 
-    The GF's base series is built in one pass of the power recurrence,
-    O(size**1.5) whatever k (:func:`cranktab.series.sparse_reciprocal`).
-    Each of the ``scans`` compares column m with column m - stride as the
-    latter goes by, so only the last three columns are held.
+    The GF's base comes from ``run``, the run's store of bases
+    (:meth:`cranktab.identities.Run.base`); without one the pass builds it,
+    in one pass of the power recurrence, O(size**1.5) whatever k
+    (:func:`cranktab.series.sparse_reciprocal`).  Each of the ``scans``
+    compares column m with column m - stride as the latter goes by, so only
+    the last three columns are held.
     """
+    base = None if run is None else run.base(statistic, k, size)
     window = deque(maxlen=3)  # columns j, j + 1, j + 2
-    for j, column in bivariate.gf_columns(statistic, size, k):
+    for j, column in bivariate.gf_columns(statistic, size, k, base=base):
         window.appendleft(column)
         for scan in scans:
             m = j + scan.sweep.stride
@@ -258,7 +267,12 @@ def run_checks(check_ids, n_max=None, order=None, k_list=None):
     (statistic, k) at the largest n_max of its sweeps, and the pass feeds
     every sweep of that GF, so no full table is held.  The catalog entries
     share one :class:`~cranktab.identities.Run`, which builds the low
-    columns they read.
+    columns they read.  The same run is the store of GF bases: before the
+    first pass it is told every reader's size, each sweep's n_max and the
+    order of each catalog entry that reads a base
+    (:attr:`~cranktab.identities.IdentityEntry.reads`), so each distinct
+    base is built once, at the largest, and every smaller reader takes its
+    prefix.
     """
     ids = expand_checks(check_ids)
     for name, size in (("n_max", n_max), ("order", order)):
@@ -282,10 +296,17 @@ def run_checks(check_ids, n_max=None, order=None, k_list=None):
             size = DEFAULT_N_MAX[sweep.statistic] if n_max is None else n_max
             for k in k_list if sweep.statistic == "kcrank" else (None,):
                 scans.setdefault((sweep.statistic, k), []).append(_Scan(sweep, size, k))
-    for (statistic, k), group in scans.items():
-        _column_pass(statistic, k, max(s.n_max for s in group), group)
-    reports = [scan.report() for group in scans.values() for scan in group]
+    sizes = {key: max(s.n_max for s in group) for key, group in scans.items()}
     run = identities.Run(order)
+    for (statistic, k), size in sizes.items():
+        run.reserve(statistic, size, k)
+    for cid in ids:
+        if cid in identities.CATALOG:
+            for statistic, k in identities.CATALOG[cid].reads:
+                run.reserve(statistic, order, k)
+    for (statistic, k), group in scans.items():
+        _column_pass(statistic, k, sizes[statistic, k], group, run)
+    reports = [scan.report() for group in scans.values() for scan in group]
     reports.extend(check_identity(cid, order, run) for cid in ids if cid in identities.CATALOG)
     reports.sort(key=lambda r: r.check_id)
     return reports

@@ -283,7 +283,7 @@ def test_product_form_reference_is_sound():
 def test_invariant_check_detects_violations(monkeypatch):
     # gf_table checks the |m| <= n support of each column as it collects it
     def pass_of(columns):
-        return lambda statistic, order, k=None, top=None: iter(columns)
+        return lambda statistic, order, k=None, top=None, base=None: iter(columns)
 
     monkeypatch.setattr(bivariate, "gf_columns", pass_of([(1, [0, 1]), (0, [1, -1])]))
     assert [col.coeffs for col in gf_table("crank", 1)] == [[1, -1], [0, 1]]
@@ -375,6 +375,27 @@ def test_seeded_pass_matches_the_full_pass(stat, k):
         next(gf_columns(stat, 5, k, -1))
 
 
+@pytest.mark.parametrize("stat,k", [("crank", None), ("ocrank", None), ("m2crank", None),
+                                    ("kcrank", 2), ("kcrank", 6), ("rank", None)])
+def test_columns_are_differences_of_cumulative_columns(stat, k):
+    # column m = B_m - B_(m+1), each B summed on its own from the closed form
+    # over whole columns; this covers the m2crank columns past order/2,
+    # tails that clamp to empty and the rank's three-wide window with its +1
+    d = 2 if stat == "m2crank" else 1
+    a = 3 if stat == "rank" else 1
+    for order in (0, 1, 2, 3, 7, 40, 301):
+        base = bivariate.gf_base(stat, order, k).coeffs
+        cumulative = [bivariate._cumulative(base, a, d, m) for m in range(order + 2)]
+        ref = [list(map(sub, cumulative[m], cumulative[m + 1])) for m in range(order + 1)]
+        if stat == "rank":
+            ref[0][0] += 1  # the empty partition
+        for top in {0, 1, 2, 3, 10, order // 2, order - 1, order, order + 5}:
+            if top >= 0:
+                columns = list(gf_columns(stat, order, k, top))
+                assert columns == [(m, ref[m]) for m in range(min(top, order), -1, -1)], (
+                    order, top)
+
+
 def test_low_column_table_refuses_reads_past_its_bound():
     # the columns m <= top are the head of the whole table, and no more
     g, whole = crank_gf(30, top=10), crank_gf(30)
@@ -394,6 +415,10 @@ def test_rows_are_the_transposed_columns(stat, k):
         columns = [column for _, column in gf_columns(stat, order, k)][::-1]
         rows = list(gf_rows(stat, order, k))
         assert len(rows) == order + 1
+        base = bivariate.gf_base(stat, order, k)  # a prebuilt base gives the same rows
+        assert list(gf_rows(stat, order, k, base=base)) == rows
+        with pytest.raises(ValueError, match=f"^the base is at order {order}, not {order + 1}$"):
+            gf_rows(stat, order + 1, k, base=base)
         for n, row in enumerate(rows):
             half = [column[n] for column in columns[: n + 1]]
             assert row == half[:0:-1] + half, (stat, k, order, n)

@@ -4,7 +4,7 @@ from operator import add
 
 import pytest
 
-from cranktab import bivariate, identities, verify
+from cranktab import identities, verify
 from cranktab.bivariate import crank_gf, gf_table, overline_crank_gf
 from cranktab.identities import CATALOG, CORE_ENTRIES, run_entry
 from cranktab.series import (
@@ -12,6 +12,7 @@ from cranktab.series import (
     _slot_bits,
     distinct_series,
     euler_product,
+    overpartition_series,
     partition_series,
     pentagonal_numbers,
     qpoch_fin,
@@ -162,12 +163,12 @@ def _failing_cells(entry_id, statistic, m, n, order):
 
 
 def _failing_base_cells(entry_id, n, order, *args, **kwargs):
-    """Add 1 to coefficient n of the run's ``gf_base(*args, **kwargs)``, run the entry.
+    """Add 1 to coefficient n of the run's stored base ``run.base(*args, **kwargs)``, run the entry.
 
     Returns the sorted (clause, n) pairs that failed.
     """
     run = identities.Run(order)
-    run.product(bivariate.gf_base, *args, **kwargs).coeffs[n] += 1
+    run.base(*args, **kwargs).coeffs[n] += 1
     exceptions, _ = run_entry(CATALOG[entry_id], order, run)
     return sorted({(e["clause"], e["n"]) for e in exceptions})
 
@@ -192,15 +193,16 @@ def test_corrupted_kcrank_base_fails_only_its_clause(k):
 @pytest.mark.parametrize("n", [1, 5, 10], ids=lambda n: f"n={n}")
 def test_corrupted_overpartition_base_fails_m2_from_ocrank(n):
     phi = euler_product(40) * qpoch_inf(1, 1, 40, sign=-1, invert=True)  # (q;q)/(-q;q)
-    # the left side is the m2crank base times phi(-q)
-    failed = _failing_base_cells("m2-from-ocrank", n, 40, "m2crank")
-    assert failed == [("bases", e) for e in sorted(_support(phi, n))]
-    # the right side stretches the ocrank base (n -> 2n) and multiplies it by phi(-q^2)
-    failed = _failing_base_cells("m2-from-ocrank", n, 40, "ocrank")
-    cells = _support(phi.stretched(2), 2 * n)
+    # m2crank and ocrank share one overpartition base.  The left side is that
+    # base times phi(-q); the right side stretches it (n -> 2n) and multiplies
+    # it by phi(-q^2).  So a bump at n fails the cells where q^n phi(-q) and
+    # q^(2n) phi(-q^2) differ.
+    bump = phi.times_monomial(1, n) - phi.stretched(2).times_monomial(1, 2 * n)
     if n == 10:
-        assert cells == {20, 22, 28, 38}
-    assert failed == [("bases", e) for e in sorted(cells)]
+        assert _support(bump, 0) == {10, 11, 14, 19, 20, 22, 26, 28, 35, 38}
+    for statistic in ("m2crank", "ocrank"):
+        failed = _failing_base_cells("m2-from-ocrank", n, 40, statistic)
+        assert failed == [("bases", e) for e in sorted(_support(bump, 0))]
     # every kcrank clause reads the same ocrank base as its right side
     failed = _failing_base_cells("kcrank-reduction", n, 40, "ocrank")
     assert failed == [(f"k={k}", n) for k in (2, 3, 4)]
@@ -229,6 +231,33 @@ def test_run_columns_past_their_bound_raise():
     for statistic in ("m2crank", "kcrank", "rank"):
         with pytest.raises(KeyError):  # no column bound: the catalog reads none of it
             run.column(statistic, 1)
+
+
+def test_entries_declare_every_gf_they_read(monkeypatch):
+    # a verify run sizes each base from the declared reads before its first
+    # pass, so each entry reads exactly the GFs it declares
+    read = set()
+    real = identities.Run.base
+
+    def recorded(self, statistic, k=None, size=None):
+        read.add((statistic, k))
+        return real(self, statistic, k, size)
+
+    monkeypatch.setattr(identities.Run, "base", recorded)
+    for entry_id, entry in CATALOG.items():
+        read.clear()
+        assert run_entry(entry, 80)[0] == []
+        assert read == set(entry.reads), entry_id
+
+
+def test_run_serves_every_reader_from_one_base():
+    run = identities.Run(10)
+    run.reserve("ocrank", 30)
+    # ocrank and m2crank share the overpartition series, built once at 30
+    assert run.base("m2crank") == overpartition_series(10)
+    assert run.base("ocrank", size=30) is run.base("m2crank", size=30)
+    with pytest.raises(ValueError):  # past the reserved size
+        run.base("ocrank", size=31)
 
 
 def test_generic_products_are_built_once_per_run(monkeypatch):

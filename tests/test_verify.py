@@ -7,7 +7,7 @@ from itertools import compress, count
 
 import pytest
 
-from cranktab import UsageError, bivariate, verify
+from cranktab import UsageError, bivariate, series, verify
 from cranktab.bivariate import gf_rows, gf_table
 from cranktab.brute import oracle_rows
 from cranktab.series import partition_series
@@ -413,9 +413,9 @@ def test_run_checks_builds_each_gf_once(monkeypatch):
     passes = []
     real = bivariate.gf_columns
 
-    def counted(statistic, order, k=None, top=None):
+    def counted(statistic, order, k=None, top=None, base=None):
         passes.append((statistic, k, order, top))
-        return real(statistic, order, k, top)
+        return real(statistic, order, k, top, base)
 
     monkeypatch.setattr(bivariate, "gf_columns", counted)
     reports = run_checks(["all"], n_max=30, order=40)
@@ -427,6 +427,34 @@ def test_run_checks_builds_each_gf_once(monkeypatch):
             *(("kcrank", k) for k in (2, 3, 4, 5, 6)))),
         ("crank", None, 40, 60), ("ocrank", None, 40, 20),
     }
+
+
+def test_run_checks_builds_each_base_once(monkeypatch):
+    # one store per run: each distinct base (1/(q;q)^k for k = 1..6 and the
+    # overpartition series, which ocrank and m2crank share) is built once,
+    # at the largest size any reader asks for: the catalog's order 40, but
+    # n_max 30 for k = 5 and 6, which only the sweeps read
+    builds, bases = [], []
+    real_build, real_columns = series.sparse_reciprocal, bivariate.gf_columns
+
+    def counted(order, terms, power=1):
+        builds.append((order, power))
+        return real_build(order, terms, power)
+
+    def kept(statistic, order, k=None, top=None, base=None):
+        bases.append((statistic, k, order, base.coeffs))
+        return real_columns(statistic, order, k, top, base)
+
+    monkeypatch.setattr(series, "sparse_reciprocal", counted)
+    monkeypatch.setattr(bivariate, "gf_columns", kept)
+    reports = run_checks(["all"], n_max=30, order=40)
+    assert len(reports) == 27 and all(r.passed for r in reports)
+    assert sorted(builds) == [(30, 5), (30, 6), *((40, power) for power in (1, 1, 2, 3, 4))]
+    # a pass at n_max = 30 reads the prefix of the base built at 40: the
+    # same cells as a base built at 30
+    assert len(bases) == 11
+    for statistic, k, order, coeffs in bases:
+        assert coeffs == bivariate.gf_base(statistic, order, k).coeffs, (statistic, k, order)
 
 
 def test_table_consistency_pass_and_fail():

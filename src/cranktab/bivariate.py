@@ -192,7 +192,7 @@ def gf_columns(statistic: str, order: int, k: int | None = None, top: int | None
     return columns()
 
 
-def gf_rows(statistic: str, order: int, k: int | None = None, base: Series | None = None):
+def gf_rows(statistic: str, order: int, k: int | None = None):
     """Yield row n of the GF of one statistic for n = 0..order.
 
     Row n is a list of the counts M(m, n) for m = -n..n.  At row n the
@@ -202,11 +202,10 @@ def gf_rows(statistic: str, order: int, k: int | None = None, base: Series | Non
     once, and M(m, n) = B_m[n] - B_(m+1)[n].  Only the base and one row are
     held.  A row costs O(n log n), so rows cost about 3 times the column
     pass (2.3 to 3.4 times, base included, over the statistics at orders
-    1000 and 2000); they serve the consumers that read whole rows.
-    ``base`` is as in :func:`gf_columns`.  Bad arguments raise
-    :class:`~cranktab.UsageError` at the call.
+    1000 and 2000); they serve the consumers that read whole rows.  Bad
+    arguments raise :class:`~cranktab.UsageError` at the call.
     """
-    d, a, base = _form(statistic, order, k, base)
+    d, a, base = _form(statistic, order, k, None)
     e = d * ((a - 1) // 2)  # e_1
 
     def rows():

@@ -125,14 +125,8 @@ class Clause(namedtuple("Clause", "label lhs rhs nonneg_from negative_at",
     __slots__ = ()
 
 
-class IdentityEntry(namedtuple("IdentityEntry", "entry_id summary clauses reads",
-                                defaults=((),))):
-    """One catalog row; ``clauses(N, run)`` returns its list of :class:`Clause`.
-
-    ``reads`` lists the ``(statistic, k)`` of every GF whose columns or base
-    the clauses read (:meth:`Run.column`, :meth:`Run.base`), so that a run
-    can size each base before it builds it (:meth:`Run.reserve`).
-    """
+class IdentityEntry(namedtuple("IdentityEntry", "entry_id summary clauses")):
+    """One catalog row; ``clauses(N, run)`` returns its list of :class:`Clause`."""
 
     __slots__ = ()
 
@@ -153,11 +147,12 @@ class Run:
 
     A run is also the one store of GF bases of a ``verify`` run, shared by
     the sweeps' column passes and the catalog.  :meth:`base` builds each
-    distinct base once (:func:`cranktab.bivariate.base_name`: ocrank and
-    m2crank share one), at the largest size that :meth:`reserve` was told of
-    or that a reader asks for, and hands a smaller reader the prefix: the
-    coefficient n of a base depends on the coefficients up to n only.  A run
-    keeps no whole table, and nothing outlives it.
+    distinct base (:func:`cranktab.bivariate.base_name`: ocrank and m2crank
+    share one) at the size a reader asks for and keeps the largest it built.
+    A reader at that size or below takes its prefix, as the coefficient n of
+    a base depends on the coefficients up to n only; a reader past it builds
+    the base anew at its own size, which the run then keeps.  A run keeps no
+    whole table, and nothing outlives it.
     """
 
     def __init__(self, order: int):
@@ -165,33 +160,20 @@ class Run:
         self.tables = {}
         self._products = {}
         self._bases = {}  # base name -> the base at the largest size built
-        self._sizes = {}  # base name -> the largest size reserved
-
-    def reserve(self, statistic: str, size: int, k: int | None = None) -> None:
-        """Note that a reader will take the GF base of ``statistic`` at ``size``.
-
-        Reserve every size before the first :meth:`base` of that base, so
-        that it is built once, at the largest.
-        """
-        from cranktab import bivariate
-
-        name = bivariate.base_name(statistic, k)
-        self._sizes[name] = max(size, self._sizes.get(name, 0))
 
     def base(self, statistic: str, k: int | None = None, size: int | None = None) -> Series:
         """The GF base of ``statistic`` (:func:`cranktab.bivariate.gf_base`) at ``size``.
 
-        ``size`` defaults to the run's order.  The first read builds the base
-        at the larger of ``size`` and the largest size reserved; a later read
-        past that size raises ``ValueError``, as its size was not reserved.
+        ``size`` defaults to the run's order.  The prefix of the stored base
+        when that is large enough, else a new base, stored in its place.
         """
         from cranktab import bivariate
 
         size = self.order if size is None else size
         name = bivariate.base_name(statistic, k)
-        if name not in self._bases:
-            self._bases[name] = bivariate.gf_base(statistic, max(size, self._sizes.get(name, 0)), k)
-        stored = self._bases[name]
+        stored = self._bases.get(name)
+        if stored is None or stored.order < size:
+            stored = self._bases[name] = bivariate.gf_base(statistic, size, k)
         return stored if stored.order == size else stored.truncated(size)
 
     def fill(self, statistic: str) -> None:
@@ -436,7 +418,6 @@ CATALOG = {
             "crank difference columns m = 1, 2 match their displayed heads",
             lambda N, r: _head(N, "m=1", lambda: r.diff("crank", 1), CRANK_DIFF_M1_HEAD)
             + _head(N, "m=2", lambda: r.diff("crank", 2), CRANK_DIFF_M2_HEAD),
-            reads=(("crank", None),),
         ),
         IdentityEntry(
             "crank-diff-decomp",
@@ -466,7 +447,6 @@ CATALOG = {
                     nonneg_from=27,
                 ),
             ],
-            reads=(("crank", None),),
         ),
         IdentityEntry(
             "crank-diff-tails",
@@ -482,7 +462,6 @@ CATALOG = {
                     f"m={m} tail",
                 )
             ],
-            reads=(("crank", None),),
         ),
         IdentityEntry(
             "ocrank-diff-nonneg",
@@ -490,7 +469,6 @@ CATALOG = {
             lambda N, r: [
                 Clause(f"m={m}", lambda m=m: r.diff("ocrank", m)) for m in range(2, 21)
             ],
-            reads=(("ocrank", None),),
         ),
         IdentityEntry(
             "sc-identity",
@@ -510,7 +488,6 @@ CATALOG = {
                 [1, 0, -1, 0, -1, 0, 1, 0],
                 "tail",
             ),
-            reads=(("ocrank", None),),
         ),
         IdentityEntry(
             "ocrank-monotone-factored",
@@ -533,7 +510,6 @@ CATALOG = {
                 left=(_euler(N),),
                 right=(_euler(N, 2),),
             ),
-            reads=(("ocrank", None), ("crank", None)),
         ),
         IdentityEntry(
             "andrews-merca",
@@ -573,7 +549,6 @@ CATALOG = {
                     right=(),
                 )
             ],
-            reads=(*(("kcrank", k) for k in (2, 3, 4)), ("ocrank", None)),
         ),
         IdentityEntry(
             "ocrank-head",
@@ -581,7 +556,6 @@ CATALOG = {
             lambda N, r: _head(
                 N, "prefix", lambda: r.diff("ocrank", 1), [1, -1, -1, 1, 0, 1], "tail"
             ),
-            reads=(("ocrank", None),),
         ),
         IdentityEntry(
             "m2-from-ocrank",
@@ -600,7 +574,6 @@ CATALOG = {
                 left=(phi_minus_q(N),),
                 right=(phi_minus_q(N).stretched(2),),
             ),
-            reads=(("m2crank", None), ("ocrank", None)),
         ),
     ]
 }

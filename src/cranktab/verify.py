@@ -30,8 +30,7 @@ sweep of that (statistic, k) while it holds the last three only, so a run
 holds O(N) cells per pass, not whole tables.  The identity catalog gets its
 few low columns on its own (:class:`~cranktab.identities.Run`), from a pass
 that starts at the highest column it reads.  That run is also the run's one
-store of GF bases, so the passes and the catalog build each distinct base
-once.
+store of GF bases, which the passes and the catalog share.
 
 :func:`run_checks` and :func:`check_identity` check their arguments at the
 call and raise :class:`~cranktab.UsageError` before any column pass or
@@ -267,12 +266,12 @@ def run_checks(check_ids, n_max=None, order=None, k_list=None):
     (statistic, k) at the largest n_max of its sweeps, and the pass feeds
     every sweep of that GF, so no full table is held.  The catalog entries
     share one :class:`~cranktab.identities.Run`, which builds the low
-    columns they read.  The same run is the store of GF bases: before the
-    first pass it is told every reader's size, each sweep's n_max and the
-    order of each catalog entry that reads a base
-    (:attr:`~cranktab.identities.IdentityEntry.reads`), so each distinct
-    base is built once, at the largest, and every smaller reader takes its
-    prefix.
+    columns they read.  The same run is the store of GF bases
+    (:meth:`~cranktab.identities.Run.base`).  The passes run largest first
+    and before the catalog, so a base that a smaller pass or the catalog
+    reads again is a prefix of one already built, unless the order exceeds
+    every n_max that reads it: at the defaults and whenever the order is at
+    most n_max, each distinct base is built once.
     """
     ids = expand_checks(check_ids)
     for name, size in (("n_max", n_max), ("order", order)):
@@ -298,14 +297,8 @@ def run_checks(check_ids, n_max=None, order=None, k_list=None):
                 scans.setdefault((sweep.statistic, k), []).append(_Scan(sweep, size, k))
     sizes = {key: max(s.n_max for s in group) for key, group in scans.items()}
     run = identities.Run(order)
-    for (statistic, k), size in sizes.items():
-        run.reserve(statistic, size, k)
-    for cid in ids:
-        if cid in identities.CATALOG:
-            for statistic, k in identities.CATALOG[cid].reads:
-                run.reserve(statistic, order, k)
-    for (statistic, k), group in scans.items():
-        _column_pass(statistic, k, sizes[statistic, k], group, run)
+    for statistic, k in sorted(sizes, key=sizes.get, reverse=True):  # largest base first
+        _column_pass(statistic, k, sizes[statistic, k], scans[statistic, k], run)
     reports = [scan.report() for group in scans.values() for scan in group]
     reports.extend(check_identity(cid, order, run) for cid in ids if cid in identities.CATALOG)
     reports.sort(key=lambda r: r.check_id)

@@ -389,6 +389,11 @@ def test_columns_are_differences_of_cumulative_columns(stat, k):
         ref = [list(map(sub, cumulative[m], cumulative[m + 1])) for m in range(order + 1)]
         if stat == "rank":
             ref[0][0] += 1  # the empty partition
+        prebuilt = bivariate.gf_base(stat, order, k)  # a prebuilt base gives the same columns
+        assert list(gf_columns(stat, order, k, base=prebuilt)) == [
+            (m, ref[m]) for m in range(order, -1, -1)]
+        with pytest.raises(ValueError, match=f"^the base is at order {order}, not {order + 1}$"):
+            gf_columns(stat, order + 1, k, base=prebuilt)
         for top in {0, 1, 2, 3, 10, order // 2, order - 1, order, order + 5}:
             if top >= 0:
                 columns = list(gf_columns(stat, order, k, top))
@@ -415,10 +420,6 @@ def test_rows_are_the_transposed_columns(stat, k):
         columns = [column for _, column in gf_columns(stat, order, k)][::-1]
         rows = list(gf_rows(stat, order, k))
         assert len(rows) == order + 1
-        base = bivariate.gf_base(stat, order, k)  # a prebuilt base gives the same rows
-        assert list(gf_rows(stat, order, k, base=base)) == rows
-        with pytest.raises(ValueError, match=f"^the base is at order {order}, not {order + 1}$"):
-            gf_rows(stat, order + 1, k, base=base)
         for n, row in enumerate(rows):
             half = [column[n] for column in columns[: n + 1]]
             assert row == half[:0:-1] + half, (stat, k, order, n)

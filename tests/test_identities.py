@@ -233,31 +233,16 @@ def test_run_columns_past_their_bound_raise():
             run.column(statistic, 1)
 
 
-def test_entries_declare_every_gf_they_read(monkeypatch):
-    # a verify run sizes each base from the declared reads before its first
-    # pass, so each entry reads exactly the GFs it declares
-    read = set()
-    real = identities.Run.base
-
-    def recorded(self, statistic, k=None, size=None):
-        read.add((statistic, k))
-        return real(self, statistic, k, size)
-
-    monkeypatch.setattr(identities.Run, "base", recorded)
-    for entry_id, entry in CATALOG.items():
-        read.clear()
-        assert run_entry(entry, 80)[0] == []
-        assert read == set(entry.reads), entry_id
-
-
 def test_run_serves_every_reader_from_one_base():
     run = identities.Run(10)
-    run.reserve("ocrank", 30)
-    # ocrank and m2crank share the overpartition series, built once at 30
+    # ocrank and m2crank share the overpartition series; a smaller read
+    # takes the prefix of the stored base, a larger one replaces it
+    stored = run.base("ocrank", size=30)
     assert run.base("m2crank") == overpartition_series(10)
-    assert run.base("ocrank", size=30) is run.base("m2crank", size=30)
-    with pytest.raises(ValueError):  # past the reserved size
-        run.base("ocrank", size=31)
+    assert run.base("m2crank", size=30) is stored
+    larger = run.base("m2crank", size=31)
+    assert larger == overpartition_series(31)
+    assert run.base("ocrank", size=30) == stored and run.base("ocrank", size=31) is larger
 
 
 def test_generic_products_are_built_once_per_run(monkeypatch):

@@ -431,9 +431,10 @@ def test_run_checks_builds_each_gf_once(monkeypatch):
 
 def test_run_checks_builds_each_base_once(monkeypatch):
     # one store per run: each distinct base (1/(q;q)^k for k = 1..6 and the
-    # overpartition series, which ocrank and m2crank share) is built once,
-    # at the largest size any reader asks for: the catalog's order 40, but
-    # n_max 30 for k = 5 and 6, which only the sweeps read
+    # overpartition series, which ocrank and m2crank share) is built once at
+    # the defaults, at the largest size that reads it: 300 for k = 1 (the
+    # crank; the rank pass at 40 reads its prefix) and the overpartition
+    # series, 200 for k = 2..6.  The catalog, at order 200, reads prefixes.
     builds, bases = [], []
     real_build, real_columns = series.sparse_reciprocal, bivariate.gf_columns
 
@@ -447,14 +448,19 @@ def test_run_checks_builds_each_base_once(monkeypatch):
 
     monkeypatch.setattr(series, "sparse_reciprocal", counted)
     monkeypatch.setattr(bivariate, "gf_columns", kept)
-    reports = run_checks(["all"], n_max=30, order=40)
+    reports = run_checks(["all"])
     assert len(reports) == 27 and all(r.passed for r in reports)
-    assert sorted(builds) == [(30, 5), (30, 6), *((40, power) for power in (1, 1, 2, 3, 4))]
-    # a pass at n_max = 30 reads the prefix of the base built at 40: the
-    # same cells as a base built at 30
+    assert sorted(builds) == [*((200, power) for power in (2, 3, 4, 5, 6)), (300, 1), (300, 1)]
+    # a pass at a smaller size reads the prefix of the stored base: the
+    # same cells as a base built at its own size
     assert len(bases) == 11
     for statistic, k, order, coeffs in bases:
         assert coeffs == bivariate.gf_base(statistic, order, k).coeffs, (statistic, k, order)
+    # an order past n_max builds each base that the catalog reads again, at the order
+    builds.clear()
+    assert all(r.passed for r in run_checks(["all"], n_max=30, order=40))
+    assert sorted(builds) == [*((30, power) for power in (1, 1, 2, 3, 4, 5, 6)),
+                              *((40, power) for power in (1, 1, 2, 3, 4))]
 
 
 def test_table_consistency_pass_and_fail():

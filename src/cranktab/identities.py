@@ -14,21 +14,23 @@ passes take their bases from the same run.  Only those two reads of a GF
 import :mod:`cranktab.bivariate`, so an entry that reads none loads this
 module and :mod:`cranktab.series` only.  :func:`check_identity` runs one
 entry and returns its :class:`CheckReport`, the one report type of every
-check (:mod:`cranktab.verify` uses it too).  A clause is of one of two kinds:
+check (:mod:`cranktab.verify` uses it too).  A clause checks one claim in
+one or both of two ways:
 
-* **exact** -- it has a right side ``rhs``, and both sides must agree
-  coefficient for coefficient;
-* **sign**  -- it has no ``rhs``, and the indices n >= ``nonneg_from`` at
-  which the left side is negative must be exactly ``negative_at``
-  (restricted to the truncation order).
+* **equality** -- it has a right side ``rhs``, and both sides must agree on
+  every coefficient that both have;
+* **sign pattern** -- the indices n >= ``nonneg_from`` at which the left
+  side is negative must be exactly ``negative_at`` (restricted to the
+  truncation order).
 
-Most rows are built from three shapes:
+A clause with an ``rhs`` checks its sign pattern too when it has a
+``nonneg_from``; a clause with no ``rhs`` checks its sign pattern from
+``nonneg_from``, by default 0.  So no clause checks nothing.
 
-* ``_closed_form(lhs, rhs, **signs)`` -- the left side equals a closed form
-  and has a sign pattern; it is built once per run and shared;
-* ``_head(N, label, series, head, tail)`` -- a series starts with a frozen
-  head and, given a tail label, is nonnegative after it; the series is built
-  once per run and shared;
+Most rows are built from two shapes:
+
+* ``_head(label, series, head, tail)`` -- a series starts with a frozen
+  head and, with ``tail``, is nonnegative after it;
 * ``_factored(rows, left, right)`` -- each left side times the sparse units
   ``left`` equals its factor times the sparse units ``right``: a quotient of
   q-products written with Euler's pentagonal series and Gauss's phi(-q), so
@@ -59,7 +61,7 @@ sum is unpacked once.  Every step costs O(N) operations on slots of
 O(sqrt N) bits, so a right-hand side at order N costs O(N^2) of them.
 
 The displayed coefficient heads and the explicit polynomials below are
-frozen constants; the whole point of the exact-equality clauses is that the
+frozen constants; the whole point of the equality checks is that the
 series machinery must reproduce them term for term.
 """
 
@@ -114,12 +116,12 @@ H2_TERMS = {7: 1, 15: 1, 17: 2, 19: 3, 21: 4, 23: 5, 25: 7}
 
 
 class Clause(namedtuple("Clause", "label lhs rhs nonneg_from negative_at",
-                        defaults=(None, 0, frozenset()))):
-    """One check; ``lhs`` and ``rhs`` build its sides at the run's order.
+                        defaults=(None, None, frozenset()))):
+    """One claim; ``lhs`` and ``rhs`` build its sides at the run's order.
 
-    ``lhs`` and ``rhs`` take no argument and return a :class:`Series`.  With
-    an ``rhs`` the clause is exact; without one it is a sign clause (see the
-    module docstring).
+    ``lhs`` and ``rhs`` take no argument and return a :class:`Series`.  An
+    ``rhs`` adds an equality check, a ``nonneg_from`` a sign check; with
+    neither, the sign check starts at 0 (see the module docstring).
     """
 
     __slots__ = ()
@@ -327,28 +329,15 @@ def _distinct_odd_rhs(order: int) -> Series:
 # -- clause shapes ------------------------------------------------------------
 
 
-def _closed_form(lhs, rhs, **signs) -> list:
-    """``lhs`` equals the closed form ``rhs`` and has the sign pattern ``signs``.
+def _head(label: str, series, head: list, tail: bool = True) -> Clause:
+    """``series`` starts with ``head``; with ``tail``, it is nonnegative after it.
 
-    The left side is built once per run and shared by both clauses.
+    A head past the order is compared as far as the series reaches.  The tail
+    reads the series itself: subtracting a head of degree len(head) - 1
+    changes no coefficient above it.
     """
-    lhs = functools.cache(lhs)
-    return [Clause("closed-form", lhs, rhs), Clause("sign-pattern", lhs, **signs)]
-
-
-def _head(N: int, label: str, series, head: list, tail: str | None = None) -> list:
-    """``series`` equals ``head`` on q^0..q^h, h = min(N, len(head) - 1).
-
-    With a ``tail`` label it must also be nonnegative from h + 1 on.  The tail
-    reads the series itself: subtracting a head of degree <= h changes no
-    coefficient above h.  Both clauses share one build of the series.
-    """
-    series = functools.cache(series)
-    h = min(N, len(head) - 1)
-    clauses = [Clause(label, lambda: series().truncated(h), lambda: Series(h, head[: h + 1]))]
-    if tail is not None:
-        clauses.append(Clause(tail, series, nonneg_from=h + 1))
-    return clauses
+    return Clause(label, series, lambda: Series(len(head) - 1, head),
+                  nonneg_from=len(head) if tail else None)
 
 
 def _factored(rows, left, right) -> list:
@@ -395,29 +384,38 @@ CATALOG = {
         IdentityEntry(
             "lemma-3.2",
             "(1-q)^2 (-q;q)_inf closed form; negative only at n = 1 and 4",
-            lambda N, r: _closed_form(
-                lambda: _poly(N, {0: 1, 1: -1}).pow(2) * r.product(distinct_series),
-                lambda: _one_minus_q_squared_distinct_rhs(N),
-                negative_at=frozenset({1, 4}),
-            ),
+            lambda N, r: [
+                Clause(
+                    "closed-form",
+                    lambda: _poly(N, {0: 1, 1: -1}).pow(2) * r.product(distinct_series),
+                    lambda: _one_minus_q_squared_distinct_rhs(N),
+                    nonneg_from=0,
+                    negative_at=frozenset({1, 4}),
+                )
+            ],
         ),
         IdentityEntry(
             "lemma-3.3",
             "(1-q)(1-q^5)(-1+q^2+q^3+q^4-q^5)(-q;q)_inf closed form; nonnegative from n = 1",
-            lambda N, r: _closed_form(
-                lambda: _poly(N, {0: 1, 1: -1})
-                * _poly(N, {0: 1, 5: -1})
-                * _poly(N, {0: -1, 2: 1, 3: 1, 4: 1, 5: -1})
-                * r.product(distinct_series),
-                lambda: _quintic_distinct_rhs(N),
-                nonneg_from=1,
-            ),
+            lambda N, r: [
+                Clause(
+                    "closed-form",
+                    lambda: _poly(N, {0: 1, 1: -1})
+                    * _poly(N, {0: 1, 5: -1})
+                    * _poly(N, {0: -1, 2: 1, 3: 1, 4: 1, 5: -1})
+                    * r.product(distinct_series),
+                    lambda: _quintic_distinct_rhs(N),
+                    nonneg_from=1,
+                )
+            ],
         ),
         IdentityEntry(
             "crank-diff-heads",
             "crank difference columns m = 1, 2 match their displayed heads",
-            lambda N, r: _head(N, "m=1", lambda: r.diff("crank", 1), CRANK_DIFF_M1_HEAD)
-            + _head(N, "m=2", lambda: r.diff("crank", 2), CRANK_DIFF_M2_HEAD),
+            lambda N, r: [
+                _head(f"m={m}", lambda m=m: r.diff("crank", m), head, tail=False)
+                for m, head in ((1, CRANK_DIFF_M1_HEAD), (2, CRANK_DIFF_M2_HEAD))
+            ],
         ),
         IdentityEntry(
             "crank-diff-decomp",
@@ -452,15 +450,8 @@ CATALOG = {
             "crank-diff-tails",
             "crank difference columns for m = 8..60: q^(m-1) - q^m then nonnegative",
             lambda N, r: [
-                clause
+                _head(f"m={m}", lambda m=m: r.diff("crank", m), [0] * (m - 1) + [1, -1])
                 for m in range(8, min(60, N - 1) + 1)
-                for clause in _head(
-                    N,
-                    f"m={m} head",
-                    lambda m=m: r.diff("crank", m),
-                    [0] * (m - 1) + [1, -1],
-                    f"m={m} tail",
-                )
             ],
         ),
         IdentityEntry(
@@ -473,21 +464,21 @@ CATALOG = {
         IdentityEntry(
             "sc-identity",
             "(1-q^4)(-q;q^2)_inf closed form; nonnegative coefficients",
-            lambda N, r: _closed_form(
-                lambda: _poly(N, {0: 1, 4: -1}) * r.product(qpoch_inf, 1, 2, sign=-1),
-                lambda: _distinct_odd_rhs(N),
-            ),
+            lambda N, r: [
+                Clause(
+                    "closed-form",
+                    lambda: _poly(N, {0: 1, 4: -1}) * r.product(qpoch_inf, 1, 2, sign=-1),
+                    lambda: _distinct_odd_rhs(N),
+                    nonneg_from=0,
+                )
+            ],
         ),
         IdentityEntry(
             "m2-head",
             "q -> q^2 image of the m = 1 overline difference: 1-q^2-q^4+q^6 then nonnegative",
-            lambda N, r: _head(
-                N,
-                "prefix",
-                lambda: r.diff("ocrank", 1).stretched(2),
-                [1, 0, -1, 0, -1, 0, 1, 0],
-                "tail",
-            ),
+            lambda N, r: [
+                _head("m=1", lambda: r.diff("ocrank", 1).stretched(2), [1, 0, -1, 0, -1, 0, 1, 0])
+            ],
         ),
         IdentityEntry(
             "ocrank-monotone-factored",
@@ -553,9 +544,7 @@ CATALOG = {
         IdentityEntry(
             "ocrank-head",
             "m = 1 overline difference column: 1-q-q^2+q^3+q^5 then nonnegative",
-            lambda N, r: _head(
-                N, "prefix", lambda: r.diff("ocrank", 1), [1, -1, -1, 1, 0, 1], "tail"
-            ),
+            lambda N, r: [_head("m=1", lambda: r.diff("ocrank", 1), [1, -1, -1, 1, 0, 1])],
         ),
         IdentityEntry(
             "m2-from-ocrank",
@@ -596,28 +585,33 @@ CORE_ENTRIES = [
 
 
 def run_clause(clause: Clause) -> tuple[list, int]:
-    """Evaluate one clause.
+    """Evaluate one clause: its equality check, then its sign check.
 
     Returns the exception list (empty = clause holds) and the number of
-    coefficients compared.
+    coefficients compared by both checks.
     """
-    lhs = clause.lhs()
+    lhs, label = clause.lhs(), clause.label
+    exceptions, checked = [], 0
+    n0 = clause.nonneg_from
     if clause.rhs is not None:
-        rhs = clause.rhs()
+        rhs = clause.rhs().coeffs
         exceptions = [
-            {"clause": clause.label, "n": n, "lhs": a, "rhs": b}
-            for n, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs))
+            {"clause": label, "n": n, "lhs": a, "rhs": b}
+            for n, (a, b) in enumerate(zip(lhs.coeffs, rhs))
             if a != b
         ]
-        return exceptions, min(len(lhs.coeffs), len(rhs.coeffs))
-    n0 = clause.nonneg_from
-    found = {n for n in range(n0, lhs.order + 1) if lhs.coeffs[n] < 0}
-    allowed = {n for n in clause.negative_at if n0 <= n <= lhs.order}
-    exceptions = [
-        {"clause": clause.label, "n": n, "lhs": lhs.coeffs[n], "rhs": 0}
-        for n in sorted(found ^ allowed)
-    ]
-    return exceptions, max(0, lhs.order + 1 - n0)
+        checked = min(len(lhs.coeffs), len(rhs))
+    elif n0 is None:
+        n0 = 0
+    if n0 is not None:
+        found = {n for n in range(n0, lhs.order + 1) if lhs.coeffs[n] < 0}
+        allowed = {n for n in clause.negative_at if n0 <= n <= lhs.order}
+        exceptions.extend(
+            {"clause": label, "n": n, "lhs": lhs.coeffs[n], "rhs": 0}
+            for n in sorted(found ^ allowed)
+        )
+        checked += max(0, lhs.order + 1 - n0)
+    return exceptions, checked
 
 
 def run_entry(entry: IdentityEntry, order: int, run: Run | None = None) -> tuple[list, int]:
@@ -632,10 +626,8 @@ def run_entry(entry: IdentityEntry, order: int, run: Run | None = None) -> tuple
     elif run.order != order:
         raise ValueError(f"the run is at order {run.order}, not {order}")
     exceptions, checked = [], 0
-    clauses = entry.clauses(order, run)[::-1]
-    while clauses:
-        # each clause is dropped once run, so a side two clauses share is freed
-        found, count = run_clause(clauses.pop())
+    for clause in entry.clauses(order, run):
+        found, count = run_clause(clause)
         exceptions.extend(found)
         checked += count
     return exceptions, checked

@@ -25,7 +25,10 @@ one or both of two ways:
 
 A clause with an ``rhs`` checks its sign pattern too when it has a
 ``nonneg_from``; a clause with no ``rhs`` checks its sign pattern from
-``nonneg_from``, by default 0.  So no clause checks nothing.
+``nonneg_from``, by default 0.  So no clause checks nothing.  A clause
+that reads GF columns is made only when the run builds one of them (column
+m is built when m <= N), so no clause counts the coefficients of columns
+that are zero only because the run never built them.
 
 Most rows are built from two shapes:
 
@@ -415,6 +418,7 @@ CATALOG = {
             lambda N, r: [
                 _head(f"m={m}", lambda m=m: r.diff("crank", m), head, tail=False)
                 for m, head in ((1, CRANK_DIFF_M1_HEAD), (2, CRANK_DIFF_M2_HEAD))
+                if m <= N + 1
             ],
         ),
         IdentityEntry(
@@ -444,7 +448,7 @@ CATALOG = {
                     ),
                     nonneg_from=27,
                 ),
-            ],
+            ][: N + 1],  # the clause of m reads columns m - 1 and m
         ),
         IdentityEntry(
             "crank-diff-tails",
@@ -458,7 +462,8 @@ CATALOG = {
             "ocrank-diff-nonneg",
             "first-residual-crank difference columns are nonnegative for m >= 2",
             lambda N, r: [
-                Clause(f"m={m}", lambda m=m: r.diff("ocrank", m)) for m in range(2, 21)
+                Clause(f"m={m}", lambda m=m: r.diff("ocrank", m))
+                for m in range(2, min(20, N + 1) + 1)
             ],
         ),
         IdentityEntry(
@@ -496,7 +501,7 @@ CATALOG = {
                         lambda m=m: r.column("ocrank", m),
                         lambda m=m: r.column("crank", m),
                     )
-                    for m in range(0, 21)
+                    for m in range(0, min(20, N) + 1)
                 ],
                 left=(_euler(N),),
                 right=(_euler(N, 2),),

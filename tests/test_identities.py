@@ -125,7 +125,7 @@ PINNED_ORDERS = (0, 5, 40, 200)
 PINNED_COEFFS_CHECKED = {
     "andrews-merca": (1, 11, 81, 401),
     "crank-diff-decomp": (0, 0, 14, 331),
-    "crank-diff-heads": (2, 12, 68, 71),
+    "crank-diff-heads": (1, 12, 68, 71),
     "crank-diff-tails": (0, 0, 1312, 10653),
     "euler": (1, 6, 41, 201),
     "kcrank-reduction": (3, 18, 123, 603),
@@ -133,9 +133,9 @@ PINNED_COEFFS_CHECKED = {
     "lemma-3.3": (1, 11, 81, 401),
     "m2-from-ocrank": (1, 6, 41, 201),
     "m2-head": (1, 6, 41, 201),
-    "ocrank-diff-nonneg": (19, 114, 779, 3819),
+    "ocrank-diff-nonneg": (0, 30, 779, 3819),
     "ocrank-head": (1, 6, 41, 201),
-    "ocrank-monotone-factored": (21, 126, 861, 4221),
+    "ocrank-monotone-factored": (1, 36, 861, 4221),
     "sc-identity": (2, 12, 82, 402),
 }
 

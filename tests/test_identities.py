@@ -1,5 +1,6 @@
 """Tests for the identity catalog: every entry must verify exactly."""
 
+import weakref
 from operator import add
 
 import pytest
@@ -60,7 +61,7 @@ def test_lemma_33_leading_coefficient():
      ("sc-identity", "qpoch_inf")],
 )
 def test_closed_form_left_side_is_built_once(entry_id, factor, monkeypatch):
-    # the closed-form and sign-pattern clauses share one left side per run
+    # one clause checks the closed form and the sign pattern of one left side
     calls = []
     real = getattr(identities, factor)
 
@@ -75,7 +76,7 @@ def test_closed_form_left_side_is_built_once(entry_id, factor, monkeypatch):
 
 
 def test_head_and_tail_clauses_share_one_series(monkeypatch):
-    # crank-diff-tails builds each of its 53 difference columns once, not once per clause
+    # one clause per column checks head and tail: each of the 53 columns is built once
     calls = []
     real = identities.Run.diff
 
@@ -87,6 +88,31 @@ def test_head_and_tail_clauses_share_one_series(monkeypatch):
     exceptions, _ = run_entry(CATALOG["crank-diff-tails"], 200)
     assert exceptions == []
     assert sorted(calls) == [("crank", m) for m in range(8, 61)]
+
+
+def test_crank_diff_tails_frees_each_column_when_its_clause_returns(monkeypatch):
+    # Series has __slots__ and no weak reference; this subclass can be watched
+    class Watched(Series):
+        __slots__ = ("__weakref__",)
+
+    refs = []
+    real_diff, real_run_clause = identities.Run.diff, identities.run_clause
+
+    def diff(self, statistic, m):
+        column = real_diff(self, statistic, m)
+        refs.append(weakref.ref(watched := Watched(column.order, column.coeffs)))
+        return watched
+
+    def run_clause(clause):
+        result = real_run_clause(clause)
+        assert [ref() for ref in refs] == [None] * len(refs), "a column outlived its clause"
+        return result
+
+    monkeypatch.setattr(identities.Run, "diff", diff)
+    monkeypatch.setattr(identities, "run_clause", run_clause)
+    exceptions, _ = run_entry(CATALOG["crank-diff-tails"], 200)
+    assert exceptions == []
+    assert len(refs) == 53
 
 
 def test_andrews_merca_value_at_5():
@@ -294,6 +320,23 @@ def test_sign_clause_reports_missing_and_unexpected_negatives():
         {"clause": "s", "n": 4, "lhs": -3, "rhs": 0},
     ]
     assert checked == 5
+
+
+def test_clause_with_both_checks_reports_equality_then_sign():
+    # one label; the equality exceptions come first, and both checks are counted
+    clause = identities.Clause(
+        "both",
+        lambda: Series(4, [1, -2, 3, -4, 5]),
+        lambda: Series(2, [1, 2, 0]),
+        nonneg_from=2,
+    )
+    exceptions, checked = identities.run_clause(clause)
+    assert exceptions == [
+        {"clause": "both", "n": 1, "lhs": -2, "rhs": 2},
+        {"clause": "both", "n": 2, "lhs": 3, "rhs": 0},
+        {"clause": "both", "n": 3, "lhs": -4, "rhs": 0},
+    ]
+    assert checked == 3 + 3  # q^0..q^2 compared with the right side, q^2..q^4 signed
 
 
 def test_check_identity_report_shape():

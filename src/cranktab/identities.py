@@ -448,7 +448,7 @@ CATALOG = {
                     ),
                     nonneg_from=27,
                 ),
-            ][: N + 1],  # the clause of m reads columns m - 1 and m
+            ][: N + 1],  # the clause of m reads columns m - 1 and m, built when m - 1 <= N
         ),
         IdentityEntry(
             "crank-diff-tails",
@@ -595,9 +595,8 @@ def run_clause(clause: Clause) -> tuple[list, int]:
     Returns the exception list (empty = clause holds) and the number of
     coefficients compared by both checks.
     """
-    lhs, label = clause.lhs(), clause.label
+    lhs, label, n0 = clause.lhs(), clause.label, clause.nonneg_from
     exceptions, checked = [], 0
-    n0 = clause.nonneg_from
     if clause.rhs is not None:
         rhs = clause.rhs().coeffs
         exceptions = [
@@ -606,7 +605,7 @@ def run_clause(clause: Clause) -> tuple[list, int]:
             if a != b
         ]
         checked = min(len(lhs.coeffs), len(rhs))
-    elif n0 is None:
+    elif n0 is None:  # a clause with no rhs is a sign clause from 0
         n0 = 0
     if n0 is not None:
         found = {n for n in range(n0, lhs.order + 1) if lhs.coeffs[n] < 0}

@@ -86,8 +86,12 @@ class _Scan:
     def compare(self, m: int, lhs_col: list, rhs_col: list) -> None:
         """Compare column m - stride (``lhs_col``) with column m (``rhs_col``).
 
-        The columns are compared as whole slices in one pass, which yields
-        the violating cells only.
+        The columns are compared as whole slices, once to learn whether any
+        cell violates the relation and, only then, again to visit the
+        violating cells one by one.  The first pass makes no object per cell
+        and the second makes an int (the index) per cell, so on the columns
+        without a violation, nearly all of them, the first pass alone is the
+        cheaper scan.
         """
         t0 = time.perf_counter()
         sweep, n_max, k = self.sweep, self.n_max, self.k
@@ -99,16 +103,18 @@ class _Scan:
         if diagonal is not None and first_counted <= m + diagonal <= n_max:
             self.cells -= 1
         lhs, rhs = lhs_col[lo : n_max + 1], rhs_col[lo - dn :]
-        for n in compress(count(lo), map(operator.lt, lhs, rhs)):
-            entry = {"m": m, "n": n, "lhs": lhs_col[n], "rhs": rhs_col[n - dn]}
-            if k is not None:
-                entry["k"] = k
-            if n < sweep.scan_from:
-                self.informational.append(entry)
-            elif diagonal is not None and n == m + diagonal:
-                self.informational.append(dict(entry, note=f"excluded diagonal n=m+{diagonal}"))
-            else:
-                self.found.append(entry)
+        if any(map(operator.lt, lhs, rhs)):  # nearly every column has no violation
+            for n in compress(count(lo), map(operator.lt, lhs, rhs)):
+                entry = {"m": m, "n": n, "lhs": lhs_col[n], "rhs": rhs_col[n - dn]}
+                if k is not None:
+                    entry["k"] = k
+                if n < sweep.scan_from:
+                    self.informational.append(entry)
+                elif diagonal is not None and n == m + diagonal:
+                    self.informational.append(
+                        dict(entry, note=f"excluded diagonal n=m+{diagonal}"))
+                else:
+                    self.found.append(entry)
         self.seconds += time.perf_counter() - t0
 
     def report(self) -> CheckReport:

@@ -217,7 +217,7 @@ def main(args=None, prog_name=None):
     except UsageError as exc:
         print(f"Error: {exc}", file=sys.stderr)
         code = 2
-    except MemoryError:
+    except (MemoryError, OverflowError):  # a size too large for memory, or for an int
         print("Error: out of memory", file=sys.stderr)
         code = 2
     except OSError as exc:

@@ -56,11 +56,12 @@ Closed forms with sums over an unbounded index j instantiate j until the
 smallest q-exponent of the summand exceeds the truncation order, so both
 sides are exact modulo q^(order+1).  Such a sum is evaluated with a running
 prefix: the q-Pochhammer product that the summands share is kept as one
-packed int, the ring image of :func:`cranktab.series.qpoch_fin`, and grown
-(or divided) by one factor per step of j with the same factor steps, cut to
-the coefficients that later summands still reach.  Each summand's sparse
-factor is a few shifted adds of that prefix into two accumulators, and the
-sum is unpacked once.  Every step costs O(N) operations on slots of
+packed int, the ring image that :mod:`cranktab.series` defines, its one home
+(:func:`~cranktab.series.qpoch_fin` uses it too), and grown (or divided) by
+one factor per step of j with the factor steps of that module, cut to the
+coefficients that later summands still reach.  Each summand's sparse factor
+is a few shifted adds of that prefix into two accumulators, and the sum is
+unpacked once.  Every step costs O(N) operations on slots of
 O(sqrt N) bits, so a right-hand side at order N costs O(N^2) of them.
 
 The displayed coefficient heads and the explicit polynomials below are
@@ -78,15 +79,17 @@ from operator import mul
 from cranktab import DEFAULT_IDENTITY_ORDER, UsageError, check_size
 from cranktab.series import (
     Series,
-    _div_factor,
-    _mul_factor,
-    _slot_bits,
-    _unpack,
     distinct_series,
+    div_factor,
     euler_product_pentagonal,
+    mul_factor,
+    pack,
     partition_series,
     phi_minus_q,
     qpoch_inf,
+    ring,
+    shifted,
+    unpacked,
 )
 
 # Head of sum_n (M(0,n) - M(1,n)) q^n through q^43 (crank count differences).
@@ -229,29 +232,10 @@ def _poly(order: int, terms: dict) -> Series:
 
 # -- right-hand sides of the structural closed forms -------------------------
 #
-# Packed as in qpoch_fin (see the module docstring).  A summand's sparse
+# On the packed ring image of cranktab.series.  A summand's sparse
 # factor splits into a "near" and a "far" power of q, each times a fixed
 # polynomial; the two sums are kept apart and multiplied by their
 # polynomials once, at the end.
-
-
-def _ring(order: int) -> tuple[int, int]:
-    """The slot width w and the mask 2^(w*(order+1)) - 1 of the packed image."""
-    w = _slot_bits(order)
-    return w, (1 << w * (order + 1)) - 1
-
-
-def _pack(terms: dict, w: int) -> int:
-    return sum(c << w * e for e, c in terms.items())
-
-
-def _shifted(prefix: int, e: int, w: int, mask: int) -> int:
-    """q^e times the prefix, cut to the slots below the mask."""
-    return (prefix & (mask >> w * e)) << w * e
-
-
-def _unpacked(order: int, x: int, w: int) -> Series:
-    return Series(order, _unpack(x, order + 1, w // 8))
 
 
 def _one_minus_q_squared_distinct_rhs(order: int) -> Series:
@@ -262,18 +246,18 @@ def _one_minus_q_squared_distinct_rhs(order: int) -> Series:
 
     summed as (1 + q) sum_j q^(3j-4) P_j + sum_j q^(4j-6) P_j, P_j = (-q^3;q)_(j-6).
     """
-    w, mask = _ring(order)
+    w, mask = ring(order)
     near = far = 0
     prefix, j = 1, 6
     cut = mask >> 14 * w  # P_j reaches the slots below q^(order+1-(3j-4))
     while cut:
         near += prefix << w * (3 * j - 4)
-        far += _shifted(prefix, 4 * j - 6, w, mask)
+        far += shifted(prefix, 4 * j - 6, w, mask)
         cut >>= 3 * w
-        prefix = _mul_factor(prefix, j - 3, -1, w, cut)
+        prefix = mul_factor(prefix, j - 3, -1, w, cut)
         j += 1
-    head = _pack({0: 1, 1: -1, 3: 1, 4: -1, 5: 1, 9: 1, 12: 1}, w)
-    return _unpacked(order, head + near + (near << w) + far, w)
+    head = pack({0: 1, 1: -1, 3: 1, 4: -1, 5: 1, 9: 1, 12: 1}, w)
+    return unpacked(order, head + near + (near << w) + far, w)
 
 
 def _quintic_distinct_rhs(order: int) -> Series:
@@ -291,21 +275,21 @@ def _quintic_distinct_rhs(order: int) -> Series:
     sum_s q^(a_s) P_s + (q^3 - 1) sum_{s>=3} q^(4s+10) P_s, with
     a_s = 10, 17, 16 for s < 3 and 2s + 9 from then on: one division per step.
     """
-    w, mask = _ring(order)
+    w, mask = ring(order)
     near = far = 0
     cut = mask >> 9 * w  # P_s reaches the slots below q^(order+1-(2s+9))
-    prefix, s = _div_factor(1, 3, w, cut), 0
+    prefix, s = div_factor(1, 3, w, cut), 0
     while cut:
         if s < 3:
-            near += _shifted(prefix, (10, 17, 16)[s], w, mask)
+            near += shifted(prefix, (10, 17, 16)[s], w, mask)
         else:
             near += prefix << w * (2 * s + 9)
-            far += _shifted(prefix, 4 * s + 10, w, mask)
+            far += shifted(prefix, 4 * s + 10, w, mask)
         cut >>= 2 * w
-        prefix = _div_factor(prefix, 2 * s + 7, w, cut)
+        prefix = div_factor(prefix, 2 * s + 7, w, cut)
         s += 1
-    head = _pack({0: -1, 2: 1, 4: 1, 11: 1}, w) + _div_factor(_pack({13: 1, 20: 1}, w), 9, w, mask)
-    return _unpacked(order, head + near + (far << 3 * w) - far, w)
+    head = pack({0: -1, 2: 1, 4: 1, 11: 1}, w) + div_factor(pack({13: 1, 20: 1}, w), 9, w, mask)
+    return unpacked(order, head + near + (far << 3 * w) - far, w)
 
 
 def _distinct_odd_rhs(order: int) -> Series:
@@ -316,17 +300,17 @@ def _distinct_odd_rhs(order: int) -> Series:
 
     summed as (1 + q^2) sum_j q^(2j-4) P_j + sum_j q^(3j-6) P_j, P_j = (-q;q^2)_((j-5)/2).
     """
-    w, mask = _ring(order)
+    w, mask = ring(order)
     near = far = 0
     prefix, j = 1, 5
     cut = mask >> 6 * w  # P_j reaches the slots below q^(order+1-(2j-4))
     while cut:
         near += prefix << w * (2 * j - 4)
-        far += _shifted(prefix, 3 * j - 6, w, mask)
+        far += shifted(prefix, 3 * j - 6, w, mask)
         cut >>= 4 * w
-        prefix = _mul_factor(prefix, j - 4, -1, w, cut)
+        prefix = mul_factor(prefix, j - 4, -1, w, cut)
         j += 2
-    return _unpacked(order, _pack({0: 1, 1: 1, 3: 1}, w) + near + (near << 2 * w) + far, w)
+    return unpacked(order, pack({0: 1, 1: 1, 3: 1}, w) + near + (near << 2 * w) + far, w)
 
 
 # -- clause shapes ------------------------------------------------------------

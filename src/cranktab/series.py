@@ -21,15 +21,17 @@ Two paths build the named series.  The generic one multiplies or divides
 factor by factor (:func:`qpoch_inf`, :func:`partition_series`,
 :func:`overpartition_series`, :meth:`Series.pow`), independent of any
 identity, so the tests and the identity catalog compare against it; each
-factor is a few shifts and adds of one packed int (:func:`_mul_factor`,
-:func:`_div_factor`; the catalog's closed forms use them too).  The
-fast one, which the generating-function bases use, is
-:func:`sparse_reciprocal`: any power of the reciprocal of a series with
-constant term 1 and t terms, in one pass of the power recurrence, O(t*N)
-whatever the power.  ``1/(q;q)_inf**k`` is that pass over Euler's
-pentagonal series (:func:`partition_series_pentagonal`), O(N**1.5) for
-every k, and the overpartition series is the reciprocal of Gauss's theta
-series ``phi(-q) = (q;q)_inf / (-q;q)_inf`` (:func:`phi_minus_q`,
+factor is a few shifts and adds of one packed int (:func:`mul_factor`,
+:func:`div_factor`).  That int, the packed ring image (:func:`ring`,
+:func:`pack`, :func:`shifted`, :func:`unpacked`), is defined here only; the
+catalog's closed forms build their right sides on it too.  The fast one,
+which the generating-function bases use, is :func:`sparse_reciprocal`: any
+power of the reciprocal of a series with constant term 1 and t terms, in
+one pass of the power recurrence, O(t*N) whatever the power.
+``1/(q;q)_inf**k`` is that pass over Euler's pentagonal series
+(:func:`partition_series_pentagonal`), O(N**1.5) for every k, and the
+overpartition series is the reciprocal of Gauss's theta series
+``phi(-q) = (q;q)_inf / (-q;q)_inf`` (:func:`phi_minus_q`,
 :func:`overpartition_series_theta`).
 """
 
@@ -192,16 +194,32 @@ class Series:
         return Series(self.order, c)
 
 
-# -- factor steps on the packed ring image (see qpoch_fin), modulo mask + 1 --
+# -- the packed ring image (see qpoch_fin): slot i of w bits, modulo mask + 1 --
 
 
-def _mul_factor(x: int, exponent: int, sign: int, w: int, mask: int) -> int:
-    """``x * (1 - sign*q**exponent)``: the low n - e slots, shifted e slots up, masked once."""
-    t = (x & (mask >> w * exponent)) << w * exponent
+def ring(order: int) -> tuple[int, int]:
+    """The slot width w, ``4*isqrt(order) + 6`` bits in whole bytes, and the mask."""
+    w = (4 * isqrt(order) + 13) // 8 * 8
+    return w, (1 << w * (order + 1)) - 1
+
+
+def pack(terms: Mapping[int, int], w: int) -> int:
+    """The image of ``sum terms[e] * q**e``, not yet masked."""
+    return sum(c << w * e for e, c in terms.items())
+
+
+def shifted(x: int, e: int, w: int, mask: int) -> int:
+    """``q**e * x``: the slots of x that stay under the mask, shifted e slots up."""
+    return (x & (mask >> w * e)) << w * e
+
+
+def mul_factor(x: int, exponent: int, sign: int, w: int, mask: int) -> int:
+    """``x * (1 - sign*q**exponent)``, masked once."""
+    t = shifted(x, exponent, w, mask)
     return (x - t if sign == 1 else x + t) & mask
 
 
-def _div_factor(x: int, exponent: int, w: int, mask: int) -> int:
+def div_factor(x: int, exponent: int, w: int, mask: int) -> int:
     """``x / (1 - q**exponent)``: ``x`` times the ``1 + q**(2**i * e)`` below q**n, masked once."""
     s = w * exponent
     low = mask >> s
@@ -212,22 +230,18 @@ def _div_factor(x: int, exponent: int, w: int, mask: int) -> int:
     return x & mask
 
 
-def _slot_bits(order: int) -> int:
-    """Slot width of :func:`qpoch_fin`: ``4*isqrt(order) + 6`` bits in whole bytes."""
-    return (4 * isqrt(order) + 13) // 8 * 8
+def unpacked(order: int, x: int, w: int) -> Series:
+    """The series whose image is x, modulo ``2**(w*(order+1))``.
 
-
-def _unpack(x: int, n: int, w: int) -> list:
-    """The n coefficients of ``x = sum c[i] * 2**(8*w*i)`` modulo ``2**(8*w*n)``.
-
-    Each ``c[i]`` must lie in ``[-half, half)``, ``half = 2**(8*w - 1)``;
+    Each coefficient must lie in ``[-half, half)``, ``half = 2**(w - 1)``;
     adding half to every slot then leaves no borrow between slots.
     """
-    half = 1 << (8 * w - 1)
-    offset = int.from_bytes(half.to_bytes(w, "little") * n, "little")
-    low = (x + offset) & ((1 << (8 * w * n)) - 1)
-    raw = low.to_bytes(w * n, "little")
-    return [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, w * n, w)]
+    b, n = w // 8, order + 1
+    half = 1 << (w - 1)
+    offset = int.from_bytes(half.to_bytes(b, "little") * n, "little")
+    raw = ((x + offset) & ((1 << w * n) - 1)).to_bytes(b * n, "little")
+    return Series(order, [int.from_bytes(raw[i : i + b], "little") - half
+                          for i in range(0, b * n, b)])
 
 
 def qpoch_inf(a: int, d: int, order: int, sign: int = 1, invert: bool = False) -> Series:
@@ -253,10 +267,11 @@ def qpoch_fin(
     exponent exceeds the truncation order are skipped; they are congruent to
     1 modulo ``q**(order+1)``.
 
-    The product is one int, coefficient i in slot i of w = :func:`_slot_bits`
-    bits, modulo ``2**(w*(order+1))``: a ring image of Z[q]/(q**(order+1)), so
-    only the final coefficients must fit, and each is at most p(n) <
-    exp(pi*sqrt(2n/3)) < 2**(4*isqrt(n) + 5) in absolute value (Apostol, Thm 14.5).
+    The product is one int, the packed ring image of Z[q]/(q**(order+1))
+    (:func:`ring`): coefficient i in slot i of w bits, modulo
+    ``2**(w*(order+1))``, so only the final coefficients must fit, and each
+    is at most p(n) < exp(pi*sqrt(2n/3)) < 2**(4*isqrt(n) + 5) in absolute
+    value (Apostol, Thm 14.5).
     """
     if terms < 0:
         raise ValueError(f"terms must be >= 0, got {terms}")
@@ -264,17 +279,16 @@ def qpoch_fin(
         raise ValueError("exponents must be >= 1")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    w = _slot_bits(order)
-    mask = (1 << (w * (order + 1))) - 1
+    w, mask = ring(order)
     x = 1
     for e in range(a, min(a + terms * d, order + 1), d):
         if not invert:
-            x = _mul_factor(x, e, sign, w, mask)
+            x = mul_factor(x, e, sign, w, mask)
             continue
         if sign == -1:  # 1/(1 + q^e) = (1 - q^e) / (1 - q^(2e))
-            x, e = _mul_factor(x, e, 1, w, mask), 2 * e
-        x = _div_factor(x, e, w, mask)
-    return Series(order, _unpack(x, order + 1, w // 8))
+            x, e = mul_factor(x, e, 1, w, mask), 2 * e
+        x = div_factor(x, e, w, mask)
+    return unpacked(order, x, w)
 
 
 # -- named series used throughout -------------------------------------------

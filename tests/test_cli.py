@@ -217,6 +217,11 @@ def test_out_of_memory_is_one_error_line(tmp_path, monkeypatch):
         ["crosscheck", "--stat", "crank", "--n-max", "5"],
         ["verify", "--check", "thm-1.4"],
         ["identity", "--id", "crank-diff-tails"],
+        # sizes past an int's digit limit or a list's index range raise
+        # OverflowError before anything is allocated
+        ["identity", "--id", "euler", "--order", "99999999999999"],
+        ["verify", "--check", "euler", "--order", "99999999999999"],
+        ["identity", "--id", "lemma-3.2", "--order", "99999999999999999999"],
     ):
         assert _usage_error(argv) == "Error: out of memory", argv
         assert _usage_error([*argv, "-o", str(out)]) == "Error: out of memory", argv

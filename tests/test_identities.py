@@ -10,7 +10,6 @@ from cranktab.bivariate import crank_gf, gf_table, overline_crank_gf
 from cranktab.identities import CATALOG, CORE_ENTRIES, run_entry
 from cranktab.series import (
     Series,
-    _slot_bits,
     distinct_series,
     euler_product,
     overpartition_series,
@@ -18,6 +17,7 @@ from cranktab.series import (
     pentagonal_numbers,
     qpoch_fin,
     qpoch_inf,
+    ring,
 )
 
 ORDER = 120
@@ -176,14 +176,14 @@ def test_coeffs_checked_is_pinned(entry_id):
     assert tuple(counts) == PINNED_COEFFS_CHECKED[entry_id]
 
 
-def _failing_cells(entry_id, statistic, m, n, order):
-    """Add 1 to cell (m, n) of the GF of ``statistic`` in the run's tables, run the entry.
+def _failing_cells(entry_id, statistic, m, n, order, by=1):
+    """Add ``by`` to cell (m, n) of the GF of ``statistic`` in the run's tables, run the entry.
 
     Returns the sorted (clause, n) pairs that failed.
     """
     run = identities.Run(order)
     run.fill(statistic)
-    run.tables[statistic][m].coeffs[n] += 1
+    run.tables[statistic][m].coeffs[n] += by
     exceptions, _ = run_entry(CATALOG[entry_id], order, run)
     return sorted({(e["clause"], e["n"]) for e in exceptions})
 
@@ -241,6 +241,20 @@ def test_corrupted_ocrank_cell_fails_only_its_clause(m):
     cells = _support(euler_product(40), 20)
     assert cells == {20, 21, 22, 25, 27, 32, 35}
     assert failed == [(f"m={m}", n) for n in sorted(cells)]
+
+
+@pytest.mark.parametrize(
+    ("entry_id", "statistic", "m"),
+    [("ocrank-diff-nonneg", "ocrank", m) for m in (2, 11, 20)]
+    + [("crank-diff-tails", "crank", m) for m in (8, 33, 60)],
+    ids=lambda v: f"m={v}" if isinstance(v, int) else v,
+)
+def test_bumped_column_fails_only_its_clause(entry_id, statistic, m):
+    # clause m reads the difference column T[m-1] - T[m]: a large bump to
+    # T[m] at a row past every head makes that column negative there, and
+    # only raises T[m] - T[m+1]; a clause that read another m would miss it
+    failed = _failing_cells(entry_id, statistic, m, 70, 80, by=10**30)
+    assert failed == [(f"m={m}", 70)]
 
 
 def test_run_columns_past_their_bound_raise():
@@ -472,10 +486,10 @@ def _distinct_product(order, start, step):
 
 def test_closed_forms_fit_the_packed_slots():
     # the right sides are built on the packed image of qpoch_fin, where each
-    # coefficient must fit a slot of _slot_bits(order) bits with its sign; the
+    # coefficient must fit a slot of ring(order)[0] bits with its sign; the
     # left sides equal them, so check the left sides, built by list products.
     # The width does not fall with the order, so coefficient n fitting
-    # _slot_bits(n) covers every order from n on.
+    # ring(n)[0] covers every order from n on.
     order = 3000
     distinct = _distinct_product(order, 1, 1)
     left_sides = {
@@ -487,5 +501,5 @@ def test_closed_forms_fit_the_packed_slots():
     assert distinct == distinct_series(order)
     for entry_id, lhs in left_sides.items():
         for n, c in enumerate(lhs.coeffs):
-            half = 1 << (_slot_bits(n) - 1)
+            half = 1 << (ring(n)[0] - 1)
             assert -half <= c < half, (entry_id, n)

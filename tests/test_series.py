@@ -9,22 +9,23 @@ from hypothesis import strategies as st
 from cranktab.brute import partitions
 from cranktab.series import (
     OrderMismatch,
-    _div_factor,
-    _mul_factor,
-    _slot_bits,
-    _unpack,
     Series,
     distinct_series,
+    div_factor,
     euler_product,
     euler_product_pentagonal,
+    mul_factor,
     overpartition_series,
     overpartition_series_theta,
+    pack,
     partition_series,
     partition_series_pentagonal,
     phi_minus_q,
     qpoch_fin,
     qpoch_inf,
+    ring,
     sparse_reciprocal,
+    unpacked,
 )
 
 
@@ -303,7 +304,7 @@ def test_mul_matches_schoolbook_on_random_signed_lists(order, data):
 # -- reference: the per-coefficient factor loops -------------------------------
 #
 # qpoch_fin and the closed forms of the identity catalog step one packed
-# integer (_mul_factor, _div_factor); both must equal these loops, which apply
+# integer (mul_factor, div_factor); both must equal these loops, which apply
 # one factor one coefficient at a time.
 
 
@@ -360,14 +361,14 @@ def test_packed_factor_helpers_match_factor_loops():
                 c = [rng.randint(-50, 50) for _ in range(size)]
                 x = sum(v << w * i for i, v in enumerate(c))  # may be < 0: high bits all ones
                 for sign, got, reference in (
-                    (1, _mul_factor(x, exponent, 1, w, mask), _reference_mul_factor),
-                    (-1, _mul_factor(x, exponent, -1, w, mask), _reference_mul_factor),
-                    (1, _div_factor(x, exponent, w, mask), _reference_div_factor),
+                    (1, mul_factor(x, exponent, 1, w, mask), _reference_mul_factor),
+                    (-1, mul_factor(x, exponent, -1, w, mask), _reference_mul_factor),
+                    (1, div_factor(x, exponent, w, mask), _reference_div_factor),
                 ):
                     want = c[:n]
                     reference(want, exponent, sign)
                     assert 0 <= got <= mask
-                    assert _unpack(got, n, w // 8) == want, (
+                    assert (unpacked(n - 1, got, w).coeffs if n else []) == want, (
                         reference.__name__, size, n, exponent, sign)
 
 
@@ -375,4 +376,17 @@ def test_packed_slot_holds_every_coefficient():
     # a qpoch_fin coefficient at order N is at most p(N) in absolute value,
     # and its slot must hold it with its sign
     for order, p in enumerate(partition_series_pentagonal(3000).coeffs):
-        assert p.bit_length() + 1 < _slot_bits(order), order
+        assert p.bit_length() + 1 < ring(order)[0], order
+
+
+@pytest.mark.parametrize("order", [0, 1, 40, 500])
+def test_ring_round_trip_at_the_slot_limits(order):
+    # every slot at its least or its greatest value, alternating, so that a
+    # borrow or a carry between neighbouring slots would show
+    w, mask = ring(order)
+    half = 1 << (w - 1)
+    for first in (-half, half - 1):
+        c = [first if i % 2 == 0 else -1 - first for i in range(order + 1)]
+        x = pack(dict(enumerate(c)), w)
+        assert unpacked(order, x, w).coeffs == c
+        assert unpacked(order, x & mask, w).coeffs == c

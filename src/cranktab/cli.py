@@ -28,8 +28,11 @@ imports the modules it runs: ``--help`` none, ``table``
 :mod:`cranktab.brute`, for ``--provenance oracle``) the oracle's,
 ``identity`` :mod:`cranktab.identities`, which holds the catalog and the
 report type and loads :mod:`cranktab.bivariate` only for an entry that reads
-a GF, ``verify`` :mod:`cranktab.verify`, and ``crosscheck``, which compares
-those two row streams, all three.
+a GF, ``verify`` :mod:`cranktab.verify`, which loads the catalog and, only
+for a sweep or such an entry, :mod:`cranktab.bivariate`, and
+``crosscheck``, which compares the GF's and the oracle's row streams,
+:mod:`cranktab.bivariate`, :mod:`cranktab.brute` and
+:mod:`cranktab.verify`.
 """
 
 from __future__ import annotations

@@ -51,8 +51,7 @@ import time
 from collections import deque, namedtuple
 from itertools import compress, count
 
-from cranktab import (DEFAULT_IDENTITY_ORDER, UsageError, bivariate, check_k, check_size,
-                      identities)
+from cranktab import DEFAULT_IDENTITY_ORDER, UsageError, check_k, check_size, identities
 # one report type for sweeps and identities; the identity command loads only identities
 from cranktab.identities import CheckReport, check_identity, exit_code, reports_to_json_obj
 
@@ -150,8 +149,12 @@ def _column_pass(statistic, k, size, scans, run=None) -> None:
     in one pass of the power recurrence, O(size**1.5) whatever k
     (:func:`cranktab.series.sparse_reciprocal`).  Each of the ``scans``
     compares column m with column m - stride as the latter goes by, so only
-    the last three columns are held.
+    the last three columns are held.  The pass imports
+    :mod:`cranktab.bivariate` itself, so a run with no sweep loads it only
+    for a catalog entry that reads a GF.
     """
+    from cranktab import bivariate
+
     base = None if run is None else run.base(statistic, k, size)
     window = deque(maxlen=3)  # columns j, j + 1, j + 2
     for j, column in bivariate.gf_columns(statistic, size, k, base=base):

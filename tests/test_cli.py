@@ -5,6 +5,7 @@ import errno
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -362,6 +363,20 @@ def test_identity_command():
     )
 
 
+_RUNTIME = re.compile(r'"runtime_ms": [^,\n]*')
+
+
+@pytest.mark.parametrize("order", [0, 5, 40])
+def test_identity_and_verify_print_the_same_report(order):
+    # verify --check X is the identity command for a catalog id: same bytes
+    # apart from the measured runtime, and the same exit status
+    for entry_id in sorted(identities.CATALOG):
+        code, out, err = _run(["identity", "--id", entry_id, "--order", str(order)])
+        assert (code, err) == (0, ""), (entry_id, code, err)
+        v_code, v_out, v_err = _run(["verify", "--check", entry_id, "--order", str(order)])
+        assert (v_code, _RUNTIME.sub("", v_out), v_err) == (code, _RUNTIME.sub("", out), err), entry_id
+
+
 def test_identity_negative_order_is_usage_error(tmp_path):
     line = _usage_error(["identity", "--id", "euler", "--order", "-3"])
     assert line == "Error: argument --order: '-3' is not an integer >= 0"
@@ -452,6 +467,7 @@ COMMAND_MODULES = [
      {"bivariate", "series", "brute"}),
     (["identity", "--id", "euler"], {"identities", "series"}),
     (["identity", "--id", "crank-diff-heads"], {"identities", "series", "bivariate"}),
+    (["verify", "--check", "euler"], {"verify", "identities", "series"}),
     (["verify", "--check", "thm-1.2"], {"verify", "identities", "bivariate", "series"}),
     (["crosscheck", "--stat", "rank"],
      {"verify", "identities", "bivariate", "series", "brute"}),

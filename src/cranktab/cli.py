@@ -81,6 +81,8 @@ def _output(path: str | None):
     if path is None:
         yield sys.stdout
         return
+    if not path:  # an unset shell variable; realpath('') is the working directory
+        raise UsageError("the output path is empty")
     target = os.path.realpath(path)  # replace a symlink's target, not the link
     regular = os.path.isfile(target) or not os.path.exists(target)
     tmp = f"{target}.{os.getpid()}.tmp" if regular else target
@@ -113,14 +115,6 @@ def _emit_reports(make_reports, output) -> int:
     return identities.exit_code(reports)
 
 
-def _parse_k_list(raw: str) -> tuple:
-    """The value of ``verify --k``: comma-separated integers."""
-    try:
-        return tuple(int(part) for part in raw.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad k list {raw!r}; expected comma-separated integers")
-
-
 def table(stat, k, n_max, provenance, fmt, output):
     """Export the weighted count table of one statistic."""
     from cranktab import bivariate
@@ -135,12 +129,12 @@ def table(stat, k, n_max, provenance, fmt, output):
     return 0
 
 
-def verify_cmd(checks, n_max, order, k_list, output):
+def verify_cmd(checks, n_max, order, output):
     """Run verification sweeps; exit 0 iff every check passes."""
     from cranktab import verify
 
     ids = [c for chunk in checks for c in chunk.split(",") if c]
-    return _emit_reports(lambda: verify.run_checks(ids, n_max, order, k_list), output)
+    return _emit_reports(lambda: verify.run_checks(ids, n_max, order), output)
 
 
 def identity(entry_id, order, output):
@@ -190,8 +184,6 @@ def _parser(prog: str) -> _Parser:
                    help="Check id, or 'all'; may be repeated or comma-separated.")
     p.add_argument("--n-max", type=_size, help="Scan ceiling for sweeps.")
     p.add_argument("--order", type=_size, help="Truncation order for identities.")
-    p.add_argument("--k", dest="k_list", type=_parse_k_list,
-                   help="Comma-separated k values for the k-crank checks.")
 
     p = command(identity, "identity")
     p.add_argument("--id", dest="entry_id", required=True, help="Identity catalog entry id.")

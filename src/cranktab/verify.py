@@ -10,11 +10,12 @@ sweep reads the counts ``count(m, n)`` that the generating function of its
 Row n compares the m in ``range(stride, n + 1 - m_cut)``.  Rows from
 ``scan_from`` on are counted: the verdict is "pass" exactly when the
 violations found there equal ``expected``, the statement's exception set of
-(k, m, n) triples (k is None except for the k-crank), intersected with the
-scanned rows and the k of the run.  Statements that hold only from a
-threshold on thus declare it as ``scan_from``; the violations in the rows
-below it are reported in ``informational``, so known small-n irregularities
-are documented rather than silently skipped.  ``exclude_diagonal`` d, when
+(m, n) pairs, intersected with the scanned rows.  A kcrank sweep reads the
+table of its ``k`` (``conj-1.8`` holds one sweep per k, k = 2..6); the other
+sweeps have k None.  Statements that hold only from a threshold on thus
+declare it as ``scan_from``; the violations in the rows below it are
+reported in ``informational``, so known small-n irregularities are
+documented rather than silently skipped.  ``exclude_diagonal`` d, when
 set, leaves the cells n = m + d of the counted rows out of the verdict; their
 violations follow in ``informational`` with a ``note``.  ``params`` names the
 report parameters in print order, each taken from the sweep or the run
@@ -51,24 +52,23 @@ import time
 from collections import deque, namedtuple
 from itertools import compress, count
 
-from cranktab import DEFAULT_IDENTITY_ORDER, UsageError, check_k, check_size, identities
+from cranktab import DEFAULT_IDENTITY_ORDER, UsageError, check_size, identities
 # one report type for sweeps and identities; the identity command loads only identities
 from cranktab.identities import CheckReport, check_identity, exit_code, reports_to_json_obj
 
 DEFAULT_N_MAX = {"crank": 300, "ocrank": 300, "m2crank": 300, "kcrank": 200, "rank": 40}
-DEFAULT_K_LIST = (2, 3, 4, 5, 6)
 
 RELATIONS = {0: "monotone", 1: "step", 2: "step-by-2"}  # by Sweep.stride
 _BY_CELL = operator.itemgetter("n", "m")  # the order of report entries
 
 
 class Sweep(namedtuple("Sweep", "check_id statistic stride m_cut scan_from expected "
-                                "exclude_diagonal params",
-                       defaults=(0, 0, frozenset(), None, ("n_max",)))):
+                                "exclude_diagonal params k",
+                       defaults=(0, 0, frozenset(), None, ("n_max",), None))):
     """One inequality sweep over a count table; see the module docstring.
 
     ``stride`` is 1 or 2 for a step in m and 0 for monotone in n;
-    ``expected`` holds (k, m, n) triples.
+    ``expected`` holds (m, n) pairs; ``k`` is the kcrank table's k.
     """
 
     __slots__ = ()
@@ -77,8 +77,8 @@ class Sweep(namedtuple("Sweep", "check_id statistic stride m_cut scan_from expec
 class _Scan:
     """One sweep of rows 0..n_max, fed the columns of its statistic's pass."""
 
-    def __init__(self, sweep: Sweep, n_max: int, k: int | None):
-        self.sweep, self.n_max, self.k = sweep, n_max, k
+    def __init__(self, sweep: Sweep, n_max: int):
+        self.sweep, self.n_max = sweep, n_max
         self.ms = range(sweep.stride, n_max + 1 - sweep.m_cut)
         self.found, self.informational, self.cells, self.seconds = [], [], 0, 0.0
 
@@ -93,8 +93,8 @@ class _Scan:
         cheaper scan.
         """
         t0 = time.perf_counter()
-        sweep, n_max, k = self.sweep, self.n_max, self.k
-        diagonal = sweep.exclude_diagonal
+        sweep, n_max = self.sweep, self.n_max
+        k, diagonal = sweep.k, sweep.exclude_diagonal
         dn = 0 if sweep.stride else 1  # a monotone sweep compares row n with row n - 1
         lo = max(m + sweep.m_cut, dn)  # first row whose window holds m
         first_counted = max(lo, sweep.scan_from)
@@ -117,12 +117,10 @@ class _Scan:
         self.seconds += time.perf_counter() - t0
 
     def report(self) -> CheckReport:
-        sweep, n_max, k = self.sweep, self.n_max, self.k
+        sweep, n_max, k = self.sweep, self.n_max, self.sweep.k
         self.found.sort(key=_BY_CELL)
         self.informational.sort(key=_BY_CELL)
-        expected = {
-            (kk, m, n) for kk, m, n in sweep.expected if kk == k and sweep.scan_from <= n <= n_max
-        }
+        expected = {(m, n) for m, n in sweep.expected if sweep.scan_from <= n <= n_max}
         values = {
             "statistic": sweep.statistic,
             "k": k,
@@ -133,7 +131,7 @@ class _Scan:
         return CheckReport(
             sweep.check_id if k is None else f"{sweep.check_id}[k={k}]",
             {name: values[name] for name in sweep.params},
-            passed={(e.get("k"), e["m"], e["n"]) for e in self.found} == expected,
+            passed={(e["m"], e["n"]) for e in self.found} == expected,
             exceptions=self.found,
             informational=self.informational,
             runtime_ms=self.seconds * 1000,
@@ -165,15 +163,17 @@ def _column_pass(statistic, k, size, scans, run=None) -> None:
                 scan.compare(m, column, window[scan.sweep.stride])
 
 
-def run_sweep(sweep: Sweep, n_max: int, k: int | None = None) -> CheckReport:
+def run_sweep(sweep: Sweep, n_max: int) -> CheckReport:
     """Scan rows 0..n_max of the sweep's table (the k-colored one for kcrank).
 
     Column m is compared with column m - stride (or with itself one row down)
     as the GF's columns stream past; see :func:`run_checks` for a run of
-    several sweeps.
+    several sweeps.  ``sweep._replace(k=k)`` sweeps another k of a kcrank
+    sweep, with the same ``expected``: ``SWEEPS["conj-1.8"][-1]._replace(k=7)``
+    checks k = 7 against the exception set of every k >= 3 (none).
     """
-    scan = _Scan(sweep, n_max, k)
-    _column_pass(sweep.statistic, k, n_max, [scan])
+    scan = _Scan(sweep, n_max)
+    _column_pass(sweep.statistic, sweep.k, n_max, [scan])
     return scan.report()
 
 
@@ -202,7 +202,7 @@ def check_table_consistency(label, gf_rows, oracle_rows):
 
 # -- registered checks ---------------------------------------------------------
 
-# Check id -> its sweeps.  A kcrank sweep runs once per k of the k list.
+# Check id -> its sweeps.  conj-1.8 holds one sweep per k.
 SWEEPS = {
     "thm-1.1": (
         Sweep("thm-1.1a", "rank", stride=2, params=("n_max", "relation")),
@@ -219,7 +219,7 @@ SWEEPS = {
     ),
     "thm-1.4": (
         Sweep("thm-1.4", "ocrank", stride=1,
-              expected=frozenset({(None, 1, 1), (None, 1, 2)})),
+              expected=frozenset({(1, 1), (1, 2)})),
     ),
     "thm-1.5": (Sweep("thm-1.5", "m2crank", stride=1),),
     "thm-1.7": (
@@ -228,15 +228,12 @@ SWEEPS = {
         Sweep("thm-1.7b", "m2crank", stride=0, scan_from=2,
               params=("statistic", "n_max", "scan_from")),
     ),
-    "conj-1.8": (
-        Sweep("conj-1.8", "kcrank", stride=1, expected=frozenset({(2, 1, 1)}),
-              params=("k", "n_max")),
+    "conj-1.8": tuple(
+        Sweep("conj-1.8", "kcrank", stride=1, expected=frozenset({(1, 1)} if k == 2 else ()),
+              params=("k", "n_max"), k=k)
+        for k in range(2, 7)
     ),
 }
-
-
-K_LIST_READERS = [cid for cid, sweeps in SWEEPS.items()
-                  if any(s.statistic == "kcrank" for s in sweeps)]
 
 
 def available_checks():
@@ -260,13 +257,12 @@ def expand_checks(check_ids) -> list:
     return ids
 
 
-def run_checks(check_ids, n_max=None, order=None, k_list=None):
+def run_checks(check_ids, n_max=None, order=None):
     """Run the checks that ``check_ids`` select; returns reports sorted by check id.
 
     See :func:`expand_checks` for the ids.  A ``None`` setting selects the
-    check's default; a repeated k runs once.  A negative size, a setting
-    that no selected check reads, an empty ``k_list`` or a k that
-    :func:`cranktab.check_k` refuses raises :class:`~cranktab.UsageError`.
+    check's default.  A negative size or a setting that no selected check
+    reads raises :class:`~cranktab.UsageError`.
 
     Each GF that a sweep reads is built once, in one column pass per
     (statistic, k) at the largest n_max of its sweeps, and the pass feeds
@@ -283,24 +279,15 @@ def run_checks(check_ids, n_max=None, order=None, k_list=None):
     for name, size in (("n_max", n_max), ("order", order)):
         if size is not None:
             check_size(name, size)
-    for name, value, readers in (("n_max", n_max, SWEEPS), ("order", order, identities.CATALOG),
-                                 ("k_list", k_list, K_LIST_READERS)):
+    for name, value, readers in (("n_max", n_max, SWEEPS), ("order", order, identities.CATALOG)):
         if value is not None and set(ids).isdisjoint(readers):
             raise UsageError(f"{name} applies only to {', '.join(sorted(readers))}")
-    if k_list is not None:
-        k_list = tuple(dict.fromkeys(k_list))  # first-seen order
-        if not k_list:
-            raise UsageError("k_list is empty")
-        for k in k_list:
-            check_k("kcrank", k)
     order = DEFAULT_IDENTITY_ORDER if order is None else order
-    k_list = DEFAULT_K_LIST if k_list is None else k_list
     scans = {}  # (statistic, k) -> the scans of its pass
     for cid in ids:
         for sweep in SWEEPS.get(cid, ()):
             size = DEFAULT_N_MAX[sweep.statistic] if n_max is None else n_max
-            for k in k_list if sweep.statistic == "kcrank" else (None,):
-                scans.setdefault((sweep.statistic, k), []).append(_Scan(sweep, size, k))
+            scans.setdefault((sweep.statistic, sweep.k), []).append(_Scan(sweep, size))
     sizes = {key: max(s.n_max for s in group) for key, group in scans.items()}
     run = identities.Run(order)
     for statistic, k in sorted(sizes, key=sizes.get, reverse=True):  # largest base first

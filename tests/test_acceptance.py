@@ -97,7 +97,8 @@ def test_criterion_06_rank_inequalities():
 
 def test_criterion_07_kcrank_unimodality():
     t0 = time.perf_counter()
-    reports = run_checks(["conj-1.8"], n_max=200, k_list=(2, 3, 4, 5, 6))
+    reports = run_checks(["conj-1.8"], n_max=200)
+    assert [r.params["k"] for r in reports] == [2, 3, 4, 5, 6]
     exceptions = []
     for r in reports:
         assert r.passed, (r.check_id, r.exceptions[:3])

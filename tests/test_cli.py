@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import cranktab
 from cranktab import bivariate, brute, identities, verify
-from cranktab.cli import _parse_k_list, main
+from cranktab.cli import main
 from cranktab.identities import IdentityEntry
 from cranktab.series import Series
 
@@ -135,6 +135,8 @@ def test_table_usage_errors(tmp_path):
     (["table", "--st", "crank"], "Error: the following arguments are required: --stat"),
     (["verify", "--ch", "euler"], "Error: the following arguments are required: --check"),
     (["crosscheck", "--stat", "crank", "--n-m", "5"], "Error: unrecognized arguments: --n-m 5"),
+    # conj-1.8 sweeps k = 2..6 from its registered rows; verify takes no k
+    (["verify", "--check", "conj-1.8", "--k", "3"], "Error: unrecognized arguments: --k 3"),
 ])
 def test_parser_errors_are_one_line(argv, line):
     assert _usage_error(argv).startswith(line)
@@ -154,6 +156,7 @@ def test_unwritable_output_fails_before_any_work(tmp_path, monkeypatch):
     monkeypatch.setattr(brute, "oracle_rows", no_work)
     for name in ("run_checks", "check_identity"):
         monkeypatch.setattr(verify, name, no_work)
+    monkeypatch.chdir(tmp_path)
     for argv in (
         ["table", "--stat", "crank", "--n-max", "1500"],
         ["table", "--stat", "rank", "--provenance", "oracle", "--n-max", "5"],
@@ -162,6 +165,9 @@ def test_unwritable_output_fails_before_any_work(tmp_path, monkeypatch):
         ["crosscheck", "--stat", "crank", "--n-max", "5"],
     ):
         _assert_cannot_write(argv, tmp_path)
+        # an empty -o, as an unset shell variable gives, names no file
+        assert _usage_error([*argv, "-o", ""]) == "Error: the output path is empty", argv
+        assert list(tmp_path.iterdir()) == [], argv
 
 
 def test_a_failed_command_leaves_no_partial_output(tmp_path, monkeypatch):
@@ -235,13 +241,11 @@ def test_usage_errors_leave_output_untouched(tmp_path):
         ["table", "--stat", "kcrank", "--k", "1"],
         ["table", "--stat", "crank", "--n-max", "9", "--order", "4"],
         ["verify", "--check", "euler,thm-9.9"],
-        ["verify", "--check", "conj-1.8", "--k", "1"],
         ["crosscheck", "--stat", "ocrank", "--n-max", "99"],
         ["crosscheck", "--stat", "kcrank", "--k", "1"],
         ["table", "--stat", "ocrank", "--provenance", "oracle", "--n-max", "26"],
         ["identity", "--id", "nope"],
         ["verify", "--check", "euler", "--n-max", "5"],
-        ["verify", "--check", "thm-1.4,conj-1.8", "--k", "3,1"],
     ):
         _usage_error([*argv, "-o", str(out)])
         assert not out.exists(), argv
@@ -250,8 +254,7 @@ def test_usage_errors_leave_output_untouched(tmp_path):
     for argv in (["table", "--stat", "kcrank", "--k", "1"],
                  ["crosscheck", "--stat", "ocrank", "--n-max", "99"],
                  ["identity", "--id", "nope"],
-                 ["verify", "--check", "euler", "--n-max", "5"],
-                 ["verify", "--check", "thm-1.4,conj-1.8", "--k", "3,1"]):
+                 ["verify", "--check", "euler", "--n-max", "5"]):
         line = _usage_error([*argv, "-o", str(missing)])
         assert line.startswith(f"Error: cannot write {missing}: "), argv
 
@@ -269,15 +272,13 @@ def test_table_oracle_respects_enumeration_ceilings():
 def test_verify_rejects_a_flag_no_selected_check_reads(tmp_path):
     out = tmp_path / "out.json"
     for argv, line in (
-        (["--check", "euler", "--k", "3"], "Error: k_list applies only to conj-1.8"),
-        (["--check", "thm-1.4", "--k", "3"], "Error: k_list applies only to conj-1.8"),
         (["--check", "euler", "--n-max", "999"], "Error: n_max applies only to conj-1.8, "),
         (["--check", "thm-1.4,conj-1.8", "--order", "9"], "Error: order applies only to "),
     ):
         assert _usage_error(["verify", *argv, "-o", str(out)]).startswith(line), argv
         assert not out.exists(), argv
     # a flag that one selected check reads is accepted
-    _ok(["verify", "--check", "euler,conj-1.8", "--k", "2", "--n-max", "5", "--order", "5"])
+    _ok(["verify", "--check", "euler,conj-1.8", "--n-max", "5", "--order", "5"])
 
 
 def test_verify_single_check():
@@ -296,15 +297,9 @@ def test_verify_check_list_and_output_file(tmp_path):
     assert [c["check_id"] for c in obj["checks"]] == ["thm-1.4", "thm-1.5"]
 
 
-def test_verify_conj_with_k_list():
-    # a repeated k runs once
-    for ks in ("2,3", "3,2,3,2"):
-        obj = json.loads(_ok(["verify", "--check", "conj-1.8", "--k", ks, "--n-max", "30"]))
-        assert [c["check_id"] for c in obj["checks"]] == [
-            "conj-1.8[k=2]",
-            "conj-1.8[k=3]",
-        ]
-    assert _parse_k_list("3,2,3,2") == (3, 2, 3, 2)  # run_checks runs a repeated k once
+def test_verify_conj_runs_each_registered_k():
+    obj = json.loads(_ok(["verify", "--check", "conj-1.8", "--n-max", "30"]))
+    assert [c["check_id"] for c in obj["checks"]] == [f"conj-1.8[k={k}]" for k in range(2, 7)]
 
 
 def test_verify_all_aggregated():
@@ -338,21 +333,6 @@ def test_verify_empty_check_list_is_usage_error():
         line = _usage_error(["verify", "--check", raw])
         assert line.startswith("Error: no check id given; available: "), raw
     _ok(["verify", "--check", "", "--check", "euler", "--order", "5"])
-
-
-def test_verify_bad_k_list():
-    line = _usage_error(["verify", "--check", "conj-1.8", "--k", "2,x"])
-    assert line == "Error: argument --k: bad k list '2,x'; expected comma-separated integers"
-    assert _usage_error(["verify", "--check", "conj-1.8", "--k", "1"]) == (
-        "Error: kcrank: k=1; kcrank needs k >= 2, and no other statistic takes k"
-    )
-
-
-def test_verify_empty_k_list_is_usage_error():
-    # an empty list would otherwise run the default k = 2..6
-    for raw in ("", ",", " "):
-        line = _usage_error(["verify", "--check", "conj-1.8", "--k", raw, "--n-max", "5"])
-        assert line == f"Error: argument --k: bad k list {raw!r}; expected comma-separated integers"
 
 
 def test_identity_command():
@@ -533,7 +513,7 @@ LARGE_K = 10**8
 @pytest.mark.parametrize("argv", [
     ["table", "--stat", "kcrank"],
     ["table", "--stat", "kcrank", "--provenance", "oracle"],
-    ["verify", "--check", "conj-1.8"],
+    ["table", "--stat", "kcrank", "--format", "json"],
     ["crosscheck", "--stat", "kcrank"],
 ])
 def test_large_k_ends_within_seconds(argv):
@@ -546,13 +526,28 @@ def test_large_k_ends_within_seconds(argv):
     assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
     if argv[0] == "table":
         rows = {}
-        for line in proc.stdout.splitlines()[1:]:
-            n, m, c = map(int, line.split(","))
-            rows.setdefault(n, {})[m] = c
+        if "json" in argv:
+            for row in json.loads(proc.stdout)["rows"]:
+                rows[row["n"]] = {int(m): int(c) for m, c in row["counts"].items()}
+        else:
+            for line in proc.stdout.splitlines()[1:]:
+                n, m, c = map(int, line.split(","))
+                rows.setdefault(n, {})[m] = c
         # n = 1: a part 1 has k-crank 1, -1 or 0 in the first, second or any other color
         assert rows[1] == {-1: 1, 0: LARGE_K - 2, 1: 1}
         # n = 2: k colorings of (2), k of (1, 1), k(k-1)/2 of two 1s in different colors
         assert sum(rows[2].values()) == LARGE_K * (LARGE_K + 3) // 2
+
+
+def test_large_k_sweep_ends_within_seconds():
+    # verify sweeps the registered k only; the library sweeps any k
+    code = ("from cranktab.verify import SWEEPS, run_sweep\n"
+            f"r = run_sweep(SWEEPS['conj-1.8'][-1]._replace(k={LARGE_K}), 5)\n"
+            "print(r.check_id, r.verdict, r.cells_checked)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=CHILD_ENV, capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert proc.stdout == f"conj-1.8[k={LARGE_K}] pass 15\n"
 
 
 def _opt(flag, values):
@@ -570,7 +565,7 @@ ARGV = st.one_of(
               SIZES.map(lambda n: ["--n-max", str(n)]),
               _opt("--provenance", st.sampled_from(["gf", "oracle"])),
               _opt("--format", st.sampled_from(["csv", "json"]))),
-    st.tuples(st.just(["verify", "--check"]), CHECK_IDS.map(lambda c: [c]), KS,
+    st.tuples(st.just(["verify", "--check"]), CHECK_IDS.map(lambda c: [c]),
               _opt("--n-max", SIZES), _opt("--order", SIZES)),
     st.tuples(st.just(["identity", "--id"]),
               st.sampled_from(sorted(identities.CATALOG) + ["nope"]).map(lambda c: [c]),

@@ -145,13 +145,6 @@ def test_bad_arguments_raise_at_the_call_before_anything_is_built(monkeypatch):
          "n_max applies only to conj-1.8, thm-1.1, .*, thm-1.7$"),
         (verify.run_checks, (["thm-1.4"],), {"order": 5},
          "order applies only to andrews-merca, .*, sc-identity$"),
-        (verify.run_checks, (["thm-1.4", "euler"],), {"k_list": (3,)},
-         "k_list applies only to conj-1.8$"),
-        (verify.run_checks, (["conj-1.8"],), {"k_list": ()}, "k_list is empty$"),
-        (verify.run_checks, (["thm-1.4", "conj-1.8"],), {"k_list": (3, 1)},
-         f"kcrank: k=1; {K_RULE}$"),
-        (verify.run_checks, (["conj-1.8"],), {"k_list": (3, 2.0)},
-         f"kcrank: k=2.0; {K_RULE}$"),
         (verify.check_identity, ("crank-diff-tails", -1), {}, "order must be >= 0, got -1$"),
         (verify.check_identity, ("nope",), {},
          "unknown identity 'nope'; available: andrews-merca, .*, sc-identity$"),
@@ -159,10 +152,6 @@ def test_bad_arguments_raise_at_the_call_before_anything_is_built(monkeypatch):
     for fn, args, kwargs, match in checks:
         with pytest.raises(UsageError, match=f"^{match}"):
             fn(*args, **kwargs)
-
-    monkeypatch.undo()
-    reports = verify.run_checks(["conj-1.8"], n_max=5, k_list=(3, 3))
-    assert [r.check_id for r in reports] == ["conj-1.8[k=3]"]  # a repeated k runs once
 
 
 @pytest.mark.parametrize(

@@ -71,7 +71,7 @@ def test_rank_inequalities():
 
 
 def test_conj_18_exception_set():
-    reports = run_checks(["conj-1.8"], n_max=40, k_list=(2, 3))
+    reports = run_checks(["conj-1.8"], n_max=40)
     by_id = {r.check_id: r for r in reports}
     assert by_id["conj-1.8[k=2]"].passed
     assert [(e["k"], e["m"], e["n"]) for e in by_id["conj-1.8[k=2]"].exceptions] == [
@@ -280,7 +280,8 @@ def test_sweeps_count_the_cells_they_check():
 # count() call per compared cell, violations collected in (n, m) order.
 
 
-def _per_cell_sweep(sweep, n_max, k=None):
+def _per_cell_sweep(sweep, n_max):
+    k = sweep.k
     columns = [col.coeffs for col in gf_table(sweep.statistic, n_max, k)]
 
     def count(m, n):  # M(m, n), zero outside |m| <= n
@@ -306,21 +307,23 @@ def _per_cell_sweep(sweep, n_max, k=None):
                 informational.append(dict(entry, note=f"excluded diagonal n=m+{diagonal}"))
             else:
                 (found if counted else informational).append(entry)
-    expected = {
-        (kk, m, n) for kk, m, n in sweep.expected if kk == k and sweep.scan_from <= n <= n_max
-    }
-    passed = {(e.get("k"), e["m"], e["n"]) for e in found} == expected
+    expected = {(m, n) for m, n in sweep.expected if sweep.scan_from <= n <= n_max}
+    passed = {(e["m"], e["n"]) for e in found} == expected
     return passed, found, informational, cells
+
+
+# Every registered sweep, and conj-1.8 at k = 7, past the registered k: the
+# k = 6 row carries the exception set of every k >= 3 (none)
+_ALL_SWEEPS = [*(s for sweeps in SWEEPS.values() for s in sweeps),
+               SWEEPS["conj-1.8"][-1]._replace(k=7)]
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 2, 13, 14, 45, 150])
 def test_column_scan_matches_per_cell_reference(n_max):
-    for sweeps in SWEEPS.values():
-        for sweep in sweeps:
-            for k in (2, 3, 7) if sweep.statistic == "kcrank" else (None,):
-                r = run_sweep(sweep, n_max, k)
-                got = (r.passed, r.exceptions, r.informational, r.cells_checked)
-                assert got == _per_cell_sweep(sweep, n_max, k), (sweep.check_id, k)
+    for sweep in _ALL_SWEEPS:
+        r = run_sweep(sweep, n_max)
+        got = (r.passed, r.exceptions, r.informational, r.cells_checked)
+        assert got == _per_cell_sweep(sweep, n_max), (sweep.check_id, sweep.k)
 
 
 # -- full-table reference ------------------------------------------------------
@@ -330,7 +333,8 @@ def test_column_scan_matches_per_cell_reference(n_max):
 # sweeps of run_checks must give the same reports, runtime_ms aside.
 
 
-def _full_table_sweep(sweep, n_max, k=None):
+def _full_table_sweep(sweep, n_max):
+    k = sweep.k
     cols = gf_table(sweep.statistic, n_max, k)
     t0 = time.perf_counter()
     stride, diagonal = sweep.stride, sweep.exclude_diagonal
@@ -355,15 +359,13 @@ def _full_table_sweep(sweep, n_max, k=None):
                 found.append(entry)
     found.sort(key=verify._BY_CELL)
     informational.sort(key=verify._BY_CELL)
-    expected = {
-        (kk, m, n) for kk, m, n in sweep.expected if kk == k and sweep.scan_from <= n <= n_max
-    }
+    expected = {(m, n) for m, n in sweep.expected if sweep.scan_from <= n <= n_max}
     values = {"statistic": sweep.statistic, "k": k, "n_max": n_max,
               "scan_from": sweep.scan_from, "relation": verify.RELATIONS[stride]}
     return verify.CheckReport(
         sweep.check_id if k is None else f"{sweep.check_id}[k={k}]",
         {name: values[name] for name in sweep.params},
-        passed={(e.get("k"), e["m"], e["n"]) for e in found} == expected,
+        passed={(e["m"], e["n"]) for e in found} == expected,
         exceptions=found,
         informational=informational,
         runtime_ms=(time.perf_counter() - t0) * 1000,
@@ -384,24 +386,13 @@ _COLUMN_READERS = ["crank-diff-heads", "ocrank-monotone-factored"]
 
 @pytest.mark.parametrize("n_max", [0, 1, 2, 13, 14, 45, 150])
 def test_streamed_sweeps_match_full_table_reference(n_max):
-    ks = (2, 3, 7)
-    reference = {
-        r.check_id: _payload(r)
-        for sweeps in SWEEPS.values()
-        for sweep in sweeps
-        for r in (_full_table_sweep(sweep, n_max, k)
-                  for k in (ks if sweep.statistic == "kcrank" else (None,)))
-    }
-    alone = {
-        r.check_id: _payload(r)
-        for sweeps in SWEEPS.values()
-        for sweep in sweeps
-        for r in (run_sweep(sweep, n_max, k)
-                  for k in (ks if sweep.statistic == "kcrank" else (None,)))
-    }
+    reference = {r.check_id: _payload(r)
+                 for r in (_full_table_sweep(sweep, n_max) for sweep in _ALL_SWEEPS)}
+    alone = {r.check_id: _payload(r) for r in (run_sweep(sweep, n_max) for sweep in _ALL_SWEEPS)}
     assert alone == reference
+    del reference["conj-1.8[k=7]"]  # run_checks sweeps the registered k only
     for order in (n_max, n_max + 17):
-        reports = run_checks([*SWEEPS, *_COLUMN_READERS], n_max=n_max, order=order, k_list=ks)
+        reports = run_checks([*SWEEPS, *_COLUMN_READERS], n_max=n_max, order=order)
         streamed = {r.check_id: _payload(r) for r in reports if r.check_id in reference}
         assert streamed == reference, order
         assert all(r.passed for r in reports if r.check_id in _COLUMN_READERS), order

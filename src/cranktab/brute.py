@@ -28,7 +28,7 @@ crank 0.  Every object's weights sum to +1, so row sums still count objects.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from cranktab import UsageError, check_k, check_size
 
@@ -47,15 +47,13 @@ ORACLE_CEILINGS = {
 # -- generation --------------------------------------------------------------
 
 
-def partitions(n: int, largest: int | None = None) -> Iterator[Partition]:
-    """All partitions of n (parts <= largest), weakly decreasing tuples.
+def partitions(n: int) -> Iterator[Partition]:
+    """All partitions of n, weakly decreasing tuples.
 
     Deterministic order: descending lexicographic by part tuple.
     """
     check_size("n", n)
-    if largest is not None:
-        check_size("largest", largest)
-    return _partitions(n, n if largest is None else largest)
+    return _partitions(n, n)
 
 
 def _partitions(n: int, largest: int) -> Iterator[Partition]:
@@ -182,28 +180,18 @@ def second_residual_contributions(op: Overpartition) -> tuple[tuple[int, int], .
 # -- oracle tables ------------------------------------------------------------
 
 
-def _rows_from_partitions(n_max: int, statistic: str) -> Iterator[Counter]:
-    for n in range(n_max + 1):
-        row: Counter = Counter()
-        for p in partitions(n):
-            if statistic == "crank":
-                for m, w in crank_contributions(p):
-                    row[m] += w
-            else:  # rank; the empty partition is assigned rank 0 at n = 0
-                row[0 if not p else rank(p)] += 1
-        yield row
+def _rank_contributions(parts: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """Rank weight of a partition; the empty partition is assigned rank 0."""
+    return ((rank(parts) if parts else 0, 1),)
 
 
-def _rows_from_overpartitions(n_max: int, statistic: str) -> Iterator[Counter]:
-    contrib = (
-        first_residual_contributions
-        if statistic == "ocrank"
-        else second_residual_contributions
-    )
+def _weighted_rows(n_max: int, objects: Callable[[int], Iterator],
+                   contributions: Callable) -> Iterator[Counter]:
+    """Row n sums the (m, weight) pairs of ``contributions`` over ``objects(n)``."""
     for n in range(n_max + 1):
         row: Counter = Counter()
-        for op in overpartitions(n):
-            for m, w in contrib(op):
+        for obj in objects(n):
+            for m, w in contributions(obj):
                 row[m] += w
         yield row
 
@@ -287,10 +275,13 @@ def oracle_rows(statistic: str, n_max: int, k: int | None = None) -> Iterator[li
     check_k(statistic, k)
     if n_max > ceiling:
         raise UsageError(f"n_max {n_max} exceeds the enumeration ceiling {ceiling} for {statistic}")
-    if statistic in ("crank", "rank"):
-        rows = _rows_from_partitions(n_max, statistic)
-    elif statistic in ("ocrank", "m2crank"):
-        rows = _rows_from_overpartitions(n_max, statistic)
-    else:
+    if statistic == "kcrank":
         rows = _rows_kcrank(n_max, k)
+    else:
+        rows = _weighted_rows(n_max, *{
+            "crank": (partitions, crank_contributions),
+            "rank": (partitions, _rank_contributions),
+            "ocrank": (overpartitions, first_residual_contributions),
+            "m2crank": (overpartitions, second_residual_contributions),
+        }[statistic])
     return (_checked_row(statistic, n, row) for n, row in enumerate(rows))

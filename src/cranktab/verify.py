@@ -139,13 +139,11 @@ class _Scan:
         )
 
 
-def _column_pass(statistic, k, size, scans, run=None) -> None:
+def _column_pass(statistic, k, size, scans, run) -> None:
     """Stream the columns of one GF at order ``size`` once, from m = size down to 0.
 
     The GF's base comes from ``run``, the run's store of bases
-    (:meth:`cranktab.identities.Run.base`); without one the pass builds it,
-    in one pass of the power recurrence, O(size**1.5) whatever k
-    (:func:`cranktab.series.sparse_reciprocal`).  Each of the ``scans``
+    (:meth:`cranktab.identities.Run.base`).  Each of the ``scans``
     compares column m with column m - stride as the latter goes by, so only
     the last three columns are held.  The pass imports
     :mod:`cranktab.bivariate` itself, so a run with no sweep loads it only
@@ -153,7 +151,7 @@ def _column_pass(statistic, k, size, scans, run=None) -> None:
     """
     from cranktab import bivariate
 
-    base = None if run is None else run.base(statistic, k, size)
+    base = run.base(statistic, k, size)
     window = deque(maxlen=3)  # columns j, j + 1, j + 2
     for j, column in bivariate.gf_columns(statistic, size, k, base=base):
         window.appendleft(column)
@@ -173,7 +171,7 @@ def run_sweep(sweep: Sweep, n_max: int) -> CheckReport:
     checks k = 7 against the exception set of every k >= 3 (none).
     """
     scan = _Scan(sweep, n_max)
-    _column_pass(sweep.statistic, sweep.k, n_max, [scan])
+    _column_pass(sweep.statistic, sweep.k, n_max, [scan], identities.Run(n_max))
     return scan.report()
 
 

@@ -7,7 +7,6 @@ match; the only tolerances are the stated runtime budgets.  Run with
 
 import time
 
-from cranktab import verify
 from cranktab.bivariate import gf_rows, gf_table, table_label
 from cranktab.brute import (
     first_residual_contributions,

@@ -274,6 +274,9 @@ def test_run_columns_past_their_bound_raise():
     for statistic in ("m2crank", "kcrank", "rank"):
         with pytest.raises(KeyError):  # no column bound: the catalog reads none of it
             run.column(statistic, 1)
+    # an entry at another order cannot share the run
+    with pytest.raises(ValueError, match="^the run is at order 30, not 31$"):
+        run_entry(CATALOG["euler"], 31, run)
 
 
 def test_run_serves_every_reader_from_one_base():

@@ -10,7 +10,6 @@ import pytest
 from cranktab import UsageError, bivariate, series, verify
 from cranktab.bivariate import gf_rows, gf_table
 from cranktab.brute import oracle_rows
-from cranktab.series import partition_series
 from cranktab.verify import SWEEPS, check_table_consistency, run_checks, run_sweep
 
 THM_14 = SWEEPS["thm-1.4"][0]

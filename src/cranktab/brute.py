@@ -53,16 +53,27 @@ def partitions(n: int) -> Iterator[Partition]:
     Deterministic order: descending lexicographic by part tuple.
     """
     check_size("n", n)
-    return _partitions(n, n)
+    return _partitions(n)
 
 
-def _partitions(n: int, largest: int) -> Iterator[Partition]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
+def _partitions(n: int) -> Iterator[Partition]:
+    """The partitions of n in descending lexicographic order, stepped in place.
+
+    A step lowers the last part above 1 by one and refills the rest greedily.
+    """
+    parts, ones = ([n], 0) if n > 1 else ([], n)  # the parts above 1; the count of 1s
+    yield tuple(parts) + (1,) * ones
+    while parts:
+        part = parts.pop() - 1
+        if part > 1:  # copies of it while they fit, then what remains
+            copies, ones = divmod(part + 1 + ones, part)
+            parts += [part] * copies
+            if ones > 1:
+                parts.append(ones)
+                ones = 0
+        else:  # a 2 became two 1s
+            ones += 2
+        yield tuple(parts) + (1,) * ones
 
 
 def overpartitions(n: int) -> Iterator[Overpartition]:
@@ -76,7 +87,7 @@ def overpartitions(n: int) -> Iterator[Overpartition]:
 
 
 def _overpartitions(n: int) -> Iterator[Overpartition]:
-    for base in _partitions(n, n):
+    for base in _partitions(n):
         distinct = sorted(set(base), reverse=True)
         for mask in range(1 << len(distinct)):
             overlined = {v for i, v in enumerate(distinct) if mask >> i & 1}
@@ -108,7 +119,7 @@ def _colored_partitions(n: int, k: int) -> Iterator[tuple[Partition, ...]]:
             yield ()
         return
     for size in range(n, -1, -1):
-        for head in _partitions(size, size):
+        for head in _partitions(size):
             for rest in _colored_partitions(n - size, k - 1):
                 yield (head,) + rest
 
@@ -198,7 +209,7 @@ def _weighted_rows(n_max: int, objects: Callable[[int], Iterator],
 
 def part_count_histograms(n_max: int) -> list[Counter]:
     """hist[n][length] = number of partitions of n with that many parts."""
-    return [Counter(len(p) for p in partitions(n)) for n in range(n_max + 1)]
+    return [Counter(len(p) for p in _partitions(n)) for n in range(n_max + 1)]
 
 
 def _rows_kcrank(n_max: int, k: int) -> Iterator[Counter]:

@@ -12,8 +12,8 @@ truncated to N, and builds each GF's low columns, each generic product
 :func:`cranktab.bivariate.gf_base`) once; in ``verify`` the sweeps' column
 passes take their bases from the same run.  Only those two reads of a GF
 import :mod:`cranktab.bivariate`, so an entry that reads none loads this
-module and :mod:`cranktab.series` only.  :func:`check_identity` runs one
-entry and returns its :class:`CheckReport`, the one report type of every
+module and :mod:`cranktab.series` only.  :func:`run_entry` runs one entry on
+a run and returns its :class:`CheckReport`, the one report type of every
 check (:mod:`cranktab.verify` uses it too).  A clause checks one claim in
 one or both of two ways:
 
@@ -34,10 +34,10 @@ Most rows are built from two shapes:
 
 * ``_head(label, series, head, tail)`` -- a series starts with a frozen
   head and, with ``tail``, is nonnegative after it;
-* ``_factored(rows, left, right)`` -- each left side times the sparse units
-  ``left`` equals its factor times the sparse units ``right``: a quotient of
-  q-products written with Euler's pentagonal series and Gauss's phi(-q), so
-  that no clause multiplies two dense series.
+* ``_factored(label, lhs, factor, left, right)`` -- the left side times the
+  sparse units ``left`` equals its factor times the sparse units ``right``:
+  a quotient of q-products written with Euler's pentagonal series and
+  Gauss's phi(-q), so that no clause multiplies two dense series.
 
 The other rows list their ``Clause(...)`` literals directly.  To add an
 entry, append one ``IdentityEntry`` row to ``CATALOG``, pick a shape or
@@ -333,8 +333,8 @@ def _head(label: str, series, head: list, tail: bool = True) -> Clause:
                   nonneg_from=len(head) if tail else None)
 
 
-def _factored(rows, left, right) -> list:
-    """Exact clauses ``lhs * left = factor * right``, one per ``(label, lhs, factor)`` row.
+def _factored(label: str, lhs, factor, left, right) -> Clause:
+    """The exact clause ``lhs * left = factor * right``.
 
     ``left`` and ``right`` are tuples of sparse units: series with constant
     term 1 and O(sqrt N) nonzero terms, each applied by one multiply, so a
@@ -342,14 +342,11 @@ def _factored(rows, left, right) -> list:
     ``lhs * V = factor * W`` holds exactly when ``lhs = factor * W / V``:
     the clause checks that identity with no dense product.
     """
-    return [
-        Clause(
-            label,
-            lambda lhs=lhs: functools.reduce(mul, left, lhs()),
-            lambda f=factor: functools.reduce(mul, right, f()),
-        )
-        for label, lhs, factor in rows
-    ]
+    return Clause(
+        label,
+        lambda: functools.reduce(mul, left, lhs()),
+        lambda: functools.reduce(mul, right, factor()),
+    )
 
 
 def _euler(N: int, d: int = 1) -> Series:
@@ -445,7 +442,7 @@ CATALOG = {
             "crank difference columns for m = 8..60: q^(m-1) - q^m then nonnegative",
             lambda N, r: [
                 _head(f"m={m}", lambda m=m: r.diff("crank", m), [0] * (m - 1) + [1, -1])
-                for m in range(8, min(60, N - 1) + 1)
+                for m in range(8, min(COLUMN_BOUNDS["crank"], N - 1) + 1)
             ],
         ),
         IdentityEntry(
@@ -453,7 +450,7 @@ CATALOG = {
             "first-residual-crank difference columns are nonnegative for m >= 2",
             lambda N, r: [
                 Clause(f"m={m}", lambda m=m: r.diff("ocrank", m))
-                for m in range(2, min(20, N + 1) + 1)
+                for m in range(2, min(COLUMN_BOUNDS["ocrank"], N + 1) + 1)
             ],
         ),
         IdentityEntry(
@@ -486,11 +483,10 @@ CATALOG = {
             # successive-n differences) equals the crank column over
             # (q^3;q^2)_inf.  Times the unit (q^3;q^2)_inf (q^2;q^2)_inf it is
             # this clause: (1-q)(q^3;q^2)_inf (q^2;q^2)_inf = (q;q)_inf.
-            lambda N, r: _factored(
-                [("m=0", lambda: r.column("ocrank", 0), lambda: r.column("crank", 0))],
-                left=(_euler(N),),
-                right=(_euler(N, 2),),
-            ),
+            lambda N, r: [
+                _factored("m=0", lambda: r.column("ocrank", 0), lambda: r.column("crank", 0),
+                          left=(_euler(N),), right=(_euler(N, 2),))
+            ],
         ),
         IdentityEntry(
             "andrews-merca",
@@ -516,19 +512,9 @@ CATALOG = {
             " base_k (q;q)_inf^(k-2) (q^2;q^2)_inf = base_o, and the per-column form"
             " follows from the column form",
             lambda N, r: [
-                clause
+                _factored(f"k={k}", lambda k=k: r.base("kcrank", k=k), lambda: r.base("ocrank"),
+                          left=(_euler(N),) * (k - 2) + (_euler(N, 2),), right=())
                 for k in (2, 3, 4)
-                for clause in _factored(
-                    [
-                        (
-                            f"k={k}",
-                            lambda k=k: r.base("kcrank", k=k),
-                            lambda: r.base("ocrank"),
-                        )
-                    ],
-                    left=(_euler(N),) * (k - 2) + (_euler(N, 2),),
-                    right=(),
-                )
             ],
         ),
         IdentityEntry(
@@ -542,17 +528,10 @@ CATALOG = {
             " phi(-q^2), phi(-q) = (q;q)/(-q;q); both share S_m(q^2), so it is checked"
             " once on the bases: base_m2 phi(-q) = base_o(q^2) phi(-q^2), and the per-column"
             " form follows from the column form",
-            lambda N, r: _factored(
-                [
-                    (
-                        "bases",
-                        lambda: r.base("m2crank"),
-                        lambda: r.base("ocrank").stretched(2),
-                    )
-                ],
-                left=(phi_minus_q(N),),
-                right=(phi_minus_q(N).stretched(2),),
-            ),
+            lambda N, r: [
+                _factored("bases", lambda: r.base("m2crank"), lambda: r.base("ocrank").stretched(2),
+                          left=(phi_minus_q(N),), right=(phi_minus_q(N).stretched(2),))
+            ],
         ),
     ]
 }
@@ -584,25 +563,6 @@ def run_clause(clause: Clause) -> tuple[list, int]:
             for n in sorted(found ^ allowed)
         )
         checked += max(0, lhs.order + 1 - n0)
-    return exceptions, checked
-
-
-def run_entry(entry: IdentityEntry, order: int, run: Run | None = None) -> tuple[list, int]:
-    """Evaluate all clauses of one catalog entry at the given order.
-
-    ``run`` is the catalog run the entry belongs to; by default the entry
-    runs on its own.  Returns the exceptions of all clauses and the total
-    number of coefficients compared.
-    """
-    if run is None:
-        run = Run(order)
-    elif run.order != order:
-        raise ValueError(f"the run is at order {run.order}, not {order}")
-    exceptions, checked = [], 0
-    for clause in entry.clauses(order, run):
-        found, count = run_clause(clause)
-        exceptions.extend(found)
-        checked += count
     return exceptions, checked
 
 
@@ -646,27 +606,31 @@ class CheckReport(namedtuple("CheckReport", "check_id params passed exceptions i
         return obj
 
 
-def check_identity(entry_id, order=DEFAULT_IDENTITY_ORDER, run=None):
-    """Run one catalog entry at the given truncation order.
-
-    ``run`` is the :class:`Run` of the catalog run the entry belongs to; by
-    default the entry gets a run of its own.  An unknown id or a negative
-    order raises :class:`~cranktab.UsageError`.
-    """
-    entry = CATALOG.get(entry_id)
-    if entry is None:
-        raise UsageError(f"unknown identity {entry_id!r}; available: {', '.join(sorted(CATALOG))}")
-    check_size("order", order)
+def run_entry(entry: IdentityEntry, run: Run) -> CheckReport:
+    """The report of one entry's clauses, on the catalog run ``run`` at its order."""
     t0 = time.perf_counter()
-    exceptions, checked = run_entry(entry, order, run)
+    exceptions, checked = [], 0
+    for clause in entry.clauses(run.order, run):
+        found, count = run_clause(clause)
+        exceptions.extend(found)
+        checked += count
     return CheckReport(
-        entry_id,
-        {"order": order},
+        entry.entry_id,
+        {"order": run.order},
         passed=not exceptions,
         exceptions=exceptions,
         runtime_ms=(time.perf_counter() - t0) * 1000,
         coeffs_checked=checked,
     )
+
+
+def check_identity(entry_id, order=DEFAULT_IDENTITY_ORDER) -> CheckReport:
+    """Run one catalog entry on a run of its own; a bad id or order raises ``UsageError``."""
+    entry = CATALOG.get(entry_id)
+    if entry is None:
+        raise UsageError(f"unknown identity {entry_id!r}; available: {', '.join(sorted(CATALOG))}")
+    check_size("order", order)
+    return run_entry(entry, Run(order))
 
 
 def reports_to_json_obj(reports):

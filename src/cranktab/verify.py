@@ -33,9 +33,9 @@ few low columns on its own (:class:`~cranktab.identities.Run`), from a pass
 that starts at the highest column it reads.  That run is also the run's one
 store of GF bases, which the passes and the catalog share.
 
-:func:`run_checks` and :func:`check_identity` check their arguments at the
-call and raise :class:`~cranktab.UsageError` before any column pass or
-clause runs; the command line only parses, and prints that message.
+:func:`run_checks` and :func:`cranktab.identities.check_identity` refuse bad
+arguments at the call with :class:`~cranktab.UsageError`, before any column
+pass or clause runs; the command line only parses, and prints that message.
 
 Note on the monotonicity sweeps (`thm-1.7*`): the counts of the first
 residual crank satisfy count(m, n) >= count(m, n-1) for all comparisons
@@ -53,8 +53,9 @@ from collections import deque, namedtuple
 from itertools import compress, count
 
 from cranktab import DEFAULT_IDENTITY_ORDER, UsageError, check_size, identities
-# one report type for sweeps and identities; the identity command loads only identities
-from cranktab.identities import CheckReport, check_identity, exit_code, reports_to_json_obj
+# one report type for sweeps and identities; the identity command loads only identities.
+# perfbench's tracer wraps reports_to_json_obj here: its span gives verify.checks_run
+from cranktab.identities import CheckReport, reports_to_json_obj
 
 DEFAULT_N_MAX = {"crank": 300, "ocrank": 300, "m2crank": 300, "kcrank": 200, "rank": 40}
 
@@ -291,6 +292,7 @@ def run_checks(check_ids, n_max=None, order=None):
     for statistic, k in sorted(sizes, key=sizes.get, reverse=True):  # largest base first
         _column_pass(statistic, k, sizes[statistic, k], scans[statistic, k], run)
     reports = [scan.report() for group in scans.values() for scan in group]
-    reports.extend(check_identity(cid, order, run) for cid in ids if cid in identities.CATALOG)
+    reports.extend(identities.run_entry(identities.CATALOG[cid], run)
+                   for cid in ids if cid in identities.CATALOG)
     reports.sort(key=lambda r: r.check_id)
     return reports

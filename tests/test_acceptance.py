@@ -14,8 +14,8 @@ from cranktab.brute import (
     overpartitions,
     second_residual_contributions,
 )
-from cranktab.identities import CATALOG, CRANK_DIFF_M1_HEAD, CRANK_DIFF_M2_HEAD
-from cranktab.verify import check_identity, check_table_consistency, run_checks
+from cranktab.identities import CATALOG, CRANK_DIFF_M1_HEAD, CRANK_DIFF_M2_HEAD, check_identity
+from cranktab.verify import check_table_consistency, run_checks
 
 
 def _report(criterion, detail, elapsed):

@@ -49,6 +49,7 @@ def test_partitions_complete_and_duplicate_free():
         assert len(objs) == len(set(objs)) == p[n]
         assert all(sum(o) == n for o in objs)
         assert all(list(o) == sorted(o, reverse=True) for o in objs)
+        assert objs == sorted(objs, reverse=True)  # descending lexicographic
 
 
 def test_overpartitions_n2():

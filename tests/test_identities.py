@@ -7,7 +7,7 @@ import pytest
 
 from cranktab import identities, verify
 from cranktab.bivariate import crank_gf, gf_table, overline_crank_gf
-from cranktab.identities import CATALOG, run_entry
+from cranktab.identities import CATALOG, check_identity, run_entry
 from cranktab.series import (
     Series,
     distinct_series,
@@ -25,9 +25,9 @@ ORDER = 120
 
 @pytest.mark.parametrize("entry_id", sorted(CATALOG))
 def test_catalog_entry_passes(entry_id):
-    exceptions, checked = run_entry(CATALOG[entry_id], ORDER)
-    assert exceptions == [], exceptions[:5]
-    assert checked > 0
+    report = check_identity(entry_id, ORDER)
+    assert report.exceptions == [], report.exceptions[:5]
+    assert report.coeffs_checked > 0
 
 
 def _clauses(entry_id, order):
@@ -65,8 +65,7 @@ def test_closed_form_left_side_is_built_once(entry_id, factor, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(identities, factor, counted)
-    exceptions, _ = run_entry(CATALOG[entry_id], 60)
-    assert exceptions == []
+    assert check_identity(entry_id, 60).exceptions == []
     assert len(calls) == 1
 
 
@@ -80,8 +79,7 @@ def test_head_and_tail_clauses_share_one_series(monkeypatch):
         return real(self, statistic, m)
 
     monkeypatch.setattr(identities.Run, "diff", counted)
-    exceptions, _ = run_entry(CATALOG["crank-diff-tails"], 200)
-    assert exceptions == []
+    assert check_identity("crank-diff-tails", 200).exceptions == []
     assert sorted(calls) == [("crank", m) for m in range(8, 61)]
 
 
@@ -105,8 +103,7 @@ def test_crank_diff_tails_frees_each_column_when_its_clause_returns(monkeypatch)
 
     monkeypatch.setattr(identities.Run, "diff", diff)
     monkeypatch.setattr(identities, "run_clause", run_clause)
-    exceptions, _ = run_entry(CATALOG["crank-diff-tails"], 200)
-    assert exceptions == []
+    assert check_identity("crank-diff-tails", 200).exceptions == []
     assert len(refs) == 53
 
 
@@ -165,9 +162,9 @@ PINNED_COEFFS_CHECKED = {
 def test_coeffs_checked_is_pinned(entry_id):
     counts = []
     for order in PINNED_ORDERS:
-        exceptions, checked = run_entry(CATALOG[entry_id], order)
-        assert exceptions == [], (order, exceptions[:5])
-        counts.append(checked)
+        report = check_identity(entry_id, order)
+        assert report.exceptions == [], (order, report.exceptions[:5])
+        counts.append(report.coeffs_checked)
     assert tuple(counts) == PINNED_COEFFS_CHECKED[entry_id]
 
 
@@ -179,8 +176,7 @@ def _failing_cells(entry_id, statistic, m, n, order, by=1):
     run = identities.Run(order)
     run.fill(statistic)
     run.tables[statistic][m].coeffs[n] += by
-    exceptions, _ = run_entry(CATALOG[entry_id], order, run)
-    return sorted({(e["clause"], e["n"]) for e in exceptions})
+    return sorted({(e["clause"], e["n"]) for e in run_entry(CATALOG[entry_id], run).exceptions})
 
 
 def _failing_base_cells(entry_id, n, order, *args, **kwargs):
@@ -190,8 +186,7 @@ def _failing_base_cells(entry_id, n, order, *args, **kwargs):
     """
     run = identities.Run(order)
     run.base(*args, **kwargs).coeffs[n] += 1
-    exceptions, _ = run_entry(CATALOG[entry_id], order, run)
-    return sorted({(e["clause"], e["n"]) for e in exceptions})
+    return sorted({(e["clause"], e["n"]) for e in run_entry(CATALOG[entry_id], run).exceptions})
 
 
 def _support(series, shift):
@@ -274,9 +269,6 @@ def test_run_columns_past_their_bound_raise():
     for statistic in ("m2crank", "kcrank", "rank"):
         with pytest.raises(KeyError):  # no column bound: the catalog reads none of it
             run.column(statistic, 1)
-    # an entry at another order cannot share the run
-    with pytest.raises(ValueError, match="^the run is at order 30, not 31$"):
-        run_entry(CATALOG["euler"], 31, run)
 
 
 def test_run_serves_every_reader_from_one_base():
@@ -360,7 +352,7 @@ def test_clause_with_both_checks_reports_equality_then_sign():
 
 
 def test_check_identity_report_shape():
-    report = verify.check_identity("euler", order=64)
+    report = check_identity("euler", order=64)
     assert report.passed
     assert report.check_id == "euler"
     assert report.params == {"order": 64}
@@ -371,7 +363,7 @@ def test_check_identity_report_shape():
 
 def test_identity_without_clauses_checks_no_coefficients():
     # crank-diff-tails has no clause at order 5: it passes having compared nothing
-    report = verify.check_identity("crank-diff-tails", order=5)
+    report = check_identity("crank-diff-tails", order=5)
     assert report.passed and report.coeffs_checked == 0
 
 
@@ -384,9 +376,9 @@ def test_identity_failure_is_detected():
             identities.Clause("c", lambda: distinct_series(N), lambda: Series.constant(N))
         ],
     )
-    exceptions, checked = run_entry(bad, 10)
-    assert exceptions and exceptions[0]["n"] == 1
-    assert checked == 11
+    report = run_entry(bad, identities.Run(10))
+    assert report.exceptions and report.exceptions[0]["n"] == 1
+    assert report.coeffs_checked == 11
 
 
 # -- per-j reference for the closed-form right-hand sides ----------------------

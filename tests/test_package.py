@@ -50,11 +50,11 @@ def test_a_name_loads_only_its_submodule():
 
 
 def test_report_names_resolve_to_the_catalog_module():
-    # one report type and one check_identity, named by the root, verify and identities
+    # one report type, named by the root, verify and identities, and one check_identity
     from cranktab import identities
 
     assert cranktab.CheckReport is identities.CheckReport is verify.CheckReport
-    assert cranktab.check_identity is identities.check_identity is verify.check_identity
+    assert cranktab.check_identity is identities.check_identity
     assert _loaded_after("import cranktab; cranktab.check_identity") == [
         "cranktab", "cranktab.identities", "cranktab.series"]
 

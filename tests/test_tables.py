@@ -126,8 +126,8 @@ def test_bad_arguments_raise_at_the_call_before_anything_is_built(monkeypatch):
          "n_max applies only to conj-1.8, thm-1.1, .*, thm-1.7$"),
         (verify.run_checks, (["thm-1.4"],), {"order": 5},
          "order applies only to andrews-merca, .*, sc-identity$"),
-        (verify.check_identity, ("crank-diff-tails", -1), {}, "order must be >= 0, got -1$"),
-        (verify.check_identity, ("nope",), {},
+        (identities.check_identity, ("crank-diff-tails", -1), {}, "order must be >= 0, got -1$"),
+        (identities.check_identity, ("nope",), {},
          "unknown identity 'nope'; available: andrews-merca, .*, sc-identity$"),
     ]
     for fn, args, kwargs, match in checks:
@@ -139,7 +139,7 @@ def test_bad_arguments_raise_at_the_call_before_anything_is_built(monkeypatch):
     "call, name",
     [(lambda size: gf_rows("crank", size), "order"),
      (lambda size: verify.run_checks(["thm-1.4"], n_max=size), "n_max"),
-     (lambda size: verify.check_identity("euler", size), "order"),
+     (lambda size: identities.check_identity("euler", size), "order"),
      (lambda size: oracle_rows("crank", size), "n_max")],
     ids=["gf_rows", "run_checks", "check_identity", "oracle_rows"],
 )

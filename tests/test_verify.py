@@ -7,7 +7,7 @@ from itertools import compress, count
 
 import pytest
 
-from cranktab import UsageError, bivariate, series, verify
+from cranktab import UsageError, bivariate, identities, series, verify
 from cranktab.bivariate import gf_rows, gf_table
 from cranktab.brute import oracle_rows
 from cranktab.verify import SWEEPS, check_table_consistency, run_checks, run_sweep
@@ -492,8 +492,8 @@ def test_reports_deterministic_modulo_runtime():
 def test_exit_code_contract():
     good = verify.CheckReport("x", {}, True, [])
     bad = verify.CheckReport("y", {}, False, [{"m": 0, "n": 1, "lhs": 0, "rhs": 1}])
-    assert verify.exit_code([good]) == 0
-    assert verify.exit_code([good, bad]) == 1
+    assert identities.exit_code([good]) == 0
+    assert identities.exit_code([good, bad]) == 1
 
 
 def test_report_json_serialization():

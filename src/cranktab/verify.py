@@ -20,18 +20,29 @@ set, leaves the cells n = m + d of the counted rows out of the verdict; their
 violations follow in ``informational`` with a ``note``.  ``params`` names the
 report parameters in print order, each taken from the sweep or the run
 (``n_max``, ``k``, ``statistic``, ``scan_from``, ``relation``).  Every sweep
-report gives ``cells_checked``, the number of cells compared in its counted
-rows; every identity report gives ``coeffs_checked``.
+report gives ``cells_checked``, the number of cells in its counted rows,
+those decided through U below included; every identity report gives
+``coeffs_checked``.
 
 No sweep reads a whole table: each compares column m with column
-m - stride, or with itself one row down.  :func:`run_checks` therefore
-streams each GF's columns once per run, from m = order down to 0
-(:func:`cranktab.bivariate.gf_columns`), and feeds them to every selected
-sweep of that (statistic, k) while it holds the last three only, so a run
-holds O(N) cells per pass, not whole tables.  The identity catalog gets its
-few low columns on its own (:class:`~cranktab.identities.Run`), from a pass
-that starts at the highest column it reads.  That run is also the run's one
-store of GF bases, which the passes and the catalog share.
+m - stride, or with itself one row down.  Below the j = 2 term of its closed
+form, in the rows n < d(2m + 2a - 1), column m >= 1 of a GF of form (d, a)
+is one shifted series, ``q**(d(m + c)) * (1 - q**d) * base`` with c = (a -
+1)/2 (:mod:`cranktab.bivariate`).  So in the rows where both of its columns
+are, a sweep's cells are the coefficients of one series U: (1 - q**(stride
+d)) * (1 - q**d) * base for a step and (1 - q) * (1 - q**d) * base for the
+monotone sweep, whose negative coefficients, few if any, give the
+violating cells (:meth:`_Scan.decide_stable`).  For the crank, U is (1 -
+q)**2 / (q;q)_inf, the second differences of p(n).  :func:`run_checks`
+therefore streams each GF's columns once per run
+(:func:`cranktab.bivariate.gf_columns`) from the last column that still has
+a row past that bound, about N / (2d), down to 0, and feeds them to every
+selected sweep of that (statistic, k), which compares only the rows past
+it, while it holds the last three columns only, so a run holds O(N) cells
+per pass, not whole tables.  The identity catalog gets its few low columns
+on its own (:class:`~cranktab.identities.Run`), from a pass that starts at
+the highest column it reads.  That run is also the run's one store of GF
+bases, which the passes and the catalog share.
 
 :func:`run_checks` and :func:`cranktab.identities.check_identity` refuse bad
 arguments at the call with :class:`~cranktab.UsageError`, before any column
@@ -80,41 +91,90 @@ class _Scan:
 
     def __init__(self, sweep: Sweep, n_max: int):
         self.sweep, self.n_max = sweep, n_max
-        self.ms = range(sweep.stride, n_max + 1 - sweep.m_cut)
-        self.found, self.informational, self.cells, self.seconds = [], [], 0, 0.0
+        self.ms = range(sweep.stride, n_max + 1 - sweep.m_cut)  # narrowed by decide_stable
+        self.found, self.informational, self.seconds = [], [], 0.0
+        self.form = None  # the GF's (d, a), set by decide_stable
+        # the cells of the counted rows: row n compares the m in range(stride,
+        # n + 1 - m_cut), max(0, n - span) of them
+        stride, m_cut, diagonal = sweep.stride, sweep.m_cut, sweep.exclude_diagonal
+        first, span = max(sweep.scan_from, 0 if stride else 1), stride + m_cut - 1
+        self.cells = sum(range(max(0, first - span), n_max + 1 - span))
+        if diagonal is not None and diagonal >= m_cut:  # less the cells n = m + diagonal
+            self.cells -= len(range(max(first, stride + diagonal), n_max + 1))
+
+    def decide_stable(self, d: int, a: int, v: list) -> None:
+        """Decide the cells of the rows where both columns are one shifted series.
+
+        Below the j = 2 term of its closed form, in the rows n < d(2i + 2a -
+        1), column i >= 1 is ``q**(d(i + c)) * V`` with c = (a - 1)/2 and
+        ``v`` the coefficients of V = (1 - q**d) * base
+        (:mod:`cranktab.bivariate`).  So for column m, with i = m - stride >=
+        1, each row n < R = d(2i + 2a - 1) compares V[t] with V[t - shift],
+        t = n - d(i + c), and violates the relation exactly where U = (1 -
+        q**shift) * V is negative at t; shift is stride * d for a step and 1
+        for the monotone sweep.  U's negative coefficients, few if any, are
+        mapped to their cells here.  :meth:`compare` then scans column m
+        from row R (:meth:`stable_end`) on only, and ``ms`` keeps the
+        columns that still have such a row.  Column 0, which holds the
+        rank's empty partition, is compared in full.
+        """
+        t0 = time.perf_counter()
+        sweep, n_max = self.sweep, self.n_max
+        stride, m_cut = sweep.stride, sweep.m_cut
+        c, shift = (a - 1) // 2, stride * d or 1
+        self.form = d, a
+        v = v[: n_max + 1]
+        for t in compress(count(), map(operator.lt, v, [0] * shift + v)):  # U[t] < 0
+            for m in range(stride + 1, self.ms.stop):
+                n = t + d * (m - stride + c)
+                if n > n_max:
+                    break
+                if m + m_cut <= n < self.stable_end(m):  # n >= d >= 1: past row 0
+                    self.record(m, n, v[t], v[t - shift] if t >= shift else 0)
+        # the last column with a row in stable_end(m)..n_max: i <= (n_max // d - 2a + 1) / 2
+        last = stride + max(0, (n_max // d - 2 * a + 1) // 2)
+        self.ms = range(stride, min(self.ms.stop, last + 1))
+        self.seconds += time.perf_counter() - t0
+
+    def stable_end(self, m: int) -> int:
+        """R = d(2(m - stride) + 2a - 1), below which :meth:`decide_stable` decides column m."""
+        d, a = self.form
+        m -= self.sweep.stride
+        return d * (2 * m + 2 * a - 1) if m else 0  # column 0 is compared in full
+
+    def record(self, m: int, n: int, lhs: int, rhs: int) -> None:
+        """File the violating cell (m, n) as an exception or as informational."""
+        sweep = self.sweep
+        k, diagonal = sweep.k, sweep.exclude_diagonal
+        entry = {"m": m, "n": n, "lhs": lhs, "rhs": rhs}
+        if k is not None:
+            entry["k"] = k
+        if n < sweep.scan_from:
+            self.informational.append(entry)
+        elif diagonal is not None and n == m + diagonal:
+            self.informational.append(dict(entry, note=f"excluded diagonal n=m+{diagonal}"))
+        else:
+            self.found.append(entry)
 
     def compare(self, m: int, lhs_col: list, rhs_col: list) -> None:
         """Compare column m - stride (``lhs_col``) with column m (``rhs_col``).
 
-        The columns are compared as whole slices, once to learn whether any
-        cell violates the relation and, only then, again to visit the
-        violating cells one by one.  The first pass makes no object per cell
-        and the second makes an int (the index) per cell, so on the columns
-        without a violation, nearly all of them, the first pass alone is the
-        cheaper scan.
+        Only the rows from ``stable_end(m)`` on are compared; the rows below
+        are decided by :meth:`decide_stable`.  The columns are compared as
+        whole slices, once to learn whether any cell violates the relation
+        and, only then, again to visit the violating cells one by one.  The
+        first pass makes no object per cell and the second makes an int (the
+        index) per cell, so on the columns without a violation, nearly all of
+        them, the first pass alone is the cheaper scan.
         """
         t0 = time.perf_counter()
-        sweep, n_max = self.sweep, self.n_max
-        k, diagonal = sweep.k, sweep.exclude_diagonal
+        sweep = self.sweep
         dn = 0 if sweep.stride else 1  # a monotone sweep compares row n with row n - 1
-        lo = max(m + sweep.m_cut, dn)  # first row whose window holds m
-        first_counted = max(lo, sweep.scan_from)
-        self.cells += max(0, n_max + 1 - first_counted)
-        if diagonal is not None and first_counted <= m + diagonal <= n_max:
-            self.cells -= 1
-        lhs, rhs = lhs_col[lo : n_max + 1], rhs_col[lo - dn :]
+        lo = max(m + sweep.m_cut, dn, self.stable_end(m))  # first row past the stable ones
+        lhs, rhs = lhs_col[lo : self.n_max + 1], rhs_col[lo - dn :]
         if any(map(operator.lt, lhs, rhs)):  # nearly every column has no violation
             for n in compress(count(lo), map(operator.lt, lhs, rhs)):
-                entry = {"m": m, "n": n, "lhs": lhs_col[n], "rhs": rhs_col[n - dn]}
-                if k is not None:
-                    entry["k"] = k
-                if n < sweep.scan_from:
-                    self.informational.append(entry)
-                elif diagonal is not None and n == m + diagonal:
-                    self.informational.append(
-                        dict(entry, note=f"excluded diagonal n=m+{diagonal}"))
-                else:
-                    self.found.append(entry)
+                self.record(m, n, lhs_col[n], rhs_col[n - dn])
         self.seconds += time.perf_counter() - t0
 
     def report(self) -> CheckReport:
@@ -141,20 +201,29 @@ class _Scan:
 
 
 def _column_pass(statistic, k, size, scans, run) -> None:
-    """Stream the columns of one GF at order ``size`` once, from m = size down to 0.
+    """Stream the columns of one GF at order ``size`` once, from the scans' top down to 0.
 
     The GF's base comes from ``run``, the run's store of bases
-    (:meth:`cranktab.identities.Run.base`).  Each of the ``scans``
-    compares column m with column m - stride as the latter goes by, so only
-    the last three columns are held.  The pass imports
+    (:meth:`cranktab.identities.Run.base`).  With (d, a) the GF's form, V =
+    (1 - q**d) * base is made once, and each of the ``scans`` decides
+    through it the cells of the rows where its columns are still one
+    shifted series (:meth:`_Scan.decide_stable`).  The columns stream from
+    the last one that some scan still compares, about size / (2d), and each
+    scan compares column m with column m - stride as the latter goes by, so
+    only the last three columns are held.  The pass imports
     :mod:`cranktab.bivariate` itself, so a run with no sweep loads it only
     for a catalog entry that reads a GF.
     """
     from cranktab import bivariate
 
+    d, a = bivariate._FORMS[statistic]
     base = run.base(statistic, k, size)
+    v = base.coeffs[:d] + list(map(operator.sub, base.coeffs[d:], base.coeffs))  # V
+    for scan in scans:
+        scan.decide_stable(d, a, v)
+    top = max(scan.ms[-1] if scan.ms else 0 for scan in scans)
     window = deque(maxlen=3)  # columns j, j + 1, j + 2
-    for j, column in bivariate.gf_columns(statistic, size, k, base=base):
+    for j, column in bivariate.gf_columns(statistic, size, k, top, base):
         window.appendleft(column)
         for scan in scans:
             m = j + scan.sweep.stride

@@ -3,6 +3,7 @@
 import json
 import operator
 import time
+import types
 from itertools import compress, count
 
 import pytest
@@ -279,9 +280,9 @@ def test_sweeps_count_the_cells_they_check():
 # count() call per compared cell, violations collected in (n, m) order.
 
 
-def _per_cell_sweep(sweep, n_max):
+def _per_cell_sweep(sweep, n_max, base=None):
     k = sweep.k
-    columns = [col.coeffs for col in gf_table(sweep.statistic, n_max, k)]
+    columns = [col.coeffs for col in gf_table(sweep.statistic, n_max, k, base=base)]
 
     def count(m, n):  # M(m, n), zero outside |m| <= n
         return columns[abs(m)][n] if abs(m) <= n else 0
@@ -317,12 +318,62 @@ _ALL_SWEEPS = [*(s for sweeps in SWEEPS.values() for s in sweeps),
                SWEEPS["conj-1.8"][-1]._replace(k=7)]
 
 
-@pytest.mark.parametrize("n_max", [0, 1, 2, 13, 14, 45, 150])
+# 43 and 44 bracket thm-1.2's scan_from; at 200 (d = 1) and 201 (the m2crank,
+# d = 2) a column's stable rows end at R = n_max + 1, so it has no row left
+_SIZES = [0, 1, 2, 13, 14, 43, 44, 45, 150, 200, 201]
+
+
+@pytest.mark.parametrize("n_max", _SIZES)
 def test_column_scan_matches_per_cell_reference(n_max):
     for sweep in _ALL_SWEEPS:
         r = run_sweep(sweep, n_max)
         got = (r.passed, r.exceptions, r.informational, r.cells_checked)
         assert got == _per_cell_sweep(sweep, n_max), (sweep.check_id, sweep.k)
+
+
+# -- the stable rows ------------------------------------------------------------
+#
+# Below the j = 2 term of its closed form, column m of a GF of form (d, a) is
+# one shifted series, which the column passes read as one series U per sweep.
+
+
+@pytest.mark.parametrize("statistic, k", [("crank", None), ("ocrank", None), ("m2crank", None),
+                                          ("kcrank", 2), ("kcrank", 3), ("rank", None)])
+def test_low_rows_of_each_column_are_one_shifted_series(statistic, k):
+    # rows n < d(2m + 2a - 1) of column m are q**(d(m + c)) * V, V = (1 - q**d) * base
+    order = 300
+    d, a = bivariate._FORMS[statistic]
+    base = bivariate.gf_base(statistic, order, k).coeffs
+    v = [b - (base[t - d] if t >= d else 0) for t, b in enumerate(base)]
+    for m, column in enumerate(gf_table(statistic, order, k)):
+        if statistic == "rank" and m == 0:
+            continue  # column 0 adds the empty partition at n = 0
+        end = d * (2 * m + 2 * a - 1)
+        shifted = [0] * (d * (m + (a - 1) // 2)) + v
+        assert column.coeffs[:end] == shifted[: min(end, order + 1)], m
+        if end <= order:  # the j = 2 term enters at row end
+            assert column.coeffs[end] != shifted[end], m
+
+
+@pytest.mark.parametrize("sweep", _ALL_SWEEPS, ids=lambda s: f"{s.check_id}-{s.k}")
+def test_stable_rows_fail_on_a_corrupted_base(sweep):
+    # lowering base[9] makes U negative at t = 9, inside the stable rows of
+    # every sweep at n_max = 60: the pass must find what the per-cell
+    # reference finds on the columns of that same base
+    n_max = 60
+    coeffs = bivariate.gf_base(sweep.statistic, n_max, sweep.k).coeffs
+    coeffs[9] -= 10**6
+    bad = series.Series(n_max, coeffs)
+    scan = verify._Scan(sweep, n_max)
+    verify._column_pass(sweep.statistic, sweep.k, n_max, [scan],
+                        types.SimpleNamespace(base=lambda statistic, k, size: bad))
+    r = scan.report()
+    got = (r.passed, r.exceptions, r.informational, r.cells_checked)
+    assert got == _per_cell_sweep(sweep, n_max, base=bad)
+    # some of the violations lie in the rows that U decides, past column 0
+    d, a = bivariate._FORMS[sweep.statistic]
+    assert any(sweep.stride < e["m"] and e["n"] < d * (2 * (e["m"] - sweep.stride) + 2 * a - 1)
+               for e in r.exceptions + r.informational)
 
 
 # -- full-table reference ------------------------------------------------------
@@ -383,7 +434,7 @@ def _payload(report):
 _COLUMN_READERS = ["crank-diff-heads", "ocrank-monotone-factored"]
 
 
-@pytest.mark.parametrize("n_max", [0, 1, 2, 13, 14, 45, 150])
+@pytest.mark.parametrize("n_max", _SIZES)
 def test_streamed_sweeps_match_full_table_reference(n_max):
     reference = {r.check_id: _payload(r)
                  for r in (_full_table_sweep(sweep, n_max) for sweep in _ALL_SWEEPS)}
@@ -399,7 +450,10 @@ def test_streamed_sweeps_match_full_table_reference(n_max):
 
 def test_run_checks_builds_each_gf_once(monkeypatch):
     # one pass per (statistic, k) of the sweeps, at n_max, and one low-column
-    # pass per GF the catalog reads, at its order from that GF's column bound
+    # pass per GF the catalog reads, at its order from that GF's column bound.
+    # A sweep pass starts at the last column m with a row past the j = 2 term,
+    # d(2(m - stride) + 2a - 1) <= n_max: 15 for d = a = 1 (stride 1), 8 for
+    # the m2crank (d = 2) and 14 for the rank (a = 3, stride 2)
     passes = []
     real = bivariate.gf_columns
 
@@ -412,9 +466,9 @@ def test_run_checks_builds_each_gf_once(monkeypatch):
     assert len(reports) == 27 and all(r.passed for r in reports)
     assert len(passes) == 11
     assert set(passes) == {
-        *((statistic, k, 30, None) for statistic, k in (
-            ("crank", None), ("ocrank", None), ("m2crank", None), ("rank", None),
-            *(("kcrank", k) for k in (2, 3, 4, 5, 6)))),
+        *((statistic, k, 30, top) for statistic, k, top in (
+            ("crank", None, 15), ("ocrank", None, 15), ("m2crank", None, 8), ("rank", None, 14),
+            *(("kcrank", k, 15) for k in (2, 3, 4, 5, 6)))),
         ("crank", None, 40, 60), ("ocrank", None, 40, 20),
     }
 

@@ -9,8 +9,8 @@ or the rank's (Atkin-Swinnerton-Dyer, Proc. LMS 4, 1954) with a = 3::
     sum_n M(m, n) q**n = S_m(q) / (q;q)_inf,
     S_m(q) = sum_{j>=1} (-1)**(j-1) q**((a j**2 - j)/2 + j|m|) (1 - q**j).
 
-Column m of each statistic is ``base * S_m(q**d)`` (:func:`gf_base` gives
-the base); the GF equals the product form beside it::
+Column m of each statistic is ``base * S_m(q**d)`` (:data:`FORMS`, :func:`gf_base`);
+the GF is the product form beside it::
 
     statistic  base                    d  a  product form
     crank      1/(q;q)_inf             1  1  (q;q)_inf / ((zq;q)_inf (q/z;q)_inf)
@@ -24,15 +24,16 @@ the base); the GF equals the product form beside it::
 
 No column sums its terms one by one.  With
 ``R_m(q) = sum_{j>=1} (-1)**(j-1) q**((a j**2 - j)/2 + j m)`` the column factor
-is ``S_m = R_m - R_(m+1)``, and shifting j by one gives
-``R_m = q**(m + c) (1 - R_(m+s))`` with (c, s) = (0, 1) for a = 1 and (1, 3)
-for a = 3.  So the cumulative column ``B_m = base * R_m(q**d)`` is one
-shifted subtraction from ``B_(m+s)``, and column m is ``B_m - B_(m+1)``.
-B_m vanishes below ``q**(d(m + c))``, so it is kept and subtracted from that
-cell on only: O(N) per column and O(N**2) for the whole GF, about 0.75 N**2
-subtractions for d = 1 and 0.375 N**2 for d = 2.  It may start at any
-column ``top`` from the seeds B_(top+1), ..., B_(top+s), each a sum of
-O(sqrt(N)) shifted copies of ``base`` (zero at top = N).
+is ``S_m = R_m - R_(m+1)``, and term j of R_m(q**d) starts at q**start(j, m),
+``start(j, m) = d((a j**2 - j)/2 + j m)`` (:meth:`Form.start`).  Shifting j
+by one gives ``R_m(q**d) = q**start(1, m) (1 - R_(m+a)(q**d))``, so the
+cumulative column ``B_m = base * R_m(q**d)`` is one shifted subtraction
+from ``B_(m+a)``, and column m is ``B_m - B_(m+1)``.  B_m vanishes below
+``q**start(1, m)``, so it is kept and subtracted from that cell on only:
+O(N) per column and O(N**2) for the whole GF, about 0.75 N**2 subtractions
+for d = 1 and 0.375 N**2 for d = 2.  It may start at any column ``top``
+from the seeds B_(top+1), ..., B_(top+a), each a sum of O(sqrt(N)) shifted
+copies of ``base`` (zero at top = N).
 Each base is a power of the reciprocal of a sparse series with O(sqrt(N))
 terms (see :mod:`cranktab.series`): ``1/(q;q)_inf`` and ``1/(q;q)_inf**k``
 of Euler's pentagonal series, the overpartition base of Gauss's
@@ -41,11 +42,9 @@ every k.  A caller that holds a base already, such as the store of a
 ``verify`` run (:class:`cranktab.identities.Run`), hands it to the pass,
 which then builds none.
 
-The row for ``q**1`` comes out as ``z - 1 + 1/z`` from the j = 1, 2 terms:
-the crank GF itself encodes the conventional signed counts at n = 1 and no
-special-casing is needed downstream.  The rank's columns sum to
-``1/(q;q)_inf - 1``: they miss the empty partition, which column 0 adds at
-``z**0 q**0``.
+The row for ``q**1`` comes out as ``z - 1 + 1/z`` from the j = 1, 2 terms,
+the conventional signed counts at n = 1, with no special case.  The rank's
+columns miss the empty partition, which column 0 adds (``Form.empty``).
 
 A GF is read in one of two shapes, each streamed and never held whole.
 :func:`gf_columns` yields its columns from m = top down to 0, and
@@ -72,7 +71,8 @@ as long as its caller keeps it.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import deque, namedtuple
+from itertools import count, takewhile
 from operator import add, sub
 
 from cranktab import UsageError, check_k, check_size
@@ -83,9 +83,19 @@ from cranktab.series import (
 )
 
 
-# statistic -> (d, a) of its column form; see the module docstring
-_FORMS = {"crank": (1, 1), "ocrank": (1, 1), "m2crank": (2, 1), "kcrank": (1, 1),
-          "rank": (1, 3)}
+class Form(namedtuple("Form", "d a base empty")):
+    """Column m is ``base * S_m(q**d)``, plus ``empty`` at z**0 q**0: the rank's empty partition."""
+
+    __slots__ = ()
+
+    def start(self, j: int, m: int = 0) -> int:
+        """``d((a j**2 - j)/2 + j m)``: term j of ``R_m(q**d)`` starts at q to this power."""
+        return self.d * ((self.a * j * j - j) // 2 + j * m)
+
+
+FORMS = {"crank": Form(1, 1, "partition", 0), "ocrank": Form(1, 1, "overpartition", 0),
+         "m2crank": Form(2, 1, "overpartition", 0), "kcrank": Form(1, 1, "partition", 0),
+         "rank": Form(1, 3, "partition", 1)}
 
 
 def table_label(statistic: str, k: int | None = None) -> str:
@@ -96,26 +106,21 @@ def table_label(statistic: str, k: int | None = None) -> str:
 def _check(statistic: str, order: int, k: int | None) -> None:
     """Raise ``UsageError`` for a bad statistic, order or k (:func:`cranktab.check_k`)."""
     check_size("order", order)
-    if statistic not in _FORMS:
+    if statistic not in FORMS:
         raise UsageError(f"unknown statistic {statistic!r}")
     check_k(statistic, k)
-
-
-def base_name(statistic: str, k: int | None = None) -> str:
-    """The series that :func:`gf_base` builds for ``statistic``; ocrank and m2crank share one."""
-    return "overpartition" if statistic in ("ocrank", "m2crank") else f"partition^{k or 1}"
 
 
 def gf_base(statistic: str, order: int, k: int | None = None) -> Series:
     """The base of one statistic's GF (see the table above); checks the arguments first."""
     _check(statistic, order, k)
-    if base_name(statistic) == "overpartition":
+    if FORMS[statistic].base == "overpartition":
         return overpartition_series_theta(order)
     return partition_series_pentagonal(order, k or 1)
 
 
 def _form(statistic: str, order: int, k: int | None, base: Series | None) -> tuple:
-    """``(d, a, base coefficients)`` of one statistic at ``order``, once its arguments pass.
+    """``(Form, base coefficients)`` of one statistic at ``order``, once its arguments pass.
 
     The base is built unless ``base``, the :func:`gf_base` of the same
     arguments, is given; one at another order raises ``ValueError``.
@@ -126,15 +131,15 @@ def _form(statistic: str, order: int, k: int | None, base: Series | None) -> tup
         _check(statistic, order, k)
         if base.order != order:
             raise ValueError(f"the base is at order {base.order}, not {order}")
-    return (*_FORMS[statistic], base.coeffs)
+    return FORMS[statistic], base.coeffs
 
 
-def _cumulative(base: list, a: int, d: int, m: int) -> list:
+def _cumulative(base: list, form: Form, m: int) -> list:
     """``B_m = base * R_m(q**d)``, one shifted add or subtract of ``base`` per term of R_m."""
     size = len(base)
     b = [0] * size
     j = 1
-    while (e := d * ((a * j * j - j) // 2 + j * m)) < size:
+    while (e := form.start(j, m)) < size:
         b[e:] = map(add if j % 2 else sub, b[e:], base)
         j += 1
     return b
@@ -149,43 +154,38 @@ def gf_columns(statistic: str, order: int, k: int | None = None, top: int | None
     clamped to it.  ``base``, when given, is the GF's base at ``order``
     (:func:`gf_base`), which the pass then does not build.
 
-    ``B_m = base * R_m(q**d)`` obeys ``B_m = q**(d*(m + c)) * (base - B_(m+s))``
-    with ``s = a`` and ``c = (a - 1) / 2``, and column m is ``B_m - B_(m+1)``.
-    B_m vanishes below q**start(m), ``start(j) = min(d*(j + c), order + 1)``,
-    so the pass keeps only its tail ``t_m = B_m[start(m):]``: with
-    ``e = start(m)`` and ``f = start(m + s)``, ``t_m = base[:f] + (base[f:] -
-    t_(m+s))`` cut to ``order + 1 - e`` cells, and column m is e zeros, then
-    ``t_m[:d]``, then ``t_m[d:] - t_(m+1)``.  No cell below the start of
-    either operand is subtracted: about 0.75 * order**2 subtractions for d = 1
-    and 0.375 * order**2 for d = 2.  The window starts from the tails of
-    B_(top+1), ..., B_(top+s) (:func:`_cumulative`; empty at top = order).
-    Filling m from the top down keeps only the s latest tails, so a consumer
-    that keeps few columns runs in O(order) memory, and a pass costs
-    O(order * (top + sqrt(order))).  Bad arguments raise
-    :class:`~cranktab.UsageError` at the call.
+    The pass keeps the tail t_m of each cumulative column B_m (see the module
+    docstring) from its start on: with e the start of B_m, cut to order + 1,
+    and f that of B_(m+a), ``t_m = base[:f] + (base[f:] - t_(m+a))`` cut
+    to ``order + 1 - e`` cells, and column m is e zeros, then ``t_m[:d]``,
+    then ``t_m[d:] - t_(m+1)``, so no cell below the start of either operand
+    is subtracted.  The window starts from the tails of B_(top+1), ...,
+    B_(top+a) (:func:`_cumulative`; empty at top = order).  Filling m from
+    the top down keeps only the a latest tails, so a consumer that keeps few
+    columns runs in O(order) memory, and a pass costs O(order * (top +
+    sqrt(order))).  Bad arguments raise :class:`~cranktab.UsageError` at the
+    call.
     """
     if top is not None:
         check_size("top", top)
-    d, a, base = _form(statistic, order, k, base)
+    form, base = _form(statistic, order, k, base)
+    d, a = form.d, form.a
     top = order if top is None else min(top, order)
     size = order + 1
 
-    def start(j):
-        return min(d * (j + (a - 1) // 2), size)
-
     def columns():
-        # the tails t_(m+1), ..., t_(m+s)
-        window = deque((_cumulative(base, a, d, j)[start(j):] for j in range(top + 1, top + a + 1)),
-                       maxlen=a)
+        # the tails t_(m+1), ..., t_(m+a)
+        window = deque((_cumulative(base, form, j)[form.start(1, j):]
+                        for j in range(top + 1, top + a + 1)), maxlen=a)
         for m in range(top, -1, -1):
-            e, f = start(m), start(m + a)
+            e, f = min(form.start(1, m), size), form.start(1, m + a)  # where B_m, B_(m+a) start
             tail = base[: min(f, size - e)]
             tail += map(sub, base[f : size - e], window[-1])
             column = [0] * e
             column += tail[:d]
             column += map(sub, tail[d:], window[0])
-            if statistic == "rank" and m == 0:
-                column[0] += 1  # the empty partition, of rank 0
+            if m == 0:
+                column[0] += form.empty
             yield m, column
             window.appendleft(tail)
 
@@ -197,29 +197,31 @@ def gf_rows(statistic: str, order: int, k: int | None = None):
 
     Row n is a list of the counts M(m, n) for m = -n..n.  At row n the
     cumulative column B_m (see :func:`gf_columns`) is a sum over j of
-    ``(-1)**(j-1) base[n - e_j - d*j*m]`` with ``e_j = d*(a*j*j - j)/2``, so
-    the strided slice ``base[n - e_j :: -d*j]`` gives term j for every m at
-    once, and M(m, n) = B_m[n] - B_(m+1)[n].  Only the base and one row are
-    held.  A row costs O(n log n), so rows cost about 3 times the column
-    pass (2.3 to 3.4 times, base included, over the statistics at orders
-    1000 and 2000); they serve the consumers that read whole rows.  Bad
-    arguments raise :class:`~cranktab.UsageError` at the call.
+    ``(-1)**(j-1) base[n - e_j - d*j*m]`` with ``e_j = start(j)``
+    (:meth:`Form.start`), found once per call, so the strided slice
+    ``base[n - e_j :: -d*j]`` gives term j for every m at once, and M(m, n) =
+    B_m[n] - B_(m+1)[n].  Only the base and one row are held.  A row costs
+    O(n log n), so rows cost about 3 times the column pass (2.3 to 3.4 times,
+    base included, over the statistics at orders 1000 and 2000); they serve
+    the consumers that read whole rows.  Bad arguments raise
+    :class:`~cranktab.UsageError` at the call.
     """
-    d, a, base = _form(statistic, order, k, None)
-    e = d * ((a - 1) // 2)  # e_1
+    form, base = _form(statistic, order, k, None)
+    d, e = form.d, form.start(1)
+    later = list(takewhile(lambda e_j: e_j <= order, map(form.start, count(2))))  # e_j, j >= 2
 
     def rows():
         for n in range(order + 1):
             acc = base[n - e :: -d] if n >= e else []  # B_m[n] for m = 0..n+1
             acc += [0] * (n + 2 - len(acc))
-            j = 2
-            while (start := n - d * ((a * j * j - j) // 2)) >= 0:
-                terms = base[start :: -d * j]
+            for j, e_j in enumerate(later, 2):
+                if e_j > n:
+                    break
+                terms = base[n - e_j :: -d * j]
                 acc[: len(terms)] = map(add if j % 2 else sub, acc, terms)
-                j += 1
             half = list(map(sub, acc, acc[1:]))
-            if statistic == "rank" and n == 0:
-                half[0] += 1  # the empty partition, of rank 0
+            if n == 0:
+                half[0] += form.empty
             yield half[:0:-1] + half
 
     return rows()

@@ -161,8 +161,8 @@ class Run:
 
     A run is also the one store of GF bases of a ``verify`` run, shared by
     the sweeps' column passes and the catalog.  :meth:`base` builds each
-    distinct base (:func:`cranktab.bivariate.base_name`: ocrank and m2crank
-    share one) at the size a reader asks for and keeps the largest it built.
+    distinct base (its :data:`cranktab.bivariate.FORMS` name and k) at the
+    size a reader asks for and keeps the largest it built.
     A reader at that size or below takes its prefix, as the coefficient n of
     a base depends on the coefficients up to n only; a reader past it builds
     the base anew at its own size, which the run then keeps.  A run keeps no
@@ -173,7 +173,7 @@ class Run:
         self.order = order
         self.tables = {}
         self._products = {}
-        self._bases = {}  # base name -> the base at the largest size built
+        self._bases = {}  # (base name, k) -> the base at the largest size built
 
     def base(self, statistic: str, k: int | None = None, size: int | None = None) -> Series:
         """The GF base of ``statistic`` (:func:`cranktab.bivariate.gf_base`) at ``size``.
@@ -184,10 +184,10 @@ class Run:
         from cranktab import bivariate
 
         size = self.order if size is None else size
-        name = bivariate.base_name(statistic, k)
-        stored = self._bases.get(name)
+        key = (bivariate.FORMS[statistic].base, k)
+        stored = self._bases.get(key)
         if stored is None or stored.order < size:
-            stored = self._bases[name] = bivariate.gf_base(statistic, size, k)
+            stored = self._bases[key] = bivariate.gf_base(statistic, size, k)
         return stored if stored.order == size else stored.truncated(size)
 
     def fill(self, statistic: str) -> None:
@@ -410,9 +410,10 @@ CATALOG = {
         ),
         IdentityEntry(
             "crank-diff-decomp",
-            "crank difference columns minus explicit heads are nonnegative tails",
+            "crank difference columns m = 1, 2 equal their explicit decompositions below"
+            " n = 44 and 27, and the residuals are nonnegative from there on",
             lambda N, r: [
-                Clause(
+                _head(
                     "m=1",
                     lambda: r.diff("crank", 1)
                     - (
@@ -423,9 +424,9 @@ CATALOG = {
                         + _poly(N, {0: 1, 1: -1}) * _poly(N, F1_TERMS)
                         + _poly(N, H1_TERMS)
                     ),
-                    nonneg_from=44,
+                    [0] * 44,
                 ),
-                Clause(
+                _head(
                     "m=2",
                     lambda: r.diff("crank", 2)
                     - (
@@ -433,7 +434,7 @@ CATALOG = {
                         + _poly(N, {0: 1, 1: -1}) * _poly(N, F2_TERMS)
                         + _poly(N, H2_TERMS)
                     ),
-                    nonneg_from=27,
+                    [0] * 27,
                 ),
             ][: N + 1],  # the clause of m reads columns m - 1 and m, built when m - 1 <= N
         ),

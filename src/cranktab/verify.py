@@ -26,23 +26,21 @@ those decided through U below included; every identity report gives
 
 No sweep reads a whole table: each compares column m with column
 m - stride, or with itself one row down.  Below the j = 2 term of its closed
-form, in the rows n < d(2m + 2a - 1), column m >= 1 of a GF of form (d, a)
-is one shifted series, ``q**(d(m + c)) * (1 - q**d) * base`` with c = (a -
-1)/2 (:mod:`cranktab.bivariate`).  So in the rows where both of its columns
-are, a sweep's cells are the coefficients of one series U: (1 - q**(stride
-d)) * (1 - q**d) * base for a step and (1 - q) * (1 - q**d) * base for the
-monotone sweep, whose negative coefficients, few if any, give the
-violating cells (:meth:`_Scan.decide_stable`).  For the crank, U is (1 -
-q)**2 / (q;q)_inf, the second differences of p(n).  :func:`run_checks`
-therefore streams each GF's columns once per run
-(:func:`cranktab.bivariate.gf_columns`) from the last column that still has
-a row past that bound, about N / (2d), down to 0, and feeds them to every
-selected sweep of that (statistic, k), which compares only the rows past
-it, while it holds the last three columns only, so a run holds O(N) cells
-per pass, not whole tables.  The identity catalog gets its few low columns
-on its own (:class:`~cranktab.identities.Run`), from a pass that starts at
-the highest column it reads.  That run is also the run's one store of GF
-bases, which the passes and the catalog share.
+form, column m >= 1 is one shifted series, ``(1 - q**d) * base`` times a
+power of q (:meth:`cranktab.bivariate.Form.start`).  So in the rows where
+both of its columns are, a sweep's cells are the coefficients of one series
+U, whose negative coefficients, few if any, give the violating cells
+(:meth:`_Scan.decide_stable`).  For the crank, U is (1 - q)**2 / (q;q)_inf,
+the second differences of p(n).  :func:`run_checks` therefore streams each
+GF's columns once per run (:func:`cranktab.bivariate.gf_columns`) from the
+last column that still has a row past its j = 2 term, about N / (2d), down
+to 0, and feeds them to every selected sweep of that (statistic, k), which
+compares only the rows past that term, while it holds the last three
+columns only, so a run holds O(N) cells per pass, not whole tables.  The
+identity catalog gets its few low columns on its own
+(:class:`~cranktab.identities.Run`), from a pass that starts at the highest
+column it reads.  That run is also the run's one store of GF bases, which
+the passes and the catalog share.
 
 :func:`run_checks` and :func:`cranktab.identities.check_identity` refuse bad
 arguments at the call with :class:`~cranktab.UsageError`, before any column
@@ -93,7 +91,7 @@ class _Scan:
         self.sweep, self.n_max = sweep, n_max
         self.ms = range(sweep.stride, n_max + 1 - sweep.m_cut)  # narrowed by decide_stable
         self.found, self.informational, self.seconds = [], [], 0.0
-        self.form = None  # the GF's (d, a), set by decide_stable
+        self.form = None  # the GF's bivariate.Form, set by decide_stable
         # the cells of the counted rows: row n compares the m in range(stride,
         # n + 1 - m_cut), max(0, n - span) of them
         stride, m_cut, diagonal = sweep.stride, sweep.m_cut, sweep.exclude_diagonal
@@ -102,45 +100,43 @@ class _Scan:
         if diagonal is not None and diagonal >= m_cut:  # less the cells n = m + diagonal
             self.cells -= len(range(max(first, stride + diagonal), n_max + 1))
 
-    def decide_stable(self, d: int, a: int, v: list) -> None:
+    def decide_stable(self, form, v: list) -> None:
         """Decide the cells of the rows where both columns are one shifted series.
 
-        Below the j = 2 term of its closed form, in the rows n < d(2i + 2a -
-        1), column i >= 1 is ``q**(d(i + c)) * V`` with c = (a - 1)/2 and
-        ``v`` the coefficients of V = (1 - q**d) * base
-        (:mod:`cranktab.bivariate`).  So for column m, with i = m - stride >=
-        1, each row n < R = d(2i + 2a - 1) compares V[t] with V[t - shift],
-        t = n - d(i + c), and violates the relation exactly where U = (1 -
-        q**shift) * V is negative at t; shift is stride * d for a step and 1
-        for the monotone sweep.  U's negative coefficients, few if any, are
-        mapped to their cells here.  :meth:`compare` then scans column m
-        from row R (:meth:`stable_end`) on only, and ``ms`` keeps the
-        columns that still have such a row.  Column 0, which holds the
-        rank's empty partition, is compared in full.
+        Below the j = 2 term of its closed form, in the rows n < start(2, i)
+        (:meth:`~cranktab.bivariate.Form.start` of ``form``, the GF's), column
+        i >= 1 is ``q**start(1, i) * V``, ``v`` the coefficients of V = (1 -
+        q**d) * base.  So for column m, with i = m - stride >= 1, each such
+        row compares V[t] with V[t - shift], t = n - start(1, i), and violates
+        the relation exactly where U = (1 - q**shift) * V is negative at t;
+        shift is stride * d for a step and 1 for the monotone sweep.  U's
+        negative coefficients, few if any, are mapped to their cells here.
+        :meth:`compare` then scans column m from :meth:`stable_end` on only,
+        and ``ms`` keeps the columns that still have such a row.  Column 0,
+        which holds the rank's empty partition, is compared in full.
         """
         t0 = time.perf_counter()
         sweep, n_max = self.sweep, self.n_max
         stride, m_cut = sweep.stride, sweep.m_cut
-        c, shift = (a - 1) // 2, stride * d or 1
-        self.form = d, a
+        shift = stride * form.d or 1
+        self.form = form
         v = v[: n_max + 1]
         for t in compress(count(), map(operator.lt, v, [0] * shift + v)):  # U[t] < 0
             for m in range(stride + 1, self.ms.stop):
-                n = t + d * (m - stride + c)
+                n = t + form.start(1, m - stride)
                 if n > n_max:
                     break
                 if m + m_cut <= n < self.stable_end(m):  # n >= d >= 1: past row 0
                     self.record(m, n, v[t], v[t - shift] if t >= shift else 0)
-        # the last column with a row in stable_end(m)..n_max: i <= (n_max // d - 2a + 1) / 2
-        last = stride + max(0, (n_max // d - 2 * a + 1) // 2)
+        # the last column with a row in stable_end(m)..n_max: start(2, i) = start(2) + 2di <= n_max
+        last = stride + max(0, (n_max - form.start(2)) // (2 * form.d))
         self.ms = range(stride, min(self.ms.stop, last + 1))
         self.seconds += time.perf_counter() - t0
 
     def stable_end(self, m: int) -> int:
-        """R = d(2(m - stride) + 2a - 1), below which :meth:`decide_stable` decides column m."""
-        d, a = self.form
+        """start(2, m - stride), below which :meth:`decide_stable` decides column m."""
         m -= self.sweep.stride
-        return d * (2 * m + 2 * a - 1) if m else 0  # column 0 is compared in full
+        return self.form.start(2, m) if m else 0  # column 0 is compared in full
 
     def record(self, m: int, n: int, lhs: int, rhs: int) -> None:
         """File the violating cell (m, n) as an exception or as informational."""
@@ -204,10 +200,10 @@ def _column_pass(statistic, k, size, scans, run) -> None:
     """Stream the columns of one GF at order ``size`` once, from the scans' top down to 0.
 
     The GF's base comes from ``run``, the run's store of bases
-    (:meth:`cranktab.identities.Run.base`).  With (d, a) the GF's form, V =
-    (1 - q**d) * base is made once, and each of the ``scans`` decides
-    through it the cells of the rows where its columns are still one
-    shifted series (:meth:`_Scan.decide_stable`).  The columns stream from
+    (:meth:`cranktab.identities.Run.base`).  V = (1 - q**d) * base is made
+    once, and each of the ``scans`` decides through it the cells of the rows
+    where its columns are still one shifted series
+    (:meth:`_Scan.decide_stable`).  The columns stream from
     the last one that some scan still compares, about size / (2d), and each
     scan compares column m with column m - stride as the latter goes by, so
     only the last three columns are held.  The pass imports
@@ -216,11 +212,10 @@ def _column_pass(statistic, k, size, scans, run) -> None:
     """
     from cranktab import bivariate
 
-    d, a = bivariate._FORMS[statistic]
-    base = run.base(statistic, k, size)
-    v = base.coeffs[:d] + list(map(operator.sub, base.coeffs[d:], base.coeffs))  # V
+    form, base = bivariate.FORMS[statistic], run.base(statistic, k, size)
+    v = base.coeffs[: form.d] + list(map(operator.sub, base.coeffs[form.d :], base.coeffs))  # V
     for scan in scans:
-        scan.decide_stable(d, a, v)
+        scan.decide_stable(form, v)
     top = max(scan.ms[-1] if scan.ms else 0 for scan in scans)
     window = deque(maxlen=3)  # columns j, j + 1, j + 2
     for j, column in bivariate.gf_columns(statistic, size, k, top, base):

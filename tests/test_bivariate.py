@@ -381,11 +381,10 @@ def test_columns_are_differences_of_cumulative_columns(stat, k):
     # column m = B_m - B_(m+1), each B summed on its own from the closed form
     # over whole columns; this covers the m2crank columns past order/2,
     # tails that clamp to empty and the rank's three-wide window with its +1
-    d = 2 if stat == "m2crank" else 1
-    a = 3 if stat == "rank" else 1
+    form = bivariate.FORMS[stat]
     for order in (0, 1, 2, 3, 7, 40, 301):
         base = bivariate.gf_base(stat, order, k).coeffs
-        cumulative = [bivariate._cumulative(base, a, d, m) for m in range(order + 2)]
+        cumulative = [bivariate._cumulative(base, form, m) for m in range(order + 2)]
         ref = [list(map(sub, cumulative[m], cumulative[m + 1])) for m in range(order + 1)]
         if stat == "rank":
             ref[0][0] += 1  # the empty partition
@@ -399,6 +398,26 @@ def test_columns_are_differences_of_cumulative_columns(stat, k):
                 columns = list(gf_columns(stat, order, k, top))
                 assert columns == [(m, ref[m]) for m in range(min(top, order), -1, -1)], (
                     order, top)
+
+
+@pytest.mark.parametrize("statistic, k", [("crank", None), ("ocrank", None), ("m2crank", None),
+                                          ("kcrank", 2), ("kcrank", 3), ("rank", None)])
+def test_low_rows_of_each_column_are_one_shifted_series(statistic, k):
+    # below the j = 2 term of its closed form, in the rows n < start(2, m),
+    # column m is q**start(1, m) * V, V = (1 - q**d) * base; verify's sweeps
+    # decide those rows through one series per sweep on this premise
+    order = 300
+    form = bivariate.FORMS[statistic]
+    base = bivariate.gf_base(statistic, order, k).coeffs
+    v = [b - (base[t - form.d] if t >= form.d else 0) for t, b in enumerate(base)]
+    for m, column in enumerate(gf_table(statistic, order, k)):
+        if statistic == "rank" and m == 0:
+            continue  # column 0 adds the empty partition at n = 0
+        end = form.start(2, m)
+        shifted = [0] * form.start(1, m) + v
+        assert column.coeffs[:end] == shifted[: min(end, order + 1)], m
+        if end <= order:  # the j = 2 term enters at row end
+            assert column.coeffs[end] != shifted[end], m
 
 
 def test_low_column_table_refuses_reads_past_its_bound():

@@ -118,13 +118,21 @@ def test_andrews_merca_odd_stream_single_exception():
     assert all(c >= 0 for n, c in enumerate(stream.coeffs) if n != 1)
 
 
-def test_crank_decomp_residuals_vanish_below_thresholds():
-    # the explicit heads reproduce the difference columns exactly that far
-    clauses = _clauses("crank-diff-decomp", ORDER)
-    resid_m1 = clauses[0].lhs()
-    resid_m2 = clauses[1].lhs()
-    assert resid_m1.coeffs[:44] == [0] * 44
-    assert resid_m2.coeffs[:27] == [0] * 27
+@pytest.mark.parametrize("name, clause", [("F1_TERMS", "m=1"), ("H1_TERMS", "m=1"),
+                                          ("F2_TERMS", "m=2"), ("H2_TERMS", "m=2")])
+def test_each_decomposition_term_is_checked(name, clause, monkeypatch):
+    # clause m's residual is its difference column minus the fixed
+    # polynomials, (1 - q) F and H: +1 on the term q**e of F changes it by
+    # -(q**e - q**(e+1)), and of H by -q**e, below the clause's threshold,
+    # where the residual must vanish
+    run = identities.Run(60)
+    terms = getattr(identities, name)
+    for e in terms:
+        monkeypatch.setattr(identities, name, {**terms, e: terms[e] + 1})
+        failed = sorted((x["clause"], x["n"], x["lhs"])
+                        for x in run_entry(CATALOG["crank-diff-decomp"], run).exceptions)
+        assert failed == ([(clause, e, -1), (clause, e + 1, 1)] if name[0] == "F"
+                          else [(clause, e, -1)]), (name, e)
 
 
 def test_crank_tail_point_values():
@@ -142,7 +150,7 @@ def test_crank_tail_point_values():
 PINNED_ORDERS = (0, 5, 40, 200)
 PINNED_COEFFS_CHECKED = {
     "andrews-merca": (1, 11, 81, 401),
-    "crank-diff-decomp": (0, 0, 14, 331),
+    "crank-diff-decomp": (1, 12, 82, 402),
     "crank-diff-heads": (1, 12, 68, 71),
     "crank-diff-tails": (0, 0, 1312, 10653),
     "euler": (1, 6, 41, 201),

@@ -1,5 +1,6 @@
 """The package root: its public names resolve lazily to their submodules."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import cranktab
-from cranktab import cli, verify
+from cranktab import bivariate, brute, cli, verify
 
 SRC = Path(cranktab.__file__).resolve().parents[1]
 
@@ -34,6 +35,26 @@ def test_unknown_name_raises_attribute_error():
 def test_parser_vocabulary_is_defined_once():
     assert cranktab.STATISTICS is cli.STATISTICS
     assert cranktab.DEFAULT_IDENTITY_ORDER is verify.DEFAULT_IDENTITY_ORDER
+
+
+def test_every_table_of_statistics_names_the_same_five():
+    assert set(bivariate.FORMS) == set(brute.ORACLE_CEILINGS) == set(verify.DEFAULT_N_MAX) == set(
+        cranktab.STATISTICS)
+    assert len(cranktab.STATISTICS) == 5
+
+
+def test_no_module_reads_another_modules_private_name():
+    # ``bivariate._name`` in verify, say: each rule is read through its home's public names
+    modules = {path.stem for path in (SRC / "cranktab").glob("*.py")} - {"__init__"}
+    found = [
+        f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
+        for path in sorted((SRC / "cranktab").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules and node.attr.startswith("_")
+        and not node.attr.endswith("__")
+    ]
+    assert found == []
 
 
 def _loaded_after(code):

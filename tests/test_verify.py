@@ -333,26 +333,9 @@ def test_column_scan_matches_per_cell_reference(n_max):
 
 # -- the stable rows ------------------------------------------------------------
 #
-# Below the j = 2 term of its closed form, column m of a GF of form (d, a) is
-# one shifted series, which the column passes read as one series U per sweep.
-
-
-@pytest.mark.parametrize("statistic, k", [("crank", None), ("ocrank", None), ("m2crank", None),
-                                          ("kcrank", 2), ("kcrank", 3), ("rank", None)])
-def test_low_rows_of_each_column_are_one_shifted_series(statistic, k):
-    # rows n < d(2m + 2a - 1) of column m are q**(d(m + c)) * V, V = (1 - q**d) * base
-    order = 300
-    d, a = bivariate._FORMS[statistic]
-    base = bivariate.gf_base(statistic, order, k).coeffs
-    v = [b - (base[t - d] if t >= d else 0) for t, b in enumerate(base)]
-    for m, column in enumerate(gf_table(statistic, order, k)):
-        if statistic == "rank" and m == 0:
-            continue  # column 0 adds the empty partition at n = 0
-        end = d * (2 * m + 2 * a - 1)
-        shifted = [0] * (d * (m + (a - 1) // 2)) + v
-        assert column.coeffs[:end] == shifted[: min(end, order + 1)], m
-        if end <= order:  # the j = 2 term enters at row end
-            assert column.coeffs[end] != shifted[end], m
+# Below the j = 2 term of its closed form, column m is one shifted series
+# (tests/test_bivariate.py), which the column passes read as one series U per
+# sweep.
 
 
 @pytest.mark.parametrize("sweep", _ALL_SWEEPS, ids=lambda s: f"{s.check_id}-{s.k}")
@@ -371,8 +354,8 @@ def test_stable_rows_fail_on_a_corrupted_base(sweep):
     got = (r.passed, r.exceptions, r.informational, r.cells_checked)
     assert got == _per_cell_sweep(sweep, n_max, base=bad)
     # some of the violations lie in the rows that U decides, past column 0
-    d, a = bivariate._FORMS[sweep.statistic]
-    assert any(sweep.stride < e["m"] and e["n"] < d * (2 * (e["m"] - sweep.stride) + 2 * a - 1)
+    form = bivariate.FORMS[sweep.statistic]
+    assert any(sweep.stride < e["m"] and e["n"] < form.start(2, e["m"] - sweep.stride)
                for e in r.exceptions + r.informational)
 
 
